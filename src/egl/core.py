@@ -172,7 +172,7 @@ class EventSpec:
 class SolverSettings:
     """Tolerances and knobs shared by the solvers."""
 
-    phi_tol: float = 1e-10        # bisection width for the useless-surplus share
+    phi_tol: float = 1e-10        # relative tolerance of the phi root
     q_rtol: float = 1e-10         # relative bracket width for output roots
     foc_tol: float = 1e-6         # accepted relative first-order residual
     quad_tol: float = 1e-9        # absolute quadrature tolerance (scaled)

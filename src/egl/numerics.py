@@ -17,8 +17,13 @@ BRACKET_CEILING = 1e30
 
 def bracketed_root(f: Callable[[float], float], lo: float, hi: float,
                    rtol: float = 1e-10) -> float:
-    """Root of ``f`` on ``[lo, hi]`` given a sign change at the endpoints."""
-    return float(brentq(f, lo, hi, rtol=max(rtol, 8.9e-16), xtol=1e-24,
+    """Root of ``f`` on ``[lo, hi]`` given a sign change at the endpoints.
+
+    The tolerance is relative only: brentq needs a positive ``xtol``, and
+    one far below any root egl solves for keeps tiny roots as precise as
+    large ones.
+    """
+    return float(brentq(f, lo, hi, rtol=max(rtol, 8.9e-16), xtol=1e-300,
                         maxiter=200))
 
 

@@ -9,9 +9,9 @@ slackness on usability: either phi = 0 and the leftover fleet can absorb
 the whole surplus, or the surplus exactly matches the leftover fleet's
 direct-energy capacity.
 
-The residual E(phi) - U(phi) is monotone decreasing for eventually-upward
-marginal embodied energy curves, so a guarded bisection finds the fixed
-point; a detected monotonicity failure falls back to a dense scan.
+The usability residual E(phi) - U(phi) crosses zero once, so one
+bracketed root finds the fixed point; where it jumps across zero instead,
+the usability constraint is imposed by rescaling the outputs.
 """
 
 from __future__ import annotations
@@ -86,10 +86,15 @@ def scarcity_premium(good: EnergyGood, q: float, phi: float,
     if phi == 0.0:
         return 0.0
     m = effective_multiplier(good, state)
-    grads = marginal_requirements(good.technology, state.movers, q, m)
-    total = sum(state.movers[mid].direct_energy * g
-                for mid, g in grads.items())
-    return phi / (1.0 - phi) * total / len(grads)
+    return phi / (1.0 - phi) * _premium_factor(good, state.movers, q, m)
+
+
+def _premium_factor(good: EnergyGood, movers: dict, q: float,
+                    multiplier: float) -> float:
+    """Mean of eps_l * g'_l(q) over the good's used movers."""
+    grads = marginal_requirements(good.technology, movers, q, multiplier)
+    total = sum(movers[mid].direct_energy * g for mid, g in grads.items())
+    return total / len(grads)
 
 
 def mover_surplus_rates(phi: float,
@@ -130,6 +135,7 @@ class _Problem:
             used = g.technology.used_movers()
             ok = all(state.stocks.get(m, 0.0) > 0.0 for m in used)
             self.producible[g.id] = ok
+            remaining = math.inf
             if g.pes_stock is not None:
                 remaining = max(
                     g.pes_stock - state.cum_extraction.get(g.id, 0.0), 0.0)
@@ -143,11 +149,8 @@ class _Problem:
                                          state.stocks[mid], self.mult[g.id])
                 if c < cap:
                     cap, tag = c, f"endowment:{mid}"
-            if g.pes_stock is not None:
-                remaining = max(
-                    g.pes_stock - state.cum_extraction.get(g.id, 0.0), 0.0)
-                if remaining < cap:
-                    cap, tag = remaining, "pes"
+            if remaining < cap:
+                cap, tag = remaining, "pes"
             self.caps[g.id] = cap
             self.cap_tags[g.id] = tag
         self.candidates = [
@@ -155,14 +158,6 @@ class _Problem:
             if self.producible[g.id]
             and g.energy_content > self.gamma0[g.id]
             and self.caps[g.id] > 0.0]
-
-    def premium_factor(self, good: EnergyGood, q: float) -> float:
-        """Mean of eps_l * g'_l(q) over the good's used movers."""
-        grads = marginal_requirements(good.technology, self.state.movers, q,
-                                      self.mult[good.id])
-        total = sum(self.state.movers[mid].direct_energy * g
-                    for mid, g in grads.items())
-        return total / len(grads)
 
     def good_output(self, good: EnergyGood, c: float):
         """Optimal output of one good at premium weight c = phi/(1-phi).
@@ -186,7 +181,8 @@ class _Problem:
                 return (delta
                         - marginal_embodied(tech, self.state.movers, q,
                                             self.mult[good.id])
-                        - c * self.premium_factor(good, q))
+                        - c * _premium_factor(good, self.state.movers, q,
+                                              self.mult[good.id]))
 
             if gain(cap) >= 0.0:
                 return cap, tag
@@ -384,95 +380,47 @@ def _null_solution(problem: _Problem, phi: float = 0.0,
 
 
 def _solve_phi(problem: _Problem) -> tuple[float, bool]:
-    """Useless-surplus share by bisection on the usability residual.
+    """Useless-surplus share: the root of the usability residual E - U.
 
+    The bracket [lo, hi] grows toward phi = 1 until the residual turns
+    negative, then one bracketed root solves it to ``phi_tol`` relative.
     Returns (phi, converged).  ``converged`` is False when the residual
     jumps across zero without a root, which happens when a requirement
-    curve slopes downward at the relevant margin; the caller then imposes
-    the usability constraint directly.
+    curve slopes downward at the relevant margin; phi is then the largest
+    share with a positive residual, and the caller imposes the usability
+    constraint directly.
     """
     settings = problem.settings
-    rho0 = problem.residual(0.0)
+    residuals: dict[float, float] = {}
+
+    def rho(phi: float) -> float:
+        if phi not in residuals:
+            residuals[phi] = problem.residual(phi)
+        return residuals[phi]
+
+    rho0 = rho(0.0)
     if rho0 <= 0.0:
         return 0.0, True
-    scale = max(1.0, abs(rho0))
-    ftol = settings.slack_tol * scale
+    ftol = settings.slack_tol * max(1.0, abs(rho0))
 
-    hi = 0.5
-    while problem.residual(hi) > 0.0:
-        hi = 1.0 - (1.0 - hi) / 4.0
+    lo, hi = 0.0, 0.5
+    while rho(hi) > 0.0:
+        lo, hi = hi, 1.0 - (1.0 - hi) / 4.0
         if hi >= _PHI_MAX:
             raise SolverError(
                 "degenerate",
                 "usability residual stays positive as phi approaches 1")
 
-    seen: list[tuple[float, float]] = [(0.0, rho0)]
-
-    def rho(phi: float) -> float:
-        value = problem.residual(phi)
-        seen.append((phi, value))
-        return value
-
-    lo = 0.0
-    best, best_val = hi, rho(hi)
-    for _ in range(240):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        val = rho(mid)
-        if abs(val) <= abs(best_val):
-            best, best_val = mid, val
-        if (hi - lo) <= settings.phi_tol and abs(best_val) <= ftol:
-            break
-        if val >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-
-    # the residual should fall as phi rises; a violation beyond noise means
-    # the bisection assumptions broke, so rescan densely before giving up
-    seen.sort()
-    tol = 1e-7 * scale
-    monotone = all(seen[i + 1][1] <= seen[i][1] + tol
-                   for i in range(len(seen) - 1))
-    if not monotone:
-        log.warning("usability residual non-monotone; falling back to scan")
-        prev_phi = 0.0
-        for i in range(1, 4097):
-            phi = i / 4096.0
-            val = problem.residual(phi)
-            if val <= 0.0:
-                return _bisect_cell(problem, prev_phi, phi,
-                                    settings.phi_tol, ftol)
-            prev_phi = phi
-        raise SolverError("degenerate",
-                          "usability residual never crosses zero")
-    if abs(best_val) > ftol:
+    # The residual can rise with phi only while rationing keeps the whole
+    # fleet employed in energy production; there U = 0 < E, so no root
+    # lies there and the residual crosses zero once on [lo, hi].
+    phi = bracketed_root(rho, lo, hi, rtol=settings.phi_tol)
+    if abs(rho(phi)) > ftol:
+        lo = max(x for x, value in residuals.items() if value > 0.0)
         log.info("usability residual jumps at phi=%.6g; "
                  "imposing the constraint directly", lo)
         return lo, False
-    return best, True
-
-
-def _bisect_cell(problem: _Problem, lo: float, hi: float, xtol: float,
-                 ftol: float) -> tuple[float, bool]:
-    x, fx = hi, problem.residual(hi)
-    last_lo = lo
-    while (hi - lo) > xtol:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        val = problem.residual(mid)
-        if abs(val) < abs(fx):
-            x, fx = mid, val
-        if val >= 0.0:
-            lo = mid
-            last_lo = mid
-        else:
-            hi = mid
-    if abs(fx) > ftol:
-        return last_lo, False
-    return x, True
+    return phi, True
 
 
 def solve_energy_side(scenario: ScenarioConfig,

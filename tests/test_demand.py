@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from egl import initial_state, scenario_from_dict
 from egl.core import (CobbDouglas, FixedProportions, Preferences,
                       PrimeMoverType)
-from egl.demand import (allocate_support_prime_movers, marginal_utility,
-                        solve_demands, tangency_residual, usability_slack)
+from egl.demand import (allocate_support_prime_movers, demand_for_state,
+                        marginal_utility, solve_demands, tangency_residual,
+                        usability_slack)
+from egl.surplus import solve_energy_side
 
 
 def support_movers(**omegas):
@@ -144,6 +147,37 @@ class TestSolveDemands:
                                for g in sol.bundle)
         slope = (spend[e + h] - spend[e - h]) / (2.0 * h)
         assert slope == pytest.approx(1.0, rel=1e-6)
+
+
+class TestBudgetAtScale:
+    def test_huge_surplus_meets_budget_relatively(self):
+        # a surplus of 6.2e18 J puts the budget multiplier near 1e-19:
+        # the root finder's tolerance must be relative to reach the budget
+        scenario = scenario_from_dict({
+            "period_length": 1.0,
+            "prime_movers": [{"id": "m0",
+                              "power_rate": 0.5330928857033648,
+                              "depreciation": 0.5, "avg_embodied": 0.0,
+                              "endowment": 4.621922785827618e+19,
+                              "max_accum_rate": 0.1}],
+            "energy_goods": [{"id": "e0",
+                              "energy_content": 44.339372127471215,
+                              "technology": {
+                                  "kind": "cobb_douglas",
+                                  "scale": 1.7491895539193298,
+                                  "exponents": {"m0": 0.8957412847401705}}}],
+            "non_energy_goods": [{"id": "n0", "technology": {
+                "kind": "fixed_proportions", "requirements": {"m0": 1.0},
+                "curvature": {"c0": 1.0}}, "utility_weight": 1.0}],
+            "preferences": {"form": "cobb_douglas"},
+            "horizon": 1,
+        })
+        state = initial_state(scenario)
+        energy = solve_energy_side(scenario, state)
+        demand = demand_for_state(scenario, state, energy.usable_surplus,
+                                  energy.employment)
+        assert energy.usable_surplus > 1e18
+        assert abs(demand.budget_residual) <= 1e-9 * energy.usable_surplus
 
 
 class TestPreferences:

@@ -210,6 +210,61 @@ class TestReferenceSolve:
         assert a.employment == b.employment
 
 
+def two_good_doc(mover: dict, goods: list) -> dict:
+    """One mover shared by Cobb-Douglas energy goods (id, content, scale,
+    exponent), as in the acceptance-02 family."""
+    return {
+        "period_length": 1.0,
+        "prime_movers": [{"id": "m0", "depreciation": 0.5,
+                          "avg_embodied": 0.0, "max_accum_rate": 0.1,
+                          **mover}],
+        "energy_goods": [
+            {"id": gid, "energy_content": content,
+             "technology": {"kind": "cobb_douglas", "scale": scale,
+                            "exponents": {"m0": beta}}}
+            for gid, content, scale, beta in goods],
+        "non_energy_goods": [{"id": "n0", "technology": {
+            "kind": "fixed_proportions", "requirements": {"m0": 1.0},
+            "curvature": {"c0": 1.0}}, "utility_weight": 1.0}],
+        "preferences": {"form": "cobb_douglas"},
+        "horizon": 1,
+    }
+
+
+class TestPhiRoot:
+    def test_fixed_point_near_one(self):
+        # phi* = 1 - 5.9e-5: the bracket grows close to 1 before the root
+        # is found, and phi matches the one-mover closed form
+        doc = two_good_doc(
+            {"power_rate": 2.341396113661226,
+             "endowment": 1.644372310181278},
+            [("e0", 48.22729820013046, 1.9165983297862113,
+              0.3047422097995877),
+             ("e1", 2.28513602912426, 0.5132916728034616,
+              0.39982096832245584)])
+        scenario, sol = solve_doc(doc)
+        assert sol.phi == pytest.approx(0.9999410685661618, abs=1e-7)
+        assert "usability" not in sol.binding_constraints.values()
+        # the slack tolerance is relative to the residual at phi = 0
+        _, at_zero = solve_doc(doc, force_phi=0.0)
+        assert abs(sol.slack_residual) <= scenario.solver.slack_tol * max(
+            1.0, abs(at_zero.slack_residual))
+
+    def test_tiny_output_meets_first_order_condition(self):
+        # e0 produces about 9e-23 at the fixed point: the output root must
+        # be located to relative precision, not to an absolute width
+        doc = two_good_doc(
+            {"power_rate": 2.68568869296926,
+             "endowment": 0.9374182101616292},
+            [("e0", 2.660070383772007, 1.1845271502097554,
+              0.8988565599180756),
+             ("e1", 38.840543814866734, 0.8943924891292641,
+              0.3860600243384128)])
+        _, sol = solve_doc(doc)
+        assert 0.0 < sol.outputs["e0"] < 1e-20
+        assert sol.foc_good_residuals["e0"] <= 1e-6
+
+
 class TestSolutionInvariants:
     @staticmethod
     def check(scenario, sol):
