@@ -20,6 +20,7 @@ from .core import (EconomyState, NonEnergyGood, Preferences, PrimeMoverType,
                    effective_multiplier)
 from .embodied import (cumulative_transfer, input_requirements,
                        marginal_embodied)
+from .errors import SolverError
 from .numerics import bracketed_root
 
 
@@ -103,7 +104,10 @@ def solve_demands(preferences: Preferences,
         while gap(hi) < 0.0:
             hi *= 2.0
             if hi > 1e180:
-                raise ValueError("demand solve diverged")
+                raise SolverError(
+                    "no_bracket",
+                    f"demand for {good.id!r} stays below its target "
+                    f"{target:.6g} up to q = 1e180")
         if gap(hi) == 0.0:
             return hi
         return bracketed_root(gap, 0.0, hi, rtol=rtol)
@@ -120,11 +124,17 @@ def solve_demands(preferences: Preferences,
     while spending(lam_hi) > energy:
         lam_hi *= 4.0
         if lam_hi > 1e180:
-            raise ValueError("demand solve diverged")
+            raise SolverError(
+                "no_bracket",
+                f"spending exceeds the budget {energy:.6g} J at every "
+                "multiplier up to 1e180")
     while spending(lam_lo) < energy:
         lam_lo /= 4.0
         if lam_lo < 1e-180:
-            raise ValueError("demand solve diverged")
+            raise SolverError(
+                "no_bracket",
+                f"spending stays below the budget {energy:.6g} J at every "
+                "multiplier down to 1e-180")
     if lam_lo == lam_hi:
         lam_sep = lam_lo          # spending(1.0) hit the budget exactly
     else:

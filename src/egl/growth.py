@@ -193,7 +193,8 @@ def simulate(scenario: ScenarioConfig,
                                           energy.usable_surplus,
                                           energy.employment)
         except EglError as exc:
-            log.error("period %d solve failed: %s", t, exc)
+            # the failure travels on the trajectory; the CLI reports it
+            log.info("period %d solve failed: %s", t, exc)
             return Trajectory(records=tuple(records), steady_state=steady,
                               diagnostic={"period": t, "error": str(exc)})
 

@@ -1,5 +1,13 @@
 """Shared scalar numerics: bracketed root finding and adaptive Simpson quadrature.
 
+Roots come from Brent's method (R. P. Brent, *Algorithms for Minimization
+without Derivatives*, Prentice-Hall 1973, ch. 4): inverse quadratic or
+secant steps inside a bracket that always keeps a sign change, with a
+bisection whenever the interpolated step does not shrink the bracket fast
+enough.  The step sequence is the one of the widely used C ``brentq``
+(the version SciPy ships), so roots and evaluation counts match it to the
+bit.
+
 Everything here is deterministic: the same inputs always produce the same
 floats, which the solvers rely on for reproducible CSV/SVG output.
 """
@@ -8,23 +16,103 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from scipy.optimize import brentq
+from .errors import SolverError
 
 #: Hard ceiling for bracket expansion; beyond this the problem is treated as
 #: unbounded rather than silently returning astronomically large roots.
 BRACKET_CEILING = 1e30
+
+#: Smallest relative tolerance honoured: four machine epsilons, below which
+#: the stopping test could ask for a step shorter than one ulp of the root.
+RTOL_FLOOR = 8.9e-16
+
+#: Absolute part of the stopping tolerance, far below any root egl solves
+#: for, so tiny roots are found as precisely (relatively) as large ones.
+XTOL = 1e-300
+
+#: Iteration cap: hitting it means the residual is not continuous on the
+#: bracket, or the tolerance cannot be met.
+MAX_ITER = 200
 
 
 def bracketed_root(f: Callable[[float], float], lo: float, hi: float,
                    rtol: float = 1e-10) -> float:
     """Root of ``f`` on ``[lo, hi]`` given a sign change at the endpoints.
 
-    The tolerance is relative only: brentq needs a positive ``xtol``, and
-    one far below any root egl solves for keeps tiny roots as precise as
-    large ones.
+    The iterate stops once the bracket around it is narrower than
+    ``XTOL + rtol * |x|``, with ``rtol`` raised to ``RTOL_FLOOR``.  Raises
+    ``SolverError("no_bracket")`` when ``f(lo)`` and ``f(hi)`` share a
+    sign, and ``SolverError("degenerate")`` when ``f`` returns NaN or
+    ``MAX_ITER`` steps do not converge.
     """
-    return float(brentq(f, lo, hi, rtol=max(rtol, 8.9e-16), xtol=1e-300,
-                        maxiter=200))
+    rtol = max(rtol, RTOL_FLOOR)
+    xpre, xcur = float(lo), float(hi)
+    fpre = _value(f, xpre)
+    fcur = _value(f, xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise SolverError(
+            "no_bracket",
+            f"f({xpre:.17g}) = {fpre:.6g} and f({xcur:.17g}) = {fcur:.6g} "
+            "have the same sign")
+
+    # xcur is the best estimate, xblk the contrapoint (f changes sign
+    # between them), xpre the previous estimate; scur/spre are the last
+    # two step lengths.
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(MAX_ITER):
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (XTOL + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        bisect = True
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # secant through the estimate and the contrapoint
+                num, den = -fcur * (xcur - xpre), fcur - fpre
+            else:
+                # inverse quadratic through all three points
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                num = -fcur * (fblk * dblk - fpre * dpre)
+                den = dblk * dpre * (fblk - fpre)
+            # a zero denominator means an infinite step: bisect
+            if den != 0.0:
+                stry = num / den
+                if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                    spre, scur = scur, stry
+                    bisect = False
+        if bisect:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = _value(f, xcur)
+    raise SolverError(
+        "degenerate",
+        f"root finder did not converge in {MAX_ITER} iterations "
+        f"on [{lo:.17g}, {hi:.17g}]")
+
+
+def _value(f: Callable[[float], float], x: float) -> float:
+    fx = f(x)
+    if fx != fx:
+        raise SolverError("degenerate", f"residual is NaN at x = {x:.17g}")
+    return fx
 
 
 def adaptive_simpson(f: Callable[[float], float], a: float, b: float,

@@ -23,14 +23,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import ScenarioConfig, initial_state, scenario_digest, \
     scenario_from_dict
 from .demand import demand_for_state
 from .errors import EglError
 from .surplus import solve_energy_side
+
+if TYPE_CHECKING:
+    import numpy as np
 
 GENERATOR_NAME = "numpy-PCG64"
 
@@ -221,6 +223,10 @@ def _merge(base: dict, override: dict) -> dict:
 def proposition_suite(seed: int, trials: int, family: dict | None = None,
                       step: float = 1e-3) -> dict[str, SignTable]:
     """Randomized strict-sign checks of claims (a), (b), (c)."""
+    # numpy is imported here, the only place that draws, so that the other
+    # commands start without it
+    import numpy as np
+
     if trials < 1:
         raise ValueError("trials must be >= 1")
 

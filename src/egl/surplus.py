@@ -158,6 +158,22 @@ class _Problem:
             if self.producible[g.id]
             and g.energy_content > self.gamma0[g.id]
             and self.caps[g.id] > 0.0]
+        # fixed proportions: the transfer and premium weights of the
+        # requirement profile, and the location of its dip, depend on the
+        # technology alone, so they are computed once per solve
+        self.fixed_terms = {}
+        for g in self.candidates:
+            tech = g.technology
+            if isinstance(tech, CobbDouglas):
+                continue
+            used = [(mid, nu) for mid, nu in tech.requirements.items()
+                    if nu > 0.0]
+            w_total = sum(state.movers[mid].total_transfer * nu
+                          for mid, nu in used)
+            eps_mean = sum(state.movers[mid].direct_energy * nu
+                           for mid, nu in used) / len(used)
+            self.fixed_terms[g.id] = (w_total, eps_mean,
+                                      self._profile_dip(tech))
 
     def good_output(self, good: EnergyGood, c: float):
         """Optimal output of one good at premium weight c = phi/(1-phi).
@@ -189,12 +205,7 @@ class _Problem:
             return bracketed_root(gain, 0.0, cap, rtol=rtol), None
 
         # fixed proportions: F(q) = delta - a * h'(q) with a > 0
-        movers = self.state.movers
-        used = [(mid, nu) for mid, nu in tech.requirements.items()
-                if nu > 0.0]
-        w_total = sum(movers[mid].total_transfer * nu for mid, nu in used)
-        eps_mean = sum(movers[mid].direct_energy * nu
-                       for mid, nu in used) / len(used)
+        w_total, eps_mean, q_dip = self.fixed_terms[good.id]
         a = self.mult[good.id] * (w_total + c * eps_mean)
 
         def gain(q: float) -> float:
@@ -203,7 +214,6 @@ class _Problem:
         def total_gain(q: float) -> float:
             return delta * q - a * tech.cumulative_profile(q)
 
-        q_dip = self._profile_dip(tech)
         q_peak = min(q_dip, cap)
         if gain(q_peak) <= 0.0:
             return 0.0, None

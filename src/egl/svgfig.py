@@ -8,7 +8,7 @@ self-contained SVG 1.1 with no external references.
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
+from html import escape
 
 from .growth import Trajectory
 from .surplus import Figure1Data
@@ -27,7 +27,7 @@ class _Canvas:
             '<?xml version="1.0" encoding="UTF-8"?>\n'
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" '
             f'height="{_H}" viewBox="0 0 {_W} {_H}">\n'
-            f'<title>{escape(title)}</title>\n'
+            f'<title>{escape(title, quote=False)}</title>\n'
             f'<rect x="0" y="0" width="{_W}" height="{_H}" fill="white"/>\n']
 
     def line(self, x1, y1, x2, y2, stroke="black", width=1.0, dash=None):
@@ -57,7 +57,7 @@ class _Canvas:
         self.parts.append(
             f'<text x="{_f(x)}" y="{_f(y)}" font-family="sans-serif"'
             f' font-size="{size}" text-anchor="{anchor}" fill="{fill}">'
-            f'{escape(s)}</text>\n')
+            f'{escape(s, quote=False)}</text>\n')
 
     def render(self) -> str:
         return "".join(self.parts) + "</svg>\n"

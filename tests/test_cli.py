@@ -1,9 +1,14 @@
 import json
 import os
 import stat
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
+import pytest
 
+import egl
 from egl.cli import main
 
 from conftest import cd1_doc, scarce_doc
@@ -17,6 +22,18 @@ def write_scenario(tmp_path, doc, name="scenario.json"):
 
 def read(path):
     return path.read_bytes()
+
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+
+def run_python(args, cwd):
+    """Run a fresh interpreter that imports egl from this checkout."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(egl.__file__).resolve().parents[1]))
+    env.pop("EGL_LOG", None)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 class TestValidate:
@@ -188,3 +205,42 @@ class TestUsage:
 
     def test_unknown_argument(self, capsys):
         assert main(["simulate", "--bogus"]) == 1
+
+
+class TestSolverFailureReport:
+    @pytest.mark.parametrize("command", ["equilibrium", "simulate"])
+    def test_unreachable_demand_exits_2_with_one_json_line(self, tmp_path,
+                                                           command):
+        # a near-free good whose demand never reaches its target: the
+        # bracket search for the demand root runs out of range
+        doc = json.loads((SCENARIOS / "reference.json").read_text())
+        doc["non_energy_goods"][0]["technology"]["curvature"]["c0"] = 1e-300
+        path = write_scenario(tmp_path, doc)
+        proc = run_python(["-m", "egl.cli", command, "--scenario", path,
+                           "--out", str(tmp_path / "out")], tmp_path)
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        payload = json.loads(lines[0])
+        assert payload["error"] == "solver"
+        assert payload["detail"].startswith("no_bracket:")
+
+
+class TestColdStart:
+    def test_cli_import_skips_heavy_modules(self, tmp_path):
+        family = tmp_path / "family.json"
+        family.write_text("{}", encoding="utf-8")
+        out = tmp_path / "out"
+        script = (
+            "import json, sys\n"
+            "import egl.cli\n"
+            "heavy = sorted(m for m in sys.modules\n"
+            "               if m.split('.')[0] in ('scipy', 'numpy')\n"
+            "               or m == 'xml.sax' or m.startswith('xml.sax.'))\n"
+            "print(json.dumps(heavy))\n"
+            f"sys.exit(egl.cli.main(['statics', '--family', {str(family)!r},"
+            f" '--seed', '1', '--trials', '1', '--out', {str(out)!r}]))\n")
+        proc = run_python(["-c", script], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == []
+        assert "# generator,numpy-PCG64" in (out / "sign_table.csv").read_text()
