@@ -13,8 +13,7 @@ from .core import (EconomyState, EnergyGood, EventSpec, NonEnergyGood,
                    Preferences, PrimeMoverType, ScenarioConfig,
                    SolverSettings, aggregate_power, direct_energy,
                    initial_state, load_scenario, scenario_digest,
-                   scenario_from_dict, scenario_to_dict, serialize_scenario,
-                   total_transfer_per_unit)
+                   scenario_from_dict)
 from .demand import (DemandSolution, allocate_support_prime_movers,
                      solve_demands, usability_slack)
 from .embodied import (MeecPoint, average_embodied, cumulative_transfer,
@@ -25,14 +24,13 @@ from .growth import (Trajectory, apply_event, mover_surplus_rates, simulate,
                      step_accumulation)
 from .statics import SignTable, perturb_and_sign, proposition_suite
 from .surplus import (EnergySideSolution, figure1_report, marginal_surplus_at,
-                      meroi, scarcity_premium, solve_energy_side)
+                      scarcity_premium, solve_energy_side)
 
 __all__ = [
     "EconomyState", "EnergyGood", "EventSpec", "NonEnergyGood",
     "Preferences", "PrimeMoverType", "ScenarioConfig", "SolverSettings",
     "aggregate_power", "direct_energy", "initial_state", "load_scenario",
-    "scenario_digest", "scenario_from_dict", "scenario_to_dict",
-    "serialize_scenario", "total_transfer_per_unit",
+    "scenario_digest", "scenario_from_dict",
     "DemandSolution", "allocate_support_prime_movers", "solve_demands",
     "usability_slack",
     "MeecPoint", "average_embodied", "cumulative_transfer", "elasticity",
@@ -42,7 +40,7 @@ __all__ = [
     "Trajectory", "apply_event", "mover_surplus_rates", "simulate",
     "step_accumulation",
     "SignTable", "perturb_and_sign", "proposition_suite",
-    "EnergySideSolution", "figure1_report", "marginal_surplus_at", "meroi",
+    "EnergySideSolution", "figure1_report", "marginal_surplus_at",
     "scarcity_premium", "solve_energy_side",
     "__version__",
 ]

@@ -34,12 +34,31 @@ EXIT_SOLVER = 2
 EXIT_IO = 3
 
 
+class _StderrHandler(logging.StreamHandler):
+    """Writes each record to whatever ``sys.stderr`` is at that moment."""
+
+    def __init__(self):
+        # StreamHandler.__init__ would assign the read-only ``stream``
+        logging.Handler.__init__(self)
+        self.setFormatter(
+            logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+
+_LOG_HANDLER = _StderrHandler()
+
+
 def _setup_logging():
+    """Level the ``egl`` logger from EGL_LOG; the root logger is left alone."""
     level = {"quiet": logging.WARNING, "info": logging.INFO,
              "debug": logging.DEBUG}.get(os.environ.get("EGL_LOG", "quiet"),
                                          logging.WARNING)
-    logging.basicConfig(level=level, stream=sys.stderr,
-                        format="%(levelname)s %(name)s: %(message)s")
+    logger = logging.getLogger("egl")
+    logger.setLevel(level)
+    logger.addHandler(_LOG_HANDLER)      # a no-op once attached
 
 
 def _error(kind: str, detail: str, code: int) -> int:
@@ -48,14 +67,14 @@ def _error(kind: str, detail: str, code: int) -> int:
     return code
 
 
-def _read_scenario(path: str) -> ScenarioConfig:
+def _read_scenario(path: str) -> tuple[str, ScenarioConfig]:
     text = Path(path).read_text(encoding="utf-8")
-    return load_scenario(text)
+    return text, load_scenario(text)
 
 
 def _write_outputs(out_dir: str, files: dict[str, str], command: str,
                    digest: str, scenario: ScenarioConfig | None,
-                   extra: dict | None = None) -> list[str]:
+                   extra: dict | None = None) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, content in files.items():
@@ -69,16 +88,13 @@ def _write_outputs(out_dir: str, files: dict[str, str], command: str,
     if scenario is not None:
         s = scenario.solver
         manifest["tolerances"] = {
-            "phi": s.phi_tol, "q_rtol": s.q_rtol, "foc": s.foc_tol,
-            "quadrature": s.quad_tol, "slack": s.slack_tol,
+            "phi": s.phi_tol, "q_rtol": s.q_rtol, "slack": s.slack_tol,
             "ss_accum": s.ss_accum_tol, "ss_alpha": s.ss_alpha_tol}
-        manifest["seed"] = s.seed
     if extra:
         manifest.update(extra)
     (out / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n",
         encoding="utf-8", newline="")
-    return sorted(files) + ["manifest.json"]
 
 
 def _cmd_validate(args) -> int:
@@ -88,14 +104,13 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_equilibrium(args) -> int:
-    text = Path(args.scenario).read_text(encoding="utf-8")
-    scenario = load_scenario(text)
+    text, scenario = _read_scenario(args.scenario)
     state = initial_state(scenario)
     solution = solve_energy_side(scenario, state)
     demand = demand_for_state(scenario, state, solution.usable_surplus,
                               solution.employment)
     files = {
-        "equilibrium.csv": equilibrium_csv(scenario, state, solution),
+        "equilibrium.csv": equilibrium_csv(state, solution),
         "demand.csv": demand_csv(demand),
     }
     for gid, good in state.energy_goods.items():
@@ -111,8 +126,7 @@ def _cmd_equilibrium(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    text = Path(args.scenario).read_text(encoding="utf-8")
-    scenario = load_scenario(text)
+    text, scenario = _read_scenario(args.scenario)
     trajectory = simulate(scenario, horizon=args.horizon)
     files = {
         "trajectory.csv": trajectory_csv(scenario, trajectory),

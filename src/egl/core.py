@@ -174,12 +174,9 @@ class SolverSettings:
 
     phi_tol: float = 1e-10        # relative tolerance of the phi root
     q_rtol: float = 1e-10         # relative bracket width for output roots
-    foc_tol: float = 1e-6         # accepted relative first-order residual
-    quad_tol: float = 1e-9        # absolute quadrature tolerance (scaled)
-    slack_tol: float = 1e-8       # complementary slackness, relative to surplus
+    slack_tol: float = 1e-8       # |E - U|, relative to max(1, E - U at phi = 0)
     ss_accum_tol: float = 1e-8    # steady state: accumulation, relative to stock
     ss_alpha_tol: float = 1e-6    # steady state: marginal surplus, relative to delta
-    seed: int = 0
     substeps: int = 1
     accum_normalization: str | float = "own_eps"
     force_phi: float | None = None
@@ -226,11 +223,6 @@ def direct_energy(power_rate: float, period_length: float) -> float:
     if power_rate <= 0.0 or period_length <= 0.0:
         raise ValueError("power rate and period length must be positive")
     return power_rate * period_length
-
-
-def total_transfer_per_unit(mover: PrimeMoverType) -> float:
-    """Direct energy plus depreciation-amortized embodied energy per unit."""
-    return mover.direct_energy + mover.depreciation * mover.avg_embodied
 
 
 def aggregate_power(state: EconomyState,
@@ -340,6 +332,20 @@ def _check_keys(doc: dict, allowed: set[str], path: str):
         _fail(f"{path}.{sorted(extra)[0]}", "unknown field")
 
 
+def _mover_weights(doc: dict, key: str, path: str) -> dict[str, float]:
+    """A technology's non-empty map of mover id to a finite number >= 0."""
+    raw = doc.get(key)
+    if not isinstance(raw, dict) or not raw:
+        _fail(f"{path}.{key}", "must be a non-empty object")
+    out = {}
+    for mover, v in raw.items():
+        if not isinstance(v, (int, float)) or isinstance(v, bool) \
+                or not math.isfinite(float(v)) or float(v) < 0.0:
+            _fail(f"{path}.{key}.{mover}", "must be a finite number >= 0")
+        out[str(mover)] = float(v)
+    return out
+
+
 def _parse_technology(doc, path: str) -> Technology:
     if not isinstance(doc, dict):
         _fail(path, "technology must be an object")
@@ -349,16 +355,7 @@ def _parse_technology(doc, path: str) -> Technology:
         scale = _num(doc, "scale", path)
         if scale <= 0.0:
             _fail(f"{path}.scale", "must be positive")
-        exps = doc.get("exponents")
-        if not isinstance(exps, dict) or not exps:
-            _fail(f"{path}.exponents", "must be a non-empty object")
-        out = {}
-        for mover, b in exps.items():
-            if not isinstance(b, (int, float)) or isinstance(b, bool) \
-                    or not math.isfinite(float(b)) or float(b) < 0.0:
-                _fail(f"{path}.exponents.{mover}",
-                      "must be a finite number >= 0")
-            out[str(mover)] = float(b)
+        out = _mover_weights(doc, "exponents", path)
         total = sum(out.values())
         if total <= 0.0:
             _fail(f"{path}.exponents", "at least one exponent must be > 0")
@@ -368,16 +365,7 @@ def _parse_technology(doc, path: str) -> Technology:
         return CobbDouglas(scale=scale, exponents=out)
     if kind == "fixed_proportions":
         _check_keys(doc, {"kind", "requirements", "curvature"}, path)
-        reqs = doc.get("requirements")
-        if not isinstance(reqs, dict) or not reqs:
-            _fail(f"{path}.requirements", "must be a non-empty object")
-        out = {}
-        for mover, nu in reqs.items():
-            if not isinstance(nu, (int, float)) or isinstance(nu, bool) \
-                    or not math.isfinite(float(nu)) or float(nu) < 0.0:
-                _fail(f"{path}.requirements.{mover}",
-                      "must be a finite number >= 0")
-            out[str(mover)] = float(nu)
+        out = _mover_weights(doc, "requirements", path)
         if not any(v > 0.0 for v in out.values()):
             _fail(f"{path}.requirements", "at least one coefficient must be > 0")
         curv = doc.get("curvature", {})
@@ -583,36 +571,23 @@ def _parse_event(doc, path: str, period_length: float,
 def _parse_solver(doc, path: str) -> SolverSettings:
     if not isinstance(doc, dict):
         _fail(path, "must be an object")
-    _check_keys(doc, {"tolerances", "seed", "substeps",
-                      "accum_normalization", "force_phi"}, path)
+    _check_keys(doc, {"tolerances", "substeps", "accum_normalization",
+                      "force_phi"}, path)
     tols = doc.get("tolerances", {})
     if not isinstance(tols, dict):
         _fail(f"{path}.tolerances", "must be an object")
     tpath = f"{path}.tolerances"
-    allowed = {"phi", "q_rtol", "foc", "quadrature", "slack",
-               "ss_accum", "ss_alpha"}
-    _check_keys(tols, allowed, tpath)
+    fields = {"phi": "phi_tol", "q_rtol": "q_rtol", "slack": "slack_tol",
+              "ss_accum": "ss_accum_tol", "ss_alpha": "ss_alpha_tol"}
+    _check_keys(tols, set(fields), tpath)
     defaults = SolverSettings()
-    values = {
-        "phi_tol": _num(tols, "phi", tpath, default=defaults.phi_tol,
-                        required=False),
-        "q_rtol": _num(tols, "q_rtol", tpath, default=defaults.q_rtol,
-                       required=False),
-        "foc_tol": _num(tols, "foc", tpath, default=defaults.foc_tol,
-                        required=False),
-        "quad_tol": _num(tols, "quadrature", tpath,
-                         default=defaults.quad_tol, required=False),
-        "slack_tol": _num(tols, "slack", tpath, default=defaults.slack_tol,
-                          required=False),
-        "ss_accum_tol": _num(tols, "ss_accum", tpath,
-                             default=defaults.ss_accum_tol, required=False),
-        "ss_alpha_tol": _num(tols, "ss_alpha", tpath,
-                             default=defaults.ss_alpha_tol, required=False),
-    }
-    for name, v in values.items():
+    values = {}
+    for key, name in fields.items():
+        v = _num(tols, key, tpath, default=getattr(defaults, name),
+                 required=False)
         if v <= 0.0:
-            _fail(f"{tpath}.{name}", "tolerances must be positive")
-    seed = _intval(doc, "seed", path, default=defaults.seed)
+            _fail(f"{tpath}.{key}", "tolerances must be positive")
+        values[name] = v
     substeps = _intval(doc, "substeps", path, default=defaults.substeps)
     if substeps < 1:
         _fail(f"{path}.substeps", "must be >= 1")
@@ -628,9 +603,8 @@ def _parse_solver(doc, path: str) -> SolverSettings:
         force_phi = _num(doc, "force_phi", path)
         if not 0.0 <= force_phi < 1.0:
             _fail(f"{path}.force_phi", "must be in [0, 1)")
-    return SolverSettings(seed=seed, substeps=substeps,
-                          accum_normalization=norm, force_phi=force_phi,
-                          **values)
+    return SolverSettings(substeps=substeps, accum_normalization=norm,
+                          force_phi=force_phi, **values)
 
 
 def scenario_from_dict(doc: dict) -> ScenarioConfig:
@@ -719,86 +693,6 @@ def load_scenario(text: str) -> ScenarioConfig:
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(exc.msg, exc.lineno, exc.colno) from exc
     return scenario_from_dict(doc)
-
-
-# ---------------------------------------------------------------------------
-# serialization (round-trip with load_scenario)
-# ---------------------------------------------------------------------------
-
-def _technology_to_dict(tech: Technology) -> dict:
-    if isinstance(tech, CobbDouglas):
-        return {"kind": tech.kind, "scale": tech.scale,
-                "exponents": dict(tech.exponents)}
-    return {"kind": tech.kind, "requirements": dict(tech.requirements),
-            "curvature": {"c0": tech.c0, "c1": tech.c1, "tau": tech.tau,
-                          "c2": tech.c2, "q_s": tech.q_s, "rho": tech.rho}}
-
-
-def _mover_to_dict(m: PrimeMoverType) -> dict:
-    return {"id": m.id, "power_rate": m.power_rate,
-            "depreciation": m.depreciation, "avg_embodied": m.avg_embodied,
-            "endowment": m.endowment, "max_accum_rate": m.max_accum_rate,
-            "intro_period": m.intro_period}
-
-
-def _energy_good_to_dict(g: EnergyGood) -> dict:
-    return {"id": g.id, "energy_content": g.energy_content,
-            "technology": _technology_to_dict(g.technology),
-            "pes_stock": g.pes_stock,
-            "depletion_exponent": g.depletion_exponent,
-            "requirement_multiplier": g.requirement_multiplier,
-            "intro_period": g.intro_period}
-
-
-def scenario_to_dict(cfg: ScenarioConfig) -> dict:
-    """Plain-JSON form of a scenario; load_scenario of it compares equal."""
-    events = []
-    for ev in cfg.events:
-        out = {"period": ev.period, "kind": ev.kind}
-        if ev.kind in ("efficiency_shift", "meec_shift"):
-            out["good"] = ev.good
-            out["multiplier"] = ev.multiplier
-        elif ev.kind == "endowment_shock":
-            out["mover"] = ev.mover
-            out["delta"] = ev.delta
-        elif ev.kind == "new_prime_mover":
-            out["mover"] = _mover_to_dict(ev.new_mover)
-        else:
-            out["good"] = _energy_good_to_dict(ev.new_good)
-        events.append(out)
-    s = cfg.solver
-    prefs = {"form": cfg.preferences.form,
-             "weights": dict(cfg.preferences.weights)}
-    if cfg.preferences.elasticity is not None:
-        prefs["elasticity"] = cfg.preferences.elasticity
-    return {
-        "period_length": cfg.period_length,
-        "prime_movers": [_mover_to_dict(m) for m in cfg.prime_movers],
-        "energy_goods": [_energy_good_to_dict(g) for g in cfg.energy_goods],
-        "non_energy_goods": [
-            {"id": g.id, "technology": _technology_to_dict(g.technology),
-             "utility_weight": g.utility_weight,
-             "requirement_multiplier": g.requirement_multiplier,
-             "intro_period": g.intro_period}
-            for g in cfg.non_energy_goods],
-        "preferences": prefs,
-        "events": events,
-        "solver": {
-            "tolerances": {"phi": s.phi_tol, "q_rtol": s.q_rtol,
-                           "foc": s.foc_tol, "quadrature": s.quad_tol,
-                           "slack": s.slack_tol, "ss_accum": s.ss_accum_tol,
-                           "ss_alpha": s.ss_alpha_tol},
-            "seed": s.seed,
-            "substeps": s.substeps,
-            "accum_normalization": s.accum_normalization,
-            "force_phi": s.force_phi,
-        },
-        "horizon": cfg.horizon,
-    }
-
-
-def serialize_scenario(cfg: ScenarioConfig) -> str:
-    return json.dumps(scenario_to_dict(cfg), indent=2, sort_keys=True) + "\n"
 
 
 def scenario_digest(doc: dict | str) -> str:

@@ -14,7 +14,7 @@ form at the solution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .core import (EconomyState, NonEnergyGood, Preferences, PrimeMoverType,
                    effective_multiplier)
@@ -166,14 +166,9 @@ def _with_allocation(solution: DemandSolution, goods, movers, mult,
         solution.bundle, goods, movers,
         remaining_endowment, multipliers=mult)
     slack = usability_slack(employment, movers, solution.energy_budget)
-    return DemandSolution(
-        bundle=solution.bundle, lam=solution.lam,
-        support_employment=employment, usability_slack=slack,
-        budget_residual=solution.budget_residual,
-        feasible=feasible, violations=tuple(violations),
-        energy_budget=solution.energy_budget,
-        gamma_marginal=solution.gamma_marginal,
-        gamma_average=solution.gamma_average)
+    return replace(solution, support_employment=employment,
+                   usability_slack=slack, feasible=feasible,
+                   violations=tuple(violations))
 
 
 def allocate_support_prime_movers(

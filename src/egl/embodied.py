@@ -14,7 +14,6 @@ gamma, gamma_avg and G linearly and leaves eta unchanged.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .core import CobbDouglas, FixedProportions, PrimeMoverType, Technology
@@ -59,6 +58,12 @@ def _cd_constants(tech: CobbDouglas,
     return b_total, b_total * k
 
 
+def _overflow(b_total: float) -> SolverError:
+    """Error for a smooth curve whose 1/B powers leave the float range."""
+    return SolverError("degenerate", "Cobb-Douglas curve overflows at "
+                       f"returns to scale {b_total:g}")
+
+
 def marginal_embodied(tech: Technology, movers: dict[str, PrimeMoverType],
                       q: float, multiplier: float = 1.0) -> float:
     """gamma(q): energy transferred to produce one more unit at output q."""
@@ -71,8 +76,11 @@ def marginal_embodied(tech: Technology, movers: dict[str, PrimeMoverType],
                 for m, nu in tech.requirements.items() if nu > 0.0)
         return multiplier * w * tech.marginal_profile(q)
     b_total, k = _cd_constants(tech, movers)
-    return multiplier * (k / b_total) * tech.scale ** (-1.0 / b_total) \
-        * q ** (1.0 / b_total - 1.0)
+    try:
+        return multiplier * (k / b_total) * tech.scale ** (-1.0 / b_total) \
+            * q ** (1.0 / b_total - 1.0)
+    except OverflowError:
+        raise _overflow(b_total) from None
 
 
 def cumulative_transfer(tech: Technology, movers: dict[str, PrimeMoverType],
@@ -87,7 +95,10 @@ def cumulative_transfer(tech: Technology, movers: dict[str, PrimeMoverType],
                 for m, nu in tech.requirements.items() if nu > 0.0)
         return multiplier * w * tech.cumulative_profile(q)
     b_total, k = _cd_constants(tech, movers)
-    return multiplier * k * (q / tech.scale) ** (1.0 / b_total)
+    try:
+        return multiplier * k * (q / tech.scale) ** (1.0 / b_total)
+    except OverflowError:
+        raise _overflow(b_total) from None
 
 
 def cumulative_transfer_quadrature(tech: Technology,
@@ -162,7 +173,10 @@ def input_requirements(tech: Technology, movers: dict[str, PrimeMoverType],
         return {m: multiplier * nu * h
                 for m, nu in tech.requirements.items() if nu > 0.0}
     b_total, k = _cd_constants(tech, movers)
-    base = multiplier * (k / b_total) * (q / tech.scale) ** (1.0 / b_total)
+    try:
+        base = multiplier * (k / b_total) * (q / tech.scale) ** (1.0 / b_total)
+    except OverflowError:
+        raise _overflow(b_total) from None
     return {m: (beta / _omega(movers, m)) * base
             for m, beta in tech.exponents.items() if beta > 0.0}
 
@@ -185,13 +199,6 @@ def marginal_requirements(tech: Technology,
         return {m: 0.0 for m, b in tech.exponents.items() if b > 0.0}
     reqs = input_requirements(tech, movers, q, multiplier)
     return {m: x / (tech.exponents[m] * q) for m, x in reqs.items()}
-
-
-def marginal_products(tech: CobbDouglas, movers: dict[str, PrimeMoverType],
-                      q: float, multiplier: float = 1.0) -> dict[str, float]:
-    """Marginal product of each mover on the cost-minimizing path (smooth only)."""
-    grads = marginal_requirements(tech, movers, q, multiplier)
-    return {m: (math.inf if g == 0.0 else 1.0 / g) for m, g in grads.items()}
 
 
 def output_cap_for_stock(tech: Technology, movers: dict[str, PrimeMoverType],

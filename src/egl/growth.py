@@ -57,9 +57,6 @@ class Trajectory:
     steady_state: dict | None = None
     diagnostic: dict | None = None
 
-    def column(self, name: str) -> list[float]:
-        return [getattr(r, name) for r in self.records]
-
 
 def step_accumulation(stocks: dict[str, float],
                       surplus_args: dict[str, float],
@@ -201,8 +198,9 @@ def simulate(scenario: ScenarioConfig,
         phi_l = mover_surplus_rates(energy.phi, state.movers)
         surplus_args = normalized_surplus_args(
             phi_l, state.movers, scenario.solver.accum_normalization)
+        power = aggregate_power(state)
         log.debug("t=%d phi=%.6g E*=%.6g P=%.6g", t, energy.phi,
-                  energy.usable_surplus, aggregate_power(state))
+                  energy.usable_surplus, power)
 
         records.append(PeriodRecord(
             t=t, stocks=dict(state.stocks), phi=energy.phi,
@@ -214,7 +212,7 @@ def simulate(scenario: ScenarioConfig,
             gross_expenditure=energy.gross_expenditure,
             bundle=dict(demand.bundle) if demand else {},
             lam=demand.lam if demand else None,
-            power=aggregate_power(state),
+            power=power,
             cum_extraction=dict(state.cum_extraction),
             usability_slack=demand.usability_slack if demand else 0.0,
             binding_constraints=dict(energy.binding_constraints)))

@@ -29,15 +29,13 @@ def _lines(rows: list[list]) -> str:
     return "".join(",".join(fmt(v) for v in row) + "\n" for row in rows)
 
 
-def equilibrium_csv(scenario: ScenarioConfig, state: EconomyState,
-                    solution: EnergySideSolution) -> str:
+def equilibrium_csv(state: EconomyState, solution: EnergySideSolution) -> str:
     rows: list[list] = [["good", "Q_star", "gamma", "alpha", "E_good",
                          "meroi", "binding_constraint"]]
     for good in state.energy_goods.values():
         gid = good.id
         q = solution.outputs.get(gid, 0.0)
-        e_good = good.energy_content * q - _good_expenditure(
-            scenario, state, gid, q)
+        e_good = good.energy_content * q - solution.expenditure[gid]
         rows.append([gid, q, solution.gamma[gid],
                      solution.marginal_surplus[gid], e_good,
                      solution.meroi[gid],
@@ -48,14 +46,6 @@ def equilibrium_csv(scenario: ScenarioConfig, state: EconomyState,
     rows.append(["I", solution.gross_income])
     rows.append(["G", solution.gross_expenditure])
     return _lines(rows)
-
-
-def _good_expenditure(scenario, state, gid, q) -> float:
-    from .core import effective_multiplier
-    from .embodied import cumulative_transfer
-    good = state.energy_goods[gid]
-    return cumulative_transfer(good.technology, state.movers, q,
-                               effective_multiplier(good, state))
 
 
 def demand_csv(solution: DemandSolution) -> str:
@@ -75,12 +65,11 @@ def demand_csv(solution: DemandSolution) -> str:
 
 def trajectory_csv(scenario: ScenarioConfig, trajectory: Trajectory) -> str:
     good_ids = [g.id for g in scenario.energy_goods]
+    mover_ids = [m.id for m in scenario.prime_movers]
     for ev in scenario.events:
         if ev.kind == "new_energy_good":
             good_ids.append(ev.new_good.id)
-    mover_ids = [m.id for m in scenario.prime_movers]
-    for ev in scenario.events:
-        if ev.kind == "new_prime_mover":
+        elif ev.kind == "new_prime_mover":
             mover_ids.append(ev.new_mover.id)
 
     header = ["t", "phi", "E_star", "P", "lambda"]

@@ -45,7 +45,8 @@ class EnergySideSolution:
     gamma: dict[str, float]                      # marginal embodied at Q*
     usable_surplus: float                        # E*
     gross_income: float                          # I = sum(delta Q)
-    gross_expenditure: float                     # G = sum of transfers
+    gross_expenditure: float                     # G = sum of expenditure
+    expenditure: dict[str, float]                # G per good
     meroi: dict[str, float | None]               # delta / gamma, None at Q=0
     foc_good_residuals: dict[str, float]         # relative, interior goods
     foc_mover_residuals: dict[str, float]        # "good/mover", smooth techs
@@ -104,11 +105,6 @@ def mover_surplus_rates(phi: float,
         raise ValueError("phi must be in [0, 1)")
     factor = phi / (1.0 - phi)
     return {mid: factor * m.direct_energy for mid, m in movers.items()}
-
-
-def meroi(good: EnergyGood, solution: EnergySideSolution) -> float | None:
-    """Marginal energy return on investment at the solved output."""
-    return solution.meroi.get(good.id)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +270,7 @@ class _Problem:
         def excess(scale: float) -> float:
             scaled = {gid: q * scale for gid, q in outputs.items()}
             emp = self._employment(scaled)
-            income, spent = self.surplus(scaled)
+            income, spent, _ = self.surplus(scaled)
             return (income - spent) - self.capacity(emp)
 
         if excess(1.0) <= 0.0:
@@ -340,14 +336,18 @@ class _Problem:
         return outputs, employment, bindings
 
     def surplus(self, outputs: dict[str, float]):
+        """Gross income I, expenditure G and G per good at the outputs."""
         income = 0.0
         spent = 0.0
+        per_good: dict[str, float] = {}
         for g in self.goods:
             q = outputs.get(g.id, 0.0)
             income += g.energy_content * q
-            spent += cumulative_transfer(g.technology, self.state.movers, q,
-                                         self.mult[g.id])
-        return income, spent
+            cost = cumulative_transfer(g.technology, self.state.movers, q,
+                                       self.mult[g.id])
+            per_good[g.id] = cost
+            spent += cost
+        return income, spent, per_good
 
     def capacity(self, employment) -> float:
         """Direct-energy capacity of movers left over for non-energy work."""
@@ -364,7 +364,7 @@ class _Problem:
 
     def residual(self, phi: float) -> float:
         outputs, employment, _ = self.outputs_at(phi)
-        income, spent = self.surplus(outputs)
+        income, spent, _ = self.surplus(outputs)
         return (income - spent) - self.capacity(employment)
 
 
@@ -382,6 +382,7 @@ def _null_solution(problem: _Problem, phi: float = 0.0,
         mover_surplus=mover_surplus_rates(phi, state.movers),
         gamma={g.id: problem.gamma0[g.id] for g in problem.goods},
         usable_surplus=0.0, gross_income=0.0, gross_expenditure=0.0,
+        expenditure={g.id: 0.0 for g in problem.goods},
         meroi={g.id: None for g in problem.goods},
         foc_good_residuals={}, foc_mover_residuals={},
         binding_constraints={},
@@ -476,7 +477,7 @@ def solve_energy_side(scenario: ScenarioConfig,
             for gid, q in outputs.items():
                 if q > 0.0:
                     bindings[gid] = "usability"
-    income, spent = problem.surplus(outputs)
+    income, spent, expenditure = problem.surplus(outputs)
     e_star = income - spent
     capacity = problem.capacity(employment)
 
@@ -510,7 +511,7 @@ def solve_energy_side(scenario: ScenarioConfig,
         outputs=outputs, employment=employment, phi=phi,
         marginal_surplus=alpha, mover_surplus=phi_l, gamma=gamma,
         usable_surplus=e_star, gross_income=income, gross_expenditure=spent,
-        meroi=meroi_map, foc_good_residuals=foc_goods,
+        expenditure=expenditure, meroi=meroi_map, foc_good_residuals=foc_goods,
         foc_mover_residuals=foc_movers, binding_constraints=bindings,
         usable_capacity=capacity, slack_residual=e_star - capacity,
         phi_forced=forced, null=False)
@@ -541,9 +542,9 @@ def figure1_report(scenario: ScenarioConfig, state: EconomyState | None,
         markers = {
             "Q_star": q_star,
             "gamma": solution.gamma[good_id],
-            "G": cumulative_transfer(good.technology, state.movers, q_star, m),
+            "G": solution.expenditure[good_id],
             "E_good": good.energy_content * q_star
-            - cumulative_transfer(good.technology, state.movers, q_star, m),
+            - solution.expenditure[good_id],
             "alpha": solution.marginal_surplus[good_id],
         }
     return Figure1Data(good=good_id,

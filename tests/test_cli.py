@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import stat
 import subprocess
@@ -134,6 +135,43 @@ class TestEquilibrium:
         assert d1["scenario_digest"] == d2["scenario_digest"]
 
 
+class TestManifest:
+    @pytest.mark.parametrize("command", ["equilibrium", "simulate"])
+    def test_lists_only_the_settings_solvers_read(self, tmp_path, command):
+        path = write_scenario(tmp_path, cd1_doc())
+        out = tmp_path / "out"
+        assert main([command, "--scenario", path, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["tolerances"]) \
+            == {"phi", "q_rtol", "slack", "ss_accum", "ss_alpha"}
+        assert "seed" not in manifest
+
+
+class TestLogging:
+    def test_each_main_reads_egl_log(self, tmp_path, monkeypatch, capsys):
+        path = write_scenario(tmp_path, scarce_doc())
+        out = str(tmp_path / "out")
+        logger = logging.getLogger("egl")
+        root_handlers = list(logging.getLogger().handlers)
+        saved = logger.level, list(logger.handlers)
+        try:
+            monkeypatch.delenv("EGL_LOG", raising=False)
+            assert main(["simulate", "--scenario", path, "--out", out,
+                         "--horizon", "0"]) == 0
+            assert logger.level == logging.WARNING
+            assert capsys.readouterr().err == ""
+            monkeypatch.setenv("EGL_LOG", "debug")
+            assert main(["simulate", "--scenario", path, "--out", out,
+                         "--horizon", "0"]) == 0
+            assert logger.level == logging.DEBUG
+            assert "DEBUG egl.growth: t=0 " in capsys.readouterr().err
+            assert len(logger.handlers) == 1
+            assert logging.getLogger().handlers == root_handlers
+        finally:
+            logger.setLevel(saved[0])
+            logger.handlers[:] = saved[1]
+
+
 class TestSimulate:
     def test_horizon_zero_single_record(self, tmp_path):
         path = write_scenario(tmp_path, scarce_doc())
@@ -224,6 +262,21 @@ class TestSolverFailureReport:
         payload = json.loads(lines[0])
         assert payload["error"] == "solver"
         assert payload["detail"].startswith("no_bracket:")
+
+    def test_vanishing_returns_to_scale_exits_2(self, tmp_path):
+        # 1/B = 1e9: the fleet-saturation search of the figure overflows
+        # the Cobb-Douglas power
+        doc = json.loads((SCENARIOS / "reference.json").read_text())
+        doc["energy_goods"][0]["technology"]["exponents"]["workers"] = 1e-9
+        path = write_scenario(tmp_path, doc)
+        proc = run_python(["-m", "egl.cli", "equilibrium", "--scenario",
+                           path, "--out", str(tmp_path / "out")], tmp_path)
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        payload = json.loads(lines[0])
+        assert payload["error"] == "solver"
+        assert payload["detail"].startswith("degenerate:")
 
 
 class TestColdStart:

@@ -267,6 +267,16 @@ class TestRequirements:
     def test_zero_stock_zero_cap(self):
         assert output_cap_for_stock(SQRT_TECH, MOVER1, "m", 0.0) == 0.0
 
+    @pytest.mark.parametrize("kernel", [marginal_embodied,
+                                        cumulative_transfer,
+                                        input_requirements])
+    def test_vanishing_returns_to_scale_overflow(self, kernel):
+        # 1/B = 1e9: every smooth-curve power past q = 1 leaves the floats
+        tech = CobbDouglas(scale=1.0, exponents={"m": 1e-9})
+        with pytest.raises(SolverError) as err:
+            kernel(tech, MOVER1, 2.0)
+        assert err.value.kind == "degenerate"
+
 
 class TestSampling:
     def test_sample_curve_identities(self):

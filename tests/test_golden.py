@@ -1,0 +1,81 @@
+"""Byte-level guard on the CLI outputs of the shipped scenarios.
+
+A change that is meant to keep every number the same (a refactor, a
+deletion) must leave these digests alone.  A change that is meant to move
+numbers updates them and says why.  ``manifest.json`` is left out: it
+lists the tolerances and the version, which may change without any output
+changing.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from egl.cli import main
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+RUNS = {
+    f"{command}-{name}": [command, "--scenario",
+                          str(SCENARIOS / f"{name}.json")]
+    for name in ("reference", "scarce_growth", "shocks")
+    for command in ("equilibrium", "simulate")
+}
+RUNS["statics-sweep_family"] = [
+    "statics", "--family", str(SCENARIOS / "sweep_family.json"),
+    "--trials", "60", "--seed", "3"]
+
+#: sha256 of each output, keyed by "<run>/<file>"
+DIGESTS = {
+    "equilibrium-reference/demand.csv":
+        "248ebea82064724e3b69a12d2670b5d4f754c324cc477aace486bf571ffa5fc0",
+    "equilibrium-reference/equilibrium.csv":
+        "36c536f2919759bbb40f19ff2ff09114375ca39172b5f9f912d7e7ee6d9d5c92",
+    "equilibrium-reference/figure1_grain.svg":
+        "61aee6ef8e958967137a01f4046641484e7594fd1736784ad2e9c0cff1c85954",
+    "equilibrium-reference/meec_grain.csv":
+        "c311fd605925934453cafac960030a5a579ab76db6f1695fb3ba6006a727b0bd",
+    "equilibrium-scarce_growth/demand.csv":
+        "73fc55a1dcf0537fb569059e28317eafdda7b8801d6e9f894d1c773237e8ca85",
+    "equilibrium-scarce_growth/equilibrium.csv":
+        "af3023351244bae0554a0e4294ba10be7ea1e29a83a8c6fe29d1816c7ac01369",
+    "equilibrium-scarce_growth/figure1_grain.svg":
+        "7d79c2587b07e2f265f78a0b3324f7d385f2ad7ecefa372113afaa04eb721d1a",
+    "equilibrium-scarce_growth/meec_grain.csv":
+        "01c614cd26ca3ce8e89804e1e5dac529bab3661b345c449bb2ec9f5230b7f7e1",
+    "equilibrium-shocks/demand.csv":
+        "b359a0472d6991a3396d79da6e0e3a98bf9e0749714a1e13e5051cc28b6a99b0",
+    "equilibrium-shocks/equilibrium.csv":
+        "c21e56544ba52facd2f88e8614da28443c0ab88b886d339146a93423f28c79f0",
+    "equilibrium-shocks/figure1_wood.svg":
+        "51cfe1cf53e21b7e35e6d4b3a8b36778fff14365b8792826897a606339c01b07",
+    "equilibrium-shocks/meec_wood.csv":
+        "4bb60ba45cc841c19b53f7748eabd4ea85fc203f87d68aa05a709746cd383783",
+    "simulate-reference/figure2.svg":
+        "6761254593bdd5eca955872bb467fea0bee8bdd7d0a319e0238dc272bb1461e8",
+    "simulate-reference/trajectory.csv":
+        "2b7351c32952b3484261792d114bf6541e900679ec501e36f6e112f7d12e2579",
+    "simulate-scarce_growth/figure2.svg":
+        "181b153906e14ee93233e832a3fb9e65f174595a1452ac56b55581947e5350fe",
+    "simulate-scarce_growth/trajectory.csv":
+        "fc706f115879f7351c3f97c447c24d6319b324660e95d8a01b5de8052fb6df16",
+    "simulate-shocks/figure2.svg":
+        "3959035f2a76fef1217ddb55026501059d4f19ec7b60a73f79be354b6a84a9d2",
+    "simulate-shocks/trajectory.csv":
+        "1bce29f5e456eee8631479fc14e45ada1b8256d05598adb0735e7554c12ecd3a",
+    "statics-sweep_family/failures.csv":
+        "91847c345f0676a57ef880eaeec73cd1853c021a796de7d7155258032eff8472",
+    "statics-sweep_family/sign_table.csv":
+        "ed083b3250875a96cf67d6f3feda23f8204efbd94c933a19bd3fcb066408bba0",
+}
+
+
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_outputs_match_recorded_digests(run, tmp_path):
+    out = tmp_path / run
+    assert main(RUNS[run] + ["--out", str(out)]) == 0
+    got = {f"{run}/{f.name}": hashlib.sha256(f.read_bytes()).hexdigest()
+           for f in out.iterdir() if f.name != "manifest.json"}
+    assert got == {key: digest for key, digest in DIGESTS.items()
+                   if key.startswith(f"{run}/")}

@@ -31,7 +31,7 @@ class TestCsvShape:
         state = initial_state(sc)
         sol = solve_energy_side(sc, state)
         dem = demand_for_state(sc, state, sol.usable_surplus, sol.employment)
-        for text in (equilibrium_csv(sc, state, sol), demand_csv(dem),
+        for text in (equilibrium_csv(state, sol), demand_csv(dem),
                      trajectory_csv(sc, simulate(sc))):
             assert "\r" not in text
             assert text.endswith("\n")

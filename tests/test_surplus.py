@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from egl import initial_state, scenario_from_dict
+from egl import cumulative_transfer, initial_state, scenario_from_dict
+from egl.core import effective_multiplier
 from egl.errors import SolverError
 from egl.numerics import adaptive_simpson
-from egl.surplus import (figure1_report, marginal_surplus_at, meroi,
+from egl.surplus import (figure1_report, marginal_surplus_at,
                          scarcity_premium, solve_energy_side)
 
 from conftest import cd1_doc, random_energy_doc, scarce_scenario
@@ -162,12 +163,10 @@ class TestReferenceSolve:
             0.0, abs=1e-7)
 
     def test_meroi_values(self, cd1):
-        state = initial_state(cd1)
-        good = state.energy_goods["e0"]
         sol = solve_energy_side(cd1)
-        assert meroi(good, sol) == pytest.approx(1.0, rel=1e-9)
+        assert sol.meroi["e0"] == pytest.approx(1.0, rel=1e-9)
         forced = solve_energy_side(cd1, force_phi=0.5)
-        assert meroi(good, forced) == pytest.approx(2.0, rel=1e-9)
+        assert forced.meroi["e0"] == pytest.approx(2.0, rel=1e-9)
         assert 1.0 + forced.marginal_surplus["e0"] / forced.gamma["e0"] \
             == pytest.approx(2.0, rel=1e-12)
 
@@ -272,6 +271,16 @@ class TestSolutionInvariants:
         # surplus equals income minus expenditure, exactly as computed
         assert sol.usable_surplus == sol.gross_income - sol.gross_expenditure
         assert sol.usable_surplus >= -1e-12
+        # G per good is the cumulative transfer at its output, and the
+        # goods' G add up to the total in goods order, bit for bit
+        total = 0.0
+        for gid, good in state.energy_goods.items():
+            cost = cumulative_transfer(good.technology, state.movers,
+                                       sol.outputs[gid],
+                                       effective_multiplier(good, state))
+            assert sol.expenditure[gid] == cost
+            total += cost
+        assert total == sol.gross_expenditure
         # phi_l = phi/(1-phi) * eps exactly
         for mid, mover in state.movers.items():
             expected = sol.phi / (1.0 - sol.phi) * mover.direct_energy
