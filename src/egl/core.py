@@ -156,7 +156,14 @@ class Preferences:
 
 @dataclass(frozen=True)
 class EventSpec:
-    """A scheduled shock; exactly the payload fields for its kind are set."""
+    """A scheduled shock; exactly the payload fields for its kind are set.
+
+    ``efficiency_shift`` and ``meec_shift`` set ``good`` and ``multiplier``;
+    ``endowment_shock`` sets ``mover`` and ``delta``.  Arrival events
+    (``new_prime_mover``, ``new_energy_good``) never become an EventSpec: the
+    parser appends their type to the scenario with ``intro_period`` set to
+    the event period.
+    """
 
     period: int
     kind: str
@@ -164,8 +171,6 @@ class EventSpec:
     mover: str | None = None
     multiplier: float | None = None
     delta: float | None = None
-    new_mover: PrimeMoverType | None = None
-    new_good: EnergyGood | None = None
 
 
 @dataclass(frozen=True)
@@ -184,7 +189,11 @@ class SolverSettings:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated scenario: types, preferences, events, solver settings."""
+    """Validated scenario: types, preferences, events, solver settings.
+
+    Types brought in by arrival events are in the type tuples, after the
+    listed ones, with ``intro_period`` set; ``events`` holds the shocks.
+    """
 
     period_length: float
     prime_movers: tuple[PrimeMoverType, ...]
@@ -231,6 +240,16 @@ def aggregate_power(state: EconomyState,
     movers = state.movers if movers is None else movers
     return sum(m.power_rate * state.stocks.get(m.id, 0.0)
                for m in movers.values())
+
+
+def employment_totals(employment: dict[str, dict[str, float]]
+                      ) -> dict[str, float]:
+    """Units of each mover employed, summed over the goods employing it."""
+    totals: dict[str, float] = {}
+    for reqs in employment.values():
+        for mid, x in reqs.items():
+            totals[mid] = totals.get(mid, 0.0) + x
+    return totals
 
 
 def depletion_multiplier(good: EnergyGood, cum_extraction: float) -> float:
@@ -513,7 +532,9 @@ def _parse_preferences(doc, path: str,
 
 
 def _parse_event(doc, path: str, period_length: float,
-                 known_movers: set[str], known_goods: set[str]) -> EventSpec:
+                 known_movers: set[str], known_goods: set[str]
+                 ) -> EventSpec | PrimeMoverType | EnergyGood:
+    """A shock, or the type an arrival event brings in at its period."""
     if not isinstance(doc, dict):
         _fail(path, "must be an object")
     kind = doc.get("kind")
@@ -553,8 +574,7 @@ def _parse_event(doc, path: str, period_length: float,
         if new.id in known_movers:
             _fail(f"{path}.mover.id", f"duplicate prime mover id {new.id!r}")
         known_movers.add(new.id)
-        return EventSpec(period=period, kind=kind,
-                         new_mover=replace(new, intro_period=period))
+        return replace(new, intro_period=period)
     # new_energy_good
     _check_keys(doc, {"kind", "period", "good"}, path)
     payload = doc.get("good")
@@ -564,8 +584,7 @@ def _parse_event(doc, path: str, period_length: float,
     if new.id in known_goods:
         _fail(f"{path}.good.id", f"duplicate good id {new.id!r}")
     known_goods.add(new.id)
-    return EventSpec(period=period, kind=kind,
-                     new_good=replace(new, intro_period=period))
+    return replace(new, intro_period=period)
 
 
 def _parse_solver(doc, path: str) -> SolverSettings:
@@ -665,15 +684,32 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
         _fail("$.events", "must be an array")
     known_goods = set(good_ids)
     known_movers = set(mover_ids)
-    events = tuple(_parse_event(e, f"$.events[{i}]", dt, known_movers,
-                                known_goods)
-                   for i, e in enumerate(raw_events))
-    for i, ev in enumerate(events):
-        if ev.kind == "new_energy_good":
-            for m in ev.new_good.technology.used_movers():
-                if m not in known_movers:
-                    _fail(f"$.events[{i}].good.technology",
-                          f"references unknown prime mover {m!r}")
+    shocks: list[tuple[int, EventSpec]] = []
+    arrived_goods: list[tuple[int, EnergyGood]] = []
+    for i, e in enumerate(raw_events):
+        item = _parse_event(e, f"$.events[{i}]", dt, known_movers,
+                            known_goods)
+        if isinstance(item, PrimeMoverType):
+            movers += (item,)
+        elif isinstance(item, EnergyGood):
+            e_goods += (item,)
+            arrived_goods.append((i, item))
+        else:
+            shocks.append((i, item))
+    for i, g in arrived_goods:
+        for m in g.technology.used_movers():
+            if m not in known_movers:
+                _fail(f"$.events[{i}].good.technology",
+                      f"references unknown prime mover {m!r}")
+    mover_intro = {m.id: m.intro_period for m in movers}
+    good_intro = {g.id: g.intro_period for g in e_goods + n_goods}
+    for i, ev in shocks:
+        target, intro = ((ev.mover, mover_intro[ev.mover])
+                         if ev.kind == "endowment_shock"
+                         else (ev.good, good_intro[ev.good]))
+        if ev.period < intro:
+            _fail(f"$.events[{i}].period",
+                  f"precedes the arrival of {target!r} at period {intro}")
 
     solver = _parse_solver(doc.get("solver", {}), "$.solver")
     horizon = _intval(doc, "horizon", "$", default=500)
@@ -682,7 +718,8 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
 
     return ScenarioConfig(period_length=dt, prime_movers=movers,
                           energy_goods=e_goods, non_energy_goods=n_goods,
-                          preferences=preferences, events=events,
+                          preferences=preferences,
+                          events=tuple(ev for _, ev in shocks),
                           solver=solver, horizon=horizon)
 
 

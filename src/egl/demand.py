@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .core import (EconomyState, NonEnergyGood, Preferences, PrimeMoverType,
-                   effective_multiplier)
+                   effective_multiplier, employment_totals)
 from .embodied import (cumulative_transfer, input_requirements,
                        marginal_embodied)
 from .errors import SolverError
@@ -184,21 +184,14 @@ def allocate_support_prime_movers(
     """
     mult = multipliers or {}
     employment: dict[str, dict[str, float]] = {}
-    totals: dict[str, float] = {}
     for g in goods:
         q = bundle.get(g.id, 0.0)
-        if q <= 0.0:
-            employment[g.id] = {}
-            continue
-        reqs = input_requirements(g.technology, movers, q,
-                                  mult.get(g.id, 1.0))
-        employment[g.id] = reqs
-        for mid, x in reqs.items():
-            totals[mid] = totals.get(mid, 0.0) + x
+        employment[g.id] = {} if q <= 0.0 else input_requirements(
+            g.technology, movers, q, mult.get(g.id, 1.0))
     feasible = True
     violations: list[str] = []
     if remaining_endowment is not None:
-        for mid, used in sorted(totals.items()):
+        for mid, used in sorted(employment_totals(employment).items()):
             avail = remaining_endowment.get(mid, 0.0)
             if used > avail * (1.0 + 1e-9) + 1e-15:
                 feasible = False
@@ -241,10 +234,7 @@ def demand_for_state(scenario, state: EconomyState, energy: float,
     """Demand solve wired to a dynamic state: multipliers and leftovers."""
     goods = list(state.non_energy_goods.values())
     mult = {g.id: effective_multiplier(g, state) for g in goods}
-    used: dict[str, float] = {}
-    for reqs in energy_employment.values():
-        for mid, x in reqs.items():
-            used[mid] = used.get(mid, 0.0) + x
+    used = employment_totals(energy_employment)
     remaining = {mid: max(state.stocks.get(mid, 0.0) - used.get(mid, 0.0),
                           0.0)
                  for mid in state.movers}

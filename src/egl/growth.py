@@ -8,8 +8,10 @@ configurable reference (each mover's own direct energy by default) so it is
 dimensionless.  Growth stops at the steady state: no marginal surplus left
 on any good and negligible accumulation on every mover.
 
-Scheduled events (efficiency gains, curve deterioration, discoveries,
-endowment shocks) apply at the start of their period, before the solve.
+At the start of each period, before the solve, the types introduced at
+that period activate (new movers and energy sources) and then the
+scheduled shocks (efficiency gains, curve deterioration, endowment shocks)
+apply.
 """
 
 from __future__ import annotations
@@ -111,26 +113,6 @@ def apply_event(state: EconomyState, event: EventSpec) -> EconomyState:
                 f"shock drives stock of {event.mover!r} below zero")
         stocks[event.mover] = new
         return replace(state, stocks=stocks)
-    if event.kind == "new_prime_mover":
-        if event.new_mover.id in state.movers:
-            raise ScenarioValidationError(
-                "event.mover.id",
-                f"prime mover {event.new_mover.id!r} already active")
-        movers = dict(state.movers)
-        stocks = dict(state.stocks)
-        movers[event.new_mover.id] = event.new_mover
-        stocks[event.new_mover.id] = event.new_mover.endowment
-        return replace(state, movers=movers, stocks=stocks)
-    if event.kind == "new_energy_good":
-        if event.new_good.id in state.energy_goods:
-            raise ScenarioValidationError(
-                "event.good.id",
-                f"energy good {event.new_good.id!r} already active")
-        goods = dict(state.energy_goods)
-        cum = dict(state.cum_extraction)
-        goods[event.new_good.id] = event.new_good
-        cum[event.new_good.id] = 0.0
-        return replace(state, energy_goods=goods, cum_extraction=cum)
     raise ScenarioValidationError("event.kind",
                                   f"unknown event kind {event.kind!r}")
 
@@ -157,22 +139,16 @@ def _is_steady(scenario: ScenarioConfig, state: EconomyState,
     return True
 
 
-def _pending_changes(scenario: ScenarioConfig, t: int) -> bool:
-    """True while introductions or events later than ``t`` are scheduled."""
-    if any(ev.period > t for ev in scenario.events):
-        return True
-    intro = [m.intro_period for m in scenario.prime_movers]
-    intro += [g.intro_period for g in scenario.energy_goods]
-    intro += [g.intro_period for g in scenario.non_energy_goods]
-    return any(p > t for p in intro)
-
-
 def simulate(scenario: ScenarioConfig,
              horizon: int | None = None) -> Trajectory:
     """Run the period loop until the horizon or a detected steady state."""
     horizon = scenario.horizon if horizon is None else horizon
     state = initial_state(scenario)
     events = sorted(scenario.events, key=lambda e: (e.period, e.kind))
+    # no steady state is declared before the last arrival or shock
+    last_change = max([ev.period for ev in scenario.events]
+                      + [x.intro_period for x in scenario.prime_movers
+                         + scenario.energy_goods + scenario.non_energy_goods])
     records: list[PeriodRecord] = []
     steady: dict | None = None
 
@@ -217,8 +193,8 @@ def simulate(scenario: ScenarioConfig,
             usability_slack=demand.usability_slack if demand else 0.0,
             binding_constraints=dict(energy.binding_constraints)))
 
-        if _is_steady(scenario, state, energy, surplus_args) \
-                and not _pending_changes(scenario, t):
+        if t >= last_change \
+                and _is_steady(scenario, state, energy, surplus_args):
             steady = {
                 "period": t,
                 "phi": energy.phi,

@@ -66,11 +66,6 @@ def demand_csv(solution: DemandSolution) -> str:
 def trajectory_csv(scenario: ScenarioConfig, trajectory: Trajectory) -> str:
     good_ids = [g.id for g in scenario.energy_goods]
     mover_ids = [m.id for m in scenario.prime_movers]
-    for ev in scenario.events:
-        if ev.kind == "new_energy_good":
-            good_ids.append(ev.new_good.id)
-        elif ev.kind == "new_prime_mover":
-            mover_ids.append(ev.new_mover.id)
 
     header = ["t", "phi", "E_star", "P", "lambda"]
     for gid in good_ids:

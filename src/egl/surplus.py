@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 
 from .core import (CobbDouglas, EconomyState, EnergyGood, ScenarioConfig,
-                   effective_multiplier, initial_state)
+                   effective_multiplier, employment_totals, initial_state)
 from .embodied import (cumulative_transfer, input_requirements,
                        marginal_embodied, marginal_requirements,
                        output_cap_for_stock, sample_curve)
@@ -299,12 +299,8 @@ class _Problem:
         """
         bindings: dict[str, str] = {}
         for _ in range(len(self.state.movers) + 1):
-            totals: dict[str, float] = {}
-            for emp in employment.values():
-                for mid, x in emp.items():
-                    totals[mid] = totals.get(mid, 0.0) + x
             worst, worst_ratio = None, 1.0 + 1e-12
-            for mid, used in sorted(totals.items()):
+            for mid, used in sorted(employment_totals(employment).items()):
                 stock = self.state.stocks.get(mid, 0.0)
                 if stock <= 0.0 and used > 0.0:
                     ratio = math.inf
@@ -351,10 +347,7 @@ class _Problem:
 
     def capacity(self, employment) -> float:
         """Direct-energy capacity of movers left over for non-energy work."""
-        used: dict[str, float] = {}
-        for emp in employment.values():
-            for mid, x in emp.items():
-                used[mid] = used.get(mid, 0.0) + x
+        used = employment_totals(employment)
         total = 0.0
         for mid, mover in self.state.movers.items():
             leftover = self.state.stocks.get(mid, 0.0) - used.get(mid, 0.0)

@@ -203,6 +203,63 @@ class TestSimulate:
             assert read(out1 / name) == read(out2 / name)
 
 
+class TestArrivalEvents:
+    def test_shock_in_the_arrival_period_runs(self, tmp_path, capsys):
+        # arrivals activate before the shocks of their period apply
+        doc = json.loads((SCENARIOS / "shocks.json").read_text())
+        doc["events"].append({"period": 60, "kind": "endowment_shock",
+                              "mover": "engines", "delta": 0.1})
+        path = write_scenario(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["validate", "--scenario", path]) == 0
+        assert main(["simulate", "--scenario", path, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert sorted(f.name for f in out.iterdir()) == [
+            "figure2.svg", "manifest.json", "trajectory.csv"]
+        rows = (out / "trajectory.csv").read_text().splitlines()
+        header = rows[0].split(",")
+        at60 = dict(zip(header, rows[61].split(",")))
+        assert float(at60["x_engines"]) == pytest.approx(0.15)
+
+    @pytest.mark.parametrize("command", ["equilibrium", "simulate"])
+    @pytest.mark.parametrize("at_start", [False, True])
+    def test_arrival_event_equals_listed_type(self, tmp_path, command,
+                                              at_start):
+        doc = json.loads((SCENARIOS / "arrivals.json").read_text())
+        if at_start:
+            for ev in doc["events"]:
+                ev["period"] = 0
+        listed = json.loads(json.dumps(doc))
+        mover_ev, good_ev, shift = listed["events"]
+        listed["prime_movers"].append(
+            dict(mover_ev["mover"], intro_period=mover_ev["period"]))
+        listed["energy_goods"].append(
+            dict(good_ev["good"], intro_period=good_ev["period"]))
+        listed["events"] = [shift]
+        outs = []
+        for name, d in (("events", doc), ("listed", listed)):
+            out = tmp_path / name
+            assert main([command, "--scenario",
+                         write_scenario(tmp_path, d, f"{name}.json"),
+                         "--out", str(out)]) == 0
+            outs.append({f.name: f.read_bytes() for f in out.iterdir()
+                         if f.name != "manifest.json"})
+        assert outs[0] == outs[1]
+
+    def test_shift_before_its_good_arrives_fails_validate(self, tmp_path,
+                                                          capsys):
+        doc = json.loads((SCENARIOS / "arrivals.json").read_text())
+        doc["events"].append({"period": 2, "kind": "efficiency_shift",
+                              "good": "coal", "multiplier": 0.5})
+        path = write_scenario(tmp_path, doc)
+        assert main(["validate", "--scenario", path]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == "validation"
+        assert payload["detail"].startswith("$.events[3].period:")
+
+
 class TestStatics:
     def test_sweep_outputs(self, tmp_path):
         family = tmp_path / "family.json"

@@ -227,11 +227,13 @@ class TestRoundTrip:
         doc["solver"] = {"tolerances": {"phi": 1e-11}, "substeps": 2,
                          "accum_normalization": 2.0}
         sc = load_scenario(json.dumps(doc))
+        # arrivals join the type lists; only the shocks stay events
         assert [ev.kind for ev in sc.events] == [
-            "efficiency_shift", "endowment_shock", "new_prime_mover",
-            "new_energy_good"]
-        assert sc.events[2].new_mover.intro_period == 5
-        assert sc.events[3].new_good.intro_period == 6
+            "efficiency_shift", "endowment_shock"]
+        assert [m.id for m in sc.prime_movers] == ["m0", "m1"]
+        assert sc.prime_movers[-1].intro_period == 5
+        assert [g.id for g in sc.energy_goods] == ["e0", "coal"]
+        assert sc.energy_goods[-1].intro_period == 6
         assert sc.solver.substeps == 2
         assert sc.solver.accum_normalization == 2.0
         assert sc.solver.phi_tol == 1e-11
@@ -242,6 +244,54 @@ class TestRoundTrip:
         backward = json.dumps(dict(reversed(list(doc.items()))))
         assert json.loads(forward) == json.loads(backward)
         assert scenario_digest(forward) == scenario_digest(backward)
+
+
+class TestEventTargets:
+    @staticmethod
+    def arrivals_doc(shift_period):
+        doc = cd1_doc()
+        doc["events"] = [
+            {"period": 2, "kind": "new_prime_mover",
+             "mover": {"id": "m1", "power_rate": 2.0, "depreciation": 0.3,
+                       "avg_embodied": 1.0, "endowment": 0.1}},
+            {"period": 3, "kind": "new_energy_good",
+             "good": {"id": "coal", "energy_content": 25.0,
+                      "technology": {"kind": "cobb_douglas", "scale": 1.0,
+                                     "exponents": {"m1": 0.4}}}},
+            {"period": shift_period, "kind": "efficiency_shift",
+             "good": "coal", "multiplier": 0.5},
+            {"period": 2, "kind": "endowment_shock", "mover": "m1",
+             "delta": 0.2},
+        ]
+        return doc
+
+    def test_shock_at_or_after_arrival_accepted(self):
+        sc = load_scenario(json.dumps(self.arrivals_doc(3)))
+        assert [ev.period for ev in sc.events] == [3, 2]
+
+    def test_shift_before_its_good_arrives_rejected(self):
+        with pytest.raises(ScenarioValidationError) as err:
+            load_scenario(json.dumps(self.arrivals_doc(2)))
+        assert err.value.field == "$.events[2].period"
+        assert "'coal' at period 3" in str(err.value)
+
+    def test_shock_before_listed_mover_arrives_rejected(self):
+        doc = cd1_doc()
+        doc["prime_movers"].append(
+            {"id": "late", "power_rate": 1.0, "depreciation": 0.5,
+             "avg_embodied": 0.0, "endowment": 3.0, "intro_period": 4})
+        doc["events"] = [{"period": 1, "kind": "endowment_shock",
+                          "mover": "late", "delta": 1.0}]
+        with pytest.raises(ScenarioValidationError) as err:
+            load_scenario(json.dumps(doc))
+        assert err.value.field == "$.events[0].period"
+
+    def test_arrival_reusing_listed_good_id_rejected(self):
+        doc = self.arrivals_doc(3)
+        doc["events"][1]["good"]["id"] = "e0"
+        with pytest.raises(ScenarioValidationError) as err:
+            load_scenario(json.dumps(doc))
+        assert err.value.field == "$.events[1].good.id"
 
 
 class TestActivation:

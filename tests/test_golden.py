@@ -22,6 +22,8 @@ RUNS = {
     for name in ("reference", "scarce_growth", "shocks")
     for command in ("equilibrium", "simulate")
 }
+RUNS["simulate-arrivals"] = ["simulate", "--scenario",
+                             str(SCENARIOS / "arrivals.json")]
 RUNS["statics-sweep_family"] = [
     "statics", "--family", str(SCENARIOS / "sweep_family.json"),
     "--trials", "60", "--seed", "3"]
@@ -52,6 +54,10 @@ DIGESTS = {
         "51cfe1cf53e21b7e35e6d4b3a8b36778fff14365b8792826897a606339c01b07",
     "equilibrium-shocks/meec_wood.csv":
         "4bb60ba45cc841c19b53f7748eabd4ea85fc203f87d68aa05a709746cd383783",
+    "simulate-arrivals/figure2.svg":
+        "2f4e31d06276361227f1f7e7607b4621e8912fbbe7667f04bc24b79cb756007c",
+    "simulate-arrivals/trajectory.csv":
+        "d44368987ba88fc5e884a84b4bf85cffcf88ae2be8055753cc32f8e97db4f976",
     "simulate-reference/figure2.svg":
         "6761254593bdd5eca955872bb467fea0bee8bdd7d0a319e0238dc272bb1461e8",
     "simulate-reference/trajectory.csv":

@@ -100,15 +100,15 @@ class TestEvents:
         assert state.multipliers["e0"] == pytest.approx(6.0)
 
     def test_new_mover_duplicate_rejected(self):
-        sc = cd1_scenario()
-        from egl.core import EventSpec
-        state = initial_state(sc)
-        dup = PrimeMoverType(id="m0", power_rate=1.0, period_length=1.0,
-                             depreciation=0.5, avg_embodied=0.0,
-                             endowment=1.0, max_accum_rate=0.0)
-        with pytest.raises(ScenarioValidationError):
-            apply_event(state, EventSpec(period=0, kind="new_prime_mover",
-                                         new_mover=dup))
+        # the parser rejects an arrival that reuses a listed mover id
+        doc = scarce_doc()
+        doc["events"] = [{
+            "period": 4, "kind": "new_prime_mover",
+            "mover": {"id": "m0", "power_rate": 1.0, "depreciation": 0.5,
+                      "avg_embodied": 0.0, "endowment": 1.0}}]
+        with pytest.raises(ScenarioValidationError) as err:
+            load_scenario(json.dumps(doc))
+        assert err.value.field == "$.events[0].mover.id"
 
     def test_unknown_good_rejected(self):
         sc = cd1_scenario()
