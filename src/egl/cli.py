@@ -21,7 +21,7 @@ from .core import (ScenarioConfig, effective_multiplier, initial_state,
 from .demand import demand_for_state
 from .embodied import sample_curve
 from .errors import ScenarioParseError, ScenarioValidationError, SolverError
-from .growth import simulate
+from .growth import enter_period, simulate
 from .reports import (demand_csv, equilibrium_csv, failures_csv,
                       meec_curve_csv, sign_table_csv, trajectory_csv)
 from .statics import proposition_suite
@@ -105,7 +105,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_equilibrium(args) -> int:
     text, scenario = _read_scenario(args.scenario)
-    state = initial_state(scenario)
+    state = enter_period(scenario, initial_state(scenario), 0)
     solution = solve_energy_side(scenario, state)
     demand = demand_for_state(scenario, state, solution.usable_surplus,
                               solution.employment)

@@ -21,6 +21,7 @@ from .errors import ScenarioParseError, ScenarioValidationError
 
 EVENT_KINDS = ("efficiency_shift", "meec_shift", "new_prime_mover",
                "new_energy_good", "endowment_shock")
+ARRIVAL_KINDS = ("new_prime_mover", "new_energy_good")
 
 
 # ---------------------------------------------------------------------------
@@ -686,9 +687,15 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     known_movers = set(mover_ids)
     shocks: list[tuple[int, EventSpec]] = []
     arrived_goods: list[tuple[int, EnergyGood]] = []
-    for i, e in enumerate(raw_events):
-        item = _parse_event(e, f"$.events[{i}]", dt, known_movers,
-                            known_goods)
+    # every arrival is known before any shift or shock names its target,
+    # so the order of the events in the document does not matter
+    order = sorted(range(len(raw_events)),
+                   key=lambda i: not (isinstance(raw_events[i], dict)
+                                      and raw_events[i].get("kind")
+                                      in ARRIVAL_KINDS))
+    for i in order:
+        item = _parse_event(raw_events[i], f"$.events[{i}]", dt,
+                            known_movers, known_goods)
         if isinstance(item, PrimeMoverType):
             movers += (item,)
         elif isinstance(item, EnergyGood):
@@ -721,6 +728,35 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
                           preferences=preferences,
                           events=tuple(ev for _, ev in shocks),
                           solver=solver, horizon=horizon)
+
+
+def with_entry_value(scenario: ScenarioConfig, doc: dict, section: str,
+                     index: int, key: str, value) -> ScenarioConfig:
+    """``scenario_from_dict`` of ``doc`` with ``doc[section][index][key]``
+    set to ``value``, given ``scenario = scenario_from_dict(doc)``.
+
+    Only the edited entry is parsed again, with the same checks and field
+    paths; the rest of the scenario is reused through
+    ``dataclasses.replace``.  A utility weight also moves the preference
+    weight it sets, unless ``preferences.weights`` overrides it.
+    """
+    raw = dict(doc[section][index], **{key: value})
+    path = f"$.{section}[{index}]"
+    if section == "prime_movers":
+        entry = _parse_mover(raw, path, scenario.period_length)
+    elif section == "energy_goods":
+        entry = _parse_energy_good(raw, path)
+    else:
+        entry = _parse_non_energy_good(raw, path)
+    entries = list(getattr(scenario, section))
+    entries[index] = entry
+    changes = {section: tuple(entries)}
+    if key == "utility_weight" and section == "non_energy_goods" \
+            and entry.id not in doc.get("preferences", {}).get("weights", {}):
+        prefs = scenario.preferences
+        changes["preferences"] = replace(
+            prefs, weights={**prefs.weights, entry.id: entry.utility_weight})
+    return replace(scenario, **changes)
 
 
 def load_scenario(text: str) -> ScenarioConfig:

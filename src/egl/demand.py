@@ -4,12 +4,16 @@ Given the usable surplus E from the energy side, the agent picks the bundle
 of non-energy goods whose cumulative embodied-energy cost exhausts E, with
 each good's marginal utility proportional to its marginal embodied energy.
 
-The solve is nested and scalar throughout: an inner monotone root gives each
-good's quantity at a trial multiplier, an outer bracketed root drives the
-budget residual to zero.  Internally the multiplier belongs to an additively
-separable transform of the utility (same level sets, hence same demands);
-the reported marginal utility of energy is evaluated on the stated utility
-form at the solution.
+An inner solve gives each good's quantity at a trial multiplier and an
+outer solve drives the budget residual to zero.  Where a good's marginal
+curve is a power law A * q^k (smooth technology, or a constant
+fixed-proportions profile) its inner solve is closed form; a curved profile
+takes a bracketed root.  When every good shares one power k, spending
+scales as a power of the multiplier, so the outer solve is closed form too;
+otherwise a bracket search and a bracketed root find the multiplier.
+Internally the multiplier belongs to an additively separable transform of
+the utility (same level sets, hence same demands); the reported marginal
+utility of energy is evaluated on the stated utility form at the solution.
 """
 
 from __future__ import annotations
@@ -19,9 +23,14 @@ from dataclasses import dataclass, field, replace
 from .core import (EconomyState, NonEnergyGood, Preferences, PrimeMoverType,
                    effective_multiplier, employment_totals)
 from .embodied import (cumulative_transfer, input_requirements,
-                       marginal_embodied)
+                       marginal_embodied, power_law, solve_power)
 from .errors import SolverError
 from .numerics import bracketed_root
+
+#: Range of quantities and budget multipliers a demand solve accepts;
+#: beyond it the budget is treated as unreachable.
+_Q_MAX = 1e180
+_LAM_MIN, _LAM_MAX = 1e-180, 1e180
 
 
 @dataclass(frozen=True)
@@ -63,6 +72,20 @@ def marginal_utility(preferences: Preferences, bundle: dict[str, float],
     return v ** (1.0 / r - 1.0) * a * q ** (r - 1.0)
 
 
+def _check_multiplier(lam_sep: float, energy: float) -> None:
+    """Raise once the budget multiplier leaves [_LAM_MIN, _LAM_MAX]."""
+    if lam_sep > _LAM_MAX:
+        raise SolverError(
+            "no_bracket",
+            f"spending exceeds the budget {energy:.6g} J at every "
+            f"multiplier up to {_LAM_MAX:g}")
+    if lam_sep < _LAM_MIN:
+        raise SolverError(
+            "no_bracket",
+            f"spending stays below the budget {energy:.6g} J at every "
+            f"multiplier down to {_LAM_MIN:g}")
+
+
 def solve_demands(preferences: Preferences,
                   goods: list[NonEnergyGood],
                   movers: dict[str, PrimeMoverType],
@@ -90,9 +113,20 @@ def solve_demands(preferences: Preferences,
 
     r = _curvature(preferences)
     weights = {g.id: preferences.weights[g.id] for g in goods}
+    laws = {g.id: power_law(g.technology, movers, mult[g.id]) for g in goods}
 
     def quantity(good: NonEnergyGood, target: float) -> float:
         """Inner solve: q ** (1-r) * gamma(q) = target."""
+        law = laws[good.id]
+        if law is not None:
+            a, k = law
+            q = solve_power(a, 1.0 - r + k, target)
+            if not 0.0 < q <= _Q_MAX:
+                raise SolverError(
+                    "no_bracket",
+                    f"demand for {good.id!r} at its target {target:.6g} "
+                    f"lies outside (0, {_Q_MAX:g}]")
+            return q
 
         def gap(q: float) -> float:
             return (q ** (1.0 - r)
@@ -103,11 +137,11 @@ def solve_demands(preferences: Preferences,
         hi = 1.0
         while gap(hi) < 0.0:
             hi *= 2.0
-            if hi > 1e180:
+            if hi > _Q_MAX:
                 raise SolverError(
                     "no_bracket",
                     f"demand for {good.id!r} stays below its target "
-                    f"{target:.6g} up to q = 1e180")
+                    f"{target:.6g} up to q = {_Q_MAX:g}")
         if gap(hi) == 0.0:
             return hi
         return bracketed_root(gap, 0.0, hi, rtol=rtol)
@@ -120,26 +154,28 @@ def solve_demands(preferences: Preferences,
                                          mult[g.id])
         return total
 
-    lam_lo = lam_hi = 1.0
-    while spending(lam_hi) > energy:
-        lam_hi *= 4.0
-        if lam_hi > 1e180:
-            raise SolverError(
-                "no_bracket",
-                f"spending exceeds the budget {energy:.6g} J at every "
-                "multiplier up to 1e180")
-    while spending(lam_lo) < energy:
-        lam_lo /= 4.0
-        if lam_lo < 1e-180:
-            raise SolverError(
-                "no_bracket",
-                f"spending stays below the budget {energy:.6g} J at every "
-                "multiplier down to 1e-180")
-    if lam_lo == lam_hi:
-        lam_sep = lam_lo          # spending(1.0) hit the budget exactly
+    powers = {law[1] if law is not None else None for law in laws.values()}
+    if len(powers) == 1 and None not in powers:
+        # one power k for every good: spending(lam) is
+        # spending(1) * lam ** -p with p = (k+1)/(1-r+k), so the budget
+        # holds where energy * lam ** p = spending(1)
+        k = powers.pop()
+        lam_sep = solve_power(energy, (k + 1.0) / (1.0 - r + k),
+                              spending(1.0))
+        _check_multiplier(lam_sep, energy)
     else:
-        lam_sep = bracketed_root(lambda lam: spending(lam) - energy,
-                                 lam_lo, lam_hi, rtol=rtol)
+        lam_lo = lam_hi = 1.0
+        while spending(lam_hi) > energy:
+            lam_hi *= 4.0
+            _check_multiplier(lam_hi, energy)
+        while spending(lam_lo) < energy:
+            lam_lo /= 4.0
+            _check_multiplier(lam_lo, energy)
+        if lam_lo == lam_hi:
+            lam_sep = lam_lo          # spending(1.0) hit the budget exactly
+        else:
+            lam_sep = bracketed_root(lambda lam: spending(lam) - energy,
+                                     lam_lo, lam_hi, rtol=rtol)
 
     bundle = {g.id: quantity(g, weights[g.id] / lam_sep) for g in goods}
     gamma = {g.id: marginal_embodied(g.technology, movers, bundle[g.id],

@@ -14,11 +14,12 @@ gamma, gamma_avg and G linearly and leaves eta unchanged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .core import CobbDouglas, FixedProportions, PrimeMoverType, Technology
 from .errors import SolverError
-from .numerics import BRACKET_CEILING, adaptive_simpson, bracketed_root
+from .numerics import BRACKET_CEILING, bracketed_root
 
 
 @dataclass(frozen=True)
@@ -64,6 +65,32 @@ def _overflow(b_total: float) -> SolverError:
                        f"returns to scale {b_total:g}")
 
 
+def power_law(tech: Technology, movers: dict[str, PrimeMoverType],
+              multiplier: float = 1.0) -> tuple[float, float] | None:
+    """(A, k) with gamma(q) = A * q ** k, or None for a curved profile.
+
+    The smooth technology has k = 1/B - 1 and a constant fixed-proportions
+    profile (c1 = c2 = 0) has k = 0; in both A = gamma(1).  Optima on such
+    a curve invert the power in closed form instead of searching for a
+    root.
+    """
+    if isinstance(tech, FixedProportions):
+        if tech.c1 > 0.0 or tech.c2 > 0.0:
+            return None
+        k = 0.0
+    else:
+        k = 1.0 / tech.returns_to_scale - 1.0
+    return marginal_embodied(tech, movers, 1.0, multiplier), k
+
+
+def solve_power(a: float, p: float, y: float) -> float:
+    """q with a * q ** p = y, for a, p, y > 0; inf when q overflows."""
+    try:
+        return (y / a) ** (1.0 / p)
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
+
+
 def marginal_embodied(tech: Technology, movers: dict[str, PrimeMoverType],
                       q: float, multiplier: float = 1.0) -> float:
     """gamma(q): energy transferred to produce one more unit at output q."""
@@ -99,23 +126,6 @@ def cumulative_transfer(tech: Technology, movers: dict[str, PrimeMoverType],
         return multiplier * k * (q / tech.scale) ** (1.0 / b_total)
     except OverflowError:
         raise _overflow(b_total) from None
-
-
-def cumulative_transfer_quadrature(tech: Technology,
-                                   movers: dict[str, PrimeMoverType],
-                                   q: float, multiplier: float = 1.0,
-                                   tol: float = 1e-9) -> float:
-    """G(q) by adaptive quadrature of the marginal curve.
-
-    Fallback route (and the independent cross-check of the closed forms);
-    absolute tolerance tol * max(1, estimate).
-    """
-    if q <= 0.0:
-        return 0.0
-    rough = marginal_embodied(tech, movers, q, multiplier) * q
-    return adaptive_simpson(
-        lambda x: marginal_embodied(tech, movers, x, multiplier),
-        0.0, q, tol=tol * max(1.0, abs(rough)))
 
 
 def average_embodied(tech: Technology, movers: dict[str, PrimeMoverType],

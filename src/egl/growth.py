@@ -117,6 +117,22 @@ def apply_event(state: EconomyState, event: EventSpec) -> EconomyState:
                                   f"unknown event kind {event.kind!r}")
 
 
+def enter_period(scenario: ScenarioConfig, state: EconomyState,
+                 t: int) -> EconomyState:
+    """State at the start of period ``t``, before that period's solve.
+
+    The types introduced at ``t`` activate, then the shocks dated ``t``
+    apply in the order of their kinds.  ``egl equilibrium`` solves
+    ``enter_period(scenario, initial_state(scenario), 0)``, so it is row 0
+    of ``simulate`` by construction.
+    """
+    state = activate_due(scenario, state, t)
+    for ev in sorted((e for e in scenario.events if e.period == t),
+                     key=lambda e: e.kind):
+        state = apply_event(state, ev)
+    return state
+
+
 def _is_steady(scenario: ScenarioConfig, state: EconomyState,
                energy: EnergySideSolution,
                surplus_args: dict[str, float]) -> bool:
@@ -144,7 +160,6 @@ def simulate(scenario: ScenarioConfig,
     """Run the period loop until the horizon or a detected steady state."""
     horizon = scenario.horizon if horizon is None else horizon
     state = initial_state(scenario)
-    events = sorted(scenario.events, key=lambda e: (e.period, e.kind))
     # no steady state is declared before the last arrival or shock
     last_change = max([ev.period for ev in scenario.events]
                       + [x.intro_period for x in scenario.prime_movers
@@ -153,10 +168,7 @@ def simulate(scenario: ScenarioConfig,
     steady: dict | None = None
 
     for t in range(horizon + 1):
-        state = activate_due(scenario, state, t)
-        for ev in events:
-            if ev.period == t:
-                state = apply_event(state, ev)
+        state = enter_period(scenario, state, t)
 
         try:
             energy = solve_energy_side(scenario, state)

@@ -21,14 +21,14 @@ reproducible from (seed, trial index) and identified by its scenario digest.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .core import ScenarioConfig, initial_state, scenario_digest, \
-    scenario_from_dict
+from .core import (ScenarioConfig, initial_state, scenario_digest,
+                   scenario_from_dict, with_entry_value)
 from .demand import demand_for_state
 from .errors import EglError
+from .growth import enter_period
 from .surplus import solve_energy_side
 
 if TYPE_CHECKING:
@@ -66,8 +66,8 @@ class SignTable:
 # perturbation harness
 # ---------------------------------------------------------------------------
 
-def _locate(doc: dict, path: str):
-    """Container and key for a dotted parameter path.
+def _locate(doc: dict, path: str) -> tuple[str, int, str]:
+    """Section, entry index and key for a dotted parameter path.
 
     Paths look like ``energy_goods.oil.energy_content``; the middle segment
     selects a list entry by id.
@@ -78,16 +78,15 @@ def _locate(doc: dict, path: str):
                                            "prime_movers"):
         raise ValueError(f"unsupported parameter path {path!r}")
     section, ident, fieldname = parts
-    for entry in doc[section]:
+    for index, entry in enumerate(doc[section]):
         if entry.get("id") == ident:
-            return entry, fieldname
+            return section, index, fieldname
     raise ValueError(f"no {section} entry with id {ident!r}")
 
 
-def _evaluate(doc: dict, response: str) -> float:
+def _evaluate(scenario: ScenarioConfig, response: str) -> float:
     """Solve the scenario and read one scalar response."""
-    scenario = scenario_from_dict(doc)
-    state = initial_state(scenario)
+    state = enter_period(scenario, initial_state(scenario), 0)
     energy = solve_energy_side(scenario, state)
     head, _, rest = response.partition(".")
     if head == "Q_e":
@@ -117,18 +116,19 @@ def perturb_and_sign(doc: dict, target: str, response: str,
     """
     if step == 0.0:
         raise ValueError("degenerate step")
-    entry, key = _locate(doc, target)
-    base = entry.get(key, 1.0 if key == "requirement_multiplier" else None)
+    section, index, key = _locate(doc, target)
+    base = doc[section][index].get(
+        key, 1.0 if key == "requirement_multiplier" else None)
     if base is None:
         raise ValueError(f"target {target!r} has no base value")
     if base == 0.0:
         raise ValueError(f"target {target!r} is zero; relative step degenerate")
 
+    scenario = scenario_from_dict(doc)
     values = []
     for sign in (+1.0, -1.0):
-        probe = json.loads(json.dumps(doc))
-        probe_entry, _ = _locate(probe, target)
-        probe_entry[key] = base * (1.0 + sign * step)
+        probe = with_entry_value(scenario, doc, section, index, key,
+                                 base * (1.0 + sign * step))
         values.append(_evaluate(probe, response))
     return (values[0] - values[1]) / (2.0 * step * base)
 
@@ -308,7 +308,7 @@ def tangency_residuals(scenario: ScenarioConfig) -> dict[str, float]:
     from .core import effective_multiplier
     from .embodied import marginal_requirements
 
-    state = initial_state(scenario)
+    state = enter_period(scenario, initial_state(scenario), 0)
     solution = solve_energy_side(scenario, state)
     worst_within = 0.0
     worst_across = 0.0

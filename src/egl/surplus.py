@@ -9,9 +9,12 @@ slackness on usability: either phi = 0 and the leftover fleet can absorb
 the whole surplus, or the surplus exactly matches the leftover fleet's
 direct-energy capacity.
 
-The usability residual E(phi) - U(phi) crosses zero once, so one
-bracketed root finds the fixed point; where it jumps across zero instead,
-the usability constraint is imposed by rescaling the outputs.
+Each good's optimum at a given phi is closed form for the smooth
+(Cobb-Douglas) technology, whose marginal curve is a power law; curved
+fixed-proportions profiles take a bracketed root.  The usability residual
+E(phi) - U(phi) crosses zero once, so one bracketed root finds the fixed
+point; where it jumps across zero instead, the usability constraint is
+imposed by rescaling the outputs.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from .core import (CobbDouglas, EconomyState, EnergyGood, ScenarioConfig,
                    effective_multiplier, employment_totals, initial_state)
 from .embodied import (cumulative_transfer, input_requirements,
                        marginal_embodied, marginal_requirements,
-                       output_cap_for_stock, sample_curve)
+                       output_cap_for_stock, power_law, sample_curve,
+                       solve_power)
 from .errors import SolverError
 from .numerics import bracketed_root
 
@@ -154,13 +158,23 @@ class _Problem:
             if self.producible[g.id]
             and g.energy_content > self.gamma0[g.id]
             and self.caps[g.id] > 0.0]
-        # fixed proportions: the transfer and premium weights of the
-        # requirement profile, and the location of its dip, depend on the
+        # the curve's power law and premium weight (smooth technology), or
+        # the transfer and premium weights of the requirement profile and
+        # the location of its dip (fixed proportions), depend on the
         # technology alone, so they are computed once per solve
+        self.smooth_terms = {}
         self.fixed_terms = {}
         for g in self.candidates:
             tech = g.technology
             if isinstance(tech, CobbDouglas):
+                # g'_l(q) = gamma(q) / omega_l, so the premium factor is
+                # gamma(q) * kappa with kappa the mean of eps_l / omega_l
+                used = tech.used_movers()
+                kappa = sum(state.movers[mid].direct_energy
+                            / state.movers[mid].total_transfer
+                            for mid in used) / len(used)
+                a, k = power_law(tech, state.movers, self.mult[g.id])
+                self.smooth_terms[g.id] = (a, k, kappa)
                 continue
             used = [(mid, nu) for mid, nu in tech.requirements.items()
                     if nu > 0.0]
@@ -174,13 +188,15 @@ class _Problem:
     def good_output(self, good: EnergyGood, c: float):
         """Optimal output of one good at premium weight c = phi/(1-phi).
 
-        The marginal gain F(q) = content - gamma(q) - c * premium(q) is
-        strictly decreasing for the smooth technology, so a sign change on
-        [0, cap] pins the unique interior optimum.  For fixed proportions
-        both terms follow the convex requirement profile h', making F
-        concave: the optimum is the last downward crossing, and when the
-        curve starts above the content (F(0) <= 0) the integrated gain
-        decides between producing through the dip and shutting down.
+        The marginal gain is F(q) = content - gamma(q) - c * premium(q).
+        For the smooth technology the premium is kappa * gamma(q), so F = 0
+        at gamma(q) = content / (1 + c * kappa), which inverts the power
+        law gamma = A q^k in closed form; the optimum is that q clipped at
+        the cap.  For fixed proportions both terms follow the convex
+        requirement profile h', making F concave: the optimum is the last
+        downward crossing, found by a bracketed root, and when the curve
+        starts above the content (F(0) <= 0) the integrated gain decides
+        between producing through the dip and shutting down.
         """
         cap = self.caps[good.id]
         tag = self.cap_tags[good.id]
@@ -189,16 +205,16 @@ class _Problem:
         delta = good.energy_content
 
         if isinstance(tech, CobbDouglas):
-            def gain(q: float) -> float:
-                return (delta
-                        - marginal_embodied(tech, self.state.movers, q,
-                                            self.mult[good.id])
-                        - c * _premium_factor(good, self.state.movers, q,
-                                              self.mult[good.id]))
-
-            if gain(cap) >= 0.0:
+            # F(q) = delta - (1 + c * kappa) * A * q ** k
+            a, k, kappa = self.smooth_terms[good.id]
+            q = solve_power((1.0 + c * kappa) * a, k, delta)
+            if q >= cap:
                 return cap, tag
-            return bracketed_root(gain, 0.0, cap, rtol=rtol), None
+            if q <= 0.0:
+                raise SolverError(
+                    "degenerate",
+                    f"optimal output of {good.id!r} underflows to zero")
+            return q, None
 
         # fixed proportions: F(q) = delta - a * h'(q) with a > 0
         w_total, eps_mean, q_dip = self.fixed_terms[good.id]

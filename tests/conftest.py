@@ -1,5 +1,7 @@
+import collections
 import copy
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -67,6 +69,27 @@ def cd1():
 @pytest.fixture
 def cd1_scarce():
     return scarce_scenario()
+
+
+@pytest.fixture
+def root_calls(monkeypatch):
+    """Counts ``bracketed_root`` calls, keyed by the egl module making them.
+
+    Every module that binds the root finder is patched, so a solve that
+    falls back to a root shows up in the counts, not only in its time.
+    """
+    calls = collections.Counter()
+    for name, module in list(sys.modules.items()):
+        if not name.startswith("egl.") or name == "egl.numerics" \
+                or not hasattr(module, "bracketed_root"):
+            continue
+
+        def counted(*args, _name=name, _root=module.bracketed_root, **kw):
+            calls[_name] += 1
+            return _root(*args, **kw)
+
+        monkeypatch.setattr(module, "bracketed_root", counted)
+    return calls
 
 
 def random_energy_doc(rng: np.random.Generator, scarce: bool) -> dict:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import logging
 import os
@@ -258,6 +259,51 @@ class TestArrivalEvents:
         payload = json.loads(lines[0])
         assert payload["error"] == "validation"
         assert payload["detail"].startswith("$.events[3].period:")
+
+    def test_event_order_leaves_outputs_unchanged(self, tmp_path):
+        # a shift listed before the arrival of its good names a good the
+        # parser already knows: every arrival is parsed before any shock
+        doc = json.loads((SCENARIOS / "arrivals.json").read_text())
+        outs = set()
+        for n, events in enumerate(itertools.permutations(doc["events"])):
+            path = write_scenario(tmp_path, dict(doc, events=list(events)),
+                                  f"order{n}.json")
+            files = {}
+            for command in ("equilibrium", "simulate"):
+                out = tmp_path / f"{command}{n}"
+                assert main([command, "--scenario", path,
+                             "--out", str(out)]) == 0
+                files.update((f"{command}/{f.name}", f.read_bytes())
+                             for f in out.iterdir()
+                             if f.name != "manifest.json")
+            outs.add(tuple(sorted(files.items())))
+        assert n == 5 and len(outs) == 1
+
+
+class TestPeriodZeroEvents:
+    @pytest.mark.parametrize("event", [
+        {"period": 0, "kind": "efficiency_shift", "good": "grain",
+         "multiplier": 0.5},
+        {"period": 0, "kind": "endowment_shock", "mover": "workers",
+         "delta": -99.0},
+    ])
+    def test_equilibrium_is_row_0_of_the_simulation(self, tmp_path, event):
+        doc = json.loads((SCENARIOS / "reference.json").read_text())
+        doc["events"] = [event]
+        path = write_scenario(tmp_path, doc)
+        assert main(["equilibrium", "--scenario", path,
+                     "--out", str(tmp_path / "eq")]) == 0
+        assert main(["simulate", "--scenario", path, "--horizon", "0",
+                     "--out", str(tmp_path / "sim")]) == 0
+        rows = (tmp_path / "eq" / "equilibrium.csv").read_text().splitlines()
+        grain = dict(zip(rows[0].split(","), rows[1].split(",")))
+        phi = dict(row.split(",") for row in rows[3:])["phi"]
+        rows = (tmp_path / "sim" / "trajectory.csv").read_text().splitlines()
+        row0 = dict(zip(rows[0].split(","), rows[1].split(",")))
+        assert (grain["Q_star"], grain["alpha"], grain["meroi"], phi) == (
+            row0["Q_grain"], row0["alpha_grain"], row0["meroi_grain"],
+            row0["phi"])
+        assert float(grain["Q_star"]) != 5.0    # the unshocked optimum
 
 
 class TestStatics:

@@ -9,6 +9,7 @@ from egl.core import (CobbDouglas, FixedProportions, Preferences,
 from egl.demand import (allocate_support_prime_movers, demand_for_state,
                         marginal_utility, solve_demands, tangency_residual,
                         usability_slack)
+from egl.errors import SolverError
 from egl.surplus import solve_energy_side
 
 
@@ -282,3 +283,72 @@ class TestUsabilitySlack:
         assert abs(dem.usability_slack) <= 1e-7 * max(1.0,
                                                       sol.usable_surplus)
         assert dem.feasible
+
+
+def smooth_good(gid, returns, weight=1.0):
+    from egl.core import NonEnergyGood
+    return NonEnergyGood(
+        id=gid, utility_weight=weight,
+        technology=CobbDouglas(scale=1.0, exponents={"m": returns}))
+
+
+class TestSolvePaths:
+    """Each route through the demand solve, told apart by its root count."""
+
+    def test_one_power_is_closed_form_inside_and_out(self, root_calls):
+        prefs = Preferences(form="ces", weights={"n0": 1.0, "n1": 2.0},
+                            elasticity=1.7)
+        for goods in ([constant_good("n0", 1.5), constant_good("n1", 0.5)],
+                      [smooth_good("n0", 0.5), smooth_good("n1", 0.5)]):
+            sol = solve_demands(prefs, goods, MOVERS, 40.0)
+            assert abs(sol.budget_residual) <= 1e-12 * 40.0
+            assert tangency_residual(prefs, sol.bundle,
+                                     sol.gamma_marginal) <= 1e-12
+        assert sum(root_calls.values()) == 0
+
+    def test_reference_bundle_is_exact(self, root_calls):
+        # E = 25 split evenly over two unit constant curves
+        sol = solve_demands(cobb_prefs(n0=0.5, n1=0.5),
+                            [constant_good("n0", 1.0),
+                             constant_good("n1", 1.0)], MOVERS, 25.0)
+        assert sol.bundle == {"n0": 12.5, "n1": 12.5}
+        assert sol.budget_residual == 0.0
+        assert sum(root_calls.values()) == 0
+
+    def test_mixed_powers_take_one_outer_root(self, root_calls):
+        # constant curve (k = 0) next to a square-cost curve (k = 1): the
+        # inner solves stay closed form, the multiplier needs Brent
+        prefs = cobb_prefs(n0=1.0, n1=1.0)
+        goods = [constant_good("n0", 1.0), smooth_good("n1", 0.5)]
+        sol = solve_demands(prefs, goods, MOVERS, 20.0)
+        assert root_calls == {"egl.demand": 1}
+        assert abs(sol.budget_residual) <= 1e-9 * 20.0
+        assert tangency_residual(prefs, sol.bundle,
+                                 sol.gamma_marginal) <= 1e-8
+
+    def test_curved_profile_takes_inner_roots(self, root_calls):
+        from egl.core import NonEnergyGood
+        curved = NonEnergyGood(
+            id="n1", utility_weight=1.0,
+            technology=FixedProportions(requirements={"m": 1.0}, c0=1.0,
+                                        c1=2.0, tau=3.0))
+        prefs = cobb_prefs(n0=1.0, n1=1.0)
+        sol = solve_demands(prefs, [constant_good("n0", 1.0), curved],
+                            MOVERS, 20.0)
+        assert root_calls["egl.demand"] > 1
+        assert abs(sol.budget_residual) <= 1e-9 * 20.0
+        assert tangency_residual(prefs, sol.bundle,
+                                 sol.gamma_marginal) <= 1e-8
+
+    @pytest.mark.parametrize("gamma, energy, detail", [
+        (1e-300, 1.0, "demand for 'n0'"),     # quantity above 1e180
+        (1.0, 1e-200, "exceeds the budget"),   # multiplier above 1e180
+        (1.0, 1e200, "stays below the budget"),  # multiplier below 1e-180
+    ])
+    def test_closed_form_out_of_range_is_no_bracket(self, gamma, energy,
+                                                    detail):
+        with pytest.raises(SolverError) as err:
+            solve_demands(cobb_prefs(n0=1.0), [constant_good("n0", gamma)],
+                          MOVERS, energy)
+        assert err.value.kind == "no_bracket"
+        assert detail in str(err.value)

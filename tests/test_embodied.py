@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from egl.core import CobbDouglas, FixedProportions, PrimeMoverType
-from egl.embodied import (average_embodied, cumulative_transfer,
-                          cumulative_transfer_quadrature, elasticity,
+from egl.embodied import (average_embodied, cumulative_transfer, elasticity,
                           input_requirements, marginal_embodied,
                           marginal_requirements, meec_point,
                           output_cap_for_stock, sample_curve)
@@ -27,6 +26,18 @@ LINEAR_TECH = FixedProportions(requirements={"m": 1.0}, c0=1.0, c2=2.0,
                                q_s=1.0, rho=1.0)
 DECAY_TECH = FixedProportions(requirements={"m": 1.0}, c0=1.0, c1=2.0,
                               tau=1.0)
+
+
+def cumulative_transfer_quadrature(tech, movers, q, multiplier=1.0,
+                                   tol=1e-9):
+    """G(q) by adaptive quadrature of the marginal curve, an independent
+    check of the closed forms; absolute tolerance tol * max(1, estimate)."""
+    if q <= 0.0:
+        return 0.0
+    rough = marginal_embodied(tech, movers, q, multiplier) * q
+    return adaptive_simpson(
+        lambda x: marginal_embodied(tech, movers, x, multiplier),
+        0.0, q, tol=tol * max(1.0, abs(rough)))
 
 
 class TestMarginal:

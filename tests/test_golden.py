@@ -31,7 +31,7 @@ RUNS["statics-sweep_family"] = [
 #: sha256 of each output, keyed by "<run>/<file>"
 DIGESTS = {
     "equilibrium-reference/demand.csv":
-        "248ebea82064724e3b69a12d2670b5d4f754c324cc477aace486bf571ffa5fc0",
+        "0fe5dadac7d693e4e3e2c7225b59fba7018b18738476c780755485f5c5168779",
     "equilibrium-reference/equilibrium.csv":
         "36c536f2919759bbb40f19ff2ff09114375ca39172b5f9f912d7e7ee6d9d5c92",
     "equilibrium-reference/figure1_grain.svg":
@@ -39,7 +39,7 @@ DIGESTS = {
     "equilibrium-reference/meec_grain.csv":
         "c311fd605925934453cafac960030a5a579ab76db6f1695fb3ba6006a727b0bd",
     "equilibrium-scarce_growth/demand.csv":
-        "73fc55a1dcf0537fb569059e28317eafdda7b8801d6e9f894d1c773237e8ca85",
+        "bacb1880948e266bbf8c90b2e1c25992bbf3d494aeff378ca56bc337701432de",
     "equilibrium-scarce_growth/equilibrium.csv":
         "af3023351244bae0554a0e4294ba10be7ea1e29a83a8c6fe29d1816c7ac01369",
     "equilibrium-scarce_growth/figure1_grain.svg":
@@ -47,7 +47,7 @@ DIGESTS = {
     "equilibrium-scarce_growth/meec_grain.csv":
         "01c614cd26ca3ce8e89804e1e5dac529bab3661b345c449bb2ec9f5230b7f7e1",
     "equilibrium-shocks/demand.csv":
-        "b359a0472d6991a3396d79da6e0e3a98bf9e0749714a1e13e5051cc28b6a99b0",
+        "7c0de1f6e69e28aa83eb5ae4ff67f3c10ce33be0fe1f5a2b2d42b4ee888256ba",
     "equilibrium-shocks/equilibrium.csv":
         "c21e56544ba52facd2f88e8614da28443c0ab88b886d339146a93423f28c79f0",
     "equilibrium-shocks/figure1_wood.svg":
@@ -57,7 +57,7 @@ DIGESTS = {
     "simulate-arrivals/figure2.svg":
         "2f4e31d06276361227f1f7e7607b4621e8912fbbe7667f04bc24b79cb756007c",
     "simulate-arrivals/trajectory.csv":
-        "d44368987ba88fc5e884a84b4bf85cffcf88ae2be8055753cc32f8e97db4f976",
+        "14eb83cd42a6a14ad25e83970ad2fb7481c242ada332d52b8ba79947184d4565",
     "simulate-reference/figure2.svg":
         "6761254593bdd5eca955872bb467fea0bee8bdd7d0a319e0238dc272bb1461e8",
     "simulate-reference/trajectory.csv":
@@ -65,7 +65,7 @@ DIGESTS = {
     "simulate-scarce_growth/figure2.svg":
         "181b153906e14ee93233e832a3fb9e65f174595a1452ac56b55581947e5350fe",
     "simulate-scarce_growth/trajectory.csv":
-        "fc706f115879f7351c3f97c447c24d6319b324660e95d8a01b5de8052fb6df16",
+        "d709a1eb4389a80c7d851d5a6785f8460f0efd30c357aa2798a3f8a25fd3bc52",
     "simulate-shocks/figure2.svg":
         "3959035f2a76fef1217ddb55026501059d4f19ec7b60a73f79be354b6a84a9d2",
     "simulate-shocks/trajectory.csv":
@@ -73,7 +73,7 @@ DIGESTS = {
     "statics-sweep_family/failures.csv":
         "91847c345f0676a57ef880eaeec73cd1853c021a796de7d7155258032eff8472",
     "statics-sweep_family/sign_table.csv":
-        "ed083b3250875a96cf67d6f3feda23f8204efbd94c933a19bd3fcb066408bba0",
+        "3d2a1353b1f2b9ba4c645a5e71860b7da39e0d1a3bbaf646ec430b228f180748",
 }
 
 

@@ -1,8 +1,13 @@
+import copy
+
 import numpy as np
 import pytest
 
+import egl.statics
 from egl import scenario_from_dict
-from egl.statics import (draw_scenario, perturb_and_sign,
+from egl.core import with_entry_value
+from egl.errors import ScenarioValidationError
+from egl.statics import (_locate, draw_scenario, perturb_and_sign,
                          proposition_suite, tangency_residuals)
 
 from conftest import cd1_doc, random_energy_doc
@@ -37,12 +42,94 @@ class TestPerturbAndSign:
             perturb_and_sign(cd1_doc(), "energy_goods.e0.energy_content",
                              "bogus.e0")
 
+    def test_period_zero_shift_is_part_of_the_economy(self):
+        # halving the requirement at period 0 makes gamma(Q) = Q, so
+        # Q = delta and the derivative is 1 instead of 1/2
+        doc = cd1_doc(events=[{"period": 0, "kind": "efficiency_shift",
+                               "good": "e0", "multiplier": 0.5}])
+        doc["solver"] = {"force_phi": 0.0}
+        d = perturb_and_sign(doc, "energy_goods.e0.energy_content",
+                             "Q_e.e0", step=0.01)
+        assert d == pytest.approx(1.0, rel=1e-6)
+
     def test_scalar_responses(self):
         doc = cd1_doc()
         d = perturb_and_sign(doc, "energy_goods.e0.energy_content", "E_star",
                              step=0.01)
         # E(delta) = delta**2 / 4 at the interior optimum, slope delta / 2
         assert d == pytest.approx(5.0, rel=1e-6)
+
+
+def probe_doc():
+    """cd1 with a bounded source, a preference weight override and an
+    arrival, so every kind of entry field has a base value."""
+    doc = cd1_doc()
+    doc["energy_goods"][0].update(pes_stock=1000.0, depletion_exponent=0.5)
+    doc["prime_movers"][0]["avg_embodied"] = 0.3
+    doc["preferences"]["weights"] = {"n1": 0.8}
+    doc["events"] = [
+        {"period": 2, "kind": "new_energy_good",
+         "good": {"id": "e1", "energy_content": 4.0,
+                  "technology": {"kind": "cobb_douglas", "scale": 1.0,
+                                 "exponents": {"m0": 0.4}}}}]
+    return doc
+
+
+PROBE_PATHS = [
+    "energy_goods.e0.energy_content", "energy_goods.e0.pes_stock",
+    "energy_goods.e0.depletion_exponent",
+    "energy_goods.e0.requirement_multiplier",
+    "non_energy_goods.n0.utility_weight",
+    "non_energy_goods.n1.utility_weight",
+    "non_energy_goods.n1.requirement_multiplier",
+    "prime_movers.m0.power_rate", "prime_movers.m0.depreciation",
+    "prime_movers.m0.avg_embodied", "prime_movers.m0.endowment",
+    "prime_movers.m0.max_accum_rate",
+]
+
+
+class TestProbeScenario:
+    @pytest.mark.parametrize("path", PROBE_PATHS)
+    @pytest.mark.parametrize("factor", [0.999, 1.001])
+    def test_replaced_config_equals_parsed_document(self, path, factor):
+        doc = probe_doc()
+        section, index, key = _locate(doc, path)
+        value = doc[section][index].get(key, 1.0) * factor
+        edited = copy.deepcopy(doc)
+        edited[section][index][key] = value
+        assert with_entry_value(scenario_from_dict(doc), doc, section,
+                                index, key, value) \
+            == scenario_from_dict(edited)
+
+    @pytest.mark.parametrize("key, value", [("depreciation", 1.0005),
+                                            ("intro_period", 0.5)])
+    def test_invalid_value_fails_like_the_document(self, key, value):
+        doc = probe_doc()
+        edited = copy.deepcopy(doc)
+        edited["prime_movers"][0][key] = value
+        with pytest.raises(ScenarioValidationError) as want:
+            scenario_from_dict(edited)
+        with pytest.raises(ScenarioValidationError) as got:
+            with_entry_value(scenario_from_dict(doc), doc, "prime_movers", 0,
+                             key, value)
+        assert str(got.value) == str(want.value)
+
+    def test_sweep_draw_parses_once_and_needs_no_root(self, monkeypatch,
+                                                      root_calls):
+        parses = []
+
+        def counted(doc):
+            parses.append(doc)
+            return scenario_from_dict(doc)
+
+        monkeypatch.setattr(egl.statics, "scenario_from_dict", counted)
+        doc = draw_scenario(np.random.default_rng([3, 0]))
+        for target, response in (
+                ("non_energy_goods.n0.requirement_multiplier", "Q_n.n1"),
+                ("energy_goods.e0.energy_content", "Q_e.e0")):
+            perturb_and_sign(doc, target, response)
+        assert len(parses) == 2
+        assert sum(root_calls.values()) == 0
 
 
 class TestDrawScenario:

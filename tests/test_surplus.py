@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,9 @@ from egl.surplus import (figure1_report, marginal_surplus_at,
                          scarcity_premium, solve_energy_side)
 
 from conftest import cd1_doc, random_energy_doc, scarce_scenario
+
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def solve_doc(doc, **kw):
@@ -262,6 +266,68 @@ class TestPhiRoot:
         _, sol = solve_doc(doc)
         assert 0.0 < sol.outputs["e0"] < 1e-20
         assert sol.foc_good_residuals["e0"] <= 1e-6
+
+
+class TestSmoothOutputRule:
+    """The Cobb-Douglas optimum gamma(q*) = delta / (1 + c * kappa)."""
+
+    @staticmethod
+    def problem(doc):
+        from egl.surplus import _Problem
+        scenario = scenario_from_dict(doc)
+        state = initial_state(scenario)
+        return _Problem(scenario, state), state.energy_goods["e0"]
+
+    def test_interior_optimum_is_closed_form(self, root_calls):
+        # gamma(q) = 2q and kappa = eps / omega = 1, so q* = 5 / (1 + c)
+        problem, good = self.problem(cd1_doc())
+        for c in (0.0, 0.25, 3.0):
+            q, tag = problem.good_output(good, c)
+            assert q == pytest.approx(5.0 / (1.0 + c), rel=1e-15)
+            assert tag is None
+        assert sum(root_calls.values()) == 0
+
+    def test_optimum_beyond_cap_is_clipped(self, root_calls):
+        # one unit of the mover caps output at Q = 1, below q* = 5
+        doc = cd1_doc()
+        doc["prime_movers"][0]["endowment"] = 1.0
+        problem, good = self.problem(doc)
+        assert problem.good_output(good, 0.0) == (1.0, "endowment:m0")
+        assert sum(root_calls.values()) == 0
+
+    def test_overflowing_power_is_clipped(self, root_calls):
+        # returns to scale 0.999: q* = (delta / A) ** 1000 overflows
+        doc = cd1_doc()
+        good = doc["energy_goods"][0]
+        good["energy_content"] = 1000.0
+        good["technology"]["exponents"]["m0"] = 0.999
+        problem, good = self.problem(doc)
+        cap = problem.caps["e0"]
+        assert problem.good_output(good, 0.0) == (cap, "endowment:m0")
+        assert sum(root_calls.values()) == 0
+
+    def test_underflowing_power_is_degenerate(self):
+        # q* = (delta / A) ** 1000 with delta / A near 0.1: never 0 output
+        doc = cd1_doc()
+        good = doc["energy_goods"][0]
+        good.update(energy_content=1.0, requirement_multiplier=10.0)
+        good["technology"]["exponents"]["m0"] = 0.999
+        with pytest.raises(SolverError) as err:
+            solve_doc(doc)
+        assert err.value.kind == "degenerate"
+
+    def test_abundant_solve_needs_no_root(self, root_calls):
+        scenario, sol = solve_doc(cd1_doc())
+        assert sol.outputs["e0"] == 5.0
+        assert sum(root_calls.values()) == 0
+
+    def test_vanishing_returns_to_scale_meets_first_order_condition(self):
+        # 1/B = 1e9: the gain root stopped at 8.7e-3 of delta from the
+        # condition; the closed form meets it
+        doc = json.loads(SCENARIOS.joinpath("reference.json").read_text())
+        doc["energy_goods"][0]["technology"]["exponents"]["workers"] = 1e-9
+        _, sol = solve_doc(doc)
+        assert sol.foc_good_residuals["grain"] <= 1e-6
 
 
 class TestSolutionInvariants:
