@@ -16,8 +16,10 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from .errors import ScenarioParseError, ScenarioValidationError
+from .numerics import bracketed_root
 
 EVENT_KINDS = ("efficiency_shift", "meec_shift", "new_prime_mover",
                "new_energy_good", "endowment_shock")
@@ -117,6 +119,51 @@ class FixedProportions:
             out += self.c2 * self.q_s / (self.rho + 1.0) \
                 * (q / self.q_s) ** (self.rho + 1.0)
         return out
+
+    # The profile's geometry depends on the curvature alone, so each
+    # technology finds it once, whatever multiplier a period applies.
+
+    @cached_property
+    def dip(self) -> float:
+        """Location of the minimum of h' (h'' = 0); inf if h' only falls."""
+        if self.c1 <= 0.0:
+            return 0.0                      # h' non-decreasing
+        if self.c2 <= 0.0:
+            return math.inf                 # h' non-increasing
+
+        def curvature(q: float) -> float:
+            return (-(self.c1 / self.tau) * math.exp(-q / self.tau)
+                    + (self.c2 * self.rho / self.q_s)
+                    * (q / self.q_s) ** (self.rho - 1.0))
+
+        if curvature(0.0) >= 0.0:
+            return 0.0
+        hi = max(self.tau, self.q_s)
+        while curvature(hi) < 0.0:
+            hi *= 2.0
+        return bracketed_root(curvature, 0.0, hi, rtol=1e-12)
+
+    @cached_property
+    def tangency(self) -> float:
+        """q_T >= dip with h(q_T) = q_T * h'(q_T), where the average h(q)/q
+        is least; 0 without a dip and inf when h' only falls.
+
+        q * h' - h has derivative q * h'', so it falls from 0 until the dip
+        and rises after it: one root past the dip.
+        """
+        dip = self.dip
+        if dip == 0.0 or math.isinf(dip):
+            return dip
+
+        def excess(q: float) -> float:
+            return q * self.marginal_profile(q) - self.cumulative_profile(q)
+
+        if excess(dip) >= 0.0:
+            return dip
+        hi = 2.0 * dip
+        while excess(hi) < 0.0:
+            hi *= 2.0
+        return bracketed_root(excess, dip, hi, rtol=1e-12)
 
 
 Technology = CobbDouglas | FixedProportions

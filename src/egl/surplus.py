@@ -11,10 +11,15 @@ direct-energy capacity.
 
 Each good's optimum at a given phi is closed form for the smooth
 (Cobb-Douglas) technology, whose marginal curve is a power law; curved
-fixed-proportions profiles take a bracketed root.  The usability residual
-E(phi) - U(phi) crosses zero once, so one bracketed root finds the fixed
-point; where it jumps across zero instead, the usability constraint is
-imposed by rescaling the outputs.
+fixed-proportions profiles take a bracketed root, and shut down in one
+step once the premium lifts their profile weight past a closed-form
+threshold.  The usability residual E(phi) - U(phi) is continuous between
+those shutdown shares and crosses zero once.  Two residuals either side
+of each shutdown share either certify that the residual jumps across zero
+there, and the usability constraint is then imposed by rescaling the
+outputs, or narrow the bracket to the continuous piece where one bracketed
+root finds the fixed point.  A jump the shares miss leaves that root short
+of the slack tolerance and is rescaled the same way.
 """
 
 from __future__ import annotations
@@ -102,6 +107,27 @@ def _premium_factor(good: EnergyGood, movers: dict, q: float,
     return total / len(grads)
 
 
+def _shutdown_weight(tech, delta: float, cap: float) -> float:
+    """Threshold a* of the profile weight a: the gain delta * q - a * h(q)
+    is positive somewhere on (0, cap] exactly while a < a*.
+
+    That gain is positive while a is below delta over the least average
+    profile h(q)/q on (0, cap], which sits at the tangency q_T with the
+    marginal profile or at the cap.  The bounds delta / h'(0) (the gain
+    rises from 0) and delta / h'(q_peak) (it rises somewhere) hold by
+    construction and keep rounding from breaking them, so below a* the
+    marginal gain at the peak is never negative.
+    """
+    q = min(tech.tangency, cap)
+    if q == 0.0 or math.isinf(q):
+        least_average = tech.marginal_profile(q)    # its limit at 0 or inf
+    else:
+        least_average = tech.cumulative_profile(q) / q
+    return min(delta / tech.marginal_profile(min(tech.dip, cap)),
+               max(delta / tech.marginal_profile(0.0),
+                   delta / least_average))
+
+
 def mover_surplus_rates(phi: float,
                         movers: dict[str, object]) -> dict[str, float]:
     """Per-mover marginal energy surplus phi_l = phi * eps_l / (1 - phi)."""
@@ -159,9 +185,9 @@ class _Problem:
             and g.energy_content > self.gamma0[g.id]
             and self.caps[g.id] > 0.0]
         # the curve's power law and premium weight (smooth technology), or
-        # the transfer and premium weights of the requirement profile and
-        # the location of its dip (fixed proportions), depend on the
-        # technology alone, so they are computed once per solve
+        # the transfer and premium weights of the requirement profile, its
+        # peak and its shutdown threshold (fixed proportions), are computed
+        # once per solve
         self.smooth_terms = {}
         self.fixed_terms = {}
         for g in self.candidates:
@@ -182,8 +208,10 @@ class _Problem:
                           for mid, nu in used)
             eps_mean = sum(state.movers[mid].direct_energy * nu
                            for mid, nu in used) / len(used)
-            self.fixed_terms[g.id] = (w_total, eps_mean,
-                                      self._profile_dip(tech))
+            cap = self.caps[g.id]
+            self.fixed_terms[g.id] = (
+                w_total, eps_mean, min(tech.dip, cap),
+                _shutdown_weight(tech, g.energy_content, cap))
 
     def good_output(self, good: EnergyGood, c: float):
         """Optimal output of one good at premium weight c = phi/(1-phi).
@@ -193,10 +221,10 @@ class _Problem:
         at gamma(q) = content / (1 + c * kappa), which inverts the power
         law gamma = A q^k in closed form; the optimum is that q clipped at
         the cap.  For fixed proportions both terms follow the convex
-        requirement profile h', making F concave: the optimum is the last
-        downward crossing, found by a bracketed root, and when the curve
-        starts above the content (F(0) <= 0) the integrated gain decides
-        between producing through the dip and shutting down.
+        requirement profile h', so F = content - a * h'(q) with a rising
+        in c.  The good produces while a stays below its shutdown threshold
+        (``_shutdown_weight``), and then the optimum is the last downward
+        crossing of F, found by a bracketed root past the dip.
         """
         cap = self.caps[good.id]
         tag = self.cap_tags[good.id]
@@ -217,46 +245,29 @@ class _Problem:
             return q, None
 
         # fixed proportions: F(q) = delta - a * h'(q) with a > 0
-        w_total, eps_mean, q_dip = self.fixed_terms[good.id]
+        w_total, eps_mean, q_peak, a_star = self.fixed_terms[good.id]
         a = self.mult[good.id] * (w_total + c * eps_mean)
+        if a >= a_star:
+            return 0.0, None
 
         def gain(q: float) -> float:
             return delta - a * tech.marginal_profile(q)
 
-        def total_gain(q: float) -> float:
-            return delta * q - a * tech.cumulative_profile(q)
-
-        q_peak = min(q_dip, cap)
-        if gain(q_peak) <= 0.0:
-            return 0.0, None
         if gain(cap) >= 0.0:
-            q_best, best_tag = cap, tag
-        else:
-            q_best = bracketed_root(gain, q_peak, cap, rtol=rtol)
-            best_tag = None
-        if gain(0.0) <= 0.0 and total_gain(q_best) <= 0.0:
-            return 0.0, None
-        return q_best, best_tag
+            return cap, tag
+        return bracketed_root(gain, q_peak, cap, rtol=rtol), None
 
-    @staticmethod
-    def _profile_dip(tech) -> float:
-        """Location of the requirement profile's minimum (h'' = 0)."""
-        if tech.c1 <= 0.0:
-            return 0.0                      # h' non-decreasing
-        if tech.c2 <= 0.0:
-            return math.inf                 # h' non-increasing
-
-        def curvature(q: float) -> float:
-            return (-(tech.c1 / tech.tau) * math.exp(-q / tech.tau)
-                    + (tech.c2 * tech.rho / tech.q_s)
-                    * (q / tech.q_s) ** (tech.rho - 1.0))
-
-        if curvature(0.0) >= 0.0:
-            return 0.0
-        hi = max(tech.tau, tech.q_s)
-        while curvature(hi) < 0.0:
-            hi *= 2.0
-        return bracketed_root(curvature, 0.0, hi, rtol=1e-12)
+    def shutdown_shares(self) -> list[float]:
+        """Shares phi at which a fixed-proportions good stops producing,
+        ascending: where a = m * (w_total + c * eps_mean) reaches the good's
+        shutdown threshold.  The usability residual is continuous between
+        them and can jump across them."""
+        shares = []
+        for gid, (w_total, eps_mean, _, a_star) in self.fixed_terms.items():
+            c_star = (a_star / self.mult[gid] - w_total) / eps_mean
+            if c_star > 0.0:
+                shares.append(c_star / (1.0 + c_star))
+        return sorted(shares)
 
     def outputs_at(self, phi: float):
         """Per-good outputs at a candidate phi: optimal-output rule per
@@ -402,13 +413,19 @@ def _null_solution(problem: _Problem, phi: float = 0.0,
 def _solve_phi(problem: _Problem) -> tuple[float, bool]:
     """Useless-surplus share: the root of the usability residual E - U.
 
-    The bracket [lo, hi] grows toward phi = 1 until the residual turns
-    negative, then one bracketed root solves it to ``phi_tol`` relative.
-    Returns (phi, converged).  ``converged`` is False when the residual
-    jumps across zero without a root, which happens when a requirement
-    curve slopes downward at the relevant margin; phi is then the largest
-    share with a positive residual, and the caller imposes the usability
-    constraint directly.
+    The bracket [lo, hi] grows toward phi = 1 until the residual at hi
+    turns negative.  The residual is continuous except at the shutdown
+    shares of fixed-proportions goods, where it can jump down across zero.
+    So before hi is evaluated, two residuals ``phi_tol / 2`` apart around
+    each shutdown share inside the bracket either certify such a jump or
+    narrow the bracket to the continuous piece that holds the sign change;
+    one bracketed root then solves that piece to ``phi_tol`` relative.
+    Returns (phi, converged).
+    ``converged`` is False when the residual jumps across zero without a
+    root: phi is then a share with a positive residual within ``phi_tol``
+    of one with a negative residual, and the caller imposes the usability
+    constraint directly.  A jump the shares miss is still caught, as a
+    root that misses the slack tolerance.
     """
     settings = problem.settings
     residuals: dict[float, float] = {}
@@ -418,13 +435,31 @@ def _solve_phi(problem: _Problem) -> tuple[float, bool]:
             residuals[phi] = problem.residual(phi)
         return residuals[phi]
 
+    def jump(phi: float) -> tuple[float, bool]:
+        log.info("usability residual jumps at phi=%.6g; "
+                 "imposing the constraint directly", phi)
+        return phi, False
+
     rho0 = rho(0.0)
     if rho0 <= 0.0:
         return 0.0, True
     ftol = settings.slack_tol * max(1.0, abs(rho0))
 
+    shares = problem.shutdown_shares()
     lo, hi = 0.0, 0.5
-    while rho(hi) > 0.0:
+    while True:
+        for share in shares:
+            if lo < share < hi:
+                gap = 0.25 * settings.phi_tol * share
+                left, right = max(lo, share - gap), min(hi, share + gap)
+                if rho(left) <= 0.0:
+                    hi = left
+                elif rho(right) >= 0.0:
+                    lo = right
+                else:
+                    return jump(left)
+        if rho(hi) <= 0.0:
+            break
         lo, hi = hi, 1.0 - (1.0 - hi) / 4.0
         if hi >= _PHI_MAX:
             raise SolverError(
@@ -436,10 +471,7 @@ def _solve_phi(problem: _Problem) -> tuple[float, bool]:
     # lies there and the residual crosses zero once on [lo, hi].
     phi = bracketed_root(rho, lo, hi, rtol=settings.phi_tol)
     if abs(rho(phi)) > ftol:
-        lo = max(x for x, value in residuals.items() if value > 0.0)
-        log.info("usability residual jumps at phi=%.6g; "
-                 "imposing the constraint directly", lo)
-        return lo, False
+        return jump(max(x for x, value in residuals.items() if value > 0.0))
     return phi, True
 
 

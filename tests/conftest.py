@@ -92,6 +92,22 @@ def root_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def residual_calls(monkeypatch):
+    """Records the share of every usability residual ``E(phi) - U(phi)``
+    evaluated, in call order; its length is the work of the phi solves."""
+    from egl.surplus import _Problem
+    shares: list[float] = []
+    residual = _Problem.residual
+
+    def recorded(self, phi):
+        shares.append(phi)
+        return residual(self, phi)
+
+    monkeypatch.setattr(_Problem, "residual", recorded)
+    return shares
+
+
 def random_energy_doc(rng: np.random.Generator, scarce: bool) -> dict:
     """Random smooth-technology scenario for solver sweeps.
 

@@ -49,7 +49,7 @@ DIGESTS = {
     "equilibrium-shocks/demand.csv":
         "7c0de1f6e69e28aa83eb5ae4ff67f3c10ce33be0fe1f5a2b2d42b4ee888256ba",
     "equilibrium-shocks/equilibrium.csv":
-        "c21e56544ba52facd2f88e8614da28443c0ab88b886d339146a93423f28c79f0",
+        "3a8a7268a7418557c441407472f03e3f0d9a7073e12024ebfe1521ea161c9444",
     "equilibrium-shocks/figure1_wood.svg":
         "51cfe1cf53e21b7e35e6d4b3a8b36778fff14365b8792826897a606339c01b07",
     "equilibrium-shocks/meec_wood.csv":
@@ -69,7 +69,7 @@ DIGESTS = {
     "simulate-shocks/figure2.svg":
         "3959035f2a76fef1217ddb55026501059d4f19ec7b60a73f79be354b6a84a9d2",
     "simulate-shocks/trajectory.csv":
-        "1bce29f5e456eee8631479fc14e45ada1b8256d05598adb0735e7554c12ecd3a",
+        "55d531d13d9e6c7826d9d11d47decca2cccd91ed1bf9f947b267faad18f8c060",
     "statics-sweep_family/failures.csv":
         "91847c345f0676a57ef880eaeec73cd1853c021a796de7d7155258032eff8472",
     "statics-sweep_family/sign_table.csv":

@@ -8,6 +8,7 @@ import pytest
 from egl import cumulative_transfer, initial_state, scenario_from_dict
 from egl.core import effective_multiplier
 from egl.errors import SolverError
+from egl.growth import simulate
 from egl.numerics import adaptive_simpson
 from egl.surplus import (figure1_report, marginal_surplus_at,
                          scarcity_premium, solve_energy_side)
@@ -328,6 +329,228 @@ class TestSmoothOutputRule:
         doc["energy_goods"][0]["technology"]["exponents"]["workers"] = 1e-9
         _, sol = solve_doc(doc)
         assert sol.foc_good_residuals["grain"] <= 1e-6
+
+
+#: the dipping requirement profile of scenarios/shocks.json
+DIP = {"c0": 0.5, "c1": 4.0, "tau": 2.0, "c2": 0.4, "q_s": 4.0, "rho": 2.0}
+
+
+def dip_doc(endowment: float = 1.0) -> dict:
+    """The one-mover reference with a dipping fixed-proportions good e0."""
+    doc = cd1_doc()
+    doc["prime_movers"][0]["endowment"] = endowment
+    doc["energy_goods"][0]["technology"] = {
+        "kind": "fixed_proportions", "requirements": {"m0": 1.0},
+        "curvature": dict(DIP)}
+    return doc
+
+
+def smooth_and_dip_doc(endowment: float, smooth_content: float,
+                       dip_content: float, c1: float = 4.0) -> dict:
+    """A smooth good e0 and a dipping good wood sharing the one mover."""
+    doc = dip_doc(endowment)
+    wood = doc["energy_goods"][0]
+    wood.update(id="wood", energy_content=dip_content)
+    wood["technology"]["curvature"]["c1"] = c1
+    doc["energy_goods"].insert(0, {
+        "id": "e0", "energy_content": smooth_content,
+        "technology": {"kind": "cobb_douglas", "scale": 1.0,
+                       "exponents": {"m0": 0.5}}})
+    return doc
+
+
+def problem_of(doc):
+    from egl.surplus import _Problem
+    scenario = scenario_from_dict(doc)
+    return _Problem(scenario, initial_state(scenario))
+
+
+class TestShutdownShares:
+    """The phi solve splits its bracket where a fixed-proportions good
+    shuts down.  Pinned shares come from the bisecting solve this split
+    replaced; each case must stay within ``phi_tol`` of it."""
+
+    PHI_TOL = 1e-10
+
+    def test_certified_jump_takes_four_residuals(self, residual_calls):
+        # the rescue of test_downward_dip_usability_rescue: rho(0) and
+        # rho(0.5) are positive, and the pair around the shutdown share
+        # near 0.5725 certifies the jump (bisecting it took 37 residuals)
+        _, sol = solve_doc(dip_doc())
+        assert len(residual_calls) <= 4
+        assert sol.phi == pytest.approx(0.5724581996248013,
+                                        rel=self.PHI_TOL)
+        assert sol.outputs["e0"] == pytest.approx(0.1, rel=1e-9)
+        assert sol.binding_constraints["e0"] == "usability"
+        h_01 = 0.5 * 0.1 + 4.0 * 2.0 * (1.0 - math.exp(-0.05)) \
+            + 0.4 * (4.0 / 3.0) * (0.1 / 4.0) ** 3
+        assert sol.usable_surplus == pytest.approx(1.0 - h_01, rel=1e-9)
+
+    @staticmethod
+    def split_pair(shares: list[float], share: float) -> int:
+        """Index of the first residual taken next to the shutdown share."""
+        return next(i for i, phi in enumerate(shares)
+                    if abs(phi - share) <= 1e-10 * share)
+
+    def test_root_above_share_moves_lower_end(self, residual_calls):
+        # wood shuts down at phi = 0.62 with the residual still positive;
+        # the smooth good balances usability at phi = 0.8, so the bracket
+        # [0.5, 0.875] narrows to [share+, 0.875]
+        doc = smooth_and_dip_doc(10.0, 10.0, 6.0)
+        share, = problem_of(doc).shutdown_shares()
+        assert 0.5 < share < 0.8
+        _, sol = solve_doc(doc)
+        i = self.split_pair(residual_calls, share)
+        right = residual_calls[i + 1]
+        assert right > share
+        assert all(right <= phi <= 0.875 for phi in residual_calls[i + 1:])
+        assert abs(sol.phi - 0.800000000000093) <= self.PHI_TOL * sol.phi
+        assert sol.outputs["wood"] == 0.0
+        assert "usability" not in sol.binding_constraints.values()
+
+    def test_root_below_share_moves_upper_end(self, residual_calls):
+        # a milder dip: wood still produces at the root phi = 0.6086 and
+        # shuts down at 0.722; the residual left of that share is already
+        # negative, so the bracket narrows to [0.5, share-] and its upper
+        # end 0.875 is never evaluated
+        doc = smooth_and_dip_doc(20.0, 5.0, 3.0, c1=0.5)
+        share, = problem_of(doc).shutdown_shares()
+        assert 0.6086 < share < 0.875
+        _, sol = solve_doc(doc)
+        i = self.split_pair(residual_calls, share)
+        left = residual_calls[i]
+        assert left < share
+        assert all(0.5 <= phi <= left for phi in residual_calls[i:])
+        assert 0.875 not in residual_calls
+        assert abs(sol.phi - 0.6085737368454629) <= self.PHI_TOL * sol.phi
+        assert sol.outputs["wood"] > 5.0
+        assert "usability" not in sol.binding_constraints.values()
+
+    @pytest.mark.parametrize("factor", [0.9, 1.1])
+    def test_wrong_share_falls_back_to_bisection(self, monkeypatch,
+                                                 residual_calls, factor):
+        # a share off the jump certifies nothing: the pair narrows the
+        # bracket to a piece that still holds the jump, the root finder
+        # bisects it, misses the slack tolerance and the rescue follows
+        from egl.surplus import _Problem
+        true_shares = _Problem.shutdown_shares
+        monkeypatch.setattr(
+            _Problem, "shutdown_shares",
+            lambda self: [s * factor for s in true_shares(self)])
+        _, sol = solve_doc(dip_doc())
+        assert len(residual_calls) > 20
+        assert sol.phi == pytest.approx(0.5724581996248013,
+                                        rel=self.PHI_TOL)
+        assert sol.outputs["e0"] == pytest.approx(0.1, rel=1e-9)
+        assert sol.binding_constraints["e0"] == "usability"
+
+    def test_smooth_goods_solve_as_before(self):
+        # no fixed-proportions good, no shutdown share: the same residuals
+        # and root steps, so phi is bit-identical to the pinned value
+        doc = two_good_doc(
+            {"power_rate": 2.341396113661226,
+             "endowment": 1.644372310181278},
+            [("e0", 48.22729820013046, 1.9165983297862113,
+              0.3047422097995877),
+             ("e1", 2.28513602912426, 0.5132916728034616,
+              0.39982096832245584)])
+        assert problem_of(doc).shutdown_shares() == []
+        _, sol = solve_doc(doc)
+        assert sol.phi == 0.9999410685594822
+
+    def test_profile_geometry_found_once_per_technology(self, root_calls):
+        # wood's dip and tangency are one root each for the whole run,
+        # through its efficiency shift and the arrival of a second mover
+        doc = json.loads(SCENARIOS.joinpath("shocks.json").read_text())
+        trajectory = simulate(scenario_from_dict(doc))
+        assert len(trajectory.records) == 61
+        assert root_calls["egl.core"] == 2
+
+
+class TestShutdownThresholdOracle:
+    """The closed-form shutdown threshold against a grid search of the
+    integrated gain delta * q - a * h(q) on [0, cap]."""
+
+    @staticmethod
+    def draw(rng) -> dict:
+        curvature = {
+            "c0": float(rng.uniform(0.2, 2.0)),
+            "c1": float(rng.choice([0.0, rng.uniform(0.5, 10.0)])),
+            "tau": float(rng.uniform(0.3, 5.0)),
+            "c2": float(rng.choice([0.0, rng.uniform(0.05, 2.0)])),
+            "q_s": float(rng.uniform(0.5, 10.0)),
+            "rho": float(rng.uniform(1.0, 3.0))}
+        if rng.uniform() < 0.1:
+            curvature["rho"] = 1.0
+        return curvature
+
+    @staticmethod
+    def grid_max_gain(tech, delta: float, a: float, cap: float) -> float:
+        """max of delta * q - a * h(q) over a grid, linear and geometric
+        (for maxima just above q = 0), refined around its best point."""
+        def gain(q):
+            h = tech.c0 * q - tech.c1 * tech.tau * np.expm1(-q / tech.tau)
+            h = h + tech.c2 * tech.q_s / (tech.rho + 1.0) \
+                * (q / tech.q_s) ** (tech.rho + 1.0)
+            return delta * q - a * h
+
+        coarse = np.union1d(np.linspace(0.0, cap, 20001),
+                            np.geomspace(1e-12 * cap, cap, 2001))
+        values = gain(coarse)
+        i = int(np.argmax(values))
+        best = coarse[i]
+        step = coarse[min(i + 1, coarse.size - 1)] - coarse[max(i - 1, 0)]
+        fine = np.linspace(max(best - step, 0.0), min(best + step, cap),
+                           20001)
+        return float(max(values[i], gain(fine).max()))
+
+    def test_finite_caps(self):
+        from egl.surplus import _Problem
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            curvature = self.draw(rng)
+            m = float(rng.uniform(0.5, 2.0))
+            doc = dip_doc(float(rng.uniform(0.05, 50.0)))
+            good = doc["energy_goods"][0]
+            good["technology"]["curvature"] = curvature
+            good["requirement_multiplier"] = m
+            # content above the curve at 0, so the good is a candidate
+            good["energy_content"] = delta = m * (
+                curvature["c0"] + curvature["c1"]) * float(
+                    rng.uniform(1.05, 5.0))
+            scenario = scenario_from_dict(doc)
+            state = initial_state(scenario)
+            problem = _Problem(scenario, state)
+            e0 = state.energy_goods["e0"]
+            share, = problem.shutdown_shares()
+            c_star = share / (1.0 - share)
+            cap = problem.caps["e0"]
+            # one mover with omega = eps = 1: a = m * (1 + c)
+            below, above = c_star * (1.0 - 1e-6), c_star * (1.0 + 1e-6)
+            assert self.grid_max_gain(e0.technology, delta,
+                                      m * (1.0 + below), cap) > 0.0
+            assert self.grid_max_gain(e0.technology, delta,
+                                      m * (1.0 + above), cap) <= 0.0
+            assert problem.good_output(e0, below)[0] > 0.0
+            assert problem.good_output(e0, above)[0] == 0.0
+
+    def test_infinite_caps(self):
+        # without a cap the power term must turn the curve up (c2 > 0);
+        # past q_up, where h' exceeds delta / a, the gain only falls
+        from egl.core import FixedProportions
+        from egl.surplus import _shutdown_weight
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            curvature = self.draw(rng)
+            curvature["c2"] = float(rng.uniform(0.05, 2.0))
+            tech = FixedProportions(requirements={"m0": 1.0}, **curvature)
+            delta = float(rng.uniform(1.0, 50.0))
+            a_star = _shutdown_weight(tech, delta, math.inf)
+            for a, produces in ((a_star * (1.0 - 1e-6), True),
+                                (a_star * (1.0 + 1e-6), False)):
+                q_up = tech.q_s * (delta / (a * tech.c2)) ** (1.0 / tech.rho)
+                gain = self.grid_max_gain(tech, delta, a, 1.01 * q_up)
+                assert (gain > 0.0) == produces
 
 
 class TestSolutionInvariants:
