@@ -114,7 +114,7 @@ class FixedProportions:
         """h(q) = integral of h' from 0 to q, in closed form."""
         out = self.c0 * q
         if self.c1 > 0.0:
-            out += self.c1 * self.tau * (1.0 - math.exp(-q / self.tau))
+            out -= self.c1 * self.tau * math.expm1(-q / self.tau)
         if self.c2 > 0.0:
             out += self.c2 * self.q_s / (self.rho + 1.0) \
                 * (q / self.q_s) ** (self.rho + 1.0)

@@ -15,6 +15,12 @@ regime (abundant prime movers), where the first-order condition governs
 output.  Curve shifts are multiplicative, applied through each good's
 requirement multiplier so marginal and average curves move consistently.
 
+Each perturbation is one pair of probe economies, the target raised and
+lowered, each solved once; every response is read from that pair.  Claims
+(a) and (b) share one pair (the shift of the first good's curve), and
+claim (c) has its own, so a trial costs four energy solves and two demand
+solves whatever the number of goods.
+
 All draws come from a named 64-bit generator (numpy PCG64); every trial is
 reproducible from (seed, trial index) and identified by its scenario digest.
 """
@@ -32,6 +38,8 @@ from .growth import enter_period
 from .surplus import solve_energy_side
 
 if TYPE_CHECKING:
+    from collections.abc import Sequence
+
     import numpy as np
 
 GENERATOR_NAME = "numpy-PCG64"
@@ -84,38 +92,63 @@ def _locate(doc: dict, path: str) -> tuple[str, int, str]:
     raise ValueError(f"no {section} entry with id {ident!r}")
 
 
-def _evaluate(scenario: ScenarioConfig, response: str) -> float:
-    """Solve the scenario and read one scalar response."""
+#: Response heads and what they read: the energy side's solution (``Q_e``
+#: and ``alpha`` keyed by good id, scalars ``phi`` and ``E_star``) or the
+#: consumer's (``Q_n`` keyed by good id, scalar ``lambda``).
+_RESPONSE_HEADS = ("Q_e", "alpha", "phi", "E_star", "Q_n", "lambda")
+_DEMAND_HEADS = ("Q_n", "lambda")
+
+
+def _evaluate(scenario: ScenarioConfig, responses: Sequence[str]) \
+        -> list[float]:
+    """Solve the scenario once and read every response from that solve.
+
+    Demand is solved only if some response needs it.  Response heads are
+    checked by the caller.
+    """
     state = enter_period(scenario, initial_state(scenario), 0)
     energy = solve_energy_side(scenario, state)
-    head, _, rest = response.partition(".")
-    if head == "Q_e":
-        return energy.outputs[rest]
-    if head == "alpha":
-        return energy.marginal_surplus[rest]
-    if head == "phi":
-        return energy.phi
-    if head == "E_star":
-        return energy.usable_surplus
-    if head in ("Q_n", "lambda"):
+    paths = [response.partition(".") for response in responses]
+    if any(head in _DEMAND_HEADS for head, _, _ in paths):
         demand = demand_for_state(scenario, state, energy.usable_surplus,
                                   energy.employment)
-        if head == "Q_n":
-            return demand.bundle[rest]
-        if demand.lam is None:
-            raise EglError("marginal utility undefined at zero surplus")
-        return demand.lam
-    raise ValueError(f"unsupported response path {response!r}")
+    values = []
+    for head, _, rest in paths:
+        if head == "Q_e":
+            values.append(energy.outputs[rest])
+        elif head == "alpha":
+            values.append(energy.marginal_surplus[rest])
+        elif head == "phi":
+            values.append(energy.phi)
+        elif head == "E_star":
+            values.append(energy.usable_surplus)
+        elif head == "Q_n":
+            values.append(demand.bundle[rest])
+        else:                               # lambda
+            if demand.lam is None:
+                raise EglError("marginal utility undefined at zero surplus")
+            values.append(demand.lam)
+    return values
 
 
-def perturb_and_sign(doc: dict, target: str, response: str,
-                     step: float = 1e-3) -> float:
-    """Central-difference derivative of ``response`` along ``target``.
+def perturb_and_sign(doc: dict, target: str, responses: Sequence[str],
+                     step: float = 1e-3) -> list[float]:
+    """Central-difference derivatives of ``responses`` along ``target``.
 
-    ``step`` is relative to the target's base value, which must be nonzero.
+    The document is parsed once and each of its two probe economies (target
+    raised and lowered by ``step``) is solved once; every response is read
+    from that one pair of solves.  The derivatives come back in the order
+    of ``responses``.  ``step`` is relative to the target's base value,
+    which must be nonzero.
     """
     if step == 0.0:
         raise ValueError("degenerate step")
+    if isinstance(responses, str):
+        raise ValueError("responses must be a sequence of paths, "
+                         f"not the string {responses!r}")
+    for response in responses:
+        if response.partition(".")[0] not in _RESPONSE_HEADS:
+            raise ValueError(f"unsupported response path {response!r}")
     section, index, key = _locate(doc, target)
     base = doc[section][index].get(
         key, 1.0 if key == "requirement_multiplier" else None)
@@ -125,12 +158,11 @@ def perturb_and_sign(doc: dict, target: str, response: str,
         raise ValueError(f"target {target!r} is zero; relative step degenerate")
 
     scenario = scenario_from_dict(doc)
-    values = []
-    for sign in (+1.0, -1.0):
-        probe = with_entry_value(scenario, doc, section, index, key,
-                                 base * (1.0 + sign * step))
-        values.append(_evaluate(probe, response))
-    return (values[0] - values[1]) / (2.0 * step * base)
+    up, down = (
+        _evaluate(with_entry_value(scenario, doc, section, index, key,
+                                   base * (1.0 + sign * step)), responses)
+        for sign in (+1.0, -1.0))
+    return [(hi - lo) / (2.0 * step * base) for hi, lo in zip(up, down)]
 
 
 # ---------------------------------------------------------------------------
@@ -241,21 +273,22 @@ def proposition_suite(seed: int, trials: int, family: dict | None = None,
         non_energy_ids = [g["id"] for g in doc["non_energy_goods"]]
         target_good = non_energy_ids[0]
 
-        _run_trial(results["a"], trial, digest, doc,
-                   f"non_energy_goods.{target_good}.requirement_multiplier",
-                   [(f"Q_n.{target_good}", -1.0)], step)
-
+        # (a) and (b) read one shift of the first good's curve: its own
+        # consumption first, then every other good's
+        shifted = _derivatives(
+            doc, f"non_energy_goods.{target_good}.requirement_multiplier",
+            [f"Q_n.{gid}" for gid in non_energy_ids], step)
+        _record(results["a"], trial, digest,
+                None if shifted is None else shifted[:1], -1.0)
         if len(non_energy_ids) < 2:
             results["b"]["applicable"] = False
         else:
-            probes = [(f"Q_n.{gid}", +1.0) for gid in non_energy_ids[1:]]
-            _run_trial(results["b"], trial, digest, doc,
-                       f"non_energy_goods.{target_good}"
-                       ".requirement_multiplier", probes, step)
+            _record(results["b"], trial, digest,
+                    None if shifted is None else shifted[1:], +1.0)
 
-        _run_trial(results["c"], trial, digest, doc,
-                   "energy_goods.e0.energy_content",
-                   [("Q_e.e0", +1.0)], step)
+        _record(results["c"], trial, digest,
+                _derivatives(doc, "energy_goods.e0.energy_content",
+                             ["Q_e.e0"], step), +1.0)
 
     tables = {}
     for key, res in results.items():
@@ -274,23 +307,28 @@ def proposition_suite(seed: int, trials: int, family: dict | None = None,
     return tables
 
 
-def _run_trial(res: dict, trial: int, digest: str, doc: dict, target: str,
-               probes: list[tuple[str, float]], step: float):
-    """One proposition on one scenario: every probe must carry the sign."""
+def _derivatives(doc: dict, target: str, responses: list[str],
+                 step: float) -> list[float] | None:
+    """``perturb_and_sign``, or None if either probe fails to solve."""
     try:
-        derivs = [perturb_and_sign(doc, target, response, step)
-                  for response, _ in probes]
+        return perturb_and_sign(doc, target, responses, step)
     except EglError:
+        return None
+
+
+def _record(res: dict, trial: int, digest: str,
+            derivs: list[float] | None, want: float):
+    """One proposition on one scenario: every derivative must carry the
+    sign of ``want``; None discards the trial."""
+    if derivs is None:
         res["discard"] += 1
         return
     res["count"] += 1
     res["derivs"].extend(derivs)
-    ok = all(d * want > 0.0 for d, (_, want) in zip(derivs, probes))
-    if ok:
+    offender = next((d for d in derivs if not d * want > 0.0), None)
+    if offender is None:
         res["confirm"] += 1
     else:
-        offender = next(d for d, (_, want) in zip(derivs, probes)
-                        if not d * want > 0.0)
         res["failures"].append((trial, digest, offender))
 
 

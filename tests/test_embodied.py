@@ -1,3 +1,6 @@
+import decimal
+from decimal import Decimal
+
 import numpy as np
 import pytest
 
@@ -89,6 +92,20 @@ class TestCumulative:
                 quad = cumulative_transfer_quadrature(tech, MOVER1, q)
                 assert quad == pytest.approx(
                     closed, abs=1e-9 * max(1.0, closed))
+
+    @pytest.mark.parametrize("q", [1e-12, 1e-9, 1e-6])
+    def test_profile_exact_at_small_quantity(self, q):
+        # the shocks scenario's wood profile against a 50-digit evaluation;
+        # 1 - exp(-q/tau) cancels to ~1e-4 relative at q = 1e-12
+        tech = FixedProportions(requirements={"m": 1.0}, c0=0.5, c1=4.0,
+                                tau=2.0, c2=0.4, q_s=4.0, rho=2.0)
+        with decimal.localcontext(prec=50):
+            x, c0, c1, tau, c2, q_s, rho = map(
+                Decimal, (q, 0.5, 4.0, 2.0, 0.4, 4.0, 2.0))
+            exact = (c0 * x + c1 * tau * (1 - (-x / tau).exp())
+                     + c2 * q_s / (rho + 1) * (x / q_s) ** (rho + 1))
+        got = Decimal(tech.cumulative_profile(q))
+        assert abs(got - exact) <= Decimal(1e-14) * exact
 
 
 class TestAverage:

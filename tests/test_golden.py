@@ -47,13 +47,13 @@ DIGESTS = {
     "equilibrium-scarce_growth/meec_grain.csv":
         "01c614cd26ca3ce8e89804e1e5dac529bab3661b345c449bb2ec9f5230b7f7e1",
     "equilibrium-shocks/demand.csv":
-        "7c0de1f6e69e28aa83eb5ae4ff67f3c10ce33be0fe1f5a2b2d42b4ee888256ba",
+        "f14aa4fcfaf3f335e54953fa891befff34fdf12c00ad205f40635394e3dfaa07",
     "equilibrium-shocks/equilibrium.csv":
         "3a8a7268a7418557c441407472f03e3f0d9a7073e12024ebfe1521ea161c9444",
     "equilibrium-shocks/figure1_wood.svg":
         "51cfe1cf53e21b7e35e6d4b3a8b36778fff14365b8792826897a606339c01b07",
     "equilibrium-shocks/meec_wood.csv":
-        "4bb60ba45cc841c19b53f7748eabd4ea85fc203f87d68aa05a709746cd383783",
+        "c8c123451da385a76b46ff8b14a26fc0da4e181f31e36dc598787721603fb247",
     "simulate-arrivals/figure2.svg":
         "2f4e31d06276361227f1f7e7607b4621e8912fbbe7667f04bc24b79cb756007c",
     "simulate-arrivals/trajectory.csv":

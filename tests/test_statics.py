@@ -1,3 +1,4 @@
+import collections
 import copy
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 import egl.statics
 from egl import scenario_from_dict
 from egl.core import with_entry_value
-from egl.errors import ScenarioValidationError
+from egl.errors import ScenarioValidationError, SolverError
 from egl.statics import (_locate, draw_scenario, perturb_and_sign,
                          proposition_suite, tangency_residuals)
 
@@ -19,28 +20,33 @@ class TestPerturbAndSign:
         # Q = delta / 4 and the derivative is exactly 0.25
         doc = cd1_doc()
         doc["solver"] = {"force_phi": 0.5}
-        d = perturb_and_sign(doc, "energy_goods.e0.energy_content",
-                             "Q_e.e0", step=0.01)
+        d, = perturb_and_sign(doc, "energy_goods.e0.energy_content",
+                              ["Q_e.e0"], step=0.01)
         assert d == pytest.approx(0.25, rel=1e-6)
 
     def test_curve_shift_lowers_own_demand(self):
         doc = cd1_doc()
-        d = perturb_and_sign(
-            doc, "non_energy_goods.n0.requirement_multiplier", "Q_n.n0")
+        d, = perturb_and_sign(
+            doc, "non_energy_goods.n0.requirement_multiplier", ["Q_n.n0"])
         assert d < 0.0
 
     def test_zero_step_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
             perturb_and_sign(cd1_doc(), "energy_goods.e0.energy_content",
-                             "Q_e.e0", step=0.0)
+                             ["Q_e.e0"], step=0.0)
 
-    def test_unknown_paths_rejected(self):
+    def test_unknown_paths_rejected(self, monkeypatch):
+        # both checks come before any solve
+        def no_solve(*args, **kw):
+            pytest.fail("solved before the paths were checked")
+
+        monkeypatch.setattr(egl.statics, "solve_energy_side", no_solve)
         with pytest.raises(ValueError):
             perturb_and_sign(cd1_doc(), "energy_goods.nope.energy_content",
-                             "Q_e.e0")
-        with pytest.raises(ValueError):
+                             ["Q_e.e0"])
+        with pytest.raises(ValueError, match="bogus"):
             perturb_and_sign(cd1_doc(), "energy_goods.e0.energy_content",
-                             "bogus.e0")
+                             ["Q_e.e0", "bogus.e0"])
 
     def test_period_zero_shift_is_part_of_the_economy(self):
         # halving the requirement at period 0 makes gamma(Q) = Q, so
@@ -48,16 +54,61 @@ class TestPerturbAndSign:
         doc = cd1_doc(events=[{"period": 0, "kind": "efficiency_shift",
                                "good": "e0", "multiplier": 0.5}])
         doc["solver"] = {"force_phi": 0.0}
-        d = perturb_and_sign(doc, "energy_goods.e0.energy_content",
-                             "Q_e.e0", step=0.01)
+        d, = perturb_and_sign(doc, "energy_goods.e0.energy_content",
+                              ["Q_e.e0"], step=0.01)
         assert d == pytest.approx(1.0, rel=1e-6)
 
     def test_scalar_responses(self):
         doc = cd1_doc()
-        d = perturb_and_sign(doc, "energy_goods.e0.energy_content", "E_star",
-                             step=0.01)
+        d, = perturb_and_sign(doc, "energy_goods.e0.energy_content",
+                              ["E_star"], step=0.01)
         # E(delta) = delta**2 / 4 at the interior optimum, slope delta / 2
         assert d == pytest.approx(5.0, rel=1e-6)
+
+
+class TestSharedProbeSolves:
+    def test_bare_string_rejected(self):
+        with pytest.raises(ValueError, match="sequence"):
+            perturb_and_sign(cd1_doc(), "energy_goods.e0.energy_content",
+                             "Q_e.e0")
+
+    def test_one_call_equals_one_call_per_response(self):
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            doc = draw_scenario(rng)
+            responses = ([f"Q_n.{g['id']}" for g in doc["non_energy_goods"]]
+                         + ["Q_e.e0", "alpha.e0", "phi", "E_star", "lambda"])
+            for target in ("non_energy_goods.n0.requirement_multiplier",
+                           "energy_goods.e0.energy_content"):
+                together = perturb_and_sign(doc, target, responses)
+                alone = [perturb_and_sign(doc, target, [response])[0]
+                         for response in responses]
+                assert together == alone
+
+    @pytest.mark.parametrize("family, cross", [(None, True),
+                                               ({"non_energy": {
+                                                   "count": [1, 1]}}, False)])
+    def test_suite_trial_solves_each_probe_once(self, monkeypatch, family,
+                                                cross):
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kw):
+                calls[name] += 1
+                return fn(*args, **kw)
+            monkeypatch.setattr(egl.statics, name, wrapper)
+
+        for name in ("solve_energy_side", "demand_for_state",
+                     "scenario_from_dict"):
+            counted(name, getattr(egl.statics, name))
+        doc = draw_scenario(np.random.default_rng([5, 0]), family)
+        assert (len(doc["non_energy_goods"]) >= 2) == cross
+        tables = proposition_suite(5, 1, family)
+        assert calls == {"solve_energy_side": 4, "demand_for_state": 2,
+                         "scenario_from_dict": 2}
+        assert tables["b"].applicable == cross
+        assert [tables[key].trials for key in "abc"] \
+            == [1, 1 if cross else 0, 1]
 
 
 def probe_doc():
@@ -127,7 +178,7 @@ class TestProbeScenario:
         for target, response in (
                 ("non_energy_goods.n0.requirement_multiplier", "Q_n.n1"),
                 ("energy_goods.e0.energy_content", "Q_e.e0")):
-            perturb_and_sign(doc, target, response)
+            perturb_and_sign(doc, target, [response])
         assert len(parses) == 2
         assert sum(root_calls.values()) == 0
 
@@ -183,6 +234,18 @@ class TestPropositionSuite:
                 == np.sign(fine[key].min_derivative)
             assert np.sign(coarse[key].max_derivative) \
                 == np.sign(fine[key].max_derivative)
+
+    def test_failed_shift_discards_own_and_cross_checks(self, monkeypatch):
+        # (a) and (b) share the curve shift's probes, so a demand solve
+        # that fails discards the trial from both; (c) needs no demand
+        def failing(*args, **kw):
+            raise SolverError("demand", "no demand")
+
+        monkeypatch.setattr(egl.statics, "demand_for_state", failing)
+        tables = proposition_suite(42, 3)
+        assert [(tables[key].trials, tables[key].discarded)
+                for key in "abc"] == [(0, 3), (0, 3), (3, 0)]
+        assert tables["c"].confirmations == 3
 
     def test_trials_required(self):
         with pytest.raises(ValueError):
