@@ -14,16 +14,18 @@ otherwise a bracket search and a bracketed root find the multiplier.
 Internally the multiplier belongs to an additively separable transform of
 the utility (same level sets, hence same demands); the reported marginal
 utility of energy is evaluated on the stated utility form at the solution.
+Each good's curve is compiled once per solve (``embodied.curve``); the
+power laws, inner solves, spending, the curves at the bundle and the
+support fleet all read it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .core import (EconomyState, NonEnergyGood, Preferences, PrimeMoverType,
                    effective_multiplier, employment_totals)
-from .embodied import (cumulative_transfer, input_requirements,
-                       marginal_embodied, power_law, solve_power)
+from .embodied import Curve, curve, solve_power
 from .errors import SolverError
 from .numerics import bracketed_root
 
@@ -104,16 +106,16 @@ def solve_demands(preferences: Preferences,
     mult = {g.id: (multipliers or {}).get(g.id, 1.0) for g in goods}
 
     if energy <= 0.0:
-        bundle = {g.id: 0.0 for g in goods}
-        return _with_allocation(
-            DemandSolution(bundle=bundle, lam=None, support_employment={},
-                           usability_slack=0.0, budget_residual=0.0,
-                           feasible=True, energy_budget=max(energy, 0.0)),
-            goods, movers, mult, remaining_endowment)
+        return _solution({g.id: 0.0 for g in goods}, {}, movers,
+                         remaining_endowment, max(energy, 0.0), lam=None,
+                         budget_residual=0.0)
 
     r = _curvature(preferences)
     weights = {g.id: preferences.weights[g.id] for g in goods}
-    laws = {g.id: power_law(g.technology, movers, mult[g.id]) for g in goods}
+    curves, laws = {}, {}
+    for g in goods:
+        kernel = curves[g.id] = curve(g.technology, movers, mult[g.id])
+        laws[g.id] = kernel.power_law()
 
     def quantity(good: NonEnergyGood, target: float) -> float:
         """Inner solve: q ** (1-r) * gamma(q) = target."""
@@ -127,12 +129,10 @@ def solve_demands(preferences: Preferences,
                     f"demand for {good.id!r} at its target {target:.6g} "
                     f"lies outside (0, {_Q_MAX:g}]")
             return q
+        marginal = curves[good.id].marginal
 
         def gap(q: float) -> float:
-            return (q ** (1.0 - r)
-                    * marginal_embodied(good.technology, movers, q,
-                                        mult[good.id])
-                    - target)
+            return q ** (1.0 - r) * marginal(q) - target
 
         hi = 1.0
         while gap(hi) < 0.0:
@@ -150,8 +150,7 @@ def solve_demands(preferences: Preferences,
         total = 0.0
         for g in goods:
             q = quantity(g, weights[g.id] / lam_sep)
-            total += cumulative_transfer(g.technology, movers, q,
-                                         mult[g.id])
+            total += curves[g.id].transfer(q)
         return total
 
     powers = {law[1] if law is not None else None for law in laws.values()}
@@ -178,33 +177,48 @@ def solve_demands(preferences: Preferences,
                                      lam_lo, lam_hi, rtol=rtol)
 
     bundle = {g.id: quantity(g, weights[g.id] / lam_sep) for g in goods}
-    gamma = {g.id: marginal_embodied(g.technology, movers, bundle[g.id],
-                                     mult[g.id]) for g in goods}
-    gamma_avg = {g.id: cumulative_transfer(g.technology, movers,
-                                           bundle[g.id], mult[g.id])
-                 / bundle[g.id] if bundle[g.id] > 0.0 else gamma[g.id]
-                 for g in goods}
-    spent = sum(gamma_avg[g.id] * bundle[g.id] for g in goods)
-    lam = sum(marginal_utility(preferences, bundle, g.id) / gamma[g.id]
-              for g in goods) / len(goods)
-
-    return _with_allocation(
-        DemandSolution(bundle=bundle, lam=lam, support_employment={},
-                       usability_slack=0.0, budget_residual=spent - energy,
-                       feasible=True, energy_budget=energy,
-                       gamma_marginal=gamma, gamma_average=gamma_avg),
-        goods, movers, mult, remaining_endowment)
+    gamma = {gid: curves[gid].marginal(q) for gid, q in bundle.items()}
+    gamma_avg = {gid: curves[gid].transfer(q) / q if q > 0.0 else gamma[gid]
+                 for gid, q in bundle.items()}
+    spent = sum(gamma_avg[gid] * q for gid, q in bundle.items())
+    lam = sum(marginal_utility(preferences, bundle, gid) / gamma[gid]
+              for gid in bundle) / len(goods)
+    return _solution(bundle, curves, movers, remaining_endowment, energy,
+                     lam=lam, budget_residual=spent - energy,
+                     gamma_marginal=gamma, gamma_average=gamma_avg)
 
 
-def _with_allocation(solution: DemandSolution, goods, movers, mult,
-                     remaining_endowment) -> DemandSolution:
-    employment, feasible, violations = allocate_support_prime_movers(
-        solution.bundle, goods, movers,
-        remaining_endowment, multipliers=mult)
-    slack = usability_slack(employment, movers, solution.energy_budget)
-    return replace(solution, support_employment=employment,
-                   usability_slack=slack, feasible=feasible,
-                   violations=tuple(violations))
+def _solution(bundle: dict[str, float], curves: dict[str, Curve],
+              movers: dict[str, PrimeMoverType],
+              remaining_endowment: dict[str, float] | None, energy: float,
+              **fields) -> DemandSolution:
+    """The solution for a bundle, with its support fleet read from the
+    goods' curves (only producing goods need one)."""
+    employment, feasible, violations = _support(bundle, curves,
+                                                remaining_endowment)
+    return DemandSolution(
+        bundle=bundle, support_employment=employment,
+        usability_slack=usability_slack(employment, movers, energy),
+        feasible=feasible, violations=tuple(violations),
+        energy_budget=energy, **fields)
+
+
+def _support(quantities: dict[str, float], curves: dict[str, Curve],
+             remaining_endowment: dict[str, float] | None):
+    """Mover units per good, whether they fit the remaining endowment, and
+    the over-committed mover types."""
+    employment: dict[str, dict[str, float]] = {}
+    for gid, q in quantities.items():
+        employment[gid] = {} if q <= 0.0 else curves[gid].requirements(q)
+    feasible = True
+    violations: list[str] = []
+    if remaining_endowment is not None:
+        for mid, used in sorted(employment_totals(employment).items()):
+            avail = remaining_endowment.get(mid, 0.0)
+            if used > avail * (1.0 + 1e-9) + 1e-15:
+                feasible = False
+                violations.append(mid)
+    return employment, feasible, violations
 
 
 def allocate_support_prime_movers(
@@ -219,20 +233,10 @@ def allocate_support_prime_movers(
     never silently scaled away.
     """
     mult = multipliers or {}
-    employment: dict[str, dict[str, float]] = {}
-    for g in goods:
-        q = bundle.get(g.id, 0.0)
-        employment[g.id] = {} if q <= 0.0 else input_requirements(
-            g.technology, movers, q, mult.get(g.id, 1.0))
-    feasible = True
-    violations: list[str] = []
-    if remaining_endowment is not None:
-        for mid, used in sorted(employment_totals(employment).items()):
-            avail = remaining_endowment.get(mid, 0.0)
-            if used > avail * (1.0 + 1e-9) + 1e-15:
-                feasible = False
-                violations.append(mid)
-    return employment, feasible, violations
+    quantities = {g.id: bundle.get(g.id, 0.0) for g in goods}
+    curves = {g.id: curve(g.technology, movers, mult.get(g.id, 1.0))
+              for g in goods if quantities[g.id] > 0.0}
+    return _support(quantities, curves, remaining_endowment)
 
 
 def usability_slack(employment: dict[str, dict[str, float]],

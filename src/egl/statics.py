@@ -92,18 +92,41 @@ def _locate(doc: dict, path: str) -> tuple[str, int, str]:
     raise ValueError(f"no {section} entry with id {ident!r}")
 
 
-#: Response heads and what they read: the energy side's solution (``Q_e``
-#: and ``alpha`` keyed by good id, scalars ``phi`` and ``E_star``) or the
-#: consumer's (``Q_n`` keyed by good id, scalar ``lambda``).
-_RESPONSE_HEADS = ("Q_e", "alpha", "phi", "E_star", "Q_n", "lambda")
+#: Response heads and the goods their key names: the energy side's
+#: solution (``Q_e`` and ``alpha`` keyed by energy good id, scalars ``phi``
+#: and ``E_star``) or the consumer's (``Q_n`` keyed by non-energy good id,
+#: scalar ``lambda``).
+_RESPONSE_KEYS = {"Q_e": "energy_goods", "alpha": "energy_goods",
+                  "phi": None, "E_star": None,
+                  "Q_n": "non_energy_goods", "lambda": None}
 _DEMAND_HEADS = ("Q_n", "lambda")
+
+
+def _check_responses(scenario: ScenarioConfig,
+                     responses: Sequence[str]) -> None:
+    """Raise ValueError unless every response path reads a solution value:
+    a known head, a key naming a good active in the period-0 economy where
+    the head takes one, and no key where it does not."""
+    state = initial_state(scenario)
+    for response in responses:
+        head, dot, key = response.partition(".")
+        if head not in _RESPONSE_KEYS:
+            raise ValueError(f"unsupported response path {response!r}")
+        section = _RESPONSE_KEYS[head]
+        if section is None:
+            if dot:
+                raise ValueError(
+                    f"response {head!r} takes no key: {response!r}")
+        elif key not in getattr(state, section):
+            raise ValueError(f"response path {response!r}: no active "
+                             f"{section} entry with id {key!r}")
 
 
 def _evaluate(scenario: ScenarioConfig, responses: Sequence[str]) \
         -> list[float]:
     """Solve the scenario once and read every response from that solve.
 
-    Demand is solved only if some response needs it.  Response heads are
+    Demand is solved only if some response needs it.  Response paths are
     checked by the caller.
     """
     state = enter_period(scenario, initial_state(scenario), 0)
@@ -139,16 +162,14 @@ def perturb_and_sign(doc: dict, target: str, responses: Sequence[str],
     raised and lowered by ``step``) is solved once; every response is read
     from that one pair of solves.  The derivatives come back in the order
     of ``responses``.  ``step`` is relative to the target's base value,
-    which must be nonzero.
+    which must be nonzero.  Every response path is checked against the
+    parsed period-0 economy before either probe is solved.
     """
     if step == 0.0:
         raise ValueError("degenerate step")
     if isinstance(responses, str):
         raise ValueError("responses must be a sequence of paths, "
                          f"not the string {responses!r}")
-    for response in responses:
-        if response.partition(".")[0] not in _RESPONSE_HEADS:
-            raise ValueError(f"unsupported response path {response!r}")
     section, index, key = _locate(doc, target)
     base = doc[section][index].get(
         key, 1.0 if key == "requirement_multiplier" else None)
@@ -158,6 +179,7 @@ def perturb_and_sign(doc: dict, target: str, responses: Sequence[str],
         raise ValueError(f"target {target!r} is zero; relative step degenerate")
 
     scenario = scenario_from_dict(doc)
+    _check_responses(scenario, responses)
     up, down = (
         _evaluate(with_entry_value(scenario, doc, section, index, key,
                                    base * (1.0 + sign * step)), responses)

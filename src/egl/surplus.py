@@ -20,6 +20,14 @@ there, and the usability constraint is then imposed by rescaling the
 outputs, or narrow the bracket to the continuous piece where one bracketed
 root finds the fixed point.  A jump the shares miss leaves that root short
 of the slack tolerance and is rescaled the same way.
+
+A solve compiles each good's curve once (``embodied.curve``), and every
+step that evaluates it (gamma(0), the caps, the power laws, the residuals,
+the rationing, the rescale and the first-order conditions) reads that
+kernel.
+A residual works on per-mover employment totals, and each share it
+evaluates keeps its allocation, so the accepted share is not solved again;
+per-good employment is built once, for the solution.
 """
 
 from __future__ import annotations
@@ -29,10 +37,8 @@ import math
 from dataclasses import dataclass, field
 
 from .core import (CobbDouglas, EconomyState, EnergyGood, ScenarioConfig,
-                   effective_multiplier, employment_totals, initial_state)
-from .embodied import (cumulative_transfer, input_requirements,
-                       marginal_embodied, marginal_requirements,
-                       output_cap_for_stock, power_law, sample_curve,
+                   effective_multiplier, initial_state)
+from .embodied import (Curve, curve, marginal_embodied, sample_curve,
                        solve_power)
 from .errors import SolverError
 from .numerics import bracketed_root
@@ -95,16 +101,18 @@ def scarcity_premium(good: EnergyGood, q: float, phi: float,
         raise ValueError("phi must be in [0, 1)")
     if phi == 0.0:
         return 0.0
-    m = effective_multiplier(good, state)
-    return phi / (1.0 - phi) * _premium_factor(good, state.movers, q, m)
+    kernel = curve(good.technology, state.movers,
+                   effective_multiplier(good, state))
+    return _premium(phi, kernel.marginal_requirements(q), state.movers)
 
 
-def _premium_factor(good: EnergyGood, movers: dict, q: float,
-                    multiplier: float) -> float:
-    """Mean of eps_l * g'_l(q) over the good's used movers."""
-    grads = marginal_requirements(good.technology, movers, q, multiplier)
+def _premium(phi: float, grads: dict[str, float], movers: dict) -> float:
+    """(phi/(1-phi)) times the mean of eps_l * g'_l(q) over the good's used
+    movers, given their marginal requirements g'_l(q)."""
+    if phi == 0.0:
+        return 0.0
     total = sum(movers[mid].direct_energy * g for mid, g in grads.items())
-    return total / len(grads)
+    return phi / (1.0 - phi) * (total / len(grads))
 
 
 def _shutdown_weight(tech, delta: float, cap: float) -> float:
@@ -142,17 +150,20 @@ def mover_surplus_rates(phi: float,
 # ---------------------------------------------------------------------------
 
 class _Problem:
-    """Precomputed per-good data for one energy-side solve."""
+    """Per-good curves and constants for one energy-side solve, and the
+    allocation at every share phi evaluated so far."""
 
     def __init__(self, scenario: ScenarioConfig, state: EconomyState):
         self.state = state
         self.settings = scenario.solver
         self.goods = list(state.energy_goods.values())
         self.mult = {g.id: effective_multiplier(g, state) for g in self.goods}
-        self.gamma0 = {
-            g.id: marginal_embodied(g.technology, state.movers, 0.0,
-                                    self.mult[g.id])
-            for g in self.goods}
+        self.curves = {}
+        self.gamma0 = {}
+        for g in self.goods:
+            kernel = curve(g.technology, state.movers, self.mult[g.id])
+            self.curves[g.id] = kernel
+            self.gamma0[g.id] = kernel.marginal(0.0)
         self.producible = {}
         self.caps = {}
         self.cap_tags = {}
@@ -171,8 +182,7 @@ class _Problem:
                 continue
             cap, tag = math.inf, ""
             for mid in used:
-                c = output_cap_for_stock(g.technology, state.movers, mid,
-                                         state.stocks[mid], self.mult[g.id])
+                c = self.curves[g.id].output_cap(mid, state.stocks[mid])
                 if c < cap:
                     cap, tag = c, f"endowment:{mid}"
             if remaining < cap:
@@ -181,13 +191,12 @@ class _Problem:
             self.cap_tags[g.id] = tag
         self.candidates = [
             g for g in self.goods
-            if self.producible[g.id]
-            and g.energy_content > self.gamma0[g.id]
-            and self.caps[g.id] > 0.0]
+            if self.producible[g.id] and self.caps[g.id] > 0.0
+            and self.earns(g, self.caps[g.id])]
         # the curve's power law and premium weight (smooth technology), or
-        # the transfer and premium weights of the requirement profile, its
-        # peak and its shutdown threshold (fixed proportions), are computed
-        # once per solve
+        # the premium weight of the requirement profile, its peak and its
+        # shutdown threshold (fixed proportions), are computed once per
+        # solve
         self.smooth_terms = {}
         self.fixed_terms = {}
         for g in self.candidates:
@@ -199,19 +208,32 @@ class _Problem:
                 kappa = sum(state.movers[mid].direct_energy
                             / state.movers[mid].total_transfer
                             for mid in used) / len(used)
-                a, k = power_law(tech, state.movers, self.mult[g.id])
+                a, k = self.curves[g.id].power_law()
                 self.smooth_terms[g.id] = (a, k, kappa)
                 continue
             used = [(mid, nu) for mid, nu in tech.requirements.items()
                     if nu > 0.0]
-            w_total = sum(state.movers[mid].total_transfer * nu
-                          for mid, nu in used)
             eps_mean = sum(state.movers[mid].direct_energy * nu
                            for mid, nu in used) / len(used)
             cap = self.caps[g.id]
             self.fixed_terms[g.id] = (
-                w_total, eps_mean, min(tech.dip, cap),
+                self.curves[g.id].w, eps_mean, min(tech.dip, cap),
                 _shutdown_weight(tech, g.energy_content, cap))
+        self.allocations = {}
+
+    def earns(self, good: EnergyGood, cap: float) -> bool:
+        """Whether the good earns a surplus on (0, cap] at phi = 0.
+
+        A smooth curve starts at gamma(0) = 0 below any content.  A
+        fixed-proportions good earns while its profile weight m * w stays
+        below its shutdown threshold, which holds whenever its content
+        exceeds gamma(0), and can hold below gamma(0) for a dipping
+        profile.
+        """
+        if isinstance(good.technology, CobbDouglas):
+            return good.energy_content > self.gamma0[good.id]
+        return self.curves[good.id].mw < _shutdown_weight(
+            good.technology, good.energy_content, cap)
 
     def good_output(self, good: EnergyGood, c: float):
         """Optimal output of one good at premium weight c = phi/(1-phi).
@@ -269,23 +291,23 @@ class _Problem:
                 shares.append(c_star / (1.0 + c_star))
         return sorted(shares)
 
-    def outputs_at(self, phi: float):
-        """Per-good outputs at a candidate phi: optimal-output rule per
-        good, then per-mover rationing when a shared endowment is
-        over-committed."""
-        c = phi / (1.0 - phi)
-        outputs: dict[str, float] = {g.id: 0.0 for g in self.goods}
-        bindings: dict[str, str] = {}
-        for g in self.candidates:
-            q, tag = self.good_output(g, c)
-            outputs[g.id] = q
-            if tag is not None:
-                bindings[g.id] = tag
-
-        employment = self._employment(outputs)
-        outputs, employment, extra = self._ration(outputs, employment)
-        bindings.update(extra)
-        return outputs, employment, bindings
+    def allocation(self, phi: float):
+        """Outputs, expenditure G per good, mover units employed and binding
+        constraints at a candidate phi: the optimal-output rule per good,
+        then per-mover rationing when a shared endowment is over-committed.
+        Each share is allocated once per solve."""
+        if phi not in self.allocations:
+            c = phi / (1.0 - phi)
+            outputs: dict[str, float] = {g.id: 0.0 for g in self.goods}
+            bindings: dict[str, str] = {}
+            for g in self.candidates:
+                q, tag = self.good_output(g, c)
+                outputs[g.id] = q
+                if tag is not None:
+                    bindings[g.id] = tag
+            costs, totals = self._ration(outputs, bindings)
+            self.allocations[phi] = outputs, costs, totals, bindings
+        return self.allocations[phi]
 
     def rescale_to_usability(self, outputs: dict[str, float]):
         """Shrink outputs along a common ray until surplus fits capacity.
@@ -296,38 +318,47 @@ class _Problem:
         """
         def excess(scale: float) -> float:
             scaled = {gid: q * scale for gid, q in outputs.items()}
-            emp = self._employment(scaled)
-            income, spent, _ = self.surplus(scaled)
-            return (income - spent) - self.capacity(emp)
+            return self.slack(scaled, *self.load(scaled))
 
         if excess(1.0) <= 0.0:
-            return outputs, self._employment(outputs), False
+            return outputs, False
         scale = bracketed_root(excess, 0.0, 1.0, rtol=1e-13)
-        scaled = {gid: q * scale for gid, q in outputs.items()}
-        return scaled, self._employment(scaled), True
+        return {gid: q * scale for gid, q in outputs.items()}, True
 
-    def _employment(self, outputs: dict[str, float]):
-        emp: dict[str, dict[str, float]] = {}
+    def load(self, outputs: dict[str, float]):
+        """Expenditure G per good and units employed per mover."""
+        costs: dict[str, float] = {}
+        totals: dict[str, float] = {}
         for g in self.goods:
-            q = outputs.get(g.id, 0.0)
+            q = outputs[g.id]
             if q <= 0.0:
-                emp[g.id] = {}
+                costs[g.id] = 0.0
                 continue
-            emp[g.id] = input_requirements(g.technology, self.state.movers, q,
-                                           self.mult[g.id])
-        return emp
+            kernel = self.curves[g.id]
+            costs[g.id], amounts = kernel.load(q)
+            for mid, x in zip(kernel.movers, amounts):
+                totals[mid] = totals.get(mid, 0.0) + x
+        return costs, totals
 
-    def _ration(self, outputs, employment):
+    def employment(self, outputs: dict[str, float]):
+        """Mover units per good and mover at the outputs."""
+        return {g.id: {} if outputs[g.id] <= 0.0
+                else self.curves[g.id].requirements(outputs[g.id])
+                for g in self.goods}
+
+    def _ration(self, outputs, bindings):
         """Scale back goods sharing an over-committed mover type.
 
         Proportional rationing: all goods employing the worst-violated mover
         shrink by a common factor until its total employment meets the stock.
-        Loops at most once per mover type.
+        Loops at most once per mover type.  Scales ``outputs`` in place,
+        tags the rationed goods in ``bindings``, and returns the expenditure
+        and mover totals of the final outputs.
         """
-        bindings: dict[str, str] = {}
+        costs, totals = self.load(outputs)
         for _ in range(len(self.state.movers) + 1):
             worst, worst_ratio = None, 1.0 + 1e-12
-            for mid, used in sorted(employment_totals(employment).items()):
+            for mid, used in sorted(totals.items()):
                 stock = self.state.stocks.get(mid, 0.0)
                 if stock <= 0.0 and used > 0.0:
                     ratio = math.inf
@@ -336,56 +367,57 @@ class _Problem:
                 if ratio > worst_ratio:
                     worst, worst_ratio = mid, ratio
             if worst is None:
-                return outputs, employment, bindings
+                break
             stock = self.state.stocks.get(worst, 0.0)
-            users = [g for g in self.goods
-                     if employment[g.id].get(worst, 0.0) > 0.0]
+            # each good employing the worst mover: (id, curve, mover slot)
+            users = []
+            for g in self.goods:
+                kernel, q = self.curves[g.id], outputs[g.id]
+                if q > 0.0 and worst in kernel.movers:
+                    i = kernel.movers.index(worst)
+                    if kernel.load(q)[1][i] > 0.0:
+                        users.append((g.id, kernel, i))
 
             def over(scale: float) -> float:
                 tot = 0.0
-                for g in users:
-                    q = outputs[g.id] * scale
-                    reqs = input_requirements(g.technology, self.state.movers,
-                                              q, self.mult[g.id])
-                    tot += reqs.get(worst, 0.0)
+                for gid, kernel, i in users:
+                    tot += kernel.load(outputs[gid] * scale)[1][i]
                 return tot - stock
 
             s = bracketed_root(over, 0.0, 1.0, rtol=1e-13) \
                 if over(0.0) < 0.0 else 0.0
-            for g in users:
-                outputs[g.id] = outputs[g.id] * s
-                bindings[g.id] = f"endowment:{worst}"
-            employment = self._employment(outputs)
-        return outputs, employment, bindings
+            for gid, _, _ in users:
+                outputs[gid] = outputs[gid] * s
+                bindings[gid] = f"endowment:{worst}"
+            costs, totals = self.load(outputs)
+        return costs, totals
 
-    def surplus(self, outputs: dict[str, float]):
-        """Gross income I, expenditure G and G per good at the outputs."""
+    def surplus(self, outputs: dict[str, float], costs: dict[str, float]):
+        """Gross income I and expenditure G at the outputs."""
         income = 0.0
         spent = 0.0
-        per_good: dict[str, float] = {}
         for g in self.goods:
-            q = outputs.get(g.id, 0.0)
-            income += g.energy_content * q
-            cost = cumulative_transfer(g.technology, self.state.movers, q,
-                                       self.mult[g.id])
-            per_good[g.id] = cost
-            spent += cost
-        return income, spent, per_good
+            income += g.energy_content * outputs[g.id]
+            spent += costs[g.id]
+        return income, spent
 
-    def capacity(self, employment) -> float:
+    def capacity(self, totals: dict[str, float]) -> float:
         """Direct-energy capacity of movers left over for non-energy work."""
-        used = employment_totals(employment)
         total = 0.0
         for mid, mover in self.state.movers.items():
-            leftover = self.state.stocks.get(mid, 0.0) - used.get(mid, 0.0)
+            leftover = self.state.stocks.get(mid, 0.0) - totals.get(mid, 0.0)
             if leftover > 0.0:
                 total += mover.direct_energy * leftover
         return total
 
+    def slack(self, outputs, costs, totals) -> float:
+        """Usable surplus E = I - G minus the leftover capacity U."""
+        income, spent = self.surplus(outputs, costs)
+        return (income - spent) - self.capacity(totals)
+
     def residual(self, phi: float) -> float:
-        outputs, employment, _ = self.outputs_at(phi)
-        income, spent, _ = self.surplus(outputs)
-        return (income - spent) - self.capacity(employment)
+        outputs, costs, totals, _ = self.allocation(phi)
+        return self.slack(outputs, costs, totals)
 
 
 def _null_solution(problem: _Problem, phi: float = 0.0,
@@ -492,13 +524,15 @@ def solve_energy_side(scenario: ScenarioConfig,
         force_phi = scenario.solver.force_phi
     forced = force_phi is not None
 
-    profitable = [g for g in problem.goods
-                  if g.energy_content > problem.gamma0[g.id]]
+    profitable = [g for g in problem.goods if problem.earns(g, math.inf)]
     if not profitable:
         return _null_solution(problem, force_phi or 0.0, forced)
     if not problem.candidates:
-        if all(g.id in problem.exhausted for g in profitable):
-            # primary sources ran dry; nothing left to extract
+        # a good that would earn either ran its primary source dry or
+        # earns nothing below its endowment cap; only one whose movers
+        # are missing leaves the economy unable to produce
+        if all(g.id in problem.exhausted or problem.caps.get(g.id, 0.0) > 0.0
+               for g in profitable):
             return _null_solution(problem, force_phi or 0.0, forced)
         raise SolverError(
             "infeasible",
@@ -511,16 +545,18 @@ def solve_energy_side(scenario: ScenarioConfig,
     else:
         phi, balanced = _solve_phi(problem)
 
-    outputs, employment, bindings = problem.outputs_at(phi)
+    outputs, costs, totals, bindings = problem.allocation(phi)
+    bindings = dict(bindings)
     if not balanced:
-        outputs, employment, rescaled = problem.rescale_to_usability(outputs)
+        outputs, rescaled = problem.rescale_to_usability(outputs)
         if rescaled:
+            costs, totals = problem.load(outputs)
             for gid, q in outputs.items():
                 if q > 0.0:
                     bindings[gid] = "usability"
-    income, spent, expenditure = problem.surplus(outputs)
+    income, spent = problem.surplus(outputs, costs)
     e_star = income - spent
-    capacity = problem.capacity(employment)
+    capacity = problem.capacity(totals)
 
     alpha: dict[str, float] = {}
     gamma: dict[str, float] = {}
@@ -530,18 +566,18 @@ def solve_energy_side(scenario: ScenarioConfig,
     phi_l = mover_surplus_rates(phi, state.movers)
 
     for g in problem.goods:
-        q = outputs.get(g.id, 0.0)
-        m = problem.mult[g.id]
-        gam = marginal_embodied(g.technology, state.movers, q, m)
+        q = outputs[g.id]
+        kernel = problem.curves[g.id]
+        gam = kernel.marginal(q)
         gamma[g.id] = gam
         alpha[g.id] = g.energy_content - gam
         meroi_map[g.id] = g.energy_content / gam if q > 0.0 else None
         if q <= 0.0:
             continue
-        premium = scarcity_premium(g, q, phi, state)
+        grads = kernel.marginal_requirements(q)
+        premium = _premium(phi, grads, state.movers)
         foc_goods[g.id] = abs(alpha[g.id] - premium) / g.energy_content
         if isinstance(g.technology, CobbDouglas) and g.id not in bindings:
-            grads = marginal_requirements(g.technology, state.movers, q, m)
             for mid, gprime in grads.items():
                 mover = state.movers[mid]
                 resid = (g.energy_content / gprime
@@ -549,10 +585,10 @@ def solve_energy_side(scenario: ScenarioConfig,
                 foc_movers[f"{g.id}/{mid}"] = abs(resid) / g.energy_content
 
     return EnergySideSolution(
-        outputs=outputs, employment=employment, phi=phi,
+        outputs=outputs, employment=problem.employment(outputs), phi=phi,
         marginal_surplus=alpha, mover_surplus=phi_l, gamma=gamma,
         usable_surplus=e_star, gross_income=income, gross_expenditure=spent,
-        expenditure=expenditure, meroi=meroi_map, foc_good_residuals=foc_goods,
+        expenditure=costs, meroi=meroi_map, foc_good_residuals=foc_goods,
         foc_mover_residuals=foc_movers, binding_constraints=bindings,
         usable_capacity=capacity, slack_residual=e_star - capacity,
         phi_forced=forced, null=False)
@@ -568,7 +604,8 @@ def figure1_report(scenario: ScenarioConfig, state: EconomyState | None,
     m = effective_multiplier(good, state)
     q_star = solution.outputs.get(good_id, 0.0)
 
-    saturation = _saturation_quantity(good, state, m)
+    saturation = _saturation_quantity(
+        good, state, curve(good.technology, state.movers, m))
     spans = [1.0]
     if q_star > 0.0:
         spans.append(2.0 * q_star)
@@ -597,7 +634,7 @@ def figure1_report(scenario: ScenarioConfig, state: EconomyState | None,
 
 
 def _saturation_quantity(good: EnergyGood, state: EconomyState,
-                         multiplier: float) -> float | None:
+                         kernel: Curve) -> float | None:
     """Output level whose direct-energy requirement uses the whole fleet.
 
     The demand ceiling drops vertically here: past this quantity the good's
@@ -611,10 +648,8 @@ def _saturation_quantity(good: EnergyGood, state: EconomyState,
         return 0.0
 
     def spent(q: float) -> float:
-        reqs = input_requirements(good.technology, state.movers, q,
-                                  multiplier)
         return sum(state.movers[mid].direct_energy * x
-                   for mid, x in reqs.items())
+                   for mid, x in kernel.requirements(q).items())
 
     hi = 1.0
     while spent(hi) < budget:

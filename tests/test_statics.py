@@ -47,6 +47,22 @@ class TestPerturbAndSign:
         with pytest.raises(ValueError, match="bogus"):
             perturb_and_sign(cd1_doc(), "energy_goods.e0.energy_content",
                              ["Q_e.e0", "bogus.e0"])
+        # a key must name an active good of the head's kind, and a scalar
+        # head takes none
+        for bad in (["Q_n.nope"], ["phi.x"], ["Q_e.n0"], ["Q_n.e0"],
+                    ["alpha"], ["Q_e.e0", "lambda.n0"]):
+            with pytest.raises(ValueError):
+                perturb_and_sign(cd1_doc(),
+                                 "energy_goods.e0.energy_content", bad)
+
+    def test_key_must_name_a_good_active_at_period_zero(self, monkeypatch):
+        doc = cd1_doc()
+        doc["non_energy_goods"][1]["intro_period"] = 3
+        monkeypatch.setattr(egl.statics, "solve_energy_side",
+                            lambda *a, **kw: pytest.fail("solved"))
+        with pytest.raises(ValueError, match="n1"):
+            perturb_and_sign(doc, "energy_goods.e0.energy_content",
+                             ["Q_n.n1"])
 
     def test_period_zero_shift_is_part_of_the_economy(self):
         # halving the requirement at period 0 makes gamma(Q) = Q, so

@@ -553,6 +553,135 @@ class TestShutdownThresholdOracle:
                 assert (gain > 0.0) == produces
 
 
+class TestDipBelowGammaZero:
+    """A dipping fixed-proportions good can earn a surplus although its
+    content is below its curve at q = 0 (delta <= gamma(0)): the closed-form
+    shutdown threshold decides, not the curve's value at 0."""
+
+    @staticmethod
+    def shocks_doc(content: float, endowment: float) -> dict:
+        doc = json.loads(SCENARIOS.joinpath("shocks.json").read_text())
+        doc["energy_goods"][0]["energy_content"] = content
+        doc["prime_movers"][0]["endowment"] = endowment
+        doc["events"] = []
+        return doc
+
+    def test_produces_with_content_below_gamma_zero(self):
+        # gamma(0) = 4.5 > 4.0 = delta, yet the profile dips to about 1.43,
+        # where producing earns; the usability rescale then binds
+        scenario, sol = solve_doc(self.shocks_doc(4.0, 20.0))
+        assert sol.gamma["wood"] < 4.0 < 4.5
+        assert not sol.null
+        assert sol.outputs["wood"] == pytest.approx(5.0, rel=1e-9)
+        assert sol.phi == pytest.approx(0.4974222922825888, rel=1e-9)
+        assert sol.usable_surplus == pytest.approx(9.115013322324524,
+                                                   rel=1e-9)
+        assert abs(sol.slack_residual) <= scenario.solver.slack_tol \
+            * max(1.0, sol.usable_surplus)
+
+    def test_cap_below_the_dip_leaves_nothing_to_earn(self):
+        # one worker caps wood before its profile falls below delta: the
+        # economy produces nothing, as it did when delta <= gamma(0) ruled
+        # the good out
+        _, sol = solve_doc(self.shocks_doc(3.0, 1.0))
+        assert sol.null
+        assert sol.outputs["wood"] == 0.0
+
+
+class TestOneAllocationPerShare:
+    """Each share the phi solve evaluates keeps its allocation, so the
+    accepted share is not solved again."""
+
+    def test_accepted_share_is_not_solved_again(self, monkeypatch,
+                                                root_calls):
+        # the shocks run: wood's interior optimum is a bracketed root, which
+        # the residual at the accepted share already took; after the phi
+        # solve only the usability rescale may call the root finder
+        import egl.growth
+        import egl.surplus
+        marks = []                  # one per solve; phi-solved ones filled
+        solve_phi = egl.surplus._solve_phi
+        solve = egl.growth.solve_energy_side
+
+        def marked_phi(problem):
+            phi, balanced = solve_phi(problem)
+            marks[-1].update(at_phi=root_calls["egl.surplus"],
+                             balanced=balanced)
+            return phi, balanced
+
+        def marked_solve(*args, **kw):
+            marks.append({})
+            sol = solve(*args, **kw)
+            if marks[-1]:
+                marks[-1]["extra"] = root_calls["egl.surplus"] \
+                    - marks[-1]["at_phi"]
+            return sol
+
+        monkeypatch.setattr(egl.surplus, "_solve_phi", marked_phi)
+        monkeypatch.setattr(egl.growth, "solve_energy_side", marked_solve)
+        doc = json.loads(SCENARIOS.joinpath("shocks.json").read_text())
+        trajectory = simulate(scenario_from_dict(doc))
+        assert len(trajectory.records) == len(marks) == 61
+        solved = [mark for mark in marks if mark]
+        assert len(solved) == 46
+        assert all(mark["extra"] == (0 if mark["balanced"] else 1)
+                   for mark in solved)
+        assert dict(root_calls) == {"egl.embodied": 61, "egl.core": 2,
+                                    "egl.surplus": 130}
+
+
+class TestOneCurvePerGood:
+    """A solve builds each good's curve kernel once: the Cobb-Douglas
+    constants B and K are computed once per smooth good."""
+
+    @staticmethod
+    def draws():
+        # the first two acceptance-02 draws: one scarce, one abundant
+        rng = np.random.default_rng(20240817)
+        return [(random_energy_doc(rng, scarce=scarce), scarce)
+                for scarce in (True, False)]
+
+    @pytest.fixture
+    def constants_calls(self, monkeypatch):
+        import egl.embodied
+        calls = []
+        constants = egl.embodied._cd_constants
+
+        def counted(tech, movers):
+            calls.append(tech)
+            return constants(tech, movers)
+
+        monkeypatch.setattr(egl.embodied, "_cd_constants", counted)
+        return calls
+
+    def test_energy_side(self, constants_calls):
+        for doc, scarce in self.draws():
+            scenario = scenario_from_dict(doc)
+            state = initial_state(scenario)
+            constants_calls.clear()
+            sol = solve_energy_side(scenario, state)
+            assert len(constants_calls) == len(doc["energy_goods"])
+            assert (sol.phi > 0.0) == scarce
+
+    def test_demand(self, constants_calls):
+        from egl.demand import demand_for_state
+        for doc, _ in self.draws():
+            # one smooth and one fixed-proportions non-energy good
+            doc["non_energy_goods"].append(dict(
+                doc["non_energy_goods"][0], id="n1"))
+            doc["non_energy_goods"][0]["technology"] = {
+                "kind": "cobb_douglas", "scale": 1.0,
+                "exponents": {"m0": 0.6}}
+            scenario = scenario_from_dict(doc)
+            state = initial_state(scenario)
+            sol = solve_energy_side(scenario, state)
+            constants_calls.clear()
+            demand = demand_for_state(scenario, state, sol.usable_surplus,
+                                      sol.employment)
+            assert len(constants_calls) == 1
+            assert demand.bundle["n0"] > 0.0
+
+
 class TestSolutionInvariants:
     @staticmethod
     def check(scenario, sol):
