@@ -1,9 +1,9 @@
 """Command-line front end: equilibria, simulations, sweeps, validation.
 
-Exit codes: 0 success, 1 parse/validation/usage, 2 solver infeasibility,
-3 I/O failure.  Errors print one machine-readable JSON line on stderr.
-Verbosity is controlled by the EGL_LOG environment variable
-(quiet | info | debug).
+Exit codes: 0 success, 1 parse/validation/usage, 2 solver infeasibility
+or any other egl error, 3 I/O failure.  Errors print one machine-readable
+JSON line on stderr.  Verbosity is controlled by the EGL_LOG environment
+variable (quiet | info | debug).
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from .core import (ScenarioConfig, effective_multiplier, initial_state,
                    load_scenario, scenario_digest)
 from .demand import demand_for_state
 from .embodied import sample_curve
-from .errors import ScenarioParseError, ScenarioValidationError, SolverError
+from .errors import (EglError, ScenarioParseError, ScenarioValidationError,
+                     SolverError)
 from .growth import enter_period, simulate
 from .reports import (demand_csv, equilibrium_csv, failures_csv,
                       meec_curve_csv, sign_table_csv, trajectory_csv)
@@ -212,6 +213,9 @@ def main(argv: list[str] | None = None) -> int:
         return _error("validation", str(exc), EXIT_USAGE)
     except SolverError as exc:
         return _error("solver", str(exc), EXIT_SOLVER)
+    except EglError as exc:
+        # any other failure the package raises on purpose
+        return _error("failure", str(exc), EXIT_SOLVER)
     except OSError as exc:
         return _error("io", str(exc), EXIT_IO)
 

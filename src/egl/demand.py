@@ -63,15 +63,19 @@ def marginal_utility(preferences: Preferences, bundle: dict[str, float],
     """Marginal utility of one good at the bundle, on the stated form."""
     a = preferences.weights[good_id]
     q = bundle[good_id]
-    if preferences.form == "cobb_douglas":
-        u = 1.0
-        for gid, qty in bundle.items():
-            u *= qty ** preferences.weights[gid]
-        return a * u / q
-    r = _curvature(preferences)
-    v = sum(preferences.weights[gid] * qty ** r
-            for gid, qty in bundle.items())
-    return v ** (1.0 / r - 1.0) * a * q ** (r - 1.0)
+    try:
+        if preferences.form == "cobb_douglas":
+            u = 1.0
+            for gid, qty in bundle.items():
+                u *= qty ** preferences.weights[gid]
+            return a * u / q
+        r = _curvature(preferences)
+        v = sum(preferences.weights[gid] * qty ** r
+                for gid, qty in bundle.items())
+        return v ** (1.0 / r - 1.0) * a * q ** (r - 1.0)
+    except OverflowError:
+        raise SolverError("degenerate", "marginal utility of "
+                          f"{good_id!r} overflows") from None
 
 
 def _check_multiplier(lam_sep: float, energy: float) -> None:
@@ -159,6 +163,13 @@ def solve_demands(preferences: Preferences,
         # spending(1) * lam ** -p with p = (k+1)/(1-r+k), so the budget
         # holds where energy * lam ** p = spending(1)
         k = powers.pop()
+        if 1.0 - r + k == 0.0:
+            # q ** (1-r) * gamma(q) is the constant a: no quantity meets
+            # a target, e.g. CES with 1 - 1/sigma rounded to 1 and flat
+            # curves (perfect substitutes at constant cost)
+            raise SolverError(
+                "degenerate",
+                "every good's demand condition is constant in its quantity")
         lam_sep = solve_power(energy, (k + 1.0) / (1.0 - r + k),
                               spending(1.0))
         _check_multiplier(lam_sep, energy)

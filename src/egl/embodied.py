@@ -149,8 +149,11 @@ class SmoothCurve(NamedTuple):
         if stock <= 0.0:
             return 0.0
         beta = self.tech.exponents[mover_id]
-        base = stock * self.omegas[mover_id] * self.b_total \
-            / (self.multiplier * beta * self.k)
+        denominator = self.multiplier * beta * self.k
+        if denominator == 0.0:
+            raise SolverError("degenerate", "Cobb-Douglas curve underflows "
+                              f"at returns to scale {self.b_total:g}")
+        base = stock * self.omegas[mover_id] * self.b_total / denominator
         return self.tech.scale * base ** self.b_total
 
 

@@ -15,11 +15,13 @@ regime (abundant prime movers), where the first-order condition governs
 output.  Curve shifts are multiplicative, applied through each good's
 requirement multiplier so marginal and average curves move consistently.
 
-Each perturbation is one pair of probe economies, the target raised and
-lowered, each solved once; every response is read from that pair.  Claims
-(a) and (b) share one pair (the shift of the first good's curve), and
-claim (c) has its own, so a trial costs four energy solves and two demand
-solves whatever the number of goods.
+Each trial parses its draw once.  Each perturbation is one pair of probe
+economies, the target raised and lowered, each solved once; every response
+is read from that pair.  Claims (a) and (b) share one pair (the shift of
+the first good's curve), whose energy side is solved once for both probes
+because it reads no non-energy good, and claim (c) has its own pair, so a
+trial costs one parse, three energy solves and two demand solves whatever
+the number of goods.  A draw's digest is computed only for a failure.
 
 All draws come from a named 64-bit generator (numpy PCG64); every trial is
 reproducible from (seed, trial index) and identified by its scenario digest.
@@ -27,13 +29,15 @@ reproducible from (seed, trial index) and identified by its scenario digest.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .core import (ScenarioConfig, initial_state, scenario_digest,
-                   scenario_from_dict, with_entry_value)
+from .core import (ScenarioConfig, _check_keys, initial_state,
+                   scenario_digest, scenario_from_dict, with_entry_value)
 from .demand import demand_for_state
-from .errors import EglError
+from .errors import EglError, ScenarioValidationError
 from .growth import enter_period
 from .surplus import solve_energy_side
 
@@ -122,19 +126,8 @@ def _check_responses(scenario: ScenarioConfig,
                              f"{section} entry with id {key!r}")
 
 
-def _evaluate(scenario: ScenarioConfig, responses: Sequence[str]) \
-        -> list[float]:
-    """Solve the scenario once and read every response from that solve.
-
-    Demand is solved only if some response needs it.  Response paths are
-    checked by the caller.
-    """
-    state = enter_period(scenario, initial_state(scenario), 0)
-    energy = solve_energy_side(scenario, state)
-    paths = [response.partition(".") for response in responses]
-    if any(head in _DEMAND_HEADS for head, _, _ in paths):
-        demand = demand_for_state(scenario, state, energy.usable_surplus,
-                                  energy.employment)
+def _read(paths: list[tuple[str, str, str]], energy, demand) -> list[float]:
+    """Every response of one probe from its energy and demand solutions."""
     values = []
     for head, _, rest in paths:
         if head == "Q_e":
@@ -158,13 +151,24 @@ def perturb_and_sign(doc: dict, target: str, responses: Sequence[str],
                      step: float = 1e-3) -> list[float]:
     """Central-difference derivatives of ``responses`` along ``target``.
 
-    The document is parsed once and each of its two probe economies (target
-    raised and lowered by ``step``) is solved once; every response is read
-    from that one pair of solves.  The derivatives come back in the order
-    of ``responses``.  ``step`` is relative to the target's base value,
-    which must be nonzero.  Every response path is checked against the
-    parsed period-0 economy before either probe is solved.
+    The document is parsed once, and each of its two probe economies
+    (target raised and lowered by ``step``) gets its own period-0 state
+    and, if a ``Q_n``/``lambda`` response asks for it, its own demand
+    solve; every response is read from that one pair.  The energy side
+    reads no non-energy good, so a ``non_energy_goods`` target leaves it
+    unchanged and both probes share one energy solve; any other target
+    solves it once per probe.  The derivatives come back in the order of
+    ``responses``.  ``step`` is relative to the target's base value, which
+    must be nonzero.  Every response path is checked against the parsed
+    period-0 economy before either probe is solved.
     """
+    return _perturb(doc, target, responses, step)
+
+
+def _perturb(doc: dict, target: str, responses: Sequence[str], step: float,
+             scenario: ScenarioConfig | None = None) -> list[float]:
+    """``perturb_and_sign``; ``scenario``, if given, is ``doc`` parsed,
+    and otherwise ``doc`` is parsed after the checks that need no parse."""
     if step == 0.0:
         raise ValueError("degenerate step")
     if isinstance(responses, str):
@@ -178,12 +182,26 @@ def perturb_and_sign(doc: dict, target: str, responses: Sequence[str],
     if base == 0.0:
         raise ValueError(f"target {target!r} is zero; relative step degenerate")
 
-    scenario = scenario_from_dict(doc)
+    if scenario is None:
+        scenario = scenario_from_dict(doc)
     _check_responses(scenario, responses)
-    up, down = (
-        _evaluate(with_entry_value(scenario, doc, section, index, key,
-                                   base * (1.0 + sign * step)), responses)
-        for sign in (+1.0, -1.0))
+    paths = [response.partition(".") for response in responses]
+    needs_demand = any(head in _DEMAND_HEADS for head, _, _ in paths)
+    energy = demand = None
+    probes = []
+    # each probe's entry is parsed before any of that probe's solves, so a
+    # probe fails with the same error, in the same order, as a full solve
+    for sign in (+1.0, -1.0):
+        probe = with_entry_value(scenario, doc, section, index, key,
+                                 base * (1.0 + sign * step))
+        state = enter_period(probe, initial_state(probe), 0)
+        if energy is None or section != "non_energy_goods":
+            energy = solve_energy_side(probe, state)
+        if needs_demand:
+            demand = demand_for_state(probe, state, energy.usable_surplus,
+                                      energy.employment)
+        probes.append(_read(paths, energy, demand))
+    up, down = probes
     return [(hi - lo) / (2.0 * step * base) for hi, lo in zip(up, down)]
 
 
@@ -209,9 +227,14 @@ def draw_scenario(rng: np.random.Generator,
     b = _uniform(rng, fam["energy"]["cd_returns"])
     omega = _uniform(rng, fam["movers"]["omega"])
 
-    # interior output for C(Q) = omega * Q ** (1/b): gamma = delta there
-    q_star = (delta * b / omega) ** (b / (1.0 - b))
-    cost = omega * q_star ** (1.0 / b)
+    # interior output for C(Q) = omega * Q ** (1/b): gamma = delta there;
+    # past the float range the endowment below is not finite, so the draw
+    # fails to parse and its trial is discarded
+    try:
+        q_star = (delta * b / omega) ** (b / (1.0 - b))
+        cost = omega * q_star ** (1.0 / b)
+    except OverflowError:
+        q_star = cost = math.inf
     employment = cost / omega
     surplus = delta * q_star - cost
 
@@ -257,6 +280,49 @@ def draw_scenario(rng: np.random.Generator,
     }
 
 
+def _check_family(family) -> None:
+    """Raise ScenarioValidationError at ``$.family.<section>.<key>`` unless
+    ``family`` overrides only ``DEFAULT_FAMILY``'s entries, each with a
+    value the draws can use: a range is two finite numbers with lo <= hi,
+    above zero, with ``cd_returns`` inside (0, 1) and ``count`` integers of
+    at least 1; ``form`` is ``ces`` or ``cobb_douglas``."""
+    if not isinstance(family, dict):
+        raise ScenarioValidationError("$.family", "must be an object")
+    _check_keys(family, set(DEFAULT_FAMILY), "$.family")
+    for section, ranges in family.items():
+        path = f"$.family.{section}"
+        if not isinstance(ranges, dict):
+            raise ScenarioValidationError(path, "must be an object")
+        _check_keys(ranges, set(DEFAULT_FAMILY[section]), path)
+        for key, value in ranges.items():
+            message = _range_error(key, value)
+            if message:
+                raise ScenarioValidationError(f"{path}.{key}", message)
+
+
+def _range_error(key: str, value) -> str | None:
+    """Why ``value`` cannot be the family entry ``key``, or None."""
+    if key == "form":
+        return (None if value in ("ces", "cobb_douglas")
+                else "must be 'ces' or 'cobb_douglas'")
+    kinds = int if key == "count" else (int, float)
+    # abs(v) <= max also rejects nan and infinities, and compares an
+    # integer of any size without converting it to a float
+    if not (isinstance(value, list) and len(value) == 2
+            and all(isinstance(v, kinds) and not isinstance(v, bool)
+                    and abs(v) <= sys.float_info.max for v in value)):
+        return ("must be [lo, hi] of two integers" if key == "count"
+                else "must be [lo, hi] of two finite numbers")
+    lo, hi = value
+    if lo > hi:
+        return "lo must not exceed hi"
+    if key == "count":
+        return None if lo >= 1 else "must be at least 1"
+    if key == "cd_returns" and not (lo > 0.0 and hi < 1.0):
+        return "must lie inside (0, 1)"
+    return None if lo > 0.0 else "must be above zero"
+
+
 def _merge(base: dict, override: dict) -> dict:
     out = {}
     for key, value in base.items():
@@ -276,13 +342,24 @@ def _merge(base: dict, override: dict) -> dict:
 
 def proposition_suite(seed: int, trials: int, family: dict | None = None,
                       step: float = 1e-3) -> dict[str, SignTable]:
-    """Randomized strict-sign checks of claims (a), (b), (c)."""
+    """Randomized strict-sign checks of claims (a), (b), (c).
+
+    ``family`` overrides entries of ``DEFAULT_FAMILY`` and is checked once,
+    before any draw.  Trial ``t`` draws from ``default_rng([seed, t])`` and
+    parses the draw once; both of its perturbations run on that parse, as
+    in ``perturb_and_sign``.  A draw that fails to parse is discarded from
+    every claim, and a perturbation that fails to solve from the claims it
+    serves.  A failure records the trial, the digest of its draw and the
+    first derivative of the wrong sign.
+    """
     # numpy is imported here, the only place that draws, so that the other
     # commands start without it
     import numpy as np
 
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if family is not None:
+        _check_family(family)
 
     results = {key: {"confirm": 0, "failures": [], "derivs": [],
                      "discard": 0, "applicable": True, "count": 0}
@@ -291,26 +368,30 @@ def proposition_suite(seed: int, trials: int, family: dict | None = None,
     for trial in range(trials):
         rng = np.random.default_rng([seed, trial])
         doc = draw_scenario(rng, family)
-        digest = scenario_digest(doc)
         non_energy_ids = [g["id"] for g in doc["non_energy_goods"]]
-        target_good = non_energy_ids[0]
-
-        # (a) and (b) read one shift of the first good's curve: its own
-        # consumption first, then every other good's
-        shifted = _derivatives(
-            doc, f"non_energy_goods.{target_good}.requirement_multiplier",
-            [f"Q_n.{gid}" for gid in non_energy_ids], step)
-        _record(results["a"], trial, digest,
+        try:
+            scenario = scenario_from_dict(doc)
+        except EglError:
+            # every claim reads this draw, so each one discards it
+            shifted = content = None
+        else:
+            # (a) and (b) read one shift of the first good's curve: its
+            # own consumption first, then every other good's
+            shifted = _derivatives(
+                scenario, doc,
+                f"non_energy_goods.{non_energy_ids[0]}.requirement_multiplier",
+                [f"Q_n.{gid}" for gid in non_energy_ids], step)
+            content = _derivatives(scenario, doc,
+                                   "energy_goods.e0.energy_content",
+                                   ["Q_e.e0"], step)
+        _record(results["a"], trial, doc,
                 None if shifted is None else shifted[:1], -1.0)
         if len(non_energy_ids) < 2:
             results["b"]["applicable"] = False
         else:
-            _record(results["b"], trial, digest,
+            _record(results["b"], trial, doc,
                     None if shifted is None else shifted[1:], +1.0)
-
-        _record(results["c"], trial, digest,
-                _derivatives(doc, "energy_goods.e0.energy_content",
-                             ["Q_e.e0"], step), +1.0)
+        _record(results["c"], trial, doc, content, +1.0)
 
     tables = {}
     for key, res in results.items():
@@ -329,19 +410,21 @@ def proposition_suite(seed: int, trials: int, family: dict | None = None,
     return tables
 
 
-def _derivatives(doc: dict, target: str, responses: list[str],
-                 step: float) -> list[float] | None:
-    """``perturb_and_sign``, or None if either probe fails to solve."""
+def _derivatives(scenario: ScenarioConfig, doc: dict, target: str,
+                 responses: list[str], step: float) -> list[float] | None:
+    """``perturb_and_sign`` on the parsed ``doc``, or None if either probe
+    fails to solve."""
     try:
-        return perturb_and_sign(doc, target, responses, step)
+        return _perturb(doc, target, responses, step, scenario)
     except EglError:
         return None
 
 
-def _record(res: dict, trial: int, digest: str,
+def _record(res: dict, trial: int, doc: dict,
             derivs: list[float] | None, want: float):
     """One proposition on one scenario: every derivative must carry the
-    sign of ``want``; None discards the trial."""
+    sign of ``want``; None discards the trial.  A failure is identified by
+    the digest of its draw, which only a failure computes."""
     if derivs is None:
         res["discard"] += 1
         return
@@ -351,7 +434,7 @@ def _record(res: dict, trial: int, digest: str,
     if offender is None:
         res["confirm"] += 1
     else:
-        res["failures"].append((trial, digest, offender))
+        res["failures"].append((trial, scenario_digest(doc), offender))
 
 
 # ---------------------------------------------------------------------------

@@ -579,6 +579,11 @@ def solve_energy_side(scenario: ScenarioConfig,
         foc_goods[g.id] = abs(alpha[g.id] - premium) / g.energy_content
         if isinstance(g.technology, CobbDouglas) and g.id not in bindings:
             for mid, gprime in grads.items():
+                if gprime <= 0.0:
+                    raise SolverError(
+                        "degenerate",
+                        f"marginal requirement of {mid!r} in {g.id!r} "
+                        "underflows to zero")
                 mover = state.movers[mid]
                 resid = (g.energy_content / gprime
                          - mover.total_transfer - phi_l[mid])

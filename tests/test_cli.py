@@ -1,3 +1,5 @@
+import contextlib
+import io
 import itertools
 import json
 import logging
@@ -5,12 +7,16 @@ import os
 import stat
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import egl
+import egl.cli
 from egl.cli import main
 
 from conftest import cd1_doc, scarce_doc
@@ -340,6 +346,96 @@ class TestStatics:
         assert read(out1 / "sign_table.csv") == read(out2 / "sign_table.csv")
 
 
+    @pytest.mark.parametrize("family", [
+        {"non_energy": {"count": [3, 1]}},
+        {"energy": {"delta": [-5, -1]}},
+        {"energy": {"cd_returns": [1.0, 1.0]}},
+        {"non_energy": {"count": [0, 0]}},
+        {"energy": {"delta": "x"}},
+        {"preferences": {"form": "leontief"}},
+    ])
+    def test_bad_family_exits_1_with_one_json_line(self, tmp_path, capsys,
+                                                   family):
+        path = write_scenario(tmp_path, family, "family.json")
+        out = tmp_path / "out"
+        assert main(["statics", "--family", path, "--seed", "1",
+                     "--trials", "2", "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == "validation"
+        assert payload["detail"].startswith(
+            f"$.family.{next(iter(family))}.")
+        assert not out.exists()
+
+
+#: Family entries and bounds that probe the document boundary: extreme,
+#: swapped, negative, zero and non-numeric bounds, then values that are no
+#: range at all, unknown keys and bad forms.  Most ranges are ordered
+#: positive pairs, so that most examples draw and solve.
+_POSITIVE = st.sampled_from([1e-300, 0.5, 0.999999, 1, 2, 3, 4.0, 50.0,
+                             1e300])
+_BAD = st.sampled_from([-5, -1.0, 0, 0.0, -1e300, "x", None, True])
+_ORDERED = st.lists(_POSITIVE, min_size=2, max_size=2).map(sorted)
+_RANGE = st.one_of(*[_ORDERED] * 6,
+                   st.lists(st.one_of(_POSITIVE, _BAD), min_size=2,
+                            max_size=2),
+                   _BAD, st.lists(_POSITIVE, max_size=3))
+_COUNTS = st.lists(st.integers(1, 4), min_size=2, max_size=2).map(sorted)
+_SHARES = st.lists(st.sampled_from([1e-300, 0.3, 0.5, 0.999999]),
+                   min_size=2, max_size=2).map(sorted)
+_ENTRY = {
+    **{key: _RANGE for key in ("delta", "omega", "gamma", "sigma",
+                               "weights")},
+    "count": st.one_of(*[_COUNTS] * 3, _RANGE),
+    "cd_returns": st.one_of(*[_SHARES] * 3, _RANGE),
+    "form": st.sampled_from(["ces", "ces", "cobb_douglas", "leontief", 3]),
+}
+_RARELY = st.sampled_from([False] * 9 + [True])
+_SECTIONS = {
+    "energy": ["delta", "cd_returns"], "movers": ["omega"],
+    "non_energy": ["count", "gamma"],
+    "preferences": ["form", "sigma", "weights"],
+}
+
+
+@st.composite
+def families(draw):
+    family = {}
+    for section in draw(st.lists(st.sampled_from(sorted(_SECTIONS)),
+                                 unique=True)):
+        keys = draw(st.lists(st.sampled_from(_SECTIONS[section]),
+                             unique=True))
+        family[section] = {key: draw(_ENTRY[key]) for key in keys}
+        if draw(_RARELY):
+            family[section]["bogus"] = draw(_RANGE)
+    if draw(_RARELY):
+        family["bogus"] = {}
+    return family
+
+
+class TestStaticsFamilyBoundary:
+    @settings(max_examples=60, deadline=None)
+    @given(families())
+    def test_exits_cleanly(self, family):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "family.json"
+            path.write_text(json.dumps(family), encoding="utf-8")
+            out = Path(tmp) / "out"
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["statics", "--family", str(path), "--seed", "3",
+                             "--trials", "2", "--out", str(out)])
+            assert code in (0, 1)
+            if code == 1:
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1, err.getvalue()
+                assert "Traceback" not in lines[0]
+                json.loads(lines[0])
+            else:
+                assert (out / "sign_table.csv").exists()
+
+
 class TestUsage:
     def test_missing_subcommand(self, capsys):
         assert main([]) == 1
@@ -349,6 +445,21 @@ class TestUsage:
 
 
 class TestSolverFailureReport:
+    def test_bare_egl_error_exits_2_with_one_json_line(self, tmp_path,
+                                                       monkeypatch, capsys):
+        def failing(*args, **kw):
+            raise egl.EglError("no subclass")
+
+        monkeypatch.setattr(egl.cli, "proposition_suite", failing)
+        path = write_scenario(tmp_path, {}, "family.json")
+        assert main(["statics", "--family", path, "--seed", "1",
+                     "--trials", "1", "--out", str(tmp_path / "o")]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "failure",
+                                        "detail": "no subclass"}
+
+
     @pytest.mark.parametrize("command", ["equilibrium", "simulate"])
     def test_unreachable_demand_exits_2_with_one_json_line(self, tmp_path,
                                                            command):

@@ -352,3 +352,19 @@ class TestSolvePaths:
                           MOVERS, energy)
         assert err.value.kind == "no_bracket"
         assert detail in str(err.value)
+
+    def test_overflowing_marginal_utility_is_degenerate(self):
+        prefs = cobb_prefs(n0=50.0, n1=50.0)
+        with pytest.raises(SolverError) as err:
+            marginal_utility(prefs, {"n0": 1e10, "n1": 1e10}, "n0")
+        assert err.value.kind == "degenerate"
+
+    def test_constant_demand_condition_is_degenerate(self):
+        # sigma = 1e17 rounds 1 - 1/sigma to 1, so with flat curves
+        # q ** (1-r) * gamma is constant and no quantity meets a target
+        prefs = Preferences(form="ces", weights={"n0": 1.0, "n1": 1.0},
+                            elasticity=1e17)
+        with pytest.raises(SolverError) as err:
+            solve_demands(prefs, [constant_good("n0", 1.0),
+                                  constant_good("n1", 2.0)], MOVERS, 10.0)
+        assert err.value.kind == "degenerate"

@@ -305,6 +305,13 @@ class TestRequirements:
             kernel(tech, MOVER1, 2.0)
         assert err.value.kind == "degenerate"
 
+    def test_underflowing_curve_constant_fails_the_cap(self):
+        # B = beta = omega = 1e-300: m * beta * K underflows to zero
+        tech = CobbDouglas(scale=1.0, exponents={"m": 1e-300})
+        with pytest.raises(SolverError) as err:
+            output_cap_for_stock(tech, movers_with_omega(m=1e-300), "m", 1.0)
+        assert err.value.kind == "degenerate"
+
 
 class TestSampling:
     def test_sample_curve_identities(self):

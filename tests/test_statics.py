@@ -6,10 +6,13 @@ import pytest
 
 import egl.statics
 from egl import scenario_from_dict
-from egl.core import with_entry_value
+from egl.core import initial_state, scenario_digest, with_entry_value
+from egl.demand import demand_for_state
 from egl.errors import ScenarioValidationError, SolverError
+from egl.growth import enter_period
 from egl.statics import (_locate, draw_scenario, perturb_and_sign,
                          proposition_suite, tangency_residuals)
+from egl.surplus import solve_energy_side
 
 from conftest import cd1_doc, random_energy_doc
 
@@ -120,11 +123,106 @@ class TestSharedProbeSolves:
         doc = draw_scenario(np.random.default_rng([5, 0]), family)
         assert (len(doc["non_energy_goods"]) >= 2) == cross
         tables = proposition_suite(5, 1, family)
-        assert calls == {"solve_energy_side": 4, "demand_for_state": 2,
-                         "scenario_from_dict": 2}
+        assert calls == {"solve_energy_side": 3, "demand_for_state": 2,
+                         "scenario_from_dict": 1}
         assert tables["b"].applicable == cross
         assert [tables[key].trials for key in "abc"] \
             == [1, 1 if cross else 0, 1]
+
+
+def separate_probes(doc, target, responses, step=1e-3):
+    """Derivatives from two probe documents, each parsed and solved in
+    full: the energy side, then demand."""
+    section, index, key = _locate(doc, target)
+    base = doc[section][index].get(key, 1.0)
+    probes = []
+    for sign in (+1.0, -1.0):
+        edited = copy.deepcopy(doc)
+        edited[section][index][key] = base * (1.0 + sign * step)
+        scenario = scenario_from_dict(edited)
+        state = enter_period(scenario, initial_state(scenario), 0)
+        energy = solve_energy_side(scenario, state)
+        demand = demand_for_state(scenario, state, energy.usable_surplus,
+                                  energy.employment)
+        probes.append([demand.lam if response == "lambda"
+                       else demand.bundle[response.partition(".")[2]]
+                       for response in responses])
+    up, down = probes
+    return [(hi - lo) / (2.0 * step * base) for hi, lo in zip(up, down)]
+
+
+class TestOneEnergySolvePerDemandShift:
+    @pytest.fixture
+    def energy_solves(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kw):
+            calls.append(args)
+            return solve_energy_side(*args, **kw)
+
+        monkeypatch.setattr(egl.statics, "solve_energy_side", counted)
+        return calls
+
+    def test_non_energy_target_shares_the_energy_solve(self, energy_solves):
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            doc = draw_scenario(rng)
+            responses = [f"Q_n.{g['id']}"
+                         for g in doc["non_energy_goods"]] + ["lambda"]
+            for target in ("non_energy_goods.n0.requirement_multiplier",
+                           "non_energy_goods.n1.utility_weight"):
+                energy_solves.clear()
+                got = perturb_and_sign(doc, target, responses)
+                assert len(energy_solves) == 1
+                assert got == separate_probes(doc, target, responses)
+
+    @pytest.mark.parametrize("target", ["energy_goods.e0.energy_content",
+                                        "prime_movers.m0.power_rate"])
+    def test_other_targets_solve_each_probe(self, energy_solves, target):
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            doc = draw_scenario(rng)
+            energy_solves.clear()
+            perturb_and_sign(doc, target, ["Q_n.n0", "Q_e.e0"])
+            assert len(energy_solves) == 2
+
+    def test_wrong_sign_records_the_draw_digest(self, monkeypatch):
+        digests = []
+
+        def counted(doc):
+            digests.append(scenario_digest(doc))
+            return digests[-1]
+
+        monkeypatch.setattr(egl.statics, "scenario_digest", counted)
+        proposition_suite(42, 3)
+        assert digests == []                    # every claim held
+
+        perturb = egl.statics._perturb
+
+        def flipped(doc, target, responses, step, scenario=None):
+            derivs = perturb(doc, target, responses, step, scenario)
+            return [-d for d in derivs] if target.startswith("energy") \
+                else derivs
+
+        monkeypatch.setattr(egl.statics, "_perturb", flipped)
+        tables = proposition_suite(42, 3)
+        want = [(trial, scenario_digest(
+            draw_scenario(np.random.default_rng([42, trial]))))
+            for trial in range(3)]
+        assert [(trial, digest)
+                for trial, digest, _ in tables["c"].failures] == want
+        assert all(d < 0.0 for _, _, d in tables["c"].failures)
+        assert len(digests) == 3
+        assert tables["a"].failures == tables["b"].failures == ()
+
+    def test_unparseable_draw_discards_every_claim(self, monkeypatch):
+        def failing(doc):
+            raise ScenarioValidationError("$.x", "patched to fail")
+
+        monkeypatch.setattr(egl.statics, "scenario_from_dict", failing)
+        tables = proposition_suite(42, 3)
+        assert [(tables[key].trials, tables[key].discarded)
+                for key in "abc"] == [(0, 3), (0, 3), (0, 3)]
 
 
 def probe_doc():
@@ -214,6 +312,45 @@ class TestDrawScenario:
         rng = np.random.default_rng(1)
         doc = draw_scenario(rng, {"non_energy": {"count": [5, 5]}})
         assert len(doc["non_energy_goods"]) == 5
+
+
+#: Family documents the draws could not use, and where each fails.
+BAD_FAMILIES = [
+    ({"non_energy": {"count": [3, 1]}}, "$.family.non_energy.count"),
+    ({"energy": {"delta": [-5, -1]}}, "$.family.energy.delta"),
+    ({"energy": {"cd_returns": [1.0, 1.0]}}, "$.family.energy.cd_returns"),
+    ({"energy": {"cd_returns": [0.0, 0.5]}}, "$.family.energy.cd_returns"),
+    ({"non_energy": {"count": [0, 0]}}, "$.family.non_energy.count"),
+    ({"non_energy": {"count": [1.0, 2.0]}}, "$.family.non_energy.count"),
+    ({"energy": {"delta": "x"}}, "$.family.energy.delta"),
+    ({"energy": {"delta": [1.0, float("nan")]}}, "$.family.energy.delta"),
+    ({"energy": {"delta": [1.0, 10 ** 400]}}, "$.family.energy.delta"),
+    ({"movers": {"omega": [0.0, 1.0]}}, "$.family.movers.omega"),
+    ({"preferences": {"sigma": [True, 2.0]}}, "$.family.preferences.sigma"),
+    ({"preferences": {"weights": [1.0]}}, "$.family.preferences.weights"),
+    ({"preferences": {"form": "leontief"}}, "$.family.preferences.form"),
+    ({"preferences": {"gamma": [1.0, 2.0]}}, "$.family.preferences.gamma"),
+    ({"labour": {}}, "$.family.labour"),
+    ({"energy": [2.0, 50.0]}, "$.family.energy"),
+    ([], "$.family"),
+]
+
+
+class TestFamilyValidation:
+    @pytest.mark.parametrize("family, field", BAD_FAMILIES)
+    def test_rejected_before_any_draw(self, monkeypatch, family, field):
+        monkeypatch.setattr(egl.statics, "draw_scenario",
+                            lambda *a, **kw: pytest.fail("drew"))
+        with pytest.raises(ScenarioValidationError) as err:
+            proposition_suite(1, 2, family)
+        assert err.value.field == field
+
+    def test_overflowing_draw_is_discarded(self):
+        # q* = (delta b / omega) ** (b / (1 - b)) leaves the float range
+        tables = proposition_suite(1, 2, {"energy": {"delta": [1e300,
+                                                               1e300]}})
+        assert [(tables[key].trials, tables[key].discarded)
+                for key in "abc"] == [(0, 2), (0, 2), (0, 2)]
 
 
 class TestPropositionSuite:

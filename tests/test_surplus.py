@@ -270,6 +270,15 @@ class TestPhiRoot:
 
 
 class TestSmoothOutputRule:
+    def test_underflowing_marginal_requirement_is_degenerate(self):
+        # power rate 1e300: q* = 5e-300 and dx/dq = 2 q / omega underflows
+        doc = cd1_doc()
+        doc["prime_movers"][0]["power_rate"] = 1e300
+        with pytest.raises(SolverError) as err:
+            solve_doc(doc)
+        assert err.value.kind == "degenerate"
+        assert "marginal requirement of 'm0'" in str(err.value)
+
     """The Cobb-Douglas optimum gamma(q*) = delta / (1 + c * kappa)."""
 
     @staticmethod
