@@ -14,8 +14,7 @@ from .core import (EconomyState, EnergyGood, EventSpec, NonEnergyGood,
                    SolverSettings, aggregate_power, direct_energy,
                    initial_state, load_scenario, scenario_digest,
                    scenario_from_dict)
-from .demand import (DemandSolution, allocate_support_prime_movers,
-                     solve_demands, usability_slack)
+from .demand import DemandSolution, solve_demands, usability_slack
 from .embodied import (MeecPoint, average_embodied, cumulative_transfer,
                        elasticity, marginal_embodied, sample_curve)
 from .errors import (EglError, ScenarioParseError, ScenarioValidationError,
@@ -31,8 +30,7 @@ __all__ = [
     "Preferences", "PrimeMoverType", "ScenarioConfig", "SolverSettings",
     "aggregate_power", "direct_energy", "initial_state", "load_scenario",
     "scenario_digest", "scenario_from_dict",
-    "DemandSolution", "allocate_support_prime_movers", "solve_demands",
-    "usability_slack",
+    "DemandSolution", "solve_demands", "usability_slack",
     "MeecPoint", "average_embodied", "cumulative_transfer", "elasticity",
     "marginal_embodied", "sample_curve",
     "EglError", "ScenarioParseError", "ScenarioValidationError",

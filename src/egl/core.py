@@ -15,11 +15,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from .errors import ScenarioParseError, ScenarioValidationError
-from .numerics import bracketed_root
+from .numerics import bracketed_root, grow_bracket
 
 EVENT_KINDS = ("efficiency_shift", "meec_shift", "new_prime_mover",
                "new_energy_good", "endowment_shock")
@@ -138,9 +139,7 @@ class FixedProportions:
 
         if curvature(0.0) >= 0.0:
             return 0.0
-        hi = max(self.tau, self.q_s)
-        while curvature(hi) < 0.0:
-            hi *= 2.0
+        hi = grow_bracket(curvature, max(self.tau, self.q_s))
         return bracketed_root(curvature, 0.0, hi, rtol=1e-12)
 
     @cached_property
@@ -160,9 +159,7 @@ class FixedProportions:
 
         if excess(dip) >= 0.0:
             return dip
-        hi = 2.0 * dip
-        while excess(hi) < 0.0:
-            hi *= 2.0
+        hi = grow_bracket(excess, 2.0 * dip)
         return bracketed_root(excess, dip, hi, rtol=1e-12)
 
 
@@ -282,12 +279,10 @@ def direct_energy(power_rate: float, period_length: float) -> float:
     return power_rate * period_length
 
 
-def aggregate_power(state: EconomyState,
-                    movers: dict[str, PrimeMoverType] | None = None) -> float:
+def aggregate_power(state: EconomyState) -> float:
     """Total power of the active fleet, sum of power_rate * stock."""
-    movers = state.movers if movers is None else movers
     return sum(m.power_rate * state.stocks.get(m.id, 0.0)
-               for m in movers.values())
+               for m in state.movers.values())
 
 
 def employment_totals(employment: dict[str, dict[str, float]]
@@ -300,22 +295,18 @@ def employment_totals(employment: dict[str, dict[str, float]]
     return totals
 
 
-def depletion_multiplier(good: EnergyGood, cum_extraction: float) -> float:
-    """Requirement multiplier from depleting a bounded primary source."""
-    if good.pes_stock is None or good.depletion_exponent == 0.0:
-        return 1.0
-    return (1.0 + cum_extraction / good.pes_stock) ** good.depletion_exponent
-
-
 def effective_multiplier(good: EnergyGood | NonEnergyGood,
                          state: EconomyState | None = None) -> float:
-    """Composed requirement multiplier: static * events * depletion."""
+    """Composed requirement multiplier: static * events * depletion, where
+    depleting a bounded primary source multiplies by
+    (1 + cumulative extraction / stock) ** depletion_exponent."""
     m = good.requirement_multiplier
     if state is not None:
         m *= state.multipliers.get(good.id, 1.0)
-        if isinstance(good, EnergyGood):
-            m *= depletion_multiplier(
-                good, state.cum_extraction.get(good.id, 0.0))
+        if isinstance(good, EnergyGood) and good.pes_stock is not None \
+                and good.depletion_exponent != 0.0:
+            drawn = state.cum_extraction.get(good.id, 0.0) / good.pes_stock
+            m *= (1.0 + drawn) ** good.depletion_exponent
     return m
 
 
@@ -373,6 +364,16 @@ def _fail(field_path: str, message: str):
     raise ScenarioValidationError(field_path, message)
 
 
+def _finite_number(v) -> bool:
+    """Whether a JSON value is a number (not a bool) in the float range.
+
+    ``abs(v) <= max`` also rejects NaN and the infinities, and compares an
+    integer of any size without converting it to a float.
+    """
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
+
+
 def _num(doc: dict, key: str, path: str, *, default=None,
          required: bool = True) -> float:
     if key not in doc:
@@ -380,8 +381,7 @@ def _num(doc: dict, key: str, path: str, *, default=None,
             _fail(f"{path}.{key}", "missing required field")
         return default
     v = doc[key]
-    if not isinstance(v, (int, float)) or isinstance(v, bool) \
-            or not math.isfinite(float(v)):
+    if not _finite_number(v):
         _fail(f"{path}.{key}", "must be a finite number")
     return float(v)
 
@@ -406,8 +406,7 @@ def _mover_weights(doc: dict, key: str, path: str) -> dict[str, float]:
         _fail(f"{path}.{key}", "must be a non-empty object")
     out = {}
     for mover, v in raw.items():
-        if not isinstance(v, (int, float)) or isinstance(v, bool) \
-                or not math.isfinite(float(v)) or float(v) < 0.0:
+        if not _finite_number(v) or v < 0.0:
             _fail(f"{path}.{key}.{mover}", "must be a finite number >= 0")
         out[str(mover)] = float(v)
     return out
@@ -565,8 +564,7 @@ def _parse_preferences(doc, path: str,
         for gid, w in given.items():
             if gid not in weights:
                 _fail(f"{path}.weights.{gid}", "unknown non-energy good")
-            if not isinstance(w, (int, float)) or isinstance(w, bool) \
-                    or not math.isfinite(float(w)) or float(w) <= 0.0:
+            if not _finite_number(w) or w <= 0.0:
                 _fail(f"{path}.weights.{gid}", "must be a positive number")
             weights[gid] = float(w)
     sigma = None
@@ -660,8 +658,7 @@ def _parse_solver(doc, path: str) -> SolverSettings:
         _fail(f"{path}.substeps", "must be >= 1")
     norm = doc.get("accum_normalization", "own_eps")
     if norm != "own_eps":
-        if not isinstance(norm, (int, float)) or isinstance(norm, bool) \
-                or not math.isfinite(float(norm)) or float(norm) <= 0.0:
+        if not _finite_number(norm) or norm <= 0.0:
             _fail(f"{path}.accum_normalization",
                   "must be 'own_eps' or a positive number")
         norm = float(norm)

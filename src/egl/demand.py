@@ -27,7 +27,7 @@ from .core import (EconomyState, NonEnergyGood, Preferences, PrimeMoverType,
                    effective_multiplier, employment_totals)
 from .embodied import Curve, curve, solve_power
 from .errors import SolverError
-from .numerics import bracketed_root
+from .numerics import bracketed_root, grow_bracket
 
 #: Range of quantities and budget multipliers a demand solve accepts;
 #: beyond it the budget is treated as unreachable.
@@ -138,16 +138,12 @@ def solve_demands(preferences: Preferences,
         def gap(q: float) -> float:
             return q ** (1.0 - r) * marginal(q) - target
 
-        hi = 1.0
-        while gap(hi) < 0.0:
-            hi *= 2.0
-            if hi > _Q_MAX:
-                raise SolverError(
-                    "no_bracket",
-                    f"demand for {good.id!r} stays below its target "
-                    f"{target:.6g} up to q = {_Q_MAX:g}")
-        if gap(hi) == 0.0:
-            return hi
+        hi = grow_bracket(gap, 1.0, _Q_MAX)
+        if hi is None:
+            raise SolverError(
+                "no_bracket",
+                f"demand for {good.id!r} stays below its target "
+                f"{target:.6g} up to q = {_Q_MAX:g}")
         return bracketed_root(gap, 0.0, hi, rtol=rtol)
 
     def spending(lam_sep: float) -> float:
@@ -230,24 +226,6 @@ def _support(quantities: dict[str, float], curves: dict[str, Curve],
                 feasible = False
                 violations.append(mid)
     return employment, feasible, violations
-
-
-def allocate_support_prime_movers(
-        bundle: dict[str, float], goods: list[NonEnergyGood],
-        movers: dict[str, PrimeMoverType],
-        remaining_endowment: dict[str, float] | None,
-        multipliers: dict[str, float] | None = None):
-    """Prime movers required to produce the bundle, checked per type.
-
-    Requirements come straight from each good's technology (cost-minimizing
-    mix for the smooth kind).  An over-committed mover type is reported,
-    never silently scaled away.
-    """
-    mult = multipliers or {}
-    quantities = {g.id: bundle.get(g.id, 0.0) for g in goods}
-    curves = {g.id: curve(g.technology, movers, mult.get(g.id, 1.0))
-              for g in goods if quantities[g.id] > 0.0}
-    return _support(quantities, curves, remaining_endowment)
 
 
 def usability_slack(employment: dict[str, dict[str, float]],

@@ -15,8 +15,11 @@ gamma, gamma_avg and G linearly and leaves eta unchanged.
 multiplier: every constant that does not depend on the output q is
 computed once, and the kernel evaluates gamma, G, the employment x_l, the
 marginal requirements, the power law and the output caps from them.  The
-solvers build one kernel per good per solve; the module functions below
-it are thin wrappers that build one per call.
+solvers build one kernel per good per solve and call it directly.  The
+module functions below it build one per call: the marginal, average and
+cumulative curves and the elasticity are the oracles the acceptance
+suite checks the model's identities on, and ``sample_curve`` samples a
+curve for export and plotting.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import NamedTuple
 
 from .core import CobbDouglas, FixedProportions, PrimeMoverType, Technology
 from .errors import SolverError
-from .numerics import BRACKET_CEILING, bracketed_root
+from .numerics import BRACKET_CEILING, bracketed_root, grow_bracket
 
 
 @dataclass(frozen=True)
@@ -78,11 +81,6 @@ def _check_quantity(q: float) -> None:
         raise ValueError("quantity must be >= 0")
 
 
-def _check_multiplier(multiplier: float) -> None:
-    if multiplier <= 0.0:
-        raise ValueError("requirement multiplier must be positive")
-
-
 class SmoothCurve(NamedTuple):
     """Compiled Cobb-Douglas curve.  With p = (q / scale) ** (1/B):
     G = m K p, x_l = (beta_l / omega_l) * m (K/B) p and
@@ -102,7 +100,6 @@ class SmoothCurve(NamedTuple):
     def marginal(self, q: float) -> float:
         """gamma(q): energy transferred to produce one more unit at q."""
         _check_quantity(q)
-        _check_multiplier(self.multiplier)
         if self.prefix is None:
             raise _overflow(self.b_total)
         try:
@@ -172,7 +169,6 @@ class ProfileCurve(NamedTuple):
     def marginal(self, q: float) -> float:
         """gamma(q): energy transferred to produce one more unit at q."""
         _check_quantity(q)
-        _check_multiplier(self.multiplier)
         return self.mw * self.tech.marginal_profile(q)
 
     def transfer(self, q: float) -> float:
@@ -212,16 +208,12 @@ class ProfileCurve(NamedTuple):
         def gap(q: float) -> float:
             return tech.cumulative_profile(q) - target
 
-        hi = max(target / tech.c0, 1.0)
-        while gap(hi) < 0.0:
-            hi *= 2.0
-            if hi > BRACKET_CEILING:
-                raise SolverError(
-                    "no_bracket",
-                    f"requirement curve never absorbs the stock of "
-                    f"{mover_id!r} below {BRACKET_CEILING:g}")
-        if gap(hi) == 0.0:
-            return hi
+        hi = grow_bracket(gap, max(target / tech.c0, 1.0), BRACKET_CEILING)
+        if hi is None:
+            raise SolverError(
+                "no_bracket",
+                f"requirement curve never absorbs the stock of "
+                f"{mover_id!r} below {BRACKET_CEILING:g}")
         return bracketed_root(gap, 0.0, hi, rtol=1e-14)
 
 
@@ -230,7 +222,15 @@ Curve = SmoothCurve | ProfileCurve
 
 def curve(tech: Technology, movers: dict[str, PrimeMoverType],
           multiplier: float = 1.0) -> Curve:
-    """One good's curve kernel for these movers and multiplier."""
+    """One good's curve kernel for these movers and multiplier.
+
+    Raises ``SolverError("degenerate")`` unless the multiplier is positive
+    and finite: factors that are each valid, such as a static multiplier
+    and an event shift, can compose to 0 or to infinity.
+    """
+    if not 0.0 < multiplier < math.inf:
+        raise SolverError("degenerate", f"requirement multiplier "
+                          f"{multiplier:g} is not positive and finite")
     if isinstance(tech, FixedProportions):
         used = [(m, nu) for m, nu in tech.requirements.items() if nu > 0.0]
         w = sum([_omega(movers, m) * nu for m, nu in used])
@@ -253,18 +253,6 @@ def curve(tech: Technology, movers: dict[str, PrimeMoverType],
         b_total=b_total, k=k, cost=multiplier * k, coef=coef, prefix=prefix)
 
 
-def power_law(tech: Technology, movers: dict[str, PrimeMoverType],
-              multiplier: float = 1.0) -> tuple[float, float] | None:
-    """(A, k) with gamma(q) = A * q ** k, or None for a curved profile.
-
-    The smooth technology has k = 1/B - 1 and a constant fixed-proportions
-    profile (c1 = c2 = 0) has k = 0; in both A = gamma(1).  Optima on such
-    a curve invert the power in closed form instead of searching for a
-    root.
-    """
-    return curve(tech, movers, multiplier).power_law()
-
-
 def solve_power(a: float, p: float, y: float) -> float:
     """q with a * q ** p = y, for a, p, y > 0; inf when q overflows."""
     try:
@@ -276,28 +264,21 @@ def solve_power(a: float, p: float, y: float) -> float:
 def marginal_embodied(tech: Technology, movers: dict[str, PrimeMoverType],
                       q: float, multiplier: float = 1.0) -> float:
     """gamma(q): energy transferred to produce one more unit at output q."""
-    _check_quantity(q)
-    _check_multiplier(multiplier)
     return curve(tech, movers, multiplier).marginal(q)
 
 
 def cumulative_transfer(tech: Technology, movers: dict[str, PrimeMoverType],
                         q: float, multiplier: float = 1.0) -> float:
     """G(q): integral of the marginal curve from 0 to q, in closed form."""
-    _check_quantity(q)
-    if q == 0.0:
-        return 0.0
     return curve(tech, movers, multiplier).transfer(q)
 
 
 def average_embodied(tech: Technology, movers: dict[str, PrimeMoverType],
                      q: float, multiplier: float = 1.0) -> float:
-    """gamma_avg(q) = G(q)/q; at q=0 the continuity limit of the marginal."""
-    _check_quantity(q)
-    if q == 0.0:
-        # fixed proportions: gamma(0); smooth: exponent 1/B - 1 > 0 gives 0
-        return marginal_embodied(tech, movers, 0.0, multiplier)
-    return cumulative_transfer(tech, movers, q, multiplier) / q
+    """gamma_avg(q) = G(q)/q; at q=0 the continuity limit of the marginal
+    (gamma(0) for fixed proportions, 0 for the smooth technology, whose
+    exponent 1/B - 1 is positive)."""
+    return _point(curve(tech, movers, multiplier), q).average
 
 
 def elasticity(tech: Technology, movers: dict[str, PrimeMoverType],
@@ -305,8 +286,7 @@ def elasticity(tech: Technology, movers: dict[str, PrimeMoverType],
     """Quantity elasticity of the average curve, (gamma - gamma_avg)/gamma_avg."""
     if q <= 0.0:
         raise ValueError("elasticity requires quantity > 0")
-    avg = average_embodied(tech, movers, q, multiplier)
-    return (marginal_embodied(tech, movers, q, multiplier) - avg) / avg
+    return _point(curve(tech, movers, multiplier), q).elasticity
 
 
 def _point(kernel: Curve, q: float) -> MeecPoint:
@@ -318,11 +298,6 @@ def _point(kernel: Curve, q: float) -> MeecPoint:
                      elasticity=eta)
 
 
-def meec_point(tech: Technology, movers: dict[str, PrimeMoverType],
-               q: float, multiplier: float = 1.0) -> MeecPoint:
-    return _point(curve(tech, movers, multiplier), q)
-
-
 def sample_curve(tech: Technology, movers: dict[str, PrimeMoverType],
                  q_max: float, samples: int = 200,
                  multiplier: float = 1.0) -> list[MeecPoint]:
@@ -332,35 +307,3 @@ def sample_curve(tech: Technology, movers: dict[str, PrimeMoverType],
     kernel = curve(tech, movers, multiplier)
     step = q_max / (samples - 1)
     return [_point(kernel, i * step) for i in range(samples)]
-
-
-# ---------------------------------------------------------------------------
-# input requirements (employment) along the expansion path
-# ---------------------------------------------------------------------------
-
-def input_requirements(tech: Technology, movers: dict[str, PrimeMoverType],
-                       q: float, multiplier: float = 1.0) -> dict[str, float]:
-    """Mover units employed to produce total output q."""
-    _check_quantity(q)
-    return curve(tech, movers, multiplier).requirements(q)
-
-
-def marginal_requirements(tech: Technology,
-                          movers: dict[str, PrimeMoverType], q: float,
-                          multiplier: float = 1.0) -> dict[str, float]:
-    """Marginal input requirement of each mover at output q.
-
-    This is the derivative of the requirement function holding the other
-    inputs fixed (the reciprocal of the mover's marginal product for the
-    smooth technology, evaluated on the cost-minimizing path).
-    """
-    return curve(tech, movers, multiplier).marginal_requirements(q)
-
-
-def output_cap_for_stock(tech: Technology, movers: dict[str, PrimeMoverType],
-                         mover_id: str, stock: float,
-                         multiplier: float = 1.0) -> float:
-    """Largest output producible before mover_id's employment exceeds stock."""
-    if stock <= 0.0:
-        return 0.0
-    return curve(tech, movers, multiplier).output_cap(mover_id, stock)

@@ -1,4 +1,5 @@
-"""Shared scalar numerics: bracketed root finding and adaptive Simpson quadrature.
+"""Shared scalar numerics: bracket search, bracketed root finding and
+adaptive Simpson quadrature.
 
 Roots come from Brent's method (R. P. Brent, *Algorithms for Minimization
 without Derivatives*, Prentice-Hall 1973, ch. 4): inverse quadratic or
@@ -14,6 +15,7 @@ floats, which the solvers rely on for reproducible CSV/SVG output.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 
 from .errors import SolverError
@@ -33,6 +35,22 @@ XTOL = 1e-300
 #: Iteration cap: hitting it means the residual is not continuous on the
 #: bracket, or the tolerance cannot be met.
 MAX_ITER = 200
+
+
+def grow_bracket(f: Callable[[float], float], hi: float,
+                 ceiling: float = math.inf) -> float | None:
+    """First of ``hi, 2 hi, 4 hi, ...`` where ``f`` is not negative, or
+    None once the next value would pass ``ceiling``.
+
+    With ``f`` negative at the lower end, the value returned closes a
+    bracket for ``bracketed_root``.  A NaN counts as not negative, so that
+    ``bracketed_root`` reports it.
+    """
+    while f(hi) < 0.0:
+        hi *= 2.0
+        if hi > ceiling:
+            return None
+    return hi
 
 
 def bracketed_root(f: Callable[[float], float], lo: float, hi: float,

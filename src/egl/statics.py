@@ -30,13 +30,14 @@ reproducible from (seed, trial index) and identified by its scenario digest.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .core import (ScenarioConfig, _check_keys, initial_state,
-                   scenario_digest, scenario_from_dict, with_entry_value)
+from .core import (ScenarioConfig, _check_keys, _finite_number,
+                   effective_multiplier, initial_state, scenario_digest,
+                   scenario_from_dict, with_entry_value)
 from .demand import demand_for_state
+from .embodied import curve
 from .errors import EglError, ScenarioValidationError
 from .growth import enter_period
 from .surplus import solve_energy_side
@@ -47,6 +48,10 @@ if TYPE_CHECKING:
     import numpy as np
 
 GENERATOR_NAME = "numpy-PCG64"
+
+#: Most non-energy goods a family draw may hold: far above the default
+#: range, and within what ``rng.integers`` draws and a trial solves.
+_MAX_GOODS = 1000
 
 #: Documented draw ranges for the default random family.
 DEFAULT_FAMILY = {
@@ -284,8 +289,8 @@ def _check_family(family) -> None:
     """Raise ScenarioValidationError at ``$.family.<section>.<key>`` unless
     ``family`` overrides only ``DEFAULT_FAMILY``'s entries, each with a
     value the draws can use: a range is two finite numbers with lo <= hi,
-    above zero, with ``cd_returns`` inside (0, 1) and ``count`` integers of
-    at least 1; ``form`` is ``ces`` or ``cobb_douglas``."""
+    above zero, with ``cd_returns`` inside (0, 1) and ``count`` integers
+    from 1 to ``_MAX_GOODS``; ``form`` is ``ces`` or ``cobb_douglas``."""
     if not isinstance(family, dict):
         raise ScenarioValidationError("$.family", "must be an object")
     _check_keys(family, set(DEFAULT_FAMILY), "$.family")
@@ -306,17 +311,17 @@ def _range_error(key: str, value) -> str | None:
         return (None if value in ("ces", "cobb_douglas")
                 else "must be 'ces' or 'cobb_douglas'")
     kinds = int if key == "count" else (int, float)
-    # abs(v) <= max also rejects nan and infinities, and compares an
-    # integer of any size without converting it to a float
     if not (isinstance(value, list) and len(value) == 2
-            and all(isinstance(v, kinds) and not isinstance(v, bool)
-                    and abs(v) <= sys.float_info.max for v in value)):
+            and all(isinstance(v, kinds) and _finite_number(v)
+                    for v in value)):
         return ("must be [lo, hi] of two integers" if key == "count"
                 else "must be [lo, hi] of two finite numbers")
     lo, hi = value
     if lo > hi:
         return "lo must not exceed hi"
     if key == "count":
+        if hi > _MAX_GOODS:
+            return f"must be at most {_MAX_GOODS}"
         return None if lo >= 1 else "must be at least 1"
     if key == "cd_returns" and not (lo > 0.0 and hi < 1.0):
         return "must lie inside (0, 1)"
@@ -448,9 +453,6 @@ def tangency_residuals(scenario: ScenarioConfig) -> dict[str, float]:
     mover's marginal product must equal the good's energy content; across
     goods sharing a mover, energy content times marginal product must agree.
     """
-    from .core import effective_multiplier
-    from .embodied import marginal_requirements
-
     state = enter_period(scenario, initial_state(scenario), 0)
     solution = solve_energy_side(scenario, state)
     worst_within = 0.0
@@ -461,9 +463,9 @@ def tangency_residuals(scenario: ScenarioConfig) -> dict[str, float]:
         if q <= 0.0 or good.technology.kind != "cobb_douglas" \
                 or gid in solution.binding_constraints:
             continue
-        m = effective_multiplier(good, state)
-        grads = marginal_requirements(good.technology, state.movers, q, m)
-        for mid, gprime in grads.items():
+        kernel = curve(good.technology, state.movers,
+                       effective_multiplier(good, state))
+        for mid, gprime in kernel.marginal_requirements(q).items():
             mover = state.movers[mid]
             effective_price = (mover.total_transfer
                                + solution.mover_surplus[mid])

@@ -41,7 +41,7 @@ from .core import (CobbDouglas, EconomyState, EnergyGood, ScenarioConfig,
 from .embodied import (Curve, curve, marginal_embodied, sample_curve,
                        solve_power)
 from .errors import SolverError
-from .numerics import bracketed_root
+from .numerics import bracketed_root, grow_bracket
 
 log = logging.getLogger("egl.surplus")
 
@@ -508,20 +508,17 @@ def _solve_phi(problem: _Problem) -> tuple[float, bool]:
 
 
 def solve_energy_side(scenario: ScenarioConfig,
-                      state: EconomyState | None = None,
-                      force_phi: float | None = None) -> EnergySideSolution:
+                      state: EconomyState | None = None) -> EnergySideSolution:
     """Solve the energy side at the given state (period-0 state by default).
 
-    ``force_phi`` pins the useless-surplus share instead of solving the
-    usability fixed point (diagnostic mode; also honored from the scenario's
-    solver settings).
+    The scenario's ``solver.force_phi`` pins the useless-surplus share
+    instead of solving the usability fixed point (diagnostic mode).
     """
     if state is None:
         state = initial_state(scenario)
     problem = _Problem(scenario, state)
 
-    if force_phi is None:
-        force_phi = scenario.solver.force_phi
+    force_phi = scenario.solver.force_phi
     forced = force_phi is not None
 
     profitable = [g for g in problem.goods if problem.earns(g, math.inf)]
@@ -539,9 +536,7 @@ def solve_energy_side(scenario: ScenarioConfig,
             "no producible energy good: endowments cannot produce output")
 
     if forced:
-        if not 0.0 <= force_phi < 1.0:
-            raise ValueError("forced phi must be in [0, 1)")
-        phi, balanced = float(force_phi), True
+        phi, balanced = force_phi, True
     else:
         phi, balanced = _solve_phi(problem)
 
@@ -652,13 +647,11 @@ def _saturation_quantity(good: EnergyGood, state: EconomyState,
     if budget <= 0.0:
         return 0.0
 
-    def spent(q: float) -> float:
+    def excess(q: float) -> float:
         return sum(state.movers[mid].direct_energy * x
-                   for mid, x in kernel.requirements(q).items())
+                   for mid, x in kernel.requirements(q).items()) - budget
 
-    hi = 1.0
-    while spent(hi) < budget:
-        hi *= 2.0
-        if hi > 1e12:
-            return None
-    return bracketed_root(lambda q: spent(q) - budget, 0.0, hi, rtol=1e-12)
+    hi = grow_bracket(excess, 1.0, 1e12)
+    if hi is None:
+        return None
+    return bracketed_root(excess, 0.0, hi, rtol=1e-12)

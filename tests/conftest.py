@@ -147,8 +147,8 @@ def random_energy_doc(rng: np.random.Generator, scarce: bool) -> dict:
 
     # size endowments from the interior optimum of each good
     from egl.core import PrimeMoverType
-    from egl.embodied import input_requirements, marginal_embodied
-    from egl.numerics import bracketed_root
+    from egl.embodied import curve
+    from egl.numerics import bracketed_root, grow_bracket
     mover_objs = {m["id"]: PrimeMoverType(
         id=m["id"], power_rate=m["power_rate"], period_length=1.0,
         depreciation=0.5, avg_embodied=0.0, endowment=0.0,
@@ -160,14 +160,14 @@ def random_energy_doc(rng: np.random.Generator, scarce: bool) -> dict:
                            exponents=g["technology"]["exponents"])
         delta = g["energy_content"]
 
-        def gap(q):
-            return delta - marginal_embodied(tech, mover_objs, q)
+        kernel = curve(tech, mover_objs)
 
-        hi = 1.0
-        while gap(hi) > 0.0:
-            hi *= 2.0
-        q_star = bracketed_root(gap, 0.0, hi, rtol=1e-12)
-        for mid, x in input_requirements(tech, mover_objs, q_star).items():
+        def excess(q):
+            return kernel.marginal(q) - delta
+
+        q_star = bracketed_root(excess, 0.0, grow_bracket(excess, 1.0),
+                                rtol=1e-12)
+        for mid, x in kernel.requirements(q_star).items():
             need[mid] += x
 
     factor = float(rng.uniform(0.01, 0.3)) if scarce \

@@ -1,0 +1,81 @@
+"""Every public function of ``src/egl`` has a use.
+
+A public module-level function must be exported in ``egl.__all__``,
+imported by another egl module, or named in ``KEPT`` with the reason it
+stays.  Anything else is a wrapper no solver calls: delete it, or make it
+private to its module.
+"""
+
+import ast
+import importlib
+import inspect
+from pathlib import Path
+
+import egl
+
+SRC = Path(egl.__file__).resolve().parent
+
+#: Public functions kept for the acceptance suite, the tests or a tool,
+#: with the reason each stays.
+KEPT = {
+    "cli.main": "the `egl` console script",
+    "demand.marginal_utility": "marginal utility on the stated form, "
+                               "which the tangency oracle reads",
+    "demand.tangency_residual": "oracle: consumer tangency conditions",
+    "growth.normalized_surplus_args": "oracle: accumulation drive that "
+                                      "acceptance 09 checks at its ends",
+    "numerics.adaptive_simpson": "oracle: quadrature of the closed-form "
+                                 "transfers and surpluses",
+    "reports.fmt": "the CSV number format, pinned by its own tests",
+    "statics.draw_scenario": "the documented random family, which tests "
+                             "stub to show the family is checked first",
+    "statics.tangency_residuals": "oracle: energy-side tangency conditions",
+}
+
+
+def public_functions() -> set[tuple[str, str]]:
+    """(module, name) of each public function defined in an egl module."""
+    found = set()
+    for path in SRC.glob("*.py"):
+        module = importlib.import_module(f"egl.{path.stem}")
+        for name, fn in vars(module).items():
+            if not name.startswith("_") and inspect.isfunction(fn) \
+                    and fn.__module__ == module.__name__:
+                found.add((path.stem, name))
+    return found
+
+
+def imported_across_modules() -> set[tuple[str, str]]:
+    """(module, name) of each function one egl module imports from
+    another; the package's own re-exports are ``egl.__all__``."""
+    found = set()
+    for path in SRC.glob("*.py"):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 \
+                    and node.module:
+                found.update((node.module, alias.name)
+                             for alias in node.names)
+    return found
+
+
+def test_every_public_function_has_a_use():
+    imported = imported_across_modules()
+    unused = sorted(f"{module}.{name}"
+                    for module, name in public_functions()
+                    if name not in egl.__all__
+                    and (module, name) not in imported
+                    and f"{module}.{name}" not in KEPT)
+    assert unused == []
+
+
+def test_kept_names_need_the_list():
+    # a stale entry would let a wrapper of that name grow back unseen
+    functions = public_functions()
+    imported = imported_across_modules()
+    for key in KEPT:
+        module, name = key.split(".")
+        assert (module, name) in functions, key
+        assert name not in egl.__all__ and (module, name) not in imported, key

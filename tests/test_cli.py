@@ -66,6 +66,23 @@ class TestValidate:
         assert main(["validate", "--scenario", str(path)]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "parse"
 
+    @pytest.mark.parametrize("field", ["period_length", "exponents"])
+    def test_out_of_range_integer_exit_1(self, tmp_path, capsys, field):
+        # a JSON integer past the float range is not converted to a float
+        doc = json.loads((SCENARIOS / "reference.json").read_text())
+        if field == "period_length":
+            doc["period_length"] = 10 ** 400
+        else:
+            doc["energy_goods"][0]["technology"]["exponents"]["workers"] \
+                = 10 ** 400
+        path = write_scenario(tmp_path, doc)
+        assert main(["validate", "--scenario", path]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == "validation"
+        assert field in payload["detail"]
+
     def test_missing_file_exit_3(self, tmp_path, capsys):
         assert main(["validate", "--scenario",
                      str(tmp_path / "absent.json")]) == 3
@@ -351,6 +368,7 @@ class TestStatics:
         {"energy": {"delta": [-5, -1]}},
         {"energy": {"cd_returns": [1.0, 1.0]}},
         {"non_energy": {"count": [0, 0]}},
+        {"non_energy": {"count": [1, 10 ** 20]}},
         {"energy": {"delta": "x"}},
         {"preferences": {"form": "leontief"}},
     ])
@@ -476,6 +494,29 @@ class TestSolverFailureReport:
         payload = json.loads(lines[0])
         assert payload["error"] == "solver"
         assert payload["detail"].startswith("no_bracket:")
+
+    @pytest.mark.parametrize("command", ["equilibrium", "simulate"])
+    @pytest.mark.parametrize("section, good", [
+        ("energy_goods", "grain"), ("non_energy_goods", "cloth")])
+    @pytest.mark.parametrize("factor", [1e-300, 1e300])
+    def test_composed_multiplier_out_of_range_exits_2(
+            self, tmp_path, capsys, command, section, good, factor):
+        # a static multiplier and a period-0 shift, each valid, whose
+        # product underflows to 0 or overflows to inf
+        doc = json.loads((SCENARIOS / "reference.json").read_text())
+        doc[section][0]["requirement_multiplier"] = factor
+        doc["events"] = [{
+            "period": 0, "good": good, "multiplier": factor,
+            "kind": "efficiency_shift" if factor < 1.0 else "meec_shift"}]
+        path = write_scenario(tmp_path, doc)
+        assert main([command, "--scenario", path,
+                     "--out", str(tmp_path / "out")]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == "solver"
+        assert payload["detail"].startswith("degenerate: requirement "
+                                            "multiplier")
 
     def test_vanishing_returns_to_scale_exits_2(self, tmp_path):
         # 1/B = 1e9: the fleet-saturation search of the figure overflows

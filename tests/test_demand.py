@@ -6,9 +6,8 @@ import pytest
 from egl import initial_state, scenario_from_dict
 from egl.core import (CobbDouglas, FixedProportions, Preferences,
                       PrimeMoverType)
-from egl.demand import (allocate_support_prime_movers, demand_for_state,
-                        marginal_utility, solve_demands, tangency_residual,
-                        usability_slack)
+from egl.demand import (demand_for_state, marginal_utility, solve_demands,
+                        tangency_residual, usability_slack)
 from egl.errors import SolverError
 from egl.surplus import solve_energy_side
 
@@ -235,28 +234,30 @@ class TestOwnAndCrossShifts:
 
 
 class TestAllocation:
+    # one good at gamma = 1 takes the whole budget: Q = E units, each
+    # employing one unit of m
+
+    @staticmethod
+    def support(energy, remaining):
+        return solve_demands(cobb_prefs(n0=1.0), [constant_good("n0", 1.0)],
+                             MOVERS, energy, remaining_endowment=remaining)
+
     def test_linear_requirement(self):
-        goods = [constant_good("n0", 1.0)]
-        emp, feasible, violations = allocate_support_prime_movers(
-            {"n0": 9.375}, goods, MOVERS, {"m": 50.0})
-        assert emp["n0"]["m"] == pytest.approx(9.375)
-        assert feasible and not violations
+        sol = self.support(9.375, {"m": 50.0})
+        assert sol.support_employment["n0"]["m"] == pytest.approx(9.375)
+        assert sol.feasible and not sol.violations
 
     def test_zero_bundle(self):
-        goods = [constant_good("n0", 1.0)]
-        emp, feasible, violations = allocate_support_prime_movers(
-            {"n0": 0.0}, goods, MOVERS, {"m": 0.0})
-        assert emp["n0"] == {}
-        assert feasible
+        sol = self.support(0.0, {"m": 0.0})
+        assert sol.support_employment["n0"] == {}
+        assert sol.feasible
 
     def test_infeasible_names_the_violator(self):
-        goods = [constant_good("n0", 1.0)]
-        emp, feasible, violations = allocate_support_prime_movers(
-            {"n0": 9.375}, goods, MOVERS, {"m": 5.0})
-        assert not feasible
-        assert violations == ["m"]
+        sol = self.support(9.375, {"m": 5.0})
+        assert not sol.feasible
+        assert sol.violations == ("m",)
         # requirement untouched, not scaled to fit
-        assert emp["n0"]["m"] == pytest.approx(9.375)
+        assert sol.support_employment["n0"]["m"] == pytest.approx(9.375)
 
 
 class TestUsabilitySlack:

@@ -1,14 +1,13 @@
 import decimal
+import math
 from decimal import Decimal
 
 import numpy as np
 import pytest
 
 from egl.core import CobbDouglas, FixedProportions, PrimeMoverType
-from egl.embodied import (average_embodied, cumulative_transfer, elasticity,
-                          input_requirements, marginal_embodied,
-                          marginal_requirements, meec_point,
-                          output_cap_for_stock, sample_curve)
+from egl.embodied import (average_embodied, cumulative_transfer, curve,
+                          elasticity, marginal_embodied, sample_curve)
 from egl.errors import SolverError
 from egl.numerics import adaptive_simpson
 
@@ -70,6 +69,14 @@ class TestMarginal:
     def test_absent_mover_rejected(self):
         with pytest.raises(SolverError):
             marginal_embodied(SQRT_TECH, {}, 1.0)
+
+    @pytest.mark.parametrize("multiplier", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("tech", [SQRT_TECH, CONST_TECH])
+    def test_multiplier_outside_the_positive_floats_rejected(self, tech,
+                                                             multiplier):
+        with pytest.raises(SolverError) as err:
+            curve(tech, MOVER1, multiplier)
+        assert err.value.kind == "degenerate"
 
 
 class TestCumulative:
@@ -243,7 +250,7 @@ class TestCurveIdentities:
 class TestRequirements:
     def test_square_cost_employment(self):
         # x(Q) = Q**2 for the square-cost technology
-        assert input_requirements(SQRT_TECH, MOVER1, 3.0)["m"] \
+        assert curve(SQRT_TECH, MOVER1).requirements(3.0)["m"] \
             == pytest.approx(9.0)
 
     def test_two_mover_cost_minimizing_mix(self):
@@ -252,7 +259,7 @@ class TestRequirements:
         # x1 = 2 Q**2 and x2 = 0.5 Q**2 (cheaper mover used four times more)
         movers = movers_with_omega(m1=1.0, m2=4.0)
         tech = CobbDouglas(scale=1.0, exponents={"m1": 0.25, "m2": 0.25})
-        reqs = input_requirements(tech, movers, 3.0)
+        reqs = curve(tech, movers).requirements(3.0)
         assert reqs["m1"] == pytest.approx(18.0, rel=1e-12)
         assert reqs["m2"] == pytest.approx(4.5, rel=1e-12)
         assert cumulative_transfer(tech, movers, 3.0) == pytest.approx(
@@ -265,7 +272,7 @@ class TestRequirements:
         for _ in range(100):
             tech, movers = random_technology(rng)
             q = float(rng.uniform(0.1, 20.0))
-            reqs = input_requirements(tech, movers, q)
+            reqs = curve(tech, movers).requirements(q)
             total = sum(movers[mid].total_transfer * x
                         for mid, x in reqs.items())
             assert total == pytest.approx(
@@ -273,7 +280,7 @@ class TestRequirements:
 
     def test_marginal_requirement_square_cost(self):
         # g'(Q) = x/(beta Q) = 2Q
-        assert marginal_requirements(SQRT_TECH, MOVER1, 2.5)["m"] \
+        assert curve(SQRT_TECH, MOVER1).marginal_requirements(2.5)["m"] \
             == pytest.approx(5.0)
 
     def test_output_cap_inverts_requirements(self):
@@ -282,34 +289,34 @@ class TestRequirements:
             tech, movers = random_technology(rng)
             mid = tech.used_movers()[0]
             q = float(rng.uniform(0.1, 10.0))
-            stock = input_requirements(tech, movers, q)[mid]
-            cap = output_cap_for_stock(tech, movers, mid, stock)
+            kernel = curve(tech, movers)
+            stock = kernel.requirements(q)[mid]
+            cap = kernel.output_cap(mid, stock)
             assert cap == pytest.approx(q, rel=1e-9)
 
     def test_huge_stock_cap_resolves(self):
         # h(q) >= c0 * q, so a finite stock always yields a finite cap;
         # output is never unbounded once an endowment is in play
-        cap = output_cap_for_stock(CONST_TECH, MOVER1, "m", 1e305)
+        cap = curve(CONST_TECH, MOVER1).output_cap("m", 1e305)
         assert cap == pytest.approx(1e305, rel=1e-9)
 
     def test_zero_stock_zero_cap(self):
-        assert output_cap_for_stock(SQRT_TECH, MOVER1, "m", 0.0) == 0.0
+        assert curve(SQRT_TECH, MOVER1).output_cap("m", 0.0) == 0.0
 
-    @pytest.mark.parametrize("kernel", [marginal_embodied,
-                                        cumulative_transfer,
-                                        input_requirements])
-    def test_vanishing_returns_to_scale_overflow(self, kernel):
+    @pytest.mark.parametrize("method", ["marginal", "transfer",
+                                        "requirements"])
+    def test_vanishing_returns_to_scale_overflow(self, method):
         # 1/B = 1e9: every smooth-curve power past q = 1 leaves the floats
-        tech = CobbDouglas(scale=1.0, exponents={"m": 1e-9})
+        kernel = curve(CobbDouglas(scale=1.0, exponents={"m": 1e-9}), MOVER1)
         with pytest.raises(SolverError) as err:
-            kernel(tech, MOVER1, 2.0)
+            getattr(kernel, method)(2.0)
         assert err.value.kind == "degenerate"
 
     def test_underflowing_curve_constant_fails_the_cap(self):
         # B = beta = omega = 1e-300: m * beta * K underflows to zero
         tech = CobbDouglas(scale=1.0, exponents={"m": 1e-300})
         with pytest.raises(SolverError) as err:
-            output_cap_for_stock(tech, movers_with_omega(m=1e-300), "m", 1.0)
+            curve(tech, movers_with_omega(m=1e-300)).output_cap("m", 1.0)
         assert err.value.kind == "degenerate"
 
 
@@ -323,7 +330,8 @@ class TestSampling:
                 p.average * (1.0 + p.elasticity), rel=1e-10)
 
     def test_meec_point_against_quadrature(self):
-        p = meec_point(DECAY_TECH, MOVER1, 2.0)
+        p = sample_curve(DECAY_TECH, MOVER1, 2.0, samples=2)[-1]
+        assert p.quantity == 2.0
         quad = adaptive_simpson(
             lambda q: marginal_embodied(DECAY_TECH, MOVER1, q), 0.0, 2.0,
             tol=1e-12)

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from egl.errors import SolverError
-from egl.numerics import MAX_ITER, XTOL, bracketed_root
+from egl.numerics import MAX_ITER, XTOL, bracketed_root, grow_bracket
 
 
 def counting(f):
@@ -65,3 +65,25 @@ class TestFailures:
             bracketed_root(f, -1.0, 2.0)
         assert err.value.kind == "degenerate"
         assert len(calls) == MAX_ITER + 2
+
+
+class TestGrowBracket:
+    def test_first_non_negative_doubling(self):
+        f, calls = counting(lambda x: x - 5.0)
+        assert grow_bracket(f, 1.0) == 8.0
+        assert calls == [1.0, 2.0, 4.0, 8.0]
+
+    def test_exact_zero_at_the_start(self):
+        f, calls = counting(lambda x: x - 3.0)
+        assert grow_bracket(f, 3.0, ceiling=3.0) == 3.0
+        assert calls == [3.0]
+
+    def test_none_past_the_ceiling(self):
+        # 16 would pass 10: it is never evaluated
+        f, calls = counting(lambda x: x - 100.0)
+        assert grow_bracket(f, 1.0, ceiling=10.0) is None
+        assert calls == [1.0, 2.0, 4.0, 8.0]
+
+    def test_nan_closes_the_search(self):
+        # bracketed_root then reports the NaN
+        assert grow_bracket(lambda x: math.nan, 1.0, ceiling=10.0) == 1.0

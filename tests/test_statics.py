@@ -322,6 +322,7 @@ BAD_FAMILIES = [
     ({"energy": {"cd_returns": [0.0, 0.5]}}, "$.family.energy.cd_returns"),
     ({"non_energy": {"count": [0, 0]}}, "$.family.non_energy.count"),
     ({"non_energy": {"count": [1.0, 2.0]}}, "$.family.non_energy.count"),
+    ({"non_energy": {"count": [1, 10 ** 20]}}, "$.family.non_energy.count"),
     ({"energy": {"delta": "x"}}, "$.family.energy.delta"),
     ({"energy": {"delta": [1.0, float("nan")]}}, "$.family.energy.delta"),
     ({"energy": {"delta": [1.0, 10 ** 400]}}, "$.family.energy.delta"),

@@ -13,15 +13,16 @@ from egl.numerics import adaptive_simpson
 from egl.surplus import (figure1_report, marginal_surplus_at,
                          scarcity_premium, solve_energy_side)
 
-from conftest import cd1_doc, random_energy_doc, scarce_scenario
+from conftest import (cd1_doc, cd1_scenario, random_energy_doc,
+                      scarce_scenario)
 
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
-def solve_doc(doc, **kw):
+def solve_doc(doc):
     scenario = scenario_from_dict(doc)
-    return scenario, solve_energy_side(scenario, initial_state(scenario), **kw)
+    return scenario, solve_energy_side(scenario, initial_state(scenario))
 
 
 class TestMarginalSurplusAt:
@@ -77,9 +78,9 @@ class TestReferenceSolve:
         assert sol.meroi["e0"] == pytest.approx(1.0, rel=1e-9)
         assert sol.marginal_surplus["e0"] == pytest.approx(0.0, abs=1e-8)
 
-    def test_forced_share_diagnostic(self, cd1):
+    def test_forced_share_diagnostic(self):
         # 10 - 2Q = 2Q at phi = 0.5, so Q = 2.5 and E = 25 - 6.25
-        sol = solve_energy_side(cd1, force_phi=0.5)
+        sol = solve_energy_side(cd1_scenario(solver={"force_phi": 0.5}))
         assert sol.phi_forced
         assert sol.outputs["e0"] == pytest.approx(2.5, rel=1e-9)
         assert sol.usable_surplus == pytest.approx(18.75, rel=1e-9)
@@ -170,7 +171,8 @@ class TestReferenceSolve:
     def test_meroi_values(self, cd1):
         sol = solve_energy_side(cd1)
         assert sol.meroi["e0"] == pytest.approx(1.0, rel=1e-9)
-        forced = solve_energy_side(cd1, force_phi=0.5)
+        forced = solve_energy_side(
+            cd1_scenario(solver={"force_phi": 0.5}))
         assert forced.meroi["e0"] == pytest.approx(2.0, rel=1e-9)
         assert 1.0 + forced.marginal_surplus["e0"] / forced.gamma["e0"] \
             == pytest.approx(2.0, rel=1e-12)
@@ -184,7 +186,7 @@ class TestReferenceSolve:
         doc["energy_goods"].append(json.loads(json.dumps(
             doc["energy_goods"][0])))
         doc["energy_goods"][1]["id"] = "e1"
-        scenario, sol = solve_doc(doc, force_phi=0.0)
+        _, sol = solve_doc(dict(doc, solver={"force_phi": 0.0}))
         assert sol.outputs["e0"] == pytest.approx(2.0, rel=1e-9)
         assert sol.outputs["e1"] == pytest.approx(2.0, rel=1e-9)
         assert sol.binding_constraints["e0"] == "endowment:m0"
@@ -250,7 +252,7 @@ class TestPhiRoot:
         assert sol.phi == pytest.approx(0.9999410685661618, abs=1e-7)
         assert "usability" not in sol.binding_constraints.values()
         # the slack tolerance is relative to the residual at phi = 0
-        _, at_zero = solve_doc(doc, force_phi=0.0)
+        _, at_zero = solve_doc(dict(doc, solver={"force_phi": 0.0}))
         assert abs(sol.slack_residual) <= scenario.solver.slack_tol * max(
             1.0, abs(at_zero.slack_residual))
 
@@ -784,18 +786,14 @@ class TestGridOracle:
         delta = good.energy_content
         endow = state.stocks["m0"]
 
-        from egl.embodied import (input_requirements, marginal_embodied,
-                                  marginal_requirements)
+        from egl.embodied import curve
+        kernel = curve(good.technology, state.movers)
         q_hi = 1.2 * (delta / 2.0)   # past the unconstrained optimum at 5
         qs = np.linspace(0.0, q_hi, q_points)
-        gamma = np.array([marginal_embodied(good.technology, state.movers, q)
-                          for q in qs])
-        gprime = np.array(
-            [marginal_requirements(good.technology, state.movers,
-                                   q)["m0"] for q in qs])
-        employ = np.array(
-            [input_requirements(good.technology, state.movers, q)["m0"]
-             for q in qs])
+        gamma = np.array([kernel.marginal(q) for q in qs])
+        gprime = np.array([kernel.marginal_requirements(q)["m0"]
+                           for q in qs])
+        employ = np.array([kernel.requirements(q)["m0"] for q in qs])
         surplus = np.concatenate(
             [[0.0], np.cumsum((delta - gamma[1:]) * np.diff(qs)
                               + 0.5 * np.diff(delta - gamma) * np.diff(qs))])
