@@ -156,7 +156,9 @@ def _cmd_statics(args) -> int:
     _write_outputs(args.out, files, "statics",
                    scenario_digest(family_text), None,
                    extra={"seed": args.seed, "trials": args.trials,
-                          "generator": "numpy-PCG64"})
+                          "generator": "numpy-PCG64",
+                          "discarded": {key: t.discarded
+                                        for key, t in tables.items()}})
     return EXIT_OK
 
 

@@ -102,15 +102,16 @@ def trajectory_csv(scenario: ScenarioConfig, trajectory: Trajectory) -> str:
 
 def sign_table_csv(tables: dict[str, SignTable]) -> str:
     rows: list[list] = [["proposition", "trials", "confirmed", "failed",
-                         "min_derivative", "max_derivative"]]
+                         "discarded", "min_derivative", "max_derivative"]]
     for key in sorted(tables):
         t = tables[key]
         if not t.applicable:
-            rows.append([t.proposition, 0, 0, 0, "not_applicable",
-                         "not_applicable"])
+            rows.append([t.proposition, 0, 0, 0, t.discarded,
+                         "not_applicable", "not_applicable"])
             continue
         rows.append([t.proposition, t.trials, t.confirmations,
-                     len(t.failures), t.min_derivative, t.max_derivative])
+                     len(t.failures), t.discarded, t.min_derivative,
+                     t.max_derivative])
     text = _lines(rows)
     text += f"# generator,{tables[next(iter(sorted(tables)))].generator}\n"
     return text

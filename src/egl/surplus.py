@@ -13,13 +13,24 @@ Each good's optimum at a given phi is closed form for the smooth
 (Cobb-Douglas) technology, whose marginal curve is a power law; curved
 fixed-proportions profiles take a bracketed root, and shut down in one
 step once the premium lifts their profile weight past a closed-form
-threshold.  The usability residual E(phi) - U(phi) is continuous between
-those shutdown shares and crosses zero once.  Two residuals either side
-of each shutdown share either certify that the residual jumps across zero
-there, and the usability constraint is then imposed by rescaling the
-outputs, or narrow the bracket to the continuous piece where one bracketed
-root finds the fixed point.  A jump the shares miss leaves that root short
-of the slack tolerance and is rescaled the same way.
+threshold.
+
+When every good that can produce is Cobb-Douglas, the usability residual
+E - U is a sum of powers of 1 + c * kappa_g in c = phi / (1 - phi), and
+Newton with its exact derivative solves it without a bracket.  One full
+residual at that share, through the caps and the rationing, certifies it
+against the slack tolerance.  The share fails the certificate where a cap
+or the rationing binds at it, and is not tried where several mover types
+are rationed at phi = 0, since there the residual can cross zero twice.
+
+Otherwise the bracket route solves phi.  The usability residual is
+continuous between the shutdown shares of fixed-proportions goods.  Two
+residuals either side of each shutdown share either certify that the
+residual jumps across zero there, and the usability constraint is then
+imposed by rescaling the outputs, or narrow the bracket to the continuous
+piece where one bracketed root finds the fixed point.  A jump the shares
+miss leaves that root short of the slack tolerance and is rescaled the
+same way.
 
 A solve compiles each good's curve once (``embodied.curve``), and every
 step that evaluates it (gamma(0), the caps, the power laws, the residuals,
@@ -41,7 +52,7 @@ from .core import (CobbDouglas, EconomyState, EnergyGood, ScenarioConfig,
 from .embodied import (Curve, curve, marginal_embodied, sample_curve,
                        solve_power)
 from .errors import SolverError
-from .numerics import bracketed_root, grow_bracket
+from .numerics import MAX_ITER, bracketed_root, grow_bracket
 
 log = logging.getLogger("egl.surplus")
 
@@ -445,6 +456,110 @@ def _null_solution(problem: _Problem, phi: float = 0.0,
 def _solve_phi(problem: _Problem) -> tuple[float, bool]:
     """Useless-surplus share: the root of the usability residual E - U.
 
+    phi = 0 when the residual there is not positive.  Otherwise, when every
+    candidate good is Cobb-Douglas, ``_newton_phi`` solves the power-law
+    form of the residual, and one full residual at its share certifies it
+    with the slack tolerance; the certified share's allocation is kept, so
+    it serves the solution.  A share that fails the certificate (a cap or
+    the rationing binds there), and every economy with a fixed-proportions
+    good, take the bracket route, ``_bracket_phi``.
+    Returns (phi, converged), as ``_bracket_phi`` does.
+    """
+    rho0 = problem.residual(0.0)
+    if rho0 <= 0.0:
+        return 0.0, True
+    ftol = problem.settings.slack_tol * max(1.0, abs(rho0))
+    if not problem.fixed_terms:
+        phi = _newton_phi(problem)
+        if phi is not None and abs(problem.residual(phi)) <= ftol:
+            return phi, True
+    return _bracket_phi(problem, rho0, ftol)
+
+
+def _newton_phi(problem: _Problem) -> float | None:
+    """The share phi = c / (1 + c) at the root of the power-law form of the
+    usability residual, for candidate goods that are all Cobb-Douglas;
+    None when the form leaves the float range or phi reaches 1.
+
+    With each good at its interior optimum Q_g(c) (the closed form of
+    ``good_output``) and p_g = (Q_g / scale) ** (1/B), the residual is
+    rho(c) = sum_g (delta_g Q_g - w_g p_g) - sum_l eps_l s_l, with
+    w_g = m K - m (K/B) sum_l eps_l beta_l / omega_l >= 0.  Both Q_g and p_g
+    are powers of 1 + c kappa_g, so the derivative is exact, and rho falls
+    in c.  With omega = eps, w_g = 0 and rho is convex, so Newton from
+    c = 0 rises to the root; otherwise each step stays inside the sign
+    bracket the iterates have built, and bisects it when it would leave.
+    The iteration stops once a step is below ``phi_tol * c`` plus the
+    resolution that 1 + c kappa_g gives c.
+
+    Caps and rationing are not part of this form: the full residual at the
+    share certifies it.  Outputs fall as c rises, so whatever binds
+    anywhere binds at phi = 0, and where it binds the full residual lies
+    below this form.  A cap holds an output fixed, so the full residual
+    still falls, through one root.  Rationing one mover type of one
+    employs the whole fleet, and there U = 0 < E.  But rationing one type
+    of several can leave the residual negative below a second root, so an
+    economy that rations at phi = 0 with several types returns None.
+    """
+    movers, stocks = problem.state.movers, problem.state.stocks
+    fleet = [mid for mid in movers if stocks.get(mid, 0.0) > 0.0]
+    outputs, _, _, bindings = problem.allocation(0.0)
+    # a bound output below its cap was rationed
+    if len(fleet) > 1 and any(outputs[gid] < problem.caps[gid]
+                              for gid in bindings):
+        return None
+    terms = []
+    for g in problem.candidates:
+        a, k, kappa = problem.smooth_terms[g.id]
+        kernel = problem.curves[g.id]
+        leak = sum(movers[mid].direct_energy * r
+                   for mid, r in zip(kernel.movers, kernel.ratios))
+        terms.append((g.energy_content, a, k, kappa, g.technology.scale,
+                      1.0 / kernel.b_total, kernel.cost - kernel.coef * leak))
+    capacity = sum(movers[mid].direct_energy * stocks[mid] for mid in fleet)
+
+    def rho(c: float) -> tuple[float, float]:
+        value, slope = -capacity, 0.0
+        for delta, a, k, kappa, scale, inv_b, w in terms:
+            shift = 1.0 + c * kappa
+            q = solve_power(shift * a, k, delta)
+            try:
+                p = (q / scale) ** inv_b
+            except OverflowError:
+                return math.nan, math.nan
+            value += delta * q - w * p
+            slope -= kappa / (k * shift) * (delta * q - w * p * inv_b)
+        return value, slope
+
+    tol = problem.settings.phi_tol
+    kappa_max = max(kappa for _, _, _, kappa, _, _, _ in terms)
+    lo, hi, c = 0.0, math.inf, 0.0
+    for _ in range(MAX_ITER):
+        value, slope = rho(c)
+        if not (math.isfinite(value) and slope < 0.0):
+            return None
+        if value == 0.0:
+            break
+        if value > 0.0:
+            lo = c
+        else:
+            hi = c
+        step = -value / slope
+        if abs(step) <= tol * c + math.ulp(1.0 + c * kappa_max) / kappa_max:
+            c += step
+            break
+        c = c + step if lo < c + step < hi else 0.5 * (lo + hi)
+    else:
+        return None
+    phi = c / (1.0 + c)
+    return phi if 0.0 < phi < _PHI_MAX else None
+
+
+def _bracket_phi(problem: _Problem, rho0: float,
+                 ftol: float) -> tuple[float, bool]:
+    """Root of the usability residual E - U by bracket and Brent, given its
+    value ``rho0 > 0`` at phi = 0 and the slack tolerance ``ftol``.
+
     The bracket [lo, hi] grows toward phi = 1 until the residual at hi
     turns negative.  The residual is continuous except at the shutdown
     shares of fixed-proportions goods, where it can jump down across zero.
@@ -460,7 +575,7 @@ def _solve_phi(problem: _Problem) -> tuple[float, bool]:
     root that misses the slack tolerance.
     """
     settings = problem.settings
-    residuals: dict[float, float] = {}
+    residuals: dict[float, float] = {0.0: rho0}
 
     def rho(phi: float) -> float:
         if phi not in residuals:
@@ -471,11 +586,6 @@ def _solve_phi(problem: _Problem) -> tuple[float, bool]:
         log.info("usability residual jumps at phi=%.6g; "
                  "imposing the constraint directly", phi)
         return phi, False
-
-    rho0 = rho(0.0)
-    if rho0 <= 0.0:
-        return 0.0, True
-    ftol = settings.slack_tol * max(1.0, abs(rho0))
 
     shares = problem.shutdown_shares()
     lo, hi = 0.0, 0.5
@@ -498,9 +608,10 @@ def _solve_phi(problem: _Problem) -> tuple[float, bool]:
                 "degenerate",
                 "usability residual stays positive as phi approaches 1")
 
-    # The residual can rise with phi only while rationing keeps the whole
-    # fleet employed in energy production; there U = 0 < E, so no root
-    # lies there and the residual crosses zero once on [lo, hi].
+    # The residual can rise with phi only while rationing binds.  With one
+    # mover type that employs the whole fleet, U = 0 < E, and the residual
+    # crosses zero once on [lo, hi]; with several it can cross more than
+    # once, and Brent returns one of those roots.
     phi = bracketed_root(rho, lo, hi, rtol=settings.phi_tol)
     if abs(rho(phi)) > ftol:
         return jump(max(x for x, value in residuals.items() if value > 0.0))

@@ -338,13 +338,29 @@ class TestStatics:
                      "--trials", "5", "--out", str(out)]) == 0
         table = (out / "sign_table.csv").read_text()
         assert table.splitlines()[0] \
-            == "proposition,trials,confirmed,failed,min_derivative," \
-               "max_derivative"
-        assert "a,5,5,0" in table
+            == "proposition,trials,confirmed,failed,discarded," \
+               "min_derivative,max_derivative"
+        assert "a,5,5,0,0," in table
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["discarded"] == {"a": 0, "b": 0, "c": 0}
         assert "# generator,numpy-PCG64" in table
         failures = (out / "failures.csv").read_text()
         assert failures.splitlines()[0] \
             == "proposition,trial,digest,derivative"
+
+    def test_discarded_draws_are_counted(self, tmp_path):
+        # with energy content 1e-300 every draw fails to parse or to
+        # solve, so each trial is discarded from every claim
+        family = tmp_path / "family.json"
+        family.write_text(json.dumps({"energy": {"delta": [1e-300, 1e-300]}}),
+                          encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["statics", "--family", str(family), "--seed", "3",
+                     "--trials", "2", "--out", str(out)]) == 0
+        rows = (out / "sign_table.csv").read_text().splitlines()
+        assert rows[1:4] == [f"{key},0,0,0,2,nan,nan" for key in "abc"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["discarded"] == {"a": 2, "b": 2, "c": 2}
 
     def test_zero_trials_usage_error(self, tmp_path, capsys):
         family = tmp_path / "family.json"

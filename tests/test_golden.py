@@ -57,7 +57,7 @@ DIGESTS = {
     "simulate-arrivals/figure2.svg":
         "2f4e31d06276361227f1f7e7607b4621e8912fbbe7667f04bc24b79cb756007c",
     "simulate-arrivals/trajectory.csv":
-        "14eb83cd42a6a14ad25e83970ad2fb7481c242ada332d52b8ba79947184d4565",
+        "0d8f3276179077ef53d6bcef7eab3d4c454135e86573c4e23771a4972fc9e2e0",
     "simulate-reference/figure2.svg":
         "6761254593bdd5eca955872bb467fea0bee8bdd7d0a319e0238dc272bb1461e8",
     "simulate-reference/trajectory.csv":
@@ -65,7 +65,7 @@ DIGESTS = {
     "simulate-scarce_growth/figure2.svg":
         "181b153906e14ee93233e832a3fb9e65f174595a1452ac56b55581947e5350fe",
     "simulate-scarce_growth/trajectory.csv":
-        "d709a1eb4389a80c7d851d5a6785f8460f0efd30c357aa2798a3f8a25fd3bc52",
+        "e4539f8bceea8c7340d30711287299b9009271422db10488916c0baefad6bbdc",
     "simulate-shocks/figure2.svg":
         "3959035f2a76fef1217ddb55026501059d4f19ec7b60a73f79be354b6a84a9d2",
     "simulate-shocks/trajectory.csv":
@@ -73,7 +73,7 @@ DIGESTS = {
     "statics-sweep_family/failures.csv":
         "91847c345f0676a57ef880eaeec73cd1853c021a796de7d7155258032eff8472",
     "statics-sweep_family/sign_table.csv":
-        "3d2a1353b1f2b9ba4c645a5e71860b7da39e0d1a3bbaf646ec430b228f180748",
+        "d5770bfecdcb388f99e29241b5340232ed44278523912742ed4f1c642736ff9c",
 }
 
 

@@ -4,17 +4,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from egl import cumulative_transfer, initial_state, scenario_from_dict
 from egl.core import effective_multiplier
 from egl.errors import SolverError
 from egl.growth import simulate
 from egl.numerics import adaptive_simpson
-from egl.surplus import (figure1_report, marginal_surplus_at,
+from egl.surplus import (_bracket_phi, _newton_phi, _Problem,
+                         figure1_report, marginal_surplus_at,
                          scarcity_premium, solve_energy_side)
 
 from conftest import (cd1_doc, cd1_scenario, random_energy_doc,
-                      scarce_scenario)
+                      scarce_doc, scarce_scenario)
 
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -255,6 +258,10 @@ class TestPhiRoot:
         _, at_zero = solve_doc(dict(doc, solver={"force_phi": 0.0}))
         assert abs(sol.slack_residual) <= scenario.solver.slack_tol * max(
             1.0, abs(at_zero.slack_residual))
+        # the power-law route solves c = phi / (1 - phi) itself, so the
+        # slack also meets the tolerance on the usable surplus
+        assert abs(sol.slack_residual) <= scenario.solver.slack_tol \
+            * sol.usable_surplus
 
     def test_tiny_output_meets_first_order_condition(self):
         # e0 produces about 9e-23 at the fixed point: the output root must
@@ -269,6 +276,243 @@ class TestPhiRoot:
         _, sol = solve_doc(doc)
         assert 0.0 < sol.outputs["e0"] < 1e-20
         assert sol.foc_good_residuals["e0"] <= 1e-6
+
+
+def power_law_doc(movers: list, goods: list) -> dict:
+    """The reference document with movers (id, power rate, stock) and
+    Cobb-Douglas energy goods (id, content, scale, exponents)."""
+    doc = cd1_doc()
+    mover = doc["prime_movers"][0]
+    doc["prime_movers"] = [
+        dict(mover, id=mid, power_rate=rate, endowment=stock)
+        for mid, rate, stock in movers]
+    doc["energy_goods"] = [
+        {"id": gid, "energy_content": content,
+         "technology": {"kind": "cobb_douglas", "scale": scale,
+                        "exponents": exponents}}
+        for gid, content, scale, exponents in goods]
+    return doc
+
+
+@st.composite
+def power_law_economies(draw) -> dict:
+    """1-3 movers, with or without embodied energy, and 1-3 Cobb-Douglas
+    goods, each on a subset of the movers; log-uniform endowments make
+    most draws scarce."""
+    n_movers = draw(st.integers(1, 3))
+    embodied = draw(st.booleans())
+    doc = two_good_doc({}, [])
+    doc["prime_movers"] = [{
+        "id": f"m{i}", "power_rate": draw(st.floats(0.5, 5.0)),
+        "depreciation": 0.5,
+        "avg_embodied": draw(st.floats(0.1, 3.0)) if embodied else 0.0,
+        "endowment": 10.0 ** draw(st.floats(-3.0, 1.0)),
+        "max_accum_rate": 0.1} for i in range(n_movers)]
+    for j in range(draw(st.integers(1, 3))):
+        used = draw(st.lists(st.integers(0, n_movers - 1), min_size=1,
+                             max_size=n_movers, unique=True))
+        betas = [draw(st.floats(0.05, 1.0)) for _ in used]
+        returns = draw(st.floats(0.3, 0.9))
+        doc["energy_goods"].append({
+            "id": f"e{j}", "energy_content": draw(st.floats(2.0, 50.0)),
+            "technology": {
+                "kind": "cobb_douglas", "scale": draw(st.floats(0.5, 2.0)),
+                "exponents": {f"m{i}": b * returns / sum(betas)
+                              for i, b in zip(used, betas)}}})
+    return doc
+
+
+class TestNewtonPhi:
+    """With Cobb-Douglas goods only, phi comes from Newton on the
+    power-law form of the usability residual, certified by one full
+    residual; a share the certificate rejects takes the bracket route."""
+
+    PHI_TOL = 1e-10
+
+    @staticmethod
+    def routes(problem):
+        """The Newton share (or None), the bracket route's (phi,
+        converged) and the slack tolerance, on one problem."""
+        rho0 = problem.residual(0.0)
+        ftol = problem.settings.slack_tol * max(1.0, abs(rho0))
+        return _newton_phi(problem), _bracket_phi(problem, rho0, ftol), ftol
+
+    @pytest.mark.parametrize("endowment", [1.0, 10.0])
+    def test_scarce_solve_takes_two_residuals_and_no_root(
+            self, endowment, residual_calls, root_calls):
+        # one mover, no rationing: rho(0) and the certificate are the only
+        # residuals, and phi* = 1 - 2 * endowment / delta**2
+        _, sol = solve_doc(scarce_doc(endowment))
+        assert residual_calls == [0.0, sol.phi]
+        assert root_calls["egl.surplus"] == 0
+        assert sol.binding_constraints == {}
+        assert sol.phi == pytest.approx(1.0 - endowment / 50.0, rel=1e-15)
+
+    @staticmethod
+    def source_capped_doc() -> dict:
+        """Two copies of the reference good share 8 movers, and e0 may
+        draw only 0.3 from its source."""
+        doc = cd1_doc()
+        doc["prime_movers"][0]["endowment"] = 8.0
+        doc["energy_goods"].append(dict(doc["energy_goods"][0], id="e1"))
+        doc["energy_goods"][0]["pes_stock"] = 0.3
+        return doc
+
+    @pytest.mark.parametrize("doc, newton_phi, miss, phi, binding", [
+        # source: the form puts Q = 0.4 on each good; at phi = 0.9,
+        # 10 (0.3 + Q_e1) = 8 balances usability
+        (source_capped_doc(), 0.92, -1.0, 0.9, "pes"),
+        # mover: e0 on m0 and m1, e1 on m2, no mover shared; m1 caps e0
+        (power_law_doc([("m0", 1.0, 2.0), ("m1", 1.0, 0.01),
+                        ("m2", 1.0, 2.0)],
+                       [("e0", 10.0, 1.0, {"m0": 0.25, "m1": 0.25}),
+                        ("e1", 10.0, 1.0, {"m2": 0.5})]),
+         0.9465333333333333, -0.3366666666666669, 0.9398, "endowment:m1")],
+        ids=["source", "mover"])
+    def test_binding_cap_takes_the_bracket_route(self, doc, newton_phi,
+                                                 miss, phi, binding):
+        # the power-law form has no caps, so its share misses usability
+        # by ``miss``; the solve then returns the bracket route's phi,
+        # bit for bit, with e0 at its cap
+        scenario = scenario_from_dict(doc)
+        state = initial_state(scenario)
+        problem = _Problem(scenario, state)
+        newton, (bracket, converged), _ = self.routes(problem)
+        assert newton == pytest.approx(newton_phi, rel=1e-12)
+        assert problem.residual(newton) == pytest.approx(miss, rel=1e-9)
+        sol = solve_energy_side(scenario, state)
+        assert converged and sol.phi == bracket
+        assert bracket == pytest.approx(phi, rel=1e-9)
+        assert sol.binding_constraints == {"e0": binding}
+
+    def test_several_movers_bound_at_zero_take_the_bracket_route(self):
+        # m1 (stock 0.01) is rationed between e0 and e1 from phi = 0 to
+        # about 0.97 while m0 keeps a leftover, so U > 0 there: the full
+        # residual falls through zero at 0.4187, rises, and touches zero
+        # again at the power-law root 0.9955, where nothing binds; the
+        # solve keeps the bracket route's root
+        doc = power_law_doc([("m0", 3.0, 2.371373705661655),
+                             ("m1", 1.0, 0.01)],
+                            [("e0", 2.0, 1.0, {"m1": 0.5}),
+                             ("e1", 15.0, 2.0, {"m1": 0.3125}),
+                             ("e2", 2.0, 2.0, {"m0": 0.5})])
+        scenario = scenario_from_dict(doc)
+        state = initial_state(scenario)
+        problem = _Problem(scenario, state)
+        newton, (phi, converged), ftol = self.routes(problem)
+        assert newton is None
+        assert abs(problem.residual(0.9955170802068111)) <= ftol
+        assert problem.allocation(0.9955170802068111)[3] == {}
+        sol = solve_energy_side(scenario, state)
+        assert converged and sol.phi == phi
+        assert phi == pytest.approx(0.41872826188452267, rel=1e-9)
+
+    def test_slack_met_near_one_without_rescue(self):
+        # phi* = 1 - 6.1e-6 with embodied energy (omega = 2.5, eps = 1.5):
+        # the bracket route's phi tolerance leaves E - U at 1.1e-6, above
+        # the slack tolerance 9e-7, and it rescues; the Newton share, 1e-11
+        # away, meets the slack to 6e-12 and needs no rescue
+        doc = two_good_doc({"power_rate": 1.5, "avg_embodied": 1.0,
+                            "endowment": 1.0}, [("e0", 46.0, 2.0, 0.3125)])
+        scenario = scenario_from_dict(doc)
+        state = initial_state(scenario)
+        problem = _Problem(scenario, state)
+        newton, (phi, converged), ftol = self.routes(problem)
+        assert not converged and abs(problem.residual(phi)) > ftol
+        assert abs(newton - phi) <= self.PHI_TOL * phi
+        sol = solve_energy_side(scenario, state)
+        assert sol.phi == newton
+        assert abs(sol.slack_residual) <= 1e-11
+        assert sol.binding_constraints == {}
+
+    @settings(max_examples=150, deadline=None)
+    @given(power_law_economies())
+    def test_newton_matches_bracket_route(self, doc):
+        scenario = scenario_from_dict(doc)
+        state = initial_state(scenario)
+        try:
+            sol = solve_energy_side(scenario, state)
+        except SolverError as err:
+            # phi* within 1e-12 of 1
+            assert err.kind == "degenerate"
+            return
+        problem = _Problem(scenario, state)
+        rho0 = problem.residual(0.0)
+        if rho0 <= 0.0:
+            assert sol.phi == 0.0
+            return
+        ftol = problem.settings.slack_tol * max(1.0, rho0)
+        newton = _newton_phi(problem)
+        certified = newton is not None \
+            and abs(problem.residual(newton)) <= ftol
+        # where no cap or rationing binds at phi = 0, none binds at any
+        # phi, and the power-law form is exact
+        assert certified or problem.allocation(0.0)[3]
+        try:
+            phi, _ = _bracket_phi(problem, rho0, ftol)
+        except SolverError:
+            # the bracket stops growing at 1 - 1.8e-12, short of phi*
+            assert certified and sol.phi == newton and 1.0 - newton < 2e-12
+            return
+        if not certified:
+            assert sol.phi == phi
+            return
+        # the bracket route may miss the slack tolerance near phi = 1
+        # (test_slack_met_near_one_without_rescue), but its phi agrees
+        assert sol.phi == newton
+        assert abs(newton - phi) <= self.PHI_TOL * phi + 1e-15
+
+    @pytest.fixture
+    def compared(self, monkeypatch):
+        """Runs the bracket route beside every positive phi solve on
+        Cobb-Douglas goods; records (phi, Newton share, bracket phi,
+        converged, residual at each, slack tolerance)."""
+        import egl.surplus
+        solve_phi = egl.surplus._solve_phi
+        records = []
+
+        def both(problem):
+            phi, balanced = solve_phi(problem)
+            if phi > 0.0 and not problem.fixed_terms:
+                newton, (ref, converged), ftol = self.routes(problem)
+                records.append((phi, newton, ref, converged,
+                                problem.residual(phi),
+                                problem.residual(ref), ftol))
+            return phi, balanced
+
+        monkeypatch.setattr(egl.surplus, "_solve_phi", both)
+        return records
+
+    def check(self, records) -> int:
+        """Checks each record; returns the number of Newton shares."""
+        for phi, newton, ref, converged, rho, rho_ref, ftol in records:
+            assert converged and abs(rho_ref) <= ftol
+            if newton is None:
+                assert phi == ref
+                continue
+            assert phi == newton and abs(rho) <= ftol
+            assert abs(phi - ref) <= self.PHI_TOL * ref + 1e-15
+        return sum(newton is not None for _, newton, *_ in records)
+
+    @pytest.mark.parametrize("name, solves, newton", [
+        ("reference", 0, 0), ("scarce_growth", 92, 92), ("shocks", 0, 0),
+        ("arrivals", 34, 18)])
+    def test_shipped_scenarios_per_solve(self, compared, name, solves,
+                                         newton):
+        # shocks has a fixed-proportions good in every period; arrivals
+        # rations its workers between grain and coal at phi = 0 in 16
+        # periods
+        doc = json.loads(SCENARIOS.joinpath(f"{name}.json").read_text())
+        simulate(scenario_from_dict(doc))
+        assert len(compared) == solves
+        assert self.check(compared) == newton
+
+    def test_acceptance_draws_per_solve(self, compared):
+        rng = np.random.default_rng(20240817)
+        for trial in range(100):
+            solve_doc(random_energy_doc(rng, scarce=trial % 2 == 0))
+        assert len(compared) == 50
+        assert self.check(compared) == 50
 
 
 class TestSmoothOutputRule:
@@ -456,8 +700,9 @@ class TestShutdownShares:
         assert sol.binding_constraints["e0"] == "usability"
 
     def test_smooth_goods_solve_as_before(self):
-        # no fixed-proportions good, no shutdown share: the same residuals
-        # and root steps, so phi is bit-identical to the pinned value
+        # no fixed-proportions good, no shutdown share: the power-law route
+        # solves phi, bit-identical to the pinned value and within 2e-16 of
+        # the one-mover closed form
         doc = two_good_doc(
             {"power_rate": 2.341396113661226,
              "endowment": 1.644372310181278},
@@ -467,7 +712,8 @@ class TestShutdownShares:
               0.39982096832245584)])
         assert problem_of(doc).shutdown_shares() == []
         _, sol = solve_doc(doc)
-        assert sol.phi == 0.9999410685594822
+        assert sol.phi == 0.999941068566162
+        assert abs(sol.phi - 0.9999410685661618) <= 1e-14
 
     def test_profile_geometry_found_once_per_technology(self, root_calls):
         # wood's dip and tangency are one root each for the whole run,
