@@ -11,9 +11,8 @@ __version__ = "0.1.0"
 
 from .core import (EconomyState, EnergyGood, EventSpec, NonEnergyGood,
                    Preferences, PrimeMoverType, ScenarioConfig,
-                   SolverSettings, aggregate_power, direct_energy,
-                   initial_state, load_scenario, scenario_digest,
-                   scenario_from_dict)
+                   aggregate_power, direct_energy, initial_state,
+                   load_scenario, scenario_digest, scenario_from_dict)
 from .demand import DemandSolution, solve_demands, usability_slack
 from .embodied import (MeecPoint, average_embodied, cumulative_transfer,
                        elasticity, marginal_embodied, sample_curve)
@@ -27,7 +26,7 @@ from .surplus import (EnergySideSolution, figure1_report, marginal_surplus_at,
 
 __all__ = [
     "EconomyState", "EnergyGood", "EventSpec", "NonEnergyGood",
-    "Preferences", "PrimeMoverType", "ScenarioConfig", "SolverSettings",
+    "Preferences", "PrimeMoverType", "ScenarioConfig",
     "aggregate_power", "direct_energy", "initial_state", "load_scenario",
     "scenario_digest", "scenario_from_dict",
     "DemandSolution", "solve_demands", "usability_slack",

@@ -16,7 +16,8 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .core import (ScenarioConfig, effective_multiplier, initial_state,
+from .core import (PHI_TOL, Q_RTOL, SLACK_TOL, SS_ACCUM_TOL, SS_ALPHA_TOL,
+                   ScenarioConfig, effective_multiplier, initial_state,
                    load_scenario, scenario_digest)
 from .demand import demand_for_state
 from .embodied import sample_curve
@@ -33,6 +34,11 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_SOLVER = 2
 EXIT_IO = 3
+
+#: The solver tolerances, as each solving command's manifest lists them.
+_TOLERANCES = {"tolerances": {
+    "phi": PHI_TOL, "q_rtol": Q_RTOL, "slack": SLACK_TOL,
+    "ss_accum": SS_ACCUM_TOL, "ss_alpha": SS_ALPHA_TOL}}
 
 
 class _StderrHandler(logging.StreamHandler):
@@ -74,8 +80,7 @@ def _read_scenario(path: str) -> tuple[str, ScenarioConfig]:
 
 
 def _write_outputs(out_dir: str, files: dict[str, str], command: str,
-                   digest: str, scenario: ScenarioConfig | None,
-                   extra: dict | None = None) -> None:
+                   digest: str, extra: dict) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, content in files.items():
@@ -86,13 +91,7 @@ def _write_outputs(out_dir: str, files: dict[str, str], command: str,
         "version": __version__,
         "outputs": sorted(files),
     }
-    if scenario is not None:
-        s = scenario.solver
-        manifest["tolerances"] = {
-            "phi": s.phi_tol, "q_rtol": s.q_rtol, "slack": s.slack_tol,
-            "ss_accum": s.ss_accum_tol, "ss_alpha": s.ss_alpha_tol}
-    if extra:
-        manifest.update(extra)
+    manifest.update(extra)
     (out / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n",
         encoding="utf-8", newline="")
@@ -122,7 +121,7 @@ def _cmd_equilibrium(args) -> int:
                               multiplier=effective_multiplier(good, state))
         files[f"meec_{gid}.csv"] = meec_curve_csv(points)
     _write_outputs(args.out, files, "equilibrium", scenario_digest(text),
-                   scenario)
+                   _TOLERANCES)
     return EXIT_OK
 
 
@@ -134,7 +133,7 @@ def _cmd_simulate(args) -> int:
         "figure2.svg": figure2_svg(trajectory),
     }
     _write_outputs(args.out, files, "simulate", scenario_digest(text),
-                   scenario)
+                   _TOLERANCES)
     if trajectory.diagnostic is not None:
         return _error("solver", trajectory.diagnostic["error"], EXIT_SOLVER)
     return EXIT_OK
@@ -154,11 +153,11 @@ def _cmd_statics(args) -> int:
         "failures.csv": failures_csv(tables),
     }
     _write_outputs(args.out, files, "statics",
-                   scenario_digest(family_text), None,
-                   extra={"seed": args.seed, "trials": args.trials,
-                          "generator": "numpy-PCG64",
-                          "discarded": {key: t.discarded
-                                        for key, t in tables.items()}})
+                   scenario_digest(family_text),
+                   {"seed": args.seed, "trials": args.trials,
+                    "generator": "numpy-PCG64",
+                    "discarded": {key: t.discarded
+                                  for key, t in tables.items()}})
     return EXIT_OK
 
 

@@ -218,26 +218,22 @@ class EventSpec:
     delta: float | None = None
 
 
-@dataclass(frozen=True)
-class SolverSettings:
-    """Tolerances and knobs shared by the solvers."""
-
-    phi_tol: float = 1e-10        # relative tolerance of the phi root
-    q_rtol: float = 1e-10         # relative bracket width for output roots
-    slack_tol: float = 1e-8       # |E - U|, relative to max(1, E - U at phi = 0)
-    ss_accum_tol: float = 1e-8    # steady state: accumulation, relative to stock
-    ss_alpha_tol: float = 1e-6    # steady state: marginal surplus, relative to delta
-    substeps: int = 1
-    accum_normalization: str | float = "own_eps"
-    force_phi: float | None = None
+#: Solver tolerances, written to each run's manifest.
+PHI_TOL = 1e-10         # relative tolerance of the phi root
+Q_RTOL = 1e-10          # relative bracket width for output roots
+SLACK_TOL = 1e-8        # |E - U|, relative to max(1, E - U at phi = 0)
+SS_ACCUM_TOL = 1e-8     # steady state: accumulation, relative to stock
+SS_ALPHA_TOL = 1e-6     # steady state: marginal surplus, relative to delta
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated scenario: types, preferences, events, solver settings.
+    """Validated scenario: types, preferences, events, forced share.
 
     Types brought in by arrival events are in the type tuples, after the
     listed ones, with ``intro_period`` set; ``events`` holds the shocks.
+    ``force_phi`` (``solver.force_phi`` in the document) pins the
+    useless-surplus share instead of solving for it, a diagnostic.
     """
 
     period_length: float
@@ -246,7 +242,7 @@ class ScenarioConfig:
     non_energy_goods: tuple[NonEnergyGood, ...]
     preferences: Preferences
     events: tuple[EventSpec, ...] = ()
-    solver: SolverSettings = SolverSettings()
+    force_phi: float | None = None
     horizon: int = 500
 
 
@@ -633,42 +629,16 @@ def _parse_event(doc, path: str, period_length: float,
     return replace(new, intro_period=period)
 
 
-def _parse_solver(doc, path: str) -> SolverSettings:
+def _parse_force_phi(doc, path: str) -> float | None:
     if not isinstance(doc, dict):
         _fail(path, "must be an object")
-    _check_keys(doc, {"tolerances", "substeps", "accum_normalization",
-                      "force_phi"}, path)
-    tols = doc.get("tolerances", {})
-    if not isinstance(tols, dict):
-        _fail(f"{path}.tolerances", "must be an object")
-    tpath = f"{path}.tolerances"
-    fields = {"phi": "phi_tol", "q_rtol": "q_rtol", "slack": "slack_tol",
-              "ss_accum": "ss_accum_tol", "ss_alpha": "ss_alpha_tol"}
-    _check_keys(tols, set(fields), tpath)
-    defaults = SolverSettings()
-    values = {}
-    for key, name in fields.items():
-        v = _num(tols, key, tpath, default=getattr(defaults, name),
-                 required=False)
-        if v <= 0.0:
-            _fail(f"{tpath}.{key}", "tolerances must be positive")
-        values[name] = v
-    substeps = _intval(doc, "substeps", path, default=defaults.substeps)
-    if substeps < 1:
-        _fail(f"{path}.substeps", "must be >= 1")
-    norm = doc.get("accum_normalization", "own_eps")
-    if norm != "own_eps":
-        if not _finite_number(norm) or norm <= 0.0:
-            _fail(f"{path}.accum_normalization",
-                  "must be 'own_eps' or a positive number")
-        norm = float(norm)
-    force_phi = doc.get("force_phi")
-    if force_phi is not None:
-        force_phi = _num(doc, "force_phi", path)
-        if not 0.0 <= force_phi < 1.0:
-            _fail(f"{path}.force_phi", "must be in [0, 1)")
-    return SolverSettings(substeps=substeps, accum_normalization=norm,
-                          force_phi=force_phi, **values)
+    _check_keys(doc, {"force_phi"}, path)
+    if doc.get("force_phi") is None:
+        return None
+    force_phi = _num(doc, "force_phi", path)
+    if not 0.0 <= force_phi < 1.0:
+        _fail(f"{path}.force_phi", "must be in [0, 1)")
+    return force_phi
 
 
 def scenario_from_dict(doc: dict) -> ScenarioConfig:
@@ -762,7 +732,7 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
             _fail(f"$.events[{i}].period",
                   f"precedes the arrival of {target!r} at period {intro}")
 
-    solver = _parse_solver(doc.get("solver", {}), "$.solver")
+    force_phi = _parse_force_phi(doc.get("solver", {}), "$.solver")
     horizon = _intval(doc, "horizon", "$", default=500)
     if horizon < 0:
         _fail("$.horizon", "must be >= 0")
@@ -771,7 +741,7 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
                           energy_goods=e_goods, non_energy_goods=n_goods,
                           preferences=preferences,
                           events=tuple(ev for _, ev in shocks),
-                          solver=solver, horizon=horizon)
+                          force_phi=force_phi, horizon=horizon)
 
 
 def with_entry_value(scenario: ScenarioConfig, doc: dict, section: str,

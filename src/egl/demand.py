@@ -10,7 +10,8 @@ curve is a power law A * q^k (smooth technology, or a constant
 fixed-proportions profile) its inner solve is closed form; a curved profile
 takes a bracketed root.  When every good shares one power k, spending
 scales as a power of the multiplier, so the outer solve is closed form too;
-otherwise a bracket search and a bracketed root find the multiplier.
+otherwise a bracket search (``grow_bracket``) and a bracketed root find the
+multiplier.
 Internally the multiplier belongs to an additively separable transform of
 the utility (same level sets, hence same demands); the reported marginal
 utility of energy is evaluated on the stated utility form at the solution.
@@ -21,10 +22,11 @@ support fleet all read it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
-from .core import (EconomyState, NonEnergyGood, Preferences, PrimeMoverType,
-                   effective_multiplier, employment_totals)
+from .core import (Q_RTOL, EconomyState, NonEnergyGood, Preferences,
+                   PrimeMoverType, effective_multiplier, employment_totals)
 from .embodied import Curve, curve, solve_power
 from .errors import SolverError
 from .numerics import bracketed_root, grow_bracket
@@ -170,18 +172,16 @@ def solve_demands(preferences: Preferences,
                               spending(1.0))
         _check_multiplier(lam_sep, energy)
     else:
-        lam_lo = lam_hi = 1.0
-        while spending(lam_hi) > energy:
-            lam_hi *= 4.0
-            _check_multiplier(lam_hi, energy)
-        while spending(lam_lo) < energy:
-            lam_lo /= 4.0
-            _check_multiplier(lam_lo, energy)
-        if lam_lo == lam_hi:
-            lam_sep = lam_lo          # spending(1.0) hit the budget exactly
-        else:
-            lam_sep = bracketed_root(lambda lam: spending(lam) - energy,
-                                     lam_lo, lam_hi, rtol=rtol)
+        # spending falls in lam: search up in lam and down in 1/lam for
+        # the bracket; a search that passes the range reads as infinite
+        lam_hi = grow_bracket(lambda lam: energy - spending(lam), 1.0,
+                              _LAM_MAX)
+        _check_multiplier(lam_hi or math.inf, energy)
+        inv_lo = grow_bracket(lambda inv: spending(1.0 / inv) - energy, 1.0,
+                              1.0 / _LAM_MIN)
+        _check_multiplier(1.0 / inv_lo if inv_lo else 0.0, energy)
+        lam_sep = bracketed_root(lambda lam: spending(lam) - energy,
+                                 1.0 / inv_lo, lam_hi, rtol=rtol)
 
     bundle = {g.id: quantity(g, weights[g.id] / lam_sep) for g in goods}
     gamma = {gid: curves[gid].marginal(q) for gid, q in bundle.items()}
@@ -269,4 +269,4 @@ def demand_for_state(scenario, state: EconomyState, energy: float,
                  for mid in state.movers}
     return solve_demands(scenario.preferences, goods, state.movers, energy,
                          multipliers=mult, remaining_endowment=remaining,
-                         rtol=scenario.solver.q_rtol)
+                         rtol=Q_RTOL)

@@ -2,11 +2,11 @@
 
 Each period the static problem is solved with the current stocks, the
 per-mover marginal surplus phi_l = phi * eps_l / (1 - phi) is computed, and
-stocks grow by dx/dt = r_l * tanh(phi_l / eps_ref) * x_l integrated with
-forward Euler inside the period.  The tanh argument is normalized by a
-configurable reference (each mover's own direct energy by default) so it is
-dimensionless.  Growth stops at the steady state: no marginal surplus left
-on any good and negligible accumulation on every mover.
+stocks grow by dx/dt = r_l * tanh(phi_l / eps_l) * x_l over the period in
+one forward Euler step.  The tanh argument is normalized by each mover's
+own direct energy eps_l so it is dimensionless.  Growth stops at the
+steady state: no marginal surplus left on any good and negligible
+accumulation on every mover.
 
 At the start of each period, before the solve, the types introduced at
 that period activate (new movers and energy sources) and then the
@@ -20,8 +20,9 @@ import logging
 import math
 from dataclasses import dataclass, replace
 
-from .core import (EconomyState, EventSpec, PrimeMoverType, ScenarioConfig,
-                   activate_due, aggregate_power, initial_state)
+from .core import (SS_ACCUM_TOL, SS_ALPHA_TOL, EconomyState, EventSpec,
+                   PrimeMoverType, ScenarioConfig, activate_due,
+                   aggregate_power, initial_state)
 from .demand import DemandSolution, demand_for_state
 from .errors import EglError, ScenarioValidationError
 from .surplus import EnergySideSolution, mover_surplus_rates, solve_energy_side
@@ -62,33 +63,24 @@ class Trajectory:
 
 def step_accumulation(stocks: dict[str, float],
                       surplus_args: dict[str, float],
-                      movers: dict[str, PrimeMoverType],
-                      substeps: int = 1) -> dict[str, float]:
-    """Advance stocks one period; ``surplus_args`` are the dimensionless
-    tanh arguments, held constant within the period."""
-    if substeps < 1:
-        raise ValueError("substeps must be >= 1")
+                      movers: dict[str, PrimeMoverType]) -> dict[str, float]:
+    """Advance stocks one period by one Euler step; ``surplus_args`` are
+    the dimensionless tanh arguments."""
     out = dict(stocks)
     for mid, mover in movers.items():
         x = out.get(mid, 0.0)
         if x <= 0.0:
             continue
         rate = mover.max_accum_rate * math.tanh(surplus_args.get(mid, 0.0))
-        for _ in range(substeps):
-            x *= 1.0 + rate / substeps
-        out[mid] = x
+        out[mid] = x * (1.0 + rate)
     return out
 
 
 def normalized_surplus_args(phi_l: dict[str, float],
-                            movers: dict[str, PrimeMoverType],
-                            normalization: str | float) -> dict[str, float]:
-    """Dimensionless accumulation drive per mover."""
-    if normalization == "own_eps":
-        return {mid: phi_l[mid] / movers[mid].direct_energy
-                for mid in movers}
-    ref = float(normalization)
-    return {mid: phi_l[mid] / ref for mid in movers}
+                            movers: dict[str, PrimeMoverType]
+                            ) -> dict[str, float]:
+    """Dimensionless accumulation drive per mover: phi_l / eps_l."""
+    return {mid: phi_l[mid] / movers[mid].direct_energy for mid in movers}
 
 
 def apply_event(state: EconomyState, event: EventSpec) -> EconomyState:
@@ -133,15 +125,13 @@ def enter_period(scenario: ScenarioConfig, state: EconomyState,
     return state
 
 
-def _is_steady(scenario: ScenarioConfig, state: EconomyState,
-               energy: EnergySideSolution,
+def _is_steady(state: EconomyState, energy: EnergySideSolution,
                surplus_args: dict[str, float]) -> bool:
-    s = scenario.solver
     max_stock = max(state.stocks.values(), default=0.0)
     for mid, mover in state.movers.items():
         x = state.stocks.get(mid, 0.0)
         growth = mover.max_accum_rate * math.tanh(surplus_args[mid]) * x
-        if growth >= s.ss_accum_tol * max(max_stock, 1e-300):
+        if growth >= SS_ACCUM_TOL * max(max_stock, 1e-300):
             return False
     for gid, good in state.energy_goods.items():
         if good.pes_stock is not None:
@@ -149,8 +139,7 @@ def _is_steady(scenario: ScenarioConfig, state: EconomyState,
                 continue    # exhausted source: the gap is inactionable
             if energy.outputs.get(gid, 0.0) > 0.0:
                 return False    # bounded stock still being drawn down
-        if energy.marginal_surplus[gid] >= s.ss_alpha_tol \
-                * good.energy_content:
+        if energy.marginal_surplus[gid] >= SS_ALPHA_TOL * good.energy_content:
             return False
     return True
 
@@ -184,8 +173,7 @@ def simulate(scenario: ScenarioConfig,
                               diagnostic={"period": t, "error": str(exc)})
 
         phi_l = mover_surplus_rates(energy.phi, state.movers)
-        surplus_args = normalized_surplus_args(
-            phi_l, state.movers, scenario.solver.accum_normalization)
+        surplus_args = normalized_surplus_args(phi_l, state.movers)
         power = aggregate_power(state)
         log.debug("t=%d phi=%.6g E*=%.6g P=%.6g", t, energy.phi,
                   energy.usable_surplus, power)
@@ -206,7 +194,7 @@ def simulate(scenario: ScenarioConfig,
             binding_constraints=dict(energy.binding_constraints)))
 
         if t >= last_change \
-                and _is_steady(scenario, state, energy, surplus_args):
+                and _is_steady(state, energy, surplus_args):
             steady = {
                 "period": t,
                 "phi": energy.phi,
@@ -223,8 +211,7 @@ def simulate(scenario: ScenarioConfig,
         cum = dict(state.cum_extraction)
         for gid, q in energy.outputs.items():
             cum[gid] = cum.get(gid, 0.0) + q
-        stocks = step_accumulation(state.stocks, surplus_args, state.movers,
-                                   scenario.solver.substeps)
+        stocks = step_accumulation(state.stocks, surplus_args, state.movers)
         state = replace(state, period=t + 1, stocks=stocks,
                         cum_extraction=cum)
 

@@ -47,8 +47,9 @@ import logging
 import math
 from dataclasses import dataclass, field
 
-from .core import (CobbDouglas, EconomyState, EnergyGood, ScenarioConfig,
-                   effective_multiplier, initial_state)
+from .core import (PHI_TOL, Q_RTOL, SLACK_TOL, CobbDouglas, EconomyState,
+                   EnergyGood, ScenarioConfig, effective_multiplier,
+                   initial_state)
 from .embodied import (Curve, curve, marginal_embodied, sample_curve,
                        solve_power)
 from .errors import SolverError
@@ -164,9 +165,8 @@ class _Problem:
     """Per-good curves and constants for one energy-side solve, and the
     allocation at every share phi evaluated so far."""
 
-    def __init__(self, scenario: ScenarioConfig, state: EconomyState):
+    def __init__(self, state: EconomyState):
         self.state = state
-        self.settings = scenario.solver
         self.goods = list(state.energy_goods.values())
         self.mult = {g.id: effective_multiplier(g, state) for g in self.goods}
         self.curves = {}
@@ -261,7 +261,6 @@ class _Problem:
         """
         cap = self.caps[good.id]
         tag = self.cap_tags[good.id]
-        rtol = self.settings.q_rtol
         tech = good.technology
         delta = good.energy_content
 
@@ -288,7 +287,7 @@ class _Problem:
 
         if gain(cap) >= 0.0:
             return cap, tag
-        return bracketed_root(gain, q_peak, cap, rtol=rtol), None
+        return bracketed_root(gain, q_peak, cap, rtol=Q_RTOL), None
 
     def shutdown_shares(self) -> list[float]:
         """Shares phi at which a fixed-proportions good stops producing,
@@ -325,16 +324,16 @@ class _Problem:
 
         Used when the usability residual jumps across zero without a root:
         the premium mechanism cannot price a locally downward-sloping
-        requirement curve, so the constraint is imposed directly.
+        requirement curve, so the constraint is imposed directly.  The
+        outputs are the allocation of a share whose residual is positive,
+        so the common scale lies in [0, 1).
         """
         def excess(scale: float) -> float:
             scaled = {gid: q * scale for gid, q in outputs.items()}
             return self.slack(scaled, *self.load(scaled))
 
-        if excess(1.0) <= 0.0:
-            return outputs, False
         scale = bracketed_root(excess, 0.0, 1.0, rtol=1e-13)
-        return {gid: q * scale for gid, q in outputs.items()}, True
+        return {gid: q * scale for gid, q in outputs.items()}
 
     def load(self, outputs: dict[str, float]):
         """Expenditure G per good and units employed per mover."""
@@ -364,22 +363,20 @@ class _Problem:
         shrink by a common factor until its total employment meets the stock.
         Loops at most once per mover type.  Scales ``outputs`` in place,
         tags the rationed goods in ``bindings``, and returns the expenditure
-        and mover totals of the final outputs.
+        and mover totals of the final outputs.  Only candidate goods
+        produce, so every mover in the totals has a positive stock.
         """
+        stocks = self.state.stocks
         costs, totals = self.load(outputs)
         for _ in range(len(self.state.movers) + 1):
             worst, worst_ratio = None, 1.0 + 1e-12
             for mid, used in sorted(totals.items()):
-                stock = self.state.stocks.get(mid, 0.0)
-                if stock <= 0.0 and used > 0.0:
-                    ratio = math.inf
-                else:
-                    ratio = used / stock if stock > 0.0 else 1.0
+                ratio = used / stocks[mid]
                 if ratio > worst_ratio:
                     worst, worst_ratio = mid, ratio
             if worst is None:
                 break
-            stock = self.state.stocks.get(worst, 0.0)
+            stock = stocks[worst]
             # each good employing the worst mover: (id, curve, mover slot)
             users = []
             for g in self.goods:
@@ -468,7 +465,7 @@ def _solve_phi(problem: _Problem) -> tuple[float, bool]:
     rho0 = problem.residual(0.0)
     if rho0 <= 0.0:
         return 0.0, True
-    ftol = problem.settings.slack_tol * max(1.0, abs(rho0))
+    ftol = SLACK_TOL * max(1.0, abs(rho0))
     if not problem.fixed_terms:
         phi = _newton_phi(problem)
         if phi is not None and abs(problem.residual(phi)) <= ftol:
@@ -489,7 +486,7 @@ def _newton_phi(problem: _Problem) -> float | None:
     in c.  With omega = eps, w_g = 0 and rho is convex, so Newton from
     c = 0 rises to the root; otherwise each step stays inside the sign
     bracket the iterates have built, and bisects it when it would leave.
-    The iteration stops once a step is below ``phi_tol * c`` plus the
+    The iteration stops once a step is below ``PHI_TOL * c`` plus the
     resolution that 1 + c kappa_g gives c.
 
     Caps and rationing are not part of this form: the full residual at the
@@ -531,7 +528,6 @@ def _newton_phi(problem: _Problem) -> float | None:
             slope -= kappa / (k * shift) * (delta * q - w * p * inv_b)
         return value, slope
 
-    tol = problem.settings.phi_tol
     kappa_max = max(kappa for _, _, _, kappa, _, _, _ in terms)
     lo, hi, c = 0.0, math.inf, 0.0
     for _ in range(MAX_ITER):
@@ -545,7 +541,8 @@ def _newton_phi(problem: _Problem) -> float | None:
         else:
             hi = c
         step = -value / slope
-        if abs(step) <= tol * c + math.ulp(1.0 + c * kappa_max) / kappa_max:
+        if abs(step) <= PHI_TOL * c \
+                + math.ulp(1.0 + c * kappa_max) / kappa_max:
             c += step
             break
         c = c + step if lo < c + step < hi else 0.5 * (lo + hi)
@@ -561,20 +558,21 @@ def _bracket_phi(problem: _Problem, rho0: float,
     value ``rho0 > 0`` at phi = 0 and the slack tolerance ``ftol``.
 
     The bracket [lo, hi] grows toward phi = 1 until the residual at hi
-    turns negative.  The residual is continuous except at the shutdown
-    shares of fixed-proportions goods, where it can jump down across zero.
-    So before hi is evaluated, two residuals ``phi_tol / 2`` apart around
-    each shutdown share inside the bracket either certify such a jump or
-    narrow the bracket to the continuous piece that holds the sign change;
-    one bracketed root then solves that piece to ``phi_tol`` relative.
+    turns negative; its last upper end is ``_PHI_MAX``, the largest share
+    the Newton route returns too.  The residual is continuous except at
+    the shutdown shares of fixed-proportions goods, where it can jump down
+    across zero.  So before hi is evaluated, two residuals ``PHI_TOL / 2``
+    apart around each shutdown share inside the bracket either certify
+    such a jump or narrow the bracket to the continuous piece that holds
+    the sign change; one bracketed root then solves that piece to
+    ``PHI_TOL`` relative.
     Returns (phi, converged).
     ``converged`` is False when the residual jumps across zero without a
-    root: phi is then a share with a positive residual within ``phi_tol``
+    root: phi is then a share with a positive residual within ``PHI_TOL``
     of one with a negative residual, and the caller imposes the usability
     constraint directly.  A jump the shares miss is still caught, as a
     root that misses the slack tolerance.
     """
-    settings = problem.settings
     residuals: dict[float, float] = {0.0: rho0}
 
     def rho(phi: float) -> float:
@@ -592,7 +590,7 @@ def _bracket_phi(problem: _Problem, rho0: float,
     while True:
         for share in shares:
             if lo < share < hi:
-                gap = 0.25 * settings.phi_tol * share
+                gap = 0.25 * PHI_TOL * share
                 left, right = max(lo, share - gap), min(hi, share + gap)
                 if rho(left) <= 0.0:
                     hi = left
@@ -602,17 +600,17 @@ def _bracket_phi(problem: _Problem, rho0: float,
                     return jump(left)
         if rho(hi) <= 0.0:
             break
-        lo, hi = hi, 1.0 - (1.0 - hi) / 4.0
         if hi >= _PHI_MAX:
             raise SolverError(
                 "degenerate",
                 "usability residual stays positive as phi approaches 1")
+        lo, hi = hi, min(1.0 - (1.0 - hi) / 4.0, _PHI_MAX)
 
     # The residual can rise with phi only while rationing binds.  With one
     # mover type that employs the whole fleet, U = 0 < E, and the residual
     # crosses zero once on [lo, hi]; with several it can cross more than
     # once, and Brent returns one of those roots.
-    phi = bracketed_root(rho, lo, hi, rtol=settings.phi_tol)
+    phi = bracketed_root(rho, lo, hi, rtol=PHI_TOL)
     if abs(rho(phi)) > ftol:
         return jump(max(x for x, value in residuals.items() if value > 0.0))
     return phi, True
@@ -627,18 +625,19 @@ def solve_energy_side(scenario: ScenarioConfig,
     """
     if state is None:
         state = initial_state(scenario)
-    problem = _Problem(scenario, state)
+    problem = _Problem(state)
 
-    force_phi = scenario.solver.force_phi
+    force_phi = scenario.force_phi
     forced = force_phi is not None
 
-    profitable = [g for g in problem.goods if problem.earns(g, math.inf)]
-    if not profitable:
-        return _null_solution(problem, force_phi or 0.0, forced)
     if not problem.candidates:
-        # a good that would earn either ran its primary source dry or
-        # earns nothing below its endowment cap; only one whose movers
-        # are missing leaves the economy unable to produce
+        # a good that would earn without a cap either ran its primary
+        # source dry or earns nothing below its endowment cap; only one
+        # whose movers are missing leaves the economy unable to produce.
+        # A candidate earns at its cap, hence without one, so these goods
+        # matter only when there is no candidate.
+        profitable = [g for g in problem.goods
+                      if problem.earns(g, math.inf)]
         if all(g.id in problem.exhausted or problem.caps.get(g.id, 0.0) > 0.0
                for g in profitable):
             return _null_solution(problem, force_phi or 0.0, forced)
@@ -654,12 +653,11 @@ def solve_energy_side(scenario: ScenarioConfig,
     outputs, costs, totals, bindings = problem.allocation(phi)
     bindings = dict(bindings)
     if not balanced:
-        outputs, rescaled = problem.rescale_to_usability(outputs)
-        if rescaled:
-            costs, totals = problem.load(outputs)
-            for gid, q in outputs.items():
-                if q > 0.0:
-                    bindings[gid] = "usability"
+        outputs = problem.rescale_to_usability(outputs)
+        costs, totals = problem.load(outputs)
+        for gid, q in outputs.items():
+            if q > 0.0:
+                bindings[gid] = "usability"
     income, spent = problem.surplus(outputs, costs)
     e_star = income - spent
     capacity = problem.capacity(totals)

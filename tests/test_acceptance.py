@@ -166,7 +166,7 @@ def test_criterion_7_growth_trajectory_shape():
         assert final.marginal_surplus["e0"] < 1e-6 * 10.0
         drives = normalized_surplus_args(
             mover_surplus_rates(final.phi, initial_state(scenario).movers),
-            initial_state(scenario).movers, "own_eps")
+            initial_state(scenario).movers)
         import math
         growth = 0.2 * math.tanh(drives["m0"]) * final.stocks["m0"]
         assert growth < 1e-8 * final.stocks["m0"] * 10.0

@@ -79,3 +79,10 @@ def test_kept_names_need_the_list():
         module, name = key.split(".")
         assert (module, name) in functions, key
         assert name not in egl.__all__ and (module, name) not in imported, key
+
+
+def test_every_exported_name_resolves():
+    # a type or function removed from its module must leave __all__ too
+    missing = [name for name in egl.__all__ if not hasattr(egl, name)]
+    assert missing == []
+    assert len(set(egl.__all__)) == len(egl.__all__)

@@ -60,6 +60,20 @@ class TestValidate:
         assert payload["error"] == "validation"
         assert "depreciation" in payload["detail"]
 
+    @pytest.mark.parametrize("key, value", [
+        ("tolerances", {"phi": 1e-11}), ("substeps", 2),
+        ("accum_normalization", 2.0)])
+    def test_removed_solver_setting_exit_1(self, tmp_path, capsys, key,
+                                           value):
+        doc = cd1_doc()
+        doc["solver"] = {key: value}
+        path = write_scenario(tmp_path, doc)
+        assert main(["validate", "--scenario", path]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "validation"
+        assert f"$.solver.{key}" in payload["detail"]
+        assert "unknown field" in payload["detail"]
+
     def test_parse_error_exit_1(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{", encoding="utf-8")

@@ -184,26 +184,32 @@ class TestLoadScenario:
             load_scenario(json.dumps(doc))
         assert "horsepower" in str(err.value)
 
-    # no solver reads these, so a document that sets one is rejected
-    @pytest.mark.parametrize("solver, field", [
-        ({"tolerances": {"foc": 1e-6}}, "$.solver.tolerances.foc"),
-        ({"tolerances": {"quadrature": 1e-9}},
-         "$.solver.tolerances.quadrature"),
-        ({"seed": 0}, "$.solver.seed"),
-    ])
-    def test_unread_solver_settings_rejected(self, solver, field):
+    # the tolerances, the Euler step and the drive's normalization are
+    # constants, and only force_phi is a solver setting
+    @pytest.mark.parametrize("solver", [
+        {"tolerances": {"slack": 1e-8}}, {"substeps": 2},
+        {"accum_normalization": "own_eps"}, {"seed": 0}])
+    def test_unread_solver_settings_rejected(self, solver):
         doc = cd1_doc()
-        doc["solver"] = solver
+        doc["solver"] = dict(solver, force_phi=0.5)
         with pytest.raises(ScenarioValidationError) as err:
             load_scenario(json.dumps(doc))
-        assert err.value.field == field
+        assert err.value.field == f"$.solver.{next(iter(solver))}"
+        assert "unknown field" in str(err.value)
 
-    def test_nonpositive_tolerance_names_document_key(self):
+    @pytest.mark.parametrize("value, parsed", [
+        (None, None), (0.0, 0.0), (0.5, 0.5), (1.0, "must be in [0, 1)"),
+        (-0.1, "must be in [0, 1)"), ("0.5", "must be a finite number")])
+    def test_force_phi(self, value, parsed):
         doc = cd1_doc()
-        doc["solver"] = {"tolerances": {"slack": 0.0}}
-        with pytest.raises(ScenarioValidationError) as err:
-            load_scenario(json.dumps(doc))
-        assert err.value.field == "$.solver.tolerances.slack"
+        doc["solver"] = {"force_phi": value}
+        if isinstance(parsed, str):
+            with pytest.raises(ScenarioValidationError) as err:
+                load_scenario(json.dumps(doc))
+            assert err.value.field == "$.solver.force_phi"
+            assert parsed in str(err.value)
+        else:
+            assert load_scenario(json.dumps(doc)).force_phi == parsed
 
 
 class TestRoundTrip:
@@ -224,8 +230,7 @@ class TestRoundTrip:
                       "technology": {"kind": "cobb_douglas", "scale": 1.0,
                                      "exponents": {"m0": 0.4}}}},
         ]
-        doc["solver"] = {"tolerances": {"phi": 1e-11}, "substeps": 2,
-                         "accum_normalization": 2.0}
+        doc["solver"] = {"force_phi": 0.25}
         sc = load_scenario(json.dumps(doc))
         # arrivals join the type lists; only the shocks stay events
         assert [ev.kind for ev in sc.events] == [
@@ -234,9 +239,7 @@ class TestRoundTrip:
         assert sc.prime_movers[-1].intro_period == 5
         assert [g.id for g in sc.energy_goods] == ["e0", "coal"]
         assert sc.energy_goods[-1].intro_period == 6
-        assert sc.solver.substeps == 2
-        assert sc.solver.accum_normalization == 2.0
-        assert sc.solver.phi_tol == 1e-11
+        assert sc.force_phi == 0.25
 
     def test_digest_stable_under_key_reordering(self):
         doc = cd1_doc()

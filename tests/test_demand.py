@@ -316,16 +316,34 @@ class TestSolvePaths:
         assert sol.budget_residual == 0.0
         assert sum(root_calls.values()) == 0
 
-    def test_mixed_powers_take_one_outer_root(self, root_calls):
+    @pytest.mark.parametrize("energy", [0.05, 1.5, 20.0])
+    def test_mixed_powers_take_one_outer_root(self, root_calls, energy):
         # constant curve (k = 0) next to a square-cost curve (k = 1): the
-        # inner solves stay closed form, the multiplier needs Brent
+        # inner solves stay closed form, the multiplier needs Brent.
+        # Spending at multiplier 1 is 1 + 0.5, so the bracket search goes
+        # up in the multiplier for 0.05 and down for 20, and 1.5 is met
+        # at 1 itself, a root at the bracket's end
         prefs = cobb_prefs(n0=1.0, n1=1.0)
         goods = [constant_good("n0", 1.0), smooth_good("n1", 0.5)]
-        sol = solve_demands(prefs, goods, MOVERS, 20.0)
+        sol = solve_demands(prefs, goods, MOVERS, energy)
         assert root_calls == {"egl.demand": 1}
-        assert abs(sol.budget_residual) <= 1e-9 * 20.0
+        assert abs(sol.budget_residual) <= 1e-9 * energy
+        if energy == 1.5:
+            assert sol.bundle["n0"] == 1.0
         assert tangency_residual(prefs, sol.bundle,
                                  sol.gamma_marginal) <= 1e-8
+
+    @pytest.mark.parametrize("energy, detail", [
+        (1e-200, "exceeds the budget"),        # multiplier above 1e180
+        (1e200, "stays below the budget"),     # multiplier below 1e-180
+    ])
+    def test_searched_multiplier_out_of_range_is_no_bracket(self, energy,
+                                                            detail):
+        goods = [constant_good("n0", 1.0), smooth_good("n1", 0.5)]
+        with pytest.raises(SolverError) as err:
+            solve_demands(cobb_prefs(n0=1.0, n1=1.0), goods, MOVERS, energy)
+        assert err.value.kind == "no_bracket"
+        assert detail in str(err.value)
 
     def test_curved_profile_takes_inner_roots(self, root_calls):
         from egl.core import NonEnergyGood

@@ -58,18 +58,11 @@ class TestStepAccumulation:
                                          rel=1e-12)
         assert out["a"] == pytest.approx(10.761594155955764, rel=1e-12)
 
-    def test_substeps_compound(self):
-        ms = movers(a=(1.0, 0.1))
-        two = step_accumulation({"a": 10.0}, {"a": 1e3}, ms, substeps=2)
-        assert two["a"] == pytest.approx(10.0 * 1.05 ** 2, rel=1e-12)
-
-    def test_normalization_default_is_own_direct_energy(self):
-        ms = movers(a=(4.0, 0.1))
-        phi_l = mover_surplus_rates(0.5, ms)     # 4 joules
-        args = normalized_surplus_args(phi_l, ms, "own_eps")
-        assert args["a"] == pytest.approx(1.0)   # phi/(1-phi)
-        args2 = normalized_surplus_args(phi_l, ms, 2.0)
-        assert args2["a"] == pytest.approx(2.0)
+    def test_normalization_is_own_direct_energy(self):
+        ms = movers(a=(4.0, 0.1), b=(2.0, 0.1))
+        phi_l = mover_surplus_rates(0.5, ms)     # 4 and 2 joules
+        args = normalized_surplus_args(phi_l, ms)
+        assert args == {"a": 1.0, "b": 1.0}      # phi/(1-phi) for each
 
 
 class TestEvents:
@@ -173,29 +166,9 @@ class TestSimulate:
         stepped = step_accumulation(
             {"m0": final.stocks["m0"]},
             normalized_surplus_args(sol.mover_surplus,
-                                    initial_state(sc).movers, "own_eps"),
+                                    initial_state(sc).movers),
             initial_state(sc).movers)
         assert stepped["m0"] == pytest.approx(final.stocks["m0"], rel=1e-6)
-
-    def test_substep_refinement_stays_close(self, cd1_scarce):
-        # local Euler consistency: from the same state, one period stepped
-        # with doubled substeps moves any stock by < 1%
-        base = simulate(cd1_scarce)
-        state = initial_state(cd1_scarce)
-        for r in base.records:
-            drives = normalized_surplus_args(r.mover_surplus, state.movers,
-                                             "own_eps")
-            coarse = step_accumulation(r.stocks, drives, state.movers, 1)
-            fine = step_accumulation(r.stocks, drives, state.movers, 2)
-            for mid in coarse:
-                assert fine[mid] == pytest.approx(coarse[mid], rel=1e-2)
-        # and the refined trajectory lands on the same steady state
-        doc = scarce_doc()
-        doc["solver"] = {"substeps": 2}
-        refined = simulate(load_scenario(json.dumps(doc)))
-        assert refined.steady_state is not None
-        assert refined.steady_state["outputs"]["e0"] == pytest.approx(
-            base.steady_state["outputs"]["e0"], rel=1e-3)
 
     def test_conservation_each_period(self, cd1_scarce):
         traj = simulate(cd1_scarce)

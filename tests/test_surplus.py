@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from egl import cumulative_transfer, initial_state, scenario_from_dict
-from egl.core import effective_multiplier
+from egl.core import SLACK_TOL, effective_multiplier
 from egl.errors import SolverError
 from egl.growth import simulate
 from egl.numerics import adaptive_simpson
-from egl.surplus import (_bracket_phi, _newton_phi, _Problem,
+from egl.surplus import (_PHI_MAX, _bracket_phi, _newton_phi, _Problem,
                          figure1_report, marginal_surplus_at,
                          scarcity_premium, solve_energy_side)
 
@@ -159,7 +159,7 @@ class TestReferenceSolve:
                           "q_s": 4.0, "rho": 2.0}}
         scenario = scenario_from_dict(doc)
         state = initial_state(scenario)
-        problem = _Problem(scenario, state)
+        problem = _Problem(state)
         good = state.energy_goods["e0"]
         # weight 6.67 clears the dip (profile bottoms at about 1.43 near
         # q = 4.4) but the early losses dominate the hump
@@ -251,16 +251,16 @@ class TestPhiRoot:
               0.3047422097995877),
              ("e1", 2.28513602912426, 0.5132916728034616,
               0.39982096832245584)])
-        scenario, sol = solve_doc(doc)
+        _, sol = solve_doc(doc)
         assert sol.phi == pytest.approx(0.9999410685661618, abs=1e-7)
         assert "usability" not in sol.binding_constraints.values()
         # the slack tolerance is relative to the residual at phi = 0
         _, at_zero = solve_doc(dict(doc, solver={"force_phi": 0.0}))
-        assert abs(sol.slack_residual) <= scenario.solver.slack_tol * max(
+        assert abs(sol.slack_residual) <= SLACK_TOL * max(
             1.0, abs(at_zero.slack_residual))
         # the power-law route solves c = phi / (1 - phi) itself, so the
         # slack also meets the tolerance on the usable surplus
-        assert abs(sol.slack_residual) <= scenario.solver.slack_tol \
+        assert abs(sol.slack_residual) <= SLACK_TOL \
             * sol.usable_surplus
 
     def test_tiny_output_meets_first_order_condition(self):
@@ -334,7 +334,7 @@ class TestNewtonPhi:
         """The Newton share (or None), the bracket route's (phi,
         converged) and the slack tolerance, on one problem."""
         rho0 = problem.residual(0.0)
-        ftol = problem.settings.slack_tol * max(1.0, abs(rho0))
+        ftol = SLACK_TOL * max(1.0, abs(rho0))
         return _newton_phi(problem), _bracket_phi(problem, rho0, ftol), ftol
 
     @pytest.mark.parametrize("endowment", [1.0, 10.0])
@@ -376,7 +376,7 @@ class TestNewtonPhi:
         # bit for bit, with e0 at its cap
         scenario = scenario_from_dict(doc)
         state = initial_state(scenario)
-        problem = _Problem(scenario, state)
+        problem = _Problem(state)
         newton, (bracket, converged), _ = self.routes(problem)
         assert newton == pytest.approx(newton_phi, rel=1e-12)
         assert problem.residual(newton) == pytest.approx(miss, rel=1e-9)
@@ -398,7 +398,7 @@ class TestNewtonPhi:
                              ("e2", 2.0, 2.0, {"m0": 0.5})])
         scenario = scenario_from_dict(doc)
         state = initial_state(scenario)
-        problem = _Problem(scenario, state)
+        problem = _Problem(state)
         newton, (phi, converged), ftol = self.routes(problem)
         assert newton is None
         assert abs(problem.residual(0.9955170802068111)) <= ftol
@@ -416,7 +416,7 @@ class TestNewtonPhi:
                             "endowment": 1.0}, [("e0", 46.0, 2.0, 0.3125)])
         scenario = scenario_from_dict(doc)
         state = initial_state(scenario)
-        problem = _Problem(scenario, state)
+        problem = _Problem(state)
         newton, (phi, converged), ftol = self.routes(problem)
         assert not converged and abs(problem.residual(phi)) > ftol
         assert abs(newton - phi) <= self.PHI_TOL * phi
@@ -436,12 +436,12 @@ class TestNewtonPhi:
             # phi* within 1e-12 of 1
             assert err.kind == "degenerate"
             return
-        problem = _Problem(scenario, state)
+        problem = _Problem(state)
         rho0 = problem.residual(0.0)
         if rho0 <= 0.0:
             assert sol.phi == 0.0
             return
-        ftol = problem.settings.slack_tol * max(1.0, rho0)
+        ftol = SLACK_TOL * max(1.0, rho0)
         newton = _newton_phi(problem)
         certified = newton is not None \
             and abs(problem.residual(newton)) <= ftol
@@ -451,7 +451,8 @@ class TestNewtonPhi:
         try:
             phi, _ = _bracket_phi(problem, rho0, ftol)
         except SolverError:
-            # the bracket stops growing at 1 - 1.8e-12, short of phi*
+            # the residual is still positive, within the slack tolerance,
+            # at the bracket's last upper end _PHI_MAX
             assert certified and sol.phi == newton and 1.0 - newton < 2e-12
             return
         if not certified:
@@ -461,6 +462,59 @@ class TestNewtonPhi:
         # (test_slack_met_near_one_without_rescue), but its phi agrees
         assert sol.phi == newton
         assert abs(newton - phi) <= self.PHI_TOL * phi + 1e-15
+
+    @pytest.mark.parametrize("rate, gives_up", [(1e-6, False),
+                                                (1e-160, True)])
+    def test_overflowing_form_takes_the_bracket_route(self, rate,
+                                                      gives_up):
+        # e0 runs on m1 alone and sits at its cap Q = 1 for every phi
+        # below 1 - rate, so usability balances at phi = 0.4, where e1
+        # makes 3.  The power-law form leaves e0 uncapped at
+        # Q = 5 / (rate (1 + c)): at rate 1e-6 its root lies near
+        # 1 - 6e-7, which the certificate rejects, and at rate 1e-160 the
+        # cost p = Q ** 2 overflows at c = 0, and Newton gives up
+        doc = power_law_doc([("m0", 1.0, 40.0), ("m1", rate, 1.0)],
+                            [("e0", 10.0, 1.0, {"m1": 0.5}),
+                             ("e1", 10.0, 1.0, {"m0": 0.5})])
+        scenario = scenario_from_dict(doc)
+        state = initial_state(scenario)
+        newton, (phi, converged), _ = self.routes(_Problem(state))
+        assert (newton is None) == gives_up
+        sol = solve_energy_side(scenario, state)
+        assert converged and sol.phi == phi
+        # e0's cost G = rate at its cap moves the balance by about rate
+        assert phi == pytest.approx(0.4, rel=1e-6)
+        assert sol.outputs["e1"] == pytest.approx(3.0, rel=1e-6)
+        assert sol.binding_constraints == {"e0": "endowment:m1"}
+
+    def test_bracket_route_reaches_the_newton_limit(self):
+        # phi* = 1 - 1.807e-12 lies past the bracket's last doubling
+        # share 1 - 1.819e-12, so the bracket closes at _PHI_MAX, the
+        # largest share Newton returns
+        doc = two_good_doc({"power_rate": 1.0, "endowment": 0.001},
+                           [("e0", 38.0, 1.0, 0.3)])
+        scenario = scenario_from_dict(doc)
+        state = initial_state(scenario)
+        problem = _Problem(state)
+        newton, (phi, _), _ = self.routes(problem)
+        assert problem.residual(_PHI_MAX) < 0.0
+        assert 1.0 - 2e-12 < phi < newton < _PHI_MAX
+        assert solve_energy_side(scenario, state).phi == newton
+        assert 1.0 - newton == pytest.approx(1.807e-12, rel=1e-3)
+
+    def test_residual_positive_at_the_limit_is_degenerate(self):
+        # half the power: phi* = 1 - 1.8e-13 lies past _PHI_MAX
+        doc = two_good_doc({"power_rate": 0.5, "endowment": 0.001},
+                           [("e0", 38.0, 1.0, 0.3)])
+        scenario = scenario_from_dict(doc)
+        state = initial_state(scenario)
+        problem = _Problem(state)
+        assert _newton_phi(problem) is None
+        assert problem.residual(_PHI_MAX) > 0.0
+        with pytest.raises(SolverError) as err:
+            solve_energy_side(scenario, state)
+        assert err.value.kind == "degenerate"
+        assert "stays positive as phi approaches 1" in str(err.value)
 
     @pytest.fixture
     def compared(self, monkeypatch):
@@ -532,7 +586,7 @@ class TestSmoothOutputRule:
         from egl.surplus import _Problem
         scenario = scenario_from_dict(doc)
         state = initial_state(scenario)
-        return _Problem(scenario, state), state.energy_goods["e0"]
+        return _Problem(state), state.energy_goods["e0"]
 
     def test_interior_optimum_is_closed_form(self, root_calls):
         # gamma(q) = 2q and kappa = eps / omega = 1, so q* = 5 / (1 + c)
@@ -617,7 +671,7 @@ def smooth_and_dip_doc(endowment: float, smooth_content: float,
 def problem_of(doc):
     from egl.surplus import _Problem
     scenario = scenario_from_dict(doc)
-    return _Problem(scenario, initial_state(scenario))
+    return _Problem(initial_state(scenario))
 
 
 class TestShutdownShares:
@@ -777,7 +831,7 @@ class TestShutdownThresholdOracle:
                     rng.uniform(1.05, 5.0))
             scenario = scenario_from_dict(doc)
             state = initial_state(scenario)
-            problem = _Problem(scenario, state)
+            problem = _Problem(state)
             e0 = state.energy_goods["e0"]
             share, = problem.shutdown_shares()
             c_star = share / (1.0 - share)
@@ -826,14 +880,14 @@ class TestDipBelowGammaZero:
     def test_produces_with_content_below_gamma_zero(self):
         # gamma(0) = 4.5 > 4.0 = delta, yet the profile dips to about 1.43,
         # where producing earns; the usability rescale then binds
-        scenario, sol = solve_doc(self.shocks_doc(4.0, 20.0))
+        _, sol = solve_doc(self.shocks_doc(4.0, 20.0))
         assert sol.gamma["wood"] < 4.0 < 4.5
         assert not sol.null
         assert sol.outputs["wood"] == pytest.approx(5.0, rel=1e-9)
         assert sol.phi == pytest.approx(0.4974222922825888, rel=1e-9)
         assert sol.usable_surplus == pytest.approx(9.115013322324524,
                                                    rel=1e-9)
-        assert abs(sol.slack_residual) <= scenario.solver.slack_tol \
+        assert abs(sol.slack_residual) <= SLACK_TOL \
             * max(1.0, sol.usable_surplus)
 
     def test_cap_below_the_dip_leaves_nothing_to_earn(self):
