@@ -18,11 +18,11 @@ from .embodied import (MeecPoint, average_embodied, cumulative_transfer,
                        elasticity, marginal_embodied, sample_curve)
 from .errors import (EglError, ScenarioParseError, ScenarioValidationError,
                      SolverError)
-from .growth import (Trajectory, apply_event, mover_surplus_rates, simulate,
-                     step_accumulation)
+from .growth import Trajectory, apply_event, simulate, step_accumulation
 from .statics import SignTable, perturb_and_sign, proposition_suite
 from .surplus import (EnergySideSolution, figure1_report, marginal_surplus_at,
-                      scarcity_premium, solve_energy_side)
+                      mover_surplus_rates, scarcity_premium,
+                      solve_energy_side)
 
 __all__ = [
     "EconomyState", "EnergyGood", "EventSpec", "NonEnergyGood",
@@ -34,10 +34,9 @@ __all__ = [
     "marginal_embodied", "sample_curve",
     "EglError", "ScenarioParseError", "ScenarioValidationError",
     "SolverError",
-    "Trajectory", "apply_event", "mover_surplus_rates", "simulate",
-    "step_accumulation",
+    "Trajectory", "apply_event", "simulate", "step_accumulation",
     "SignTable", "perturb_and_sign", "proposition_suite",
     "EnergySideSolution", "figure1_report", "marginal_surplus_at",
-    "scarcity_premium", "solve_energy_side",
+    "mover_surplus_rates", "scarcity_premium", "solve_energy_side",
     "__version__",
 ]

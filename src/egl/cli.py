@@ -134,8 +134,8 @@ def _cmd_simulate(args) -> int:
     }
     _write_outputs(args.out, files, "simulate", scenario_digest(text),
                    _TOLERANCES)
-    if trajectory.diagnostic is not None:
-        return _error("solver", trajectory.diagnostic["error"], EXIT_SOLVER)
+    if trajectory.error is not None:
+        return _error("solver", trajectory.error, EXIT_SOLVER)
     return EXIT_OK
 
 

@@ -389,7 +389,10 @@ def _intval(doc: dict, key: str, path: str, default: int = 0) -> int:
     return v
 
 
-def _check_keys(doc: dict, allowed: set[str], path: str):
+def _check_keys(doc, allowed: set[str], path: str):
+    """Reject a document that is not an object or has unknown keys."""
+    if not isinstance(doc, dict):
+        _fail(path, "must be an object")
     extra = set(doc) - allowed
     if extra:
         _fail(f"{path}.{sorted(extra)[0]}", "unknown field")
@@ -431,8 +434,6 @@ def _parse_technology(doc, path: str) -> Technology:
         if not any(v > 0.0 for v in out.values()):
             _fail(f"{path}.requirements", "at least one coefficient must be > 0")
         curv = doc.get("curvature", {})
-        if not isinstance(curv, dict):
-            _fail(f"{path}.curvature", "must be an object")
         cpath = f"{path}.curvature"
         _check_keys(curv, {"c0", "c1", "tau", "c2", "q_s", "rho"}, cpath)
         c0 = _num(curv, "c0", cpath)
@@ -546,8 +547,6 @@ def _parse_non_energy_good(doc, path: str) -> NonEnergyGood:
 
 def _parse_preferences(doc, path: str,
                        goods: tuple[NonEnergyGood, ...]) -> Preferences:
-    if not isinstance(doc, dict):
-        _fail(path, "must be an object")
     _check_keys(doc, {"form", "weights", "elasticity"}, path)
     form = doc.get("form", "cobb_douglas")
     if form not in ("cobb_douglas", "ces"):
@@ -588,7 +587,7 @@ def _parse_event(doc, path: str, period_length: float,
     if kind in ("efficiency_shift", "meec_shift"):
         _check_keys(doc, {"kind", "period", "good", "multiplier"}, path)
         good = doc.get("good")
-        if good not in known_goods:
+        if not isinstance(good, str) or good not in known_goods:
             _fail(f"{path}.good", f"unknown good id {good!r}")
         mult = _num(doc, "multiplier", path)
         if mult <= 0.0:
@@ -603,26 +602,20 @@ def _parse_event(doc, path: str, period_length: float,
     if kind == "endowment_shock":
         _check_keys(doc, {"kind", "period", "mover", "delta"}, path)
         mover = doc.get("mover")
-        if mover not in known_movers:
+        if not isinstance(mover, str) or mover not in known_movers:
             _fail(f"{path}.mover", f"unknown prime mover id {mover!r}")
         delta = _num(doc, "delta", path)
         return EventSpec(period=period, kind=kind, mover=mover, delta=delta)
     if kind == "new_prime_mover":
         _check_keys(doc, {"kind", "period", "mover"}, path)
-        payload = doc.get("mover")
-        if not isinstance(payload, dict):
-            _fail(f"{path}.mover", "must be an object")
-        new = _parse_mover(payload, f"{path}.mover", period_length)
+        new = _parse_mover(doc.get("mover"), f"{path}.mover", period_length)
         if new.id in known_movers:
             _fail(f"{path}.mover.id", f"duplicate prime mover id {new.id!r}")
         known_movers.add(new.id)
         return replace(new, intro_period=period)
     # new_energy_good
     _check_keys(doc, {"kind", "period", "good"}, path)
-    payload = doc.get("good")
-    if not isinstance(payload, dict):
-        _fail(f"{path}.good", "must be an object")
-    new = _parse_energy_good(payload, f"{path}.good")
+    new = _parse_energy_good(doc.get("good"), f"{path}.good")
     if new.id in known_goods:
         _fail(f"{path}.good.id", f"duplicate good id {new.id!r}")
     known_goods.add(new.id)
@@ -630,8 +623,6 @@ def _parse_event(doc, path: str, period_length: float,
 
 
 def _parse_force_phi(doc, path: str) -> float | None:
-    if not isinstance(doc, dict):
-        _fail(path, "must be an object")
     _check_keys(doc, {"force_phi"}, path)
     if doc.get("force_phi") is None:
         return None

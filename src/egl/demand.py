@@ -99,8 +99,8 @@ def solve_demands(preferences: Preferences,
                   movers: dict[str, PrimeMoverType],
                   energy: float,
                   multipliers: dict[str, float] | None = None,
-                  remaining_endowment: dict[str, float] | None = None,
-                  rtol: float = 1e-10) -> DemandSolution:
+                  remaining_endowment: dict[str, float] | None = None
+                  ) -> DemandSolution:
     """Optimal non-energy bundle for a usable surplus of ``energy`` joules.
 
     When ``remaining_endowment`` is given the support prime movers are
@@ -146,7 +146,7 @@ def solve_demands(preferences: Preferences,
                 "no_bracket",
                 f"demand for {good.id!r} stays below its target "
                 f"{target:.6g} up to q = {_Q_MAX:g}")
-        return bracketed_root(gap, 0.0, hi, rtol=rtol)
+        return bracketed_root(gap, 0.0, hi, rtol=Q_RTOL)
 
     def spending(lam_sep: float) -> float:
         total = 0.0
@@ -181,7 +181,7 @@ def solve_demands(preferences: Preferences,
                               1.0 / _LAM_MIN)
         _check_multiplier(1.0 / inv_lo if inv_lo else 0.0, energy)
         lam_sep = bracketed_root(lambda lam: spending(lam) - energy,
-                                 1.0 / inv_lo, lam_hi, rtol=rtol)
+                                 1.0 / inv_lo, lam_hi, rtol=Q_RTOL)
 
     bundle = {g.id: quantity(g, weights[g.id] / lam_sep) for g in goods}
     gamma = {gid: curves[gid].marginal(q) for gid, q in bundle.items()}
@@ -268,5 +268,4 @@ def demand_for_state(scenario, state: EconomyState, energy: float,
                           0.0)
                  for mid in state.movers}
     return solve_demands(scenario.preferences, goods, state.movers, energy,
-                         multipliers=mult, remaining_endowment=remaining,
-                         rtol=Q_RTOL)
+                         multipliers=mult, remaining_endowment=remaining)

@@ -293,7 +293,12 @@ def _point(kernel: Curve, q: float) -> MeecPoint:
     g = kernel.transfer(q)
     marg = kernel.marginal(q)
     avg = marg if q == 0.0 else g / q
-    eta = 0.0 if q == 0.0 else (marg - avg) / avg
+    if q == 0.0:
+        eta = 0.0
+    elif avg == 0.0:
+        eta = math.nan      # G(q) underflows, so eta is 0/0
+    else:
+        eta = (marg - avg) / avg
     return MeecPoint(quantity=q, marginal=marg, average=avg, cumulative=g,
                      elasticity=eta)
 

@@ -22,43 +22,32 @@ from dataclasses import dataclass, replace
 
 from .core import (SS_ACCUM_TOL, SS_ALPHA_TOL, EconomyState, EventSpec,
                    PrimeMoverType, ScenarioConfig, activate_due,
-                   aggregate_power, initial_state)
+                   initial_state)
 from .demand import DemandSolution, demand_for_state
 from .errors import EglError, ScenarioValidationError
-from .surplus import EnergySideSolution, mover_surplus_rates, solve_energy_side
+from .surplus import EnergySideSolution, solve_energy_side
 
 log = logging.getLogger("egl.growth")
 
 
 @dataclass(frozen=True)
 class PeriodRecord:
-    """Snapshot of one simulated period (pre-accumulation stocks)."""
+    """One simulated period: the state it solved (pre-accumulation stocks)
+    and its two solutions.  Nothing changes them after their period."""
 
-    t: int
-    stocks: dict[str, float]
-    phi: float
-    mover_surplus: dict[str, float]
-    outputs: dict[str, float]
-    marginal_surplus: dict[str, float]
-    meroi: dict[str, float | None]
-    usable_surplus: float
-    gross_income: float
-    gross_expenditure: float
-    bundle: dict[str, float]
-    lam: float | None
-    power: float
-    cum_extraction: dict[str, float]
-    usability_slack: float
-    binding_constraints: dict[str, str]
+    state: EconomyState
+    energy: EnergySideSolution
+    demand: DemandSolution
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Per-period records plus steady-state / failure diagnostics."""
+    """Per-period records; ``steady`` when the last record is the steady
+    state, ``error`` when period ``len(records)`` failed to solve."""
 
     records: tuple[PeriodRecord, ...]
-    steady_state: dict | None = None
-    diagnostic: dict | None = None
+    steady: bool = False
+    error: str | None = None
 
 
 def step_accumulation(stocks: dict[str, float],
@@ -154,56 +143,28 @@ def simulate(scenario: ScenarioConfig,
                       + [x.intro_period for x in scenario.prime_movers
                          + scenario.energy_goods + scenario.non_energy_goods])
     records: list[PeriodRecord] = []
-    steady: dict | None = None
 
     for t in range(horizon + 1):
         state = enter_period(scenario, state, t)
 
         try:
             energy = solve_energy_side(scenario, state)
-            demand: DemandSolution | None = None
-            if state.non_energy_goods:
-                demand = demand_for_state(scenario, state,
-                                          energy.usable_surplus,
-                                          energy.employment)
+            demand = demand_for_state(scenario, state, energy.usable_surplus,
+                                      energy.employment)
         except EglError as exc:
             # the failure travels on the trajectory; the CLI reports it
             log.info("period %d solve failed: %s", t, exc)
-            return Trajectory(records=tuple(records), steady_state=steady,
-                              diagnostic={"period": t, "error": str(exc)})
+            return Trajectory(records=tuple(records), error=str(exc))
 
-        phi_l = mover_surplus_rates(energy.phi, state.movers)
-        surplus_args = normalized_surplus_args(phi_l, state.movers)
-        power = aggregate_power(state)
-        log.debug("t=%d phi=%.6g E*=%.6g P=%.6g", t, energy.phi,
-                  energy.usable_surplus, power)
-
-        records.append(PeriodRecord(
-            t=t, stocks=dict(state.stocks), phi=energy.phi,
-            mover_surplus=phi_l, outputs=dict(energy.outputs),
-            marginal_surplus=dict(energy.marginal_surplus),
-            meroi=dict(energy.meroi),
-            usable_surplus=energy.usable_surplus,
-            gross_income=energy.gross_income,
-            gross_expenditure=energy.gross_expenditure,
-            bundle=dict(demand.bundle) if demand else {},
-            lam=demand.lam if demand else None,
-            power=power,
-            cum_extraction=dict(state.cum_extraction),
-            usability_slack=demand.usability_slack if demand else 0.0,
-            binding_constraints=dict(energy.binding_constraints)))
+        surplus_args = normalized_surplus_args(energy.mover_surplus,
+                                               state.movers)
+        log.debug("t=%d phi=%.6g E*=%.6g", t, energy.phi,
+                  energy.usable_surplus)
+        records.append(PeriodRecord(state, energy, demand))
 
         if t >= last_change \
                 and _is_steady(state, energy, surplus_args):
-            steady = {
-                "period": t,
-                "phi": energy.phi,
-                "max_alpha": max(energy.marginal_surplus.values(),
-                                 default=0.0),
-                "outputs": dict(energy.outputs),
-                "stocks": dict(state.stocks),
-            }
-            break
+            return Trajectory(records=tuple(records), steady=True)
 
         if t == horizon:
             break
@@ -215,4 +176,4 @@ def simulate(scenario: ScenarioConfig,
         state = replace(state, period=t + 1, stocks=stocks,
                         cum_extraction=cum)
 
-    return Trajectory(records=tuple(records), steady_state=steady)
+    return Trajectory(records=tuple(records))

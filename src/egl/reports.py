@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .core import EconomyState, ScenarioConfig
+from .core import EconomyState, ScenarioConfig, aggregate_power
 from .demand import DemandSolution
 from .growth import Trajectory
 from .statics import SignTable
@@ -75,28 +75,32 @@ def trajectory_csv(scenario: ScenarioConfig, trajectory: Trajectory) -> str:
 
     rows: list[list] = [header]
     for r in trajectory.records:
-        row: list = [r.t, r.phi, r.usable_surplus, r.power, r.lam]
+        energy, stocks = r.energy, r.state.stocks
+        row: list = [r.state.period, energy.phi, energy.usable_surplus,
+                     aggregate_power(r.state), r.demand.lam]
         for gid in good_ids:
-            row += [r.outputs.get(gid, math.nan),
-                    r.marginal_surplus.get(gid, math.nan),
-                    r.meroi.get(gid)]
+            row += [energy.outputs.get(gid, math.nan),
+                    energy.marginal_surplus.get(gid, math.nan),
+                    energy.meroi.get(gid)]
         for mid in mover_ids:
-            row += [r.stocks.get(mid, math.nan),
-                    r.mover_surplus.get(mid, math.nan)]
+            row += [stocks.get(mid, math.nan),
+                    energy.mover_surplus.get(mid, math.nan)]
         rows.append(row)
     text = _lines(rows)
 
-    if trajectory.steady_state is not None:
-        ss = trajectory.steady_state
-        text += f"# steady_state_period,{fmt(ss['period'])}\n"
-        text += f"# steady_state_phi,{fmt(ss['phi'])}\n"
-        text += f"# steady_state_max_alpha,{fmt(ss['max_alpha'])}\n"
-        for gid in sorted(ss["outputs"]):
-            text += f"# steady_state_Q_{gid},{fmt(ss['outputs'][gid])}\n"
-    if trajectory.diagnostic is not None:
-        d = trajectory.diagnostic
-        text += f"# aborted_period,{d['period']}\n"
-        text += f"# error,{d['error']}\n"
+    if trajectory.steady:
+        last = trajectory.records[-1]
+        alpha = last.energy.marginal_surplus
+        outputs = last.energy.outputs
+        text += f"# steady_state_period,{fmt(last.state.period)}\n"
+        text += f"# steady_state_phi,{fmt(last.energy.phi)}\n"
+        text += "# steady_state_max_alpha," \
+            f"{fmt(max(alpha.values(), default=0.0))}\n"
+        for gid in sorted(outputs):
+            text += f"# steady_state_Q_{gid},{fmt(outputs[gid])}\n"
+    if trajectory.error is not None:
+        text += f"# aborted_period,{len(trajectory.records)}\n"
+        text += f"# error,{trajectory.error}\n"
     return text
 
 

@@ -291,13 +291,9 @@ def _check_family(family) -> None:
     value the draws can use: a range is two finite numbers with lo <= hi,
     above zero, with ``cd_returns`` inside (0, 1) and ``count`` integers
     from 1 to ``_MAX_GOODS``; ``form`` is ``ces`` or ``cobb_douglas``."""
-    if not isinstance(family, dict):
-        raise ScenarioValidationError("$.family", "must be an object")
     _check_keys(family, set(DEFAULT_FAMILY), "$.family")
     for section, ranges in family.items():
         path = f"$.family.{section}"
-        if not isinstance(ranges, dict):
-            raise ScenarioValidationError(path, "must be an object")
         _check_keys(ranges, set(DEFAULT_FAMILY[section]), path)
         for key, value in ranges.items():
             message = _range_error(key, value)

@@ -58,6 +58,7 @@ from .numerics import MAX_ITER, bracketed_root, grow_bracket
 log = logging.getLogger("egl.surplus")
 
 _PHI_MAX = 1.0 - 1e-12
+_FIGURE_SAMPLES = 400       # curve samples on each equilibrium chart
 
 
 @dataclass(frozen=True)
@@ -704,8 +705,7 @@ def solve_energy_side(scenario: ScenarioConfig,
 
 
 def figure1_report(scenario: ScenarioConfig, state: EconomyState | None,
-                   good_id: str, solution: EnergySideSolution,
-                   samples: int = 400) -> Figure1Data:
+                   good_id: str, solution: EnergySideSolution) -> Figure1Data:
     """Curve samples and markers for one good's equilibrium rendering."""
     if state is None:
         state = initial_state(scenario)
@@ -713,17 +713,20 @@ def figure1_report(scenario: ScenarioConfig, state: EconomyState | None,
     m = effective_multiplier(good, state)
     q_star = solution.outputs.get(good_id, 0.0)
 
-    saturation = _saturation_quantity(
-        good, state, curve(good.technology, state.movers, m))
+    kernel = curve(good.technology, state.movers, m)
+    try:
+        saturation = _saturation_quantity(good, state, kernel)
+    except SolverError:
+        saturation = None       # the curve overflows before the fleet is used
     spans = [1.0]
     if q_star > 0.0:
         spans.append(2.0 * q_star)
     if saturation is not None:
         spans.append(1.25 * saturation)
-    q_max = max(spans)
+    q_max = _evaluable_range(kernel, max(spans))
 
     points = sample_curve(good.technology, state.movers, q_max,
-                          samples=samples, multiplier=m)
+                          samples=_FIGURE_SAMPLES, multiplier=m)
     markers: dict[str, float] = {}
     if not solution.null and q_star > 0.0:
         markers = {
@@ -740,6 +743,30 @@ def figure1_report(scenario: ScenarioConfig, state: EconomyState | None,
                        energy_content=good.energy_content,
                        saturation_quantity=saturation,
                        markers=markers)
+
+
+def _evaluable_range(kernel: Curve, q_max: float) -> float:
+    """``q_max``, or the largest quantity below it where the curve and its
+    transfer are finite: a smooth curve's powers overflow past some output
+    when its returns to scale are tiny.  Each probe is raised by a margin
+    that covers the rounding of an evenly spaced sample grid."""
+    def evaluates(q: float) -> bool:
+        q *= 1.0 + 1e-12
+        try:
+            return math.isfinite(kernel.marginal(q) + kernel.transfer(q))
+        except SolverError:
+            return False
+
+    if evaluates(q_max):
+        return q_max
+    lo, hi = 0.0, q_max
+    for _ in range(60):         # bisection to 2**-60 of q_max
+        mid = 0.5 * (lo + hi)
+        if evaluates(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def _saturation_quantity(good: EnergyGood, state: EconomyState,

@@ -187,17 +187,19 @@ def figure2_svg(trajectory: Trajectory) -> str:
     records = trajectory.records
     if not records:
         return canvas.render()
-    ts = [r.t for r in records]
+    ts = [r.state.period for r in records]
     t_max = max(ts[-1], 1)
+    energy = [r.energy for r in records]
+    stocks = [r.state.stocks for r in records]
 
     panels = [
-        ("outputs Q*", [(gid, [r.outputs.get(gid, 0.0) for r in records])
-                        for gid in sorted(records[-1].outputs)]),
+        ("outputs Q*", [(gid, [e.outputs.get(gid, 0.0) for e in energy])
+                        for gid in sorted(energy[-1].outputs)]),
         ("marginal surplus alpha",
-         [(gid, [r.marginal_surplus.get(gid, 0.0) for r in records])
-          for gid in sorted(records[-1].marginal_surplus)]),
-        ("stocks x", [(mid, [r.stocks.get(mid, 0.0) for r in records])
-                      for mid in sorted(records[-1].stocks)]),
+         [(gid, [e.marginal_surplus.get(gid, 0.0) for e in energy])
+          for gid in sorted(energy[-1].marginal_surplus)]),
+        ("stocks x", [(mid, [x.get(mid, 0.0) for x in stocks])
+                      for mid in sorted(stocks[-1])]),
     ]
     colors = ["#c03030", "#3050c0", "#208050", "#a06010", "#703090"]
     panel_h = (_H - _MT - _MB - 2 * 24) / 3
@@ -217,8 +219,8 @@ def figure2_svg(trajectory: Trajectory) -> str:
             canvas.text(_W - _MR - 8, top + 12 + 12 * k,
                         f"{name} = {format(vs[-1], '.6g')}", size=10,
                         anchor="end", fill=color)
-        if trajectory.steady_state is not None:
-            zp = trajectory.steady_state["period"]
+        if trajectory.steady:
+            zp = ts[-1]
             canvas.line(scale.x(zp), top, scale.x(zp), top + panel_h,
                         stroke="#888888", dash="5,4")
             if idx == 0:

@@ -15,12 +15,11 @@ from egl import initial_state, load_scenario, scenario_from_dict
 from egl.cli import main
 from egl.embodied import (average_embodied, cumulative_transfer, elasticity,
                           marginal_embodied)
-from egl.growth import (mover_surplus_rates, normalized_surplus_args,
-                        simulate, step_accumulation)
+from egl.growth import normalized_surplus_args, simulate, step_accumulation
 from egl.numerics import adaptive_simpson
 from egl.statics import proposition_suite
-from egl.surplus import marginal_surplus_at, scarcity_premium, \
-    solve_energy_side
+from egl.surplus import marginal_surplus_at, mover_surplus_rates, \
+    scarcity_premium, solve_energy_side
 
 from conftest import (cd1_doc, cd1_scenario, random_energy_doc,
                       record_acceptance, scarce_doc, scarce_scenario)
@@ -154,22 +153,23 @@ def test_criterion_7_growth_trajectory_shape():
         start = time.perf_counter()
         traj = simulate(scenario)
         elapsed = time.perf_counter() - start
-        assert traj.steady_state is not None
-        assert traj.steady_state["period"] <= 500
-        qs = [r.outputs["e0"] for r in traj.records]
-        xs = [r.stocks["m0"] for r in traj.records]
-        alphas = [r.marginal_surplus["e0"] for r in traj.records]
+        assert traj.steady
+        assert traj.records[-1].state.period <= 500
+        qs = [r.energy.outputs["e0"] for r in traj.records]
+        xs = [r.state.stocks["m0"] for r in traj.records]
+        alphas = [r.energy.marginal_surplus["e0"] for r in traj.records]
         assert all(b >= a - 1e-12 for a, b in zip(qs, qs[1:]))
         assert all(b >= a - 1e-12 for a, b in zip(xs, xs[1:]))
         assert all(b <= a + 1e-12 for a, b in zip(alphas[1:], alphas[2:]))
         final = traj.records[-1]
-        assert final.marginal_surplus["e0"] < 1e-6 * 10.0
+        assert final.energy.marginal_surplus["e0"] < 1e-6 * 10.0
         drives = normalized_surplus_args(
-            mover_surplus_rates(final.phi, initial_state(scenario).movers),
+            mover_surplus_rates(final.energy.phi,
+                                initial_state(scenario).movers),
             initial_state(scenario).movers)
         import math
-        growth = 0.2 * math.tanh(drives["m0"]) * final.stocks["m0"]
-        assert growth < 1e-8 * final.stocks["m0"] * 10.0
+        growth = 0.2 * math.tanh(drives["m0"]) * final.state.stocks["m0"]
+        assert growth < 1e-8 * final.state.stocks["m0"] * 10.0
         assert elapsed < 10.0
 
 
@@ -196,17 +196,17 @@ def test_criterion_8_shock_directions():
                                          effective_multiplier(good, state))
             assert lowered < original
 
-        assert shocked.steady_state is not None
-        assert shocked.steady_state["outputs"]["e0"] \
-            >= base.steady_state["outputs"]["e0"] - 1e-9
+        assert shocked.steady
+        assert shocked.records[-1].energy.outputs["e0"] \
+            >= base.records[-1].energy.outputs["e0"] - 1e-9
 
         depleted_doc = scarce_doc()
         depleted_doc["energy_goods"][0]["pes_stock"] = 50.0
         depleted_doc["energy_goods"][0]["depletion_exponent"] = 1.0
         depleted = simulate(load_scenario(json.dumps(depleted_doc)))
-        assert depleted.steady_state is not None
-        assert depleted.steady_state["outputs"]["e0"] \
-            <= base.steady_state["outputs"]["e0"] + 1e-9
+        assert depleted.steady
+        assert depleted.records[-1].energy.outputs["e0"] \
+            <= base.records[-1].energy.outputs["e0"] + 1e-9
 
 
 def test_criterion_9_accumulation_endpoints():

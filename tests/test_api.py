@@ -3,7 +3,8 @@
 A public module-level function must be exported in ``egl.__all__``,
 imported by another egl module, or named in ``KEPT`` with the reason it
 stays.  Anything else is a wrapper no solver calls: delete it, or make it
-private to its module.
+private to its module.  A name one egl module imports from another must be
+read there.
 """
 
 import ast
@@ -86,3 +87,20 @@ def test_every_exported_name_resolves():
     missing = [name for name in egl.__all__ if not hasattr(egl, name)]
     assert missing == []
     assert len(set(egl.__all__)) == len(egl.__all__)
+
+
+def test_every_import_across_modules_is_read():
+    # a name kept only to re-export it belongs in ``egl/__init__.py``
+    unread = []
+    for path in SRC.glob("*.py"):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unread += [f"{path.stem}: {alias.asname or alias.name}"
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.level == 1
+                   for alias in node.names
+                   if (alias.asname or alias.name) not in read]
+    assert unread == []

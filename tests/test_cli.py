@@ -548,20 +548,45 @@ class TestSolverFailureReport:
         assert payload["detail"].startswith("degenerate: requirement "
                                             "multiplier")
 
-    def test_vanishing_returns_to_scale_exits_2(self, tmp_path):
-        # 1/B = 1e9: the fleet-saturation search of the figure overflows
-        # the Cobb-Douglas power
+    def test_vanishing_returns_to_scale_exits_0(self, tmp_path):
+        # 1/B = 1e9: the Cobb-Douglas power overflows just past
+        # Q* = 0.99999998, so figure 1 ends at the last quantity the curve
+        # evaluates at and drops the fleet-saturation marker, whose search
+        # overflows
         doc = json.loads((SCENARIOS / "reference.json").read_text())
         doc["energy_goods"][0]["technology"]["exponents"]["workers"] = 1e-9
         path = write_scenario(tmp_path, doc)
+        out = tmp_path / "out"
         proc = run_python(["-m", "egl.cli", "equilibrium", "--scenario",
-                           path, "--out", str(tmp_path / "out")], tmp_path)
+                           path, "--out", str(out)], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert all((out / name).is_file() for name in manifest["outputs"])
+        grain = next(line for line in
+                     (out / "equilibrium.csv").read_text().splitlines()
+                     if line.startswith("grain,"))
+        q_star = float(grain.split(",")[1])
+        assert q_star == pytest.approx(1.0, abs=1e-7)
+        curve = (out / "meec_grain.csv").read_text().splitlines()
+        assert q_star <= float(curve[-1].split(",")[0]) < 2.0 * q_star
+        svg = (out / "figure1_grain.svg").read_text()
+        ET.fromstring(svg)
+        assert "Q* = 1<" in svg
+
+    @pytest.mark.parametrize("command", ["equilibrium", "simulate"])
+    def test_overflowing_curve_constant_exits_2(self, tmp_path, command):
+        # scale ** (-1/B) = 1e600: the kernel keeps no prefix, and the
+        # first marginal the solve asks for raises
+        doc = json.loads((SCENARIOS / "reference.json").read_text())
+        doc["energy_goods"][0]["technology"]["scale"] = 1e-300
+        path = write_scenario(tmp_path, doc)
+        proc = run_python(["-m", "egl.cli", command, "--scenario", path,
+                           "--out", str(tmp_path / "out")], tmp_path)
         assert proc.returncode == 2
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1, proc.stderr
-        payload = json.loads(lines[0])
-        assert payload["error"] == "solver"
-        assert payload["detail"].startswith("degenerate:")
+        assert [json.loads(line) for line in proc.stderr.splitlines()] == [
+            {"error": "solver", "detail": "degenerate: Cobb-Douglas curve "
+                                          "overflows at returns to scale 0.5"}]
 
 
 class TestColdStart:

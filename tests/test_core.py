@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from egl import (aggregate_power, direct_energy, initial_state,
                  load_scenario, scenario_digest)
+from egl.cli import main
 from egl.core import PrimeMoverType, activate_due
 from egl.errors import ScenarioParseError, ScenarioValidationError
 
@@ -210,6 +212,176 @@ class TestLoadScenario:
             assert parsed in str(err.value)
         else:
             assert load_scenario(json.dumps(doc)).force_phi == parsed
+
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+#: Deletes the value at the row's path instead of replacing it.
+_DROP = object()
+
+_SHOCK = {"period": 0, "kind": "endowment_shock", "mover": "workers",
+          "delta": 1.0}
+
+#: One edit to a shipped scenario per row: the scenario, the path of the
+#: value it replaces and the field the parser must name.  With the tests
+#: above, the rows reach each check of the document boundary.
+BOUNDARY = [
+    ("reference", (), [], "$"),
+    ("reference", ("period_length",), 0, "$.period_length"),
+    ("reference", ("period_length",), "1", "$.period_length"),
+    ("reference", ("horizon",), -1, "$.horizon"),
+    ("reference", ("horizon",), True, "$.horizon"),
+    ("reference", ("solver",), [], "$.solver"),
+    ("reference", ("prime_movers",), [], "$.prime_movers"),
+    ("reference", ("prime_movers", 0), 5, "$.prime_movers[0]"),
+    ("reference", ("prime_movers", 0, "id"), "", "$.prime_movers[0].id"),
+    ("reference", ("prime_movers", 0, "power_rate"), 0.0,
+     "$.prime_movers[0].power_rate"),
+    ("reference", ("prime_movers", 0, "power_rate"), _DROP,
+     "$.prime_movers[0].power_rate"),
+    ("reference", ("prime_movers", 0, "avg_embodied"), -1.0,
+     "$.prime_movers[0].avg_embodied"),
+    ("reference", ("prime_movers", 0, "endowment"), -1.0,
+     "$.prime_movers[0].endowment"),
+    ("reference", ("prime_movers", 0, "max_accum_rate"), -0.1,
+     "$.prime_movers[0].max_accum_rate"),
+    ("reference", ("prime_movers", 0, "intro_period"), -1,
+     "$.prime_movers[0].intro_period"),
+    ("reference", ("prime_movers", 0, "intro_period"), 1.5,
+     "$.prime_movers[0].intro_period"),
+    ("reference", ("energy_goods",), "grain", "$.energy_goods"),
+    ("reference", ("energy_goods", 0), None, "$.energy_goods[0]"),
+    ("reference", ("energy_goods", 0, "id"), 3, "$.energy_goods[0].id"),
+    ("reference", ("energy_goods", 0, "id"), "cloth", "$.energy_goods"),
+    ("reference", ("energy_goods", 0, "energy_content"), 0.0,
+     "$.energy_goods[0].energy_content"),
+    ("reference", ("energy_goods", 0, "pes_stock"), 0.0,
+     "$.energy_goods[0].pes_stock"),
+    ("reference", ("energy_goods", 0, "depletion_exponent"), -1.0,
+     "$.energy_goods[0].depletion_exponent"),
+    ("reference", ("energy_goods", 0, "requirement_multiplier"), 0.0,
+     "$.energy_goods[0].requirement_multiplier"),
+    ("reference", ("energy_goods", 0, "intro_period"), -1,
+     "$.energy_goods[0].intro_period"),
+    ("reference", ("energy_goods", 0, "technology"), [],
+     "$.energy_goods[0].technology"),
+    ("reference", ("energy_goods", 0, "technology", "kind"), "leontief",
+     "$.energy_goods[0].technology.kind"),
+    ("reference", ("energy_goods", 0, "technology", "scale"), 0.0,
+     "$.energy_goods[0].technology.scale"),
+    ("reference", ("energy_goods", 0, "technology", "exponents"), {},
+     "$.energy_goods[0].technology.exponents"),
+    ("reference", ("energy_goods", 0, "technology", "exponents", "workers"),
+     -0.5, "$.energy_goods[0].technology.exponents.workers"),
+    ("reference", ("energy_goods", 0, "technology", "exponents", "workers"),
+     0.0, "$.energy_goods[0].technology.exponents"),
+    ("reference", ("non_energy_goods",), [], "$.non_energy_goods"),
+    ("reference", ("non_energy_goods", 0), [1, 2], "$.non_energy_goods[0]"),
+    ("reference", ("non_energy_goods", 0, "id"), None,
+     "$.non_energy_goods[0].id"),
+    ("reference", ("non_energy_goods", 0, "utility_weight"), 0.0,
+     "$.non_energy_goods[0].utility_weight"),
+    ("reference", ("non_energy_goods", 0, "requirement_multiplier"), -1.0,
+     "$.non_energy_goods[0].requirement_multiplier"),
+    ("reference", ("non_energy_goods", 0, "intro_period"), -1,
+     "$.non_energy_goods[0].intro_period"),
+    ("arrivals", ("non_energy_goods", 0, "intro_period"), 1,
+     "$.non_energy_goods"),
+    ("reference", ("non_energy_goods", 0, "technology", "requirements",
+                   "workers"), 0.0,
+     "$.non_energy_goods[0].technology.requirements"),
+    ("reference", ("non_energy_goods", 0, "technology", "curvature"), 3,
+     "$.non_energy_goods[0].technology.curvature"),
+    ("reference", ("non_energy_goods", 0, "technology", "curvature", "c0"),
+     0.0, "$.non_energy_goods[0].technology.curvature.c0"),
+    ("reference", ("preferences",), [], "$.preferences"),
+    ("reference", ("preferences", "form"), "leontief", "$.preferences.form"),
+    ("reference", ("preferences", "weights"), 1, "$.preferences.weights"),
+    ("reference", ("preferences", "weights"), {"ghost": 1.0},
+     "$.preferences.weights.ghost"),
+    ("reference", ("preferences", "weights"), {"cloth": 0.0},
+     "$.preferences.weights.cloth"),
+    ("reference", ("preferences", "elasticity"), 2.0,
+     "$.preferences.elasticity"),
+    ("reference", ("events",), {}, "$.events"),
+    ("reference", ("events",), [5], "$.events[0]"),
+    ("reference", ("events",), [dict(_SHOCK, mover="ghost")],
+     "$.events[0].mover"),
+    ("reference", ("events",), [dict(_SHOCK, mover=["workers"])],
+     "$.events[0].mover"),
+    ("reference", ("events",), [dict(_SHOCK, mover={"id": "workers"})],
+     "$.events[0].mover"),
+    ("reference", ("events",), [dict(_SHOCK, delta="1")],
+     "$.events[0].delta"),
+    ("shocks", ("energy_goods", 0, "technology", "curvature", "c1"), -1.0,
+     "$.energy_goods[0].technology.curvature.c1"),
+    ("shocks", ("energy_goods", 0, "technology", "curvature", "tau"), 0.0,
+     "$.energy_goods[0].technology.curvature.tau"),
+    ("shocks", ("energy_goods", 0, "technology", "curvature", "c2"), -1.0,
+     "$.energy_goods[0].technology.curvature.c2"),
+    ("shocks", ("energy_goods", 0, "technology", "curvature", "q_s"), 0.0,
+     "$.energy_goods[0].technology.curvature.q_s"),
+    ("shocks", ("energy_goods", 0, "technology", "curvature", "rho"), 0.5,
+     "$.energy_goods[0].technology.curvature.rho"),
+    ("shocks", ("events", 0, "kind"), "boom", "$.events[0].kind"),
+    ("shocks", ("events", 0, "period"), -1, "$.events[0].period"),
+    ("shocks", ("events", 0, "good"), "ghost", "$.events[0].good"),
+    ("shocks", ("events", 0, "good"), ["wood"], "$.events[0].good"),
+    ("shocks", ("events", 0, "good"), {"id": "wood"}, "$.events[0].good"),
+    ("shocks", ("events", 0, "multiplier"), 0.0, "$.events[0].multiplier"),
+    ("shocks", ("events", 0, "multiplier"), 1.0, "$.events[0].multiplier"),
+    ("shocks", ("events", 0, "kind"), "meec_shift", "$.events[0].multiplier"),
+    ("shocks", ("events", 1, "mover"), 5, "$.events[1].mover"),
+    ("shocks", ("events", 1, "mover", "power_rate"), -4.0,
+     "$.events[1].mover.power_rate"),
+    ("arrivals", ("events", 1, "good"), None, "$.events[1].good"),
+    ("arrivals", ("events", 1, "good", "technology", "exponents"),
+     {"ghost": 0.5}, "$.events[1].good.technology"),
+]
+
+
+def edited(name: str, where: tuple, value):
+    """The shipped scenario ``name`` with ``value`` at the path ``where``;
+    the empty path replaces the whole document."""
+    doc = json.loads((SCENARIOS / f"{name}.json").read_text())
+    if not where:
+        return value
+    target = doc
+    for step in where[:-1]:
+        target = target[step]
+    if value is _DROP:
+        del target[where[-1]]
+    else:
+        target[where[-1]] = value
+    return doc
+
+
+class TestDocumentBoundary:
+    @pytest.mark.parametrize("name, where, value, field", BOUNDARY)
+    def test_one_edit_names_one_field(self, tmp_path, capsys, name, where,
+                                      value, field):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(edited(name, where, value)),
+                        encoding="utf-8")
+        with pytest.raises(ScenarioValidationError) as err:
+            load_scenario(path.read_text(encoding="utf-8"))
+        assert err.value.field == field
+        # the CLI reports the same error as its one JSON line
+        assert main(["validate", "--scenario", str(path)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert [json.loads(line) for line in lines] == [
+            {"error": "validation", "detail": str(err.value)}]
+
+    def test_family_that_is_not_json_exits_1(self, tmp_path, capsys):
+        family = tmp_path / "family.json"
+        family.write_text("{ not json", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["statics", "--family", str(family), "--seed", "1",
+                     "--trials", "1", "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "parse"
+        assert not out.exists()
 
 
 class TestRoundTrip:

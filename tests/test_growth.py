@@ -1,15 +1,20 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from egl import initial_state, load_scenario, solve_energy_side
 from egl.core import PrimeMoverType
 from egl.errors import ScenarioValidationError
-from egl.growth import (apply_event, mover_surplus_rates,
-                        normalized_surplus_args, simulate, step_accumulation)
+from egl.growth import (apply_event, normalized_surplus_args, simulate,
+                        step_accumulation)
+from egl.reports import trajectory_csv
+from egl.surplus import mover_surplus_rates
 
 from conftest import cd1_scenario, scarce_doc, scarce_scenario
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def movers(**kw):
@@ -126,12 +131,12 @@ class TestEvents:
 class TestSimulate:
     def test_scarce_run_reaches_steady_state(self, cd1_scarce):
         traj = simulate(cd1_scarce)
-        assert traj.steady_state is not None
-        assert traj.diagnostic is None
+        assert traj.steady
+        assert traj.error is None
         assert len(traj.records) <= 501
-        qs = [r.outputs["e0"] for r in traj.records]
-        xs = [r.stocks["m0"] for r in traj.records]
-        alphas = [r.marginal_surplus["e0"] for r in traj.records]
+        qs = [r.energy.outputs["e0"] for r in traj.records]
+        xs = [r.state.stocks["m0"] for r in traj.records]
+        alphas = [r.energy.marginal_surplus["e0"] for r in traj.records]
         assert all(b >= a - 1e-12 for a, b in zip(qs, qs[1:]))
         assert all(b >= a - 1e-12 for a, b in zip(xs, xs[1:]))
         assert all(b <= a + 1e-12 for a, b in
@@ -140,41 +145,72 @@ class TestSimulate:
         assert xs[-1] == pytest.approx(50.0, rel=1e-4)
         assert qs[-1] == pytest.approx(5.0, rel=1e-4)
         final = traj.records[-1]
-        assert final.marginal_surplus["e0"] < 1e-6 * 10.0
+        assert final.energy.marginal_surplus["e0"] < 1e-6 * 10.0
 
     def test_abundant_run_is_immediately_steady(self, cd1):
         traj = simulate(cd1)
         assert len(traj.records) == 1
-        assert traj.steady_state is not None
-        assert traj.steady_state["period"] == 0
+        assert traj.steady
+        assert traj.records[-1].state.period == 0
+
+    def test_records_keep_their_period(self):
+        # a record holds its state and solutions by reference: nothing that
+        # runs after its period may change them
+        scenario = load_scenario(
+            (SCENARIOS / "scarce_growth.json").read_text())
+        traj = simulate(scenario)
+        assert len(traj.records) > 2
+        assert traj.records[0].state.stocks == {
+            m.id: m.endowment for m in scenario.prime_movers}
+        for t in (0, 1, len(traj.records) - 1):
+            record = traj.records[t]
+            assert record.state.period == t
+            assert record.energy == solve_energy_side(scenario, record.state)
+
+    def test_failed_period_ends_the_run(self):
+        # a good arriving at period 3 whose curve leaves the float range
+        doc = scarce_doc()
+        doc["events"] = [{
+            "period": 3, "kind": "new_energy_good",
+            "good": {"id": "coal", "energy_content": 25.0,
+                     "technology": {"kind": "cobb_douglas", "scale": 1e-300,
+                                    "exponents": {"m0": 0.5}}}}]
+        scenario = load_scenario(json.dumps(doc))
+        traj = simulate(scenario)
+        assert len(traj.records) == 3
+        assert not traj.steady
+        assert traj.error.startswith("degenerate:")
+        assert trajectory_csv(scenario, traj).endswith(
+            f"# aborted_period,3\n# error,{traj.error}\n")
 
     def test_horizon_zero_single_record(self, cd1_scarce):
         traj = simulate(cd1_scarce, horizon=0)
         assert len(traj.records) == 1
-        assert traj.steady_state is None
+        assert not traj.steady
 
     def test_steady_state_is_a_fixed_point(self, cd1_scarce):
         traj = simulate(cd1_scarce)
         final = traj.records[-1]
         # re-solve statics at the recorded stocks: no drive left
         doc = scarce_doc()
-        doc["prime_movers"][0]["endowment"] = final.stocks["m0"]
+        doc["prime_movers"][0]["endowment"] = final.state.stocks["m0"]
         sc = load_scenario(json.dumps(doc))
         sol = solve_energy_side(sc)
         assert sol.phi < 1e-6
         assert sol.marginal_surplus["e0"] < 1e-5
         stepped = step_accumulation(
-            {"m0": final.stocks["m0"]},
+            {"m0": final.state.stocks["m0"]},
             normalized_surplus_args(sol.mover_surplus,
                                     initial_state(sc).movers),
             initial_state(sc).movers)
-        assert stepped["m0"] == pytest.approx(final.stocks["m0"], rel=1e-6)
+        assert stepped["m0"] == pytest.approx(final.state.stocks["m0"],
+                                              rel=1e-6)
 
     def test_conservation_each_period(self, cd1_scarce):
         traj = simulate(cd1_scarce)
-        for r in traj.records:
-            assert r.gross_income - r.gross_expenditure == r.usable_surplus
-            assert r.usable_surplus >= -1e-12
+        for e in (r.energy for r in traj.records):
+            assert e.gross_income - e.gross_expenditure == e.usable_surplus
+            assert e.usable_surplus >= -1e-12
 
     def test_efficiency_event_renews_growth(self):
         doc = scarce_doc()
@@ -182,11 +218,11 @@ class TestSimulate:
                           "good": "e0", "multiplier": 0.5}]
         traj = simulate(load_scenario(json.dumps(doc)))
         base = simulate(scarce_scenario())
-        assert traj.steady_state is not None
+        assert traj.steady
         # halved curve: unconstrained optimum moves from 5 to 10
-        assert traj.steady_state["outputs"]["e0"] \
-            > base.steady_state["outputs"]["e0"] * 1.5
-        qs = [r.outputs["e0"] for r in traj.records]
+        assert traj.records[-1].energy.outputs["e0"] \
+            > base.records[-1].energy.outputs["e0"] * 1.5
+        qs = [r.energy.outputs["e0"] for r in traj.records]
         assert max(qs) > 5.0
 
     def test_meec_shift_lowers_output(self):
@@ -195,8 +231,10 @@ class TestSimulate:
                           "multiplier": 2.0}]
         doc["horizon"] = 2
         traj = simulate(load_scenario(json.dumps(doc)))
-        assert traj.records[0].outputs["e0"] == pytest.approx(5.0, rel=1e-6)
-        assert traj.records[1].outputs["e0"] == pytest.approx(2.5, rel=1e-6)
+        assert traj.records[0].energy.outputs["e0"] \
+            == pytest.approx(5.0, rel=1e-6)
+        assert traj.records[1].energy.outputs["e0"] \
+            == pytest.approx(2.5, rel=1e-6)
 
     def test_new_prime_mover_accumulates(self):
         doc = scarce_doc()
@@ -206,9 +244,9 @@ class TestSimulate:
                       "avg_embodied": 0.0, "endowment": 0.1,
                       "max_accum_rate": 0.3}}]
         traj = simulate(load_scenario(json.dumps(doc)), horizon=20)
-        stocks5 = traj.records[5].stocks
-        stocks8 = traj.records[8].stocks
-        assert "m1" not in traj.records[4].stocks
+        stocks5 = traj.records[5].state.stocks
+        stocks8 = traj.records[8].state.stocks
+        assert "m1" not in traj.records[4].state.stocks
         assert stocks5["m1"] == pytest.approx(0.1)
         assert stocks8["m1"] > 0.1     # positive drive while phi > 0
 
@@ -219,10 +257,10 @@ class TestSimulate:
         depleted["energy_goods"][0]["pes_stock"] = 50.0
         depleted["energy_goods"][0]["depletion_exponent"] = 1.0
         traj_dep = simulate(load_scenario(json.dumps(depleted)))
-        assert traj_dep.steady_state is not None
-        assert traj_dep.steady_state["outputs"]["e0"] \
-            <= traj_free.steady_state["outputs"]["e0"] + 1e-9
-        cum = [r.cum_extraction["e0"] for r in traj_dep.records]
+        assert traj_dep.steady
+        assert traj_dep.records[-1].energy.outputs["e0"] \
+            <= traj_free.records[-1].energy.outputs["e0"] + 1e-9
+        cum = [r.state.cum_extraction["e0"] for r in traj_dep.records]
         assert all(b >= a for a, b in zip(cum, cum[1:]))
         assert cum[-1] <= 50.0 + 1e-9
 
@@ -237,12 +275,13 @@ class TestSimulate:
                      "technology": {"kind": "cobb_douglas", "scale": 1.0,
                                     "exponents": {"m0": 0.5}}}}]
         traj = simulate(load_scenario(json.dumps(doc)), horizon=30)
-        assert "coal" not in traj.records[2].outputs
-        assert traj.records[3].outputs["coal"] > 0.0
+        assert "coal" not in traj.records[2].energy.outputs
+        assert traj.records[3].energy.outputs["coal"] > 0.0
         # richer content means higher surplus than the pre-event periods
-        assert traj.records[3].usable_surplus > traj.records[2].usable_surplus
+        assert traj.records[3].energy.usable_surplus \
+            > traj.records[2].energy.usable_surplus
         for r in traj.records[3:]:
-            assert r.lam is not None and r.lam > 0.0
+            assert r.demand.lam is not None and r.demand.lam > 0.0
 
     def test_exhausted_source_ends_production_quietly(self):
         # once the primary source is mined out the energy side returns the
@@ -250,19 +289,20 @@ class TestSimulate:
         doc = scarce_doc(endowment=50.0)
         doc["energy_goods"][0]["pes_stock"] = 12.0
         traj = simulate(load_scenario(json.dumps(doc)))
-        assert traj.diagnostic is None
-        assert traj.steady_state is not None
+        assert traj.error is None
+        assert traj.steady
         last = traj.records[-1]
-        assert last.cum_extraction["e0"] == pytest.approx(12.0, abs=1e-9)
-        assert last.outputs["e0"] == 0.0
-        assert last.usable_surplus == 0.0
+        assert last.state.cum_extraction["e0"] \
+            == pytest.approx(12.0, abs=1e-9)
+        assert last.energy.outputs["e0"] == 0.0
+        assert last.energy.usable_surplus == 0.0
 
     def test_hard_pes_cap_is_respected(self):
         doc = scarce_doc(endowment=100.0)
         doc["energy_goods"][0]["pes_stock"] = 7.0
         doc["energy_goods"][0]["depletion_exponent"] = 0.0
         traj = simulate(load_scenario(json.dumps(doc)), horizon=5)
-        cum = [r.cum_extraction["e0"] for r in traj.records]
+        cum = [r.state.cum_extraction["e0"] for r in traj.records]
         assert cum[-1] <= 7.0 + 1e-9
-        total = cum[-1] + traj.records[-1].outputs["e0"]
+        total = cum[-1] + traj.records[-1].energy.outputs["e0"]
         assert total <= 7.0 + 1e-9
