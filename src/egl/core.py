@@ -17,7 +17,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 from .errors import ScenarioParseError, ScenarioValidationError
 from .numerics import bracketed_root, grow_bracket
@@ -292,35 +292,29 @@ def employment_totals(employment: dict[str, dict[str, float]]
 
 
 def effective_multiplier(good: EnergyGood | NonEnergyGood,
-                         state: EconomyState | None = None) -> float:
+                         state: EconomyState) -> float:
     """Composed requirement multiplier: static * events * depletion, where
     depleting a bounded primary source multiplies by
     (1 + cumulative extraction / stock) ** depletion_exponent."""
-    m = good.requirement_multiplier
-    if state is not None:
-        m *= state.multipliers.get(good.id, 1.0)
-        if isinstance(good, EnergyGood) and good.pes_stock is not None \
-                and good.depletion_exponent != 0.0:
-            drawn = state.cum_extraction.get(good.id, 0.0) / good.pes_stock
-            m *= (1.0 + drawn) ** good.depletion_exponent
+    m = good.requirement_multiplier * state.multipliers.get(good.id, 1.0)
+    if isinstance(good, EnergyGood) and good.pes_stock is not None \
+            and good.depletion_exponent != 0.0:
+        drawn = state.cum_extraction.get(good.id, 0.0) / good.pes_stock
+        m *= (1.0 + drawn) ** good.depletion_exponent
     return m
 
 
+#: The economy before any type arrives, from which ``initial_state``
+#: activates period 0; ``activate_due`` never changes a state it is given.
+_EMPTY = EconomyState(period=0, movers={}, energy_goods={},
+                      non_energy_goods={}, stocks={}, cum_extraction={},
+                      multipliers={})
+
+
 def initial_state(scenario: ScenarioConfig) -> EconomyState:
-    """Economy at period 0: intro_period-0 types active, endowment stocks."""
-    movers = {m.id: m for m in scenario.prime_movers if m.intro_period == 0}
-    e_goods = {g.id: g for g in scenario.energy_goods if g.intro_period == 0}
-    n_goods = {g.id: g for g in scenario.non_energy_goods
-               if g.intro_period == 0}
-    return EconomyState(
-        period=0,
-        movers=movers,
-        energy_goods=e_goods,
-        non_energy_goods=n_goods,
-        stocks={m.id: m.endowment for m in movers.values()},
-        cum_extraction={g.id: 0.0 for g in e_goods.values()},
-        multipliers={},
-    )
+    """Economy at period 0: the types introduced at period 0 activated in
+    the empty economy, at their endowment stocks."""
+    return activate_due(scenario, _EMPTY, 0)
 
 
 def activate_due(scenario: ScenarioConfig, state: EconomyState,
@@ -348,8 +342,10 @@ def activate_due(scenario: ScenarioConfig, state: EconomyState,
             changed = True
     if not changed and state.period == t:
         return state
-    return replace(state, period=t, movers=movers, energy_goods=e_goods,
-                   non_energy_goods=n_goods, stocks=stocks, cum_extraction=cum)
+    return EconomyState(period=t, movers=movers, energy_goods=e_goods,
+                        non_energy_goods=n_goods, stocks=stocks,
+                        cum_extraction=cum,
+                        multipliers=dict(state.multipliers))
 
 
 # ---------------------------------------------------------------------------
@@ -371,21 +367,31 @@ def _finite_number(v) -> bool:
 
 
 def _num(doc: dict, key: str, path: str, *, default=None,
-         required: bool = True) -> float:
+         positive: bool = False, least: float | None = None) -> float:
+    """The finite number at ``doc[key]``, or ``default`` when the key is
+    absent (required when there is no default).  ``positive`` rejects a
+    value <= 0 and ``least`` a value below it."""
     if key not in doc:
-        if required:
+        if default is None:
             _fail(f"{path}.{key}", "missing required field")
         return default
     v = doc[key]
     if not _finite_number(v):
         _fail(f"{path}.{key}", "must be a finite number")
+    if positive and v <= 0.0:
+        _fail(f"{path}.{key}", "must be positive")
+    if least is not None and v < least:
+        _fail(f"{path}.{key}", f"must be >= {least:g}")
     return float(v)
 
 
 def _intval(doc: dict, key: str, path: str, default: int = 0) -> int:
+    """The integer at ``doc[key]``; every integer of a document is >= 0."""
     v = doc.get(key, default)
     if not isinstance(v, int) or isinstance(v, bool):
         _fail(f"{path}.{key}", "must be an integer")
+    if v < 0:
+        _fail(f"{path}.{key}", "must be >= 0")
     return v
 
 
@@ -396,6 +402,24 @@ def _check_keys(doc, allowed: set[str], path: str):
     extra = set(doc) - allowed
     if extra:
         _fail(f"{path}.{sorted(extra)[0]}", "unknown field")
+
+
+def _entry_id(doc, allowed: set[str], path: str) -> str:
+    """A type entry's non-empty id, once its keys are ``allowed``."""
+    _check_keys(doc, allowed, path)
+    ident = doc.get("id")
+    if not isinstance(ident, str) or not ident:
+        _fail(f"{path}.id", "must be a non-empty string")
+    return ident
+
+
+def _entries(doc: dict, key: str, parse) -> tuple:
+    """The entries of the non-empty type array ``doc[key]``, each parsed by
+    ``parse(entry, path)``."""
+    raw = doc.get(key)
+    if not isinstance(raw, list) or not raw:
+        _fail(f"$.{key}", "must be a non-empty array")
+    return tuple(parse(entry, f"$.{key}[{i}]") for i, entry in enumerate(raw))
 
 
 def _mover_weights(doc: dict, key: str, path: str) -> dict[str, float]:
@@ -417,9 +441,7 @@ def _parse_technology(doc, path: str) -> Technology:
     kind = doc.get("kind")
     if kind == "cobb_douglas":
         _check_keys(doc, {"kind", "scale", "exponents"}, path)
-        scale = _num(doc, "scale", path)
-        if scale <= 0.0:
-            _fail(f"{path}.scale", "must be positive")
+        scale = _num(doc, "scale", path, positive=True)
         out = _mover_weights(doc, "exponents", path)
         total = sum(out.values())
         if total <= 0.0:
@@ -436,113 +458,68 @@ def _parse_technology(doc, path: str) -> Technology:
         curv = doc.get("curvature", {})
         cpath = f"{path}.curvature"
         _check_keys(curv, {"c0", "c1", "tau", "c2", "q_s", "rho"}, cpath)
-        c0 = _num(curv, "c0", cpath)
-        c1 = _num(curv, "c1", cpath, default=0.0, required=False)
-        tau = _num(curv, "tau", cpath, default=1.0, required=False)
-        c2 = _num(curv, "c2", cpath, default=0.0, required=False)
-        q_s = _num(curv, "q_s", cpath, default=1.0, required=False)
-        rho = _num(curv, "rho", cpath, default=1.0, required=False)
-        if c0 <= 0.0:
-            _fail(f"{cpath}.c0", "must be positive")
-        if c1 < 0.0:
-            _fail(f"{cpath}.c1", "must be >= 0")
-        if tau <= 0.0:
-            _fail(f"{cpath}.tau", "must be positive")
-        if c2 < 0.0:
-            _fail(f"{cpath}.c2", "must be >= 0")
-        if q_s <= 0.0:
-            _fail(f"{cpath}.q_s", "must be positive")
-        if rho < 1.0:
-            _fail(f"{cpath}.rho", "must be >= 1")
-        return FixedProportions(requirements=out, c0=c0, c1=c1, tau=tau,
-                                c2=c2, q_s=q_s, rho=rho)
+        return FixedProportions(
+            requirements=out, c0=_num(curv, "c0", cpath, positive=True),
+            c1=_num(curv, "c1", cpath, default=0.0, least=0.0),
+            tau=_num(curv, "tau", cpath, default=1.0, positive=True),
+            c2=_num(curv, "c2", cpath, default=0.0, least=0.0),
+            q_s=_num(curv, "q_s", cpath, default=1.0, positive=True),
+            rho=_num(curv, "rho", cpath, default=1.0, least=1.0))
     _fail(f"{path}.kind",
           "must be 'cobb_douglas' or 'fixed_proportions'")
 
 
 def _parse_mover(doc, path: str, period_length: float) -> PrimeMoverType:
-    _check_keys(doc, {"id", "power_rate", "depreciation", "avg_embodied",
-                      "endowment", "max_accum_rate", "intro_period"}, path)
-    mid = doc.get("id")
-    if not isinstance(mid, str) or not mid:
-        _fail(f"{path}.id", "must be a non-empty string")
-    p = _num(doc, "power_rate", path)
-    if p <= 0.0:
-        _fail(f"{path}.power_rate", "must be positive")
+    mid = _entry_id(doc, {"id", "power_rate", "depreciation",
+                          "avg_embodied", "endowment", "max_accum_rate",
+                          "intro_period"}, path)
+    p = _num(doc, "power_rate", path, positive=True)
     d = _num(doc, "depreciation", path)
     if not 0.0 < d < 1.0:
         _fail(f"{path}.depreciation", f"must be in (0,1) (got {d:g})")
-    gamma_a = _num(doc, "avg_embodied", path)
-    if gamma_a < 0.0:
-        _fail(f"{path}.avg_embodied", "must be >= 0")
-    endow = _num(doc, "endowment", path)
-    if endow < 0.0:
-        _fail(f"{path}.endowment", "must be >= 0")
-    rate = _num(doc, "max_accum_rate", path, default=0.0, required=False)
-    if rate < 0.0:
-        _fail(f"{path}.max_accum_rate", "must be >= 0")
-    intro = _intval(doc, "intro_period", path)
-    if intro < 0:
-        _fail(f"{path}.intro_period", "must be >= 0")
-    return PrimeMoverType(id=mid, power_rate=p, period_length=period_length,
-                          depreciation=d, avg_embodied=gamma_a,
-                          endowment=endow, max_accum_rate=rate,
-                          intro_period=intro)
+    return PrimeMoverType(
+        id=mid, power_rate=p, period_length=period_length, depreciation=d,
+        avg_embodied=_num(doc, "avg_embodied", path, least=0.0),
+        endowment=_num(doc, "endowment", path, least=0.0),
+        max_accum_rate=_num(doc, "max_accum_rate", path, default=0.0,
+                            least=0.0),
+        intro_period=_intval(doc, "intro_period", path))
 
 
 def _parse_energy_good(doc, path: str) -> EnergyGood:
-    _check_keys(doc, {"id", "energy_content", "technology", "pes_stock",
-                      "depletion_exponent", "requirement_multiplier",
-                      "intro_period"}, path)
-    gid = doc.get("id")
-    if not isinstance(gid, str) or not gid:
-        _fail(f"{path}.id", "must be a non-empty string")
-    delta = _num(doc, "energy_content", path)
-    if delta <= 0.0:
-        _fail(f"{path}.energy_content", "must be positive")
+    gid = _entry_id(doc, {"id", "energy_content", "technology",
+                          "pes_stock", "depletion_exponent",
+                          "requirement_multiplier", "intro_period"}, path)
+    delta = _num(doc, "energy_content", path, positive=True)
     pes = doc.get("pes_stock")
     if pes is not None:
         pes = _num(doc, "pes_stock", path)
         if pes <= 0.0:
             _fail(f"{path}.pes_stock", "must be positive or null")
-    theta = _num(doc, "depletion_exponent", path, default=0.0, required=False)
-    if theta < 0.0:
-        _fail(f"{path}.depletion_exponent", "must be >= 0")
+    theta = _num(doc, "depletion_exponent", path, default=0.0, least=0.0)
     if pes is None and theta != 0.0:
         _fail(f"{path}.depletion_exponent",
               "must be 0 when pes_stock is unbounded")
-    mult = _num(doc, "requirement_multiplier", path, default=1.0,
-                required=False)
-    if mult <= 0.0:
-        _fail(f"{path}.requirement_multiplier", "must be positive")
-    intro = _intval(doc, "intro_period", path)
-    if intro < 0:
-        _fail(f"{path}.intro_period", "must be >= 0")
-    tech = _parse_technology(doc.get("technology"), f"{path}.technology")
-    return EnergyGood(id=gid, energy_content=delta, technology=tech,
-                      pes_stock=pes, depletion_exponent=theta,
-                      requirement_multiplier=mult, intro_period=intro)
+    return EnergyGood(
+        id=gid, energy_content=delta, pes_stock=pes, depletion_exponent=theta,
+        requirement_multiplier=_num(doc, "requirement_multiplier", path,
+                                    default=1.0, positive=True),
+        intro_period=_intval(doc, "intro_period", path),
+        technology=_parse_technology(doc.get("technology"),
+                                     f"{path}.technology"))
 
 
 def _parse_non_energy_good(doc, path: str) -> NonEnergyGood:
-    _check_keys(doc, {"id", "technology", "utility_weight",
-                      "requirement_multiplier", "intro_period"}, path)
-    gid = doc.get("id")
-    if not isinstance(gid, str) or not gid:
-        _fail(f"{path}.id", "must be a non-empty string")
-    w = _num(doc, "utility_weight", path)
-    if w <= 0.0:
-        _fail(f"{path}.utility_weight", "must be positive")
-    mult = _num(doc, "requirement_multiplier", path, default=1.0,
-                required=False)
-    if mult <= 0.0:
-        _fail(f"{path}.requirement_multiplier", "must be positive")
-    intro = _intval(doc, "intro_period", path)
-    if intro < 0:
-        _fail(f"{path}.intro_period", "must be >= 0")
-    tech = _parse_technology(doc.get("technology"), f"{path}.technology")
-    return NonEnergyGood(id=gid, technology=tech, utility_weight=w,
-                         requirement_multiplier=mult, intro_period=intro)
+    gid = _entry_id(doc, {"id", "technology", "utility_weight",
+                          "requirement_multiplier", "intro_period"}, path)
+    return NonEnergyGood(
+        id=gid,
+        utility_weight=_num(doc, "utility_weight", path, positive=True),
+        requirement_multiplier=_num(doc, "requirement_multiplier", path,
+                                    default=1.0, positive=True),
+        intro_period=_intval(doc, "intro_period", path),
+        technology=_parse_technology(doc.get("technology"),
+                                     f"{path}.technology"))
 
 
 def _parse_preferences(doc, path: str,
@@ -582,16 +559,12 @@ def _parse_event(doc, path: str, period_length: float,
     if kind not in EVENT_KINDS:
         _fail(f"{path}.kind", f"must be one of {', '.join(EVENT_KINDS)}")
     period = _intval(doc, "period", path)
-    if period < 0:
-        _fail(f"{path}.period", "must be >= 0")
     if kind in ("efficiency_shift", "meec_shift"):
         _check_keys(doc, {"kind", "period", "good", "multiplier"}, path)
         good = doc.get("good")
         if not isinstance(good, str) or good not in known_goods:
             _fail(f"{path}.good", f"unknown good id {good!r}")
-        mult = _num(doc, "multiplier", path)
-        if mult <= 0.0:
-            _fail(f"{path}.multiplier", "must be positive")
+        mult = _num(doc, "multiplier", path, positive=True)
         if kind == "efficiency_shift" and mult >= 1.0:
             _fail(f"{path}.multiplier",
                   "efficiency shift must be < 1 (it lowers requirements)")
@@ -639,30 +612,14 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     _check_keys(doc, {"period_length", "prime_movers", "energy_goods",
                       "non_energy_goods", "preferences", "events", "solver",
                       "horizon"}, "$")
-    dt = _num(doc, "period_length", "$")
-    if dt <= 0.0:
-        _fail("$.period_length", "must be positive")
-
-    raw_movers = doc.get("prime_movers")
-    if not isinstance(raw_movers, list) or not raw_movers:
-        _fail("$.prime_movers", "must be a non-empty array")
-    movers = tuple(_parse_mover(m, f"$.prime_movers[{i}]", dt)
-                   for i, m in enumerate(raw_movers))
+    dt = _num(doc, "period_length", "$", positive=True)
+    movers = _entries(doc, "prime_movers",
+                      partial(_parse_mover, period_length=dt))
     mover_ids = [m.id for m in movers]
     if len(set(mover_ids)) != len(mover_ids):
         _fail("$.prime_movers", "prime mover ids must be unique")
-
-    raw_eg = doc.get("energy_goods")
-    if not isinstance(raw_eg, list) or not raw_eg:
-        _fail("$.energy_goods", "must be a non-empty array")
-    e_goods = tuple(_parse_energy_good(g, f"$.energy_goods[{i}]")
-                    for i, g in enumerate(raw_eg))
-
-    raw_ng = doc.get("non_energy_goods")
-    if not isinstance(raw_ng, list) or not raw_ng:
-        _fail("$.non_energy_goods", "must be a non-empty array")
-    n_goods = tuple(_parse_non_energy_good(g, f"$.non_energy_goods[{i}]")
-                    for i, g in enumerate(raw_ng))
+    e_goods = _entries(doc, "energy_goods", _parse_energy_good)
+    n_goods = _entries(doc, "non_energy_goods", _parse_non_energy_good)
 
     good_ids = [g.id for g in e_goods] + [g.id for g in n_goods]
     if len(set(good_ids)) != len(good_ids):
@@ -673,15 +630,6 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     if not any(g.intro_period == 0 for g in n_goods):
         _fail("$.non_energy_goods", "at least one must be active at period 0")
 
-    known = set(mover_ids)
-    for i, g in enumerate(list(e_goods) + list(n_goods)):
-        kind = ("energy_goods" if i < len(e_goods) else "non_energy_goods")
-        idx = i if i < len(e_goods) else i - len(e_goods)
-        for m in g.technology.used_movers():
-            if m not in known:
-                _fail(f"$.{kind}[{idx}].technology",
-                      f"references unknown prime mover {m!r}")
-
     preferences = _parse_preferences(doc.get("preferences", {}),
                                      "$.preferences", n_goods)
 
@@ -691,7 +639,10 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     known_goods = set(good_ids)
     known_movers = set(mover_ids)
     shocks: list[tuple[int, EventSpec]] = []
-    arrived_goods: list[tuple[int, EnergyGood]] = []
+    # every good, listed or arriving, with the path of its entry
+    goods_at = ([("$.energy_goods[{}]", i, g) for i, g in enumerate(e_goods)]
+                + [("$.non_energy_goods[{}]", i, g)
+                   for i, g in enumerate(n_goods)])
     # every arrival is known before any shift or shock names its target,
     # so the order of the events in the document does not matter
     order = sorted(range(len(raw_events)),
@@ -705,15 +656,20 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
             movers += (item,)
         elif isinstance(item, EnergyGood):
             e_goods += (item,)
-            arrived_goods.append((i, item))
+            goods_at.append(("$.events[{}].good", i, item))
         else:
             shocks.append((i, item))
-    for i, g in arrived_goods:
-        for m in g.technology.used_movers():
-            if m not in known_movers:
-                _fail(f"$.events[{i}].good.technology",
-                      f"references unknown prime mover {m!r}")
+    # a good uses only movers that are active by its own arrival
     mover_intro = {m.id: m.intro_period for m in movers}
+    for path, i, g in goods_at:
+        for m in g.technology.used_movers():
+            if m not in mover_intro:
+                _fail(path.format(i) + ".technology",
+                      f"references unknown prime mover {m!r}")
+            if g.intro_period < mover_intro[m]:
+                _fail(path.format(i) + ".technology",
+                      f"uses prime mover {m!r} before its arrival at "
+                      f"period {mover_intro[m]}")
     good_intro = {g.id: g.intro_period for g in e_goods + n_goods}
     for i, ev in shocks:
         target, intro = ((ev.mover, mover_intro[ev.mover])
@@ -725,8 +681,6 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
 
     force_phi = _parse_force_phi(doc.get("solver", {}), "$.solver")
     horizon = _intval(doc, "horizon", "$", default=500)
-    if horizon < 0:
-        _fail("$.horizon", "must be >= 0")
 
     return ScenarioConfig(period_length=dt, prime_movers=movers,
                           energy_goods=e_goods, non_energy_goods=n_goods,

@@ -148,12 +148,18 @@ def solve_demands(preferences: Preferences,
                 f"{target:.6g} up to q = {_Q_MAX:g}")
         return bracketed_root(gap, 0.0, hi, rtol=Q_RTOL)
 
+    bundles: dict[float, dict[str, float]] = {}
+
+    def bundle_at(lam_sep: float) -> dict[str, float]:
+        """The inner solves at one multiplier, run once per multiplier."""
+        if lam_sep not in bundles:
+            bundles[lam_sep] = {g.id: quantity(g, weights[g.id] / lam_sep)
+                                for g in goods}
+        return bundles[lam_sep]
+
     def spending(lam_sep: float) -> float:
-        total = 0.0
-        for g in goods:
-            q = quantity(g, weights[g.id] / lam_sep)
-            total += curves[g.id].transfer(q)
-        return total
+        return sum(curves[gid].transfer(q)
+                   for gid, q in bundle_at(lam_sep).items())
 
     powers = {law[1] if law is not None else None for law in laws.values()}
     if len(powers) == 1 and None not in powers:
@@ -172,18 +178,22 @@ def solve_demands(preferences: Preferences,
                               spending(1.0))
         _check_multiplier(lam_sep, energy)
     else:
-        # spending falls in lam: search up in lam and down in 1/lam for
-        # the bracket; a search that passes the range reads as infinite
-        lam_hi = grow_bracket(lambda lam: energy - spending(lam), 1.0,
-                              _LAM_MAX)
-        _check_multiplier(lam_hi or math.inf, energy)
-        inv_lo = grow_bracket(lambda inv: spending(1.0 / inv) - energy, 1.0,
-                              1.0 / _LAM_MIN)
-        _check_multiplier(1.0 / inv_lo if inv_lo else 0.0, energy)
+        # spending falls in lam: the bracket grows up in lam from 1 when
+        # spending(1) exceeds the budget, and down in 1/lam otherwise; a
+        # search that passes the range reads as infinite
+        if spending(1.0) > energy:
+            lo, hi = 1.0, grow_bracket(lambda lam: energy - spending(lam),
+                                       1.0, _LAM_MAX)
+            _check_multiplier(hi or math.inf, energy)
+        else:
+            inv = grow_bracket(lambda inv: spending(1.0 / inv) - energy, 1.0,
+                               1.0 / _LAM_MIN)
+            _check_multiplier(1.0 / inv if inv else 0.0, energy)
+            lo, hi = 1.0 / inv, 1.0
         lam_sep = bracketed_root(lambda lam: spending(lam) - energy,
-                                 1.0 / inv_lo, lam_hi, rtol=Q_RTOL)
+                                 lo, hi, rtol=Q_RTOL)
 
-    bundle = {g.id: quantity(g, weights[g.id] / lam_sep) for g in goods}
+    bundle = bundle_at(lam_sep)
     gamma = {gid: curves[gid].marginal(q) for gid, q in bundle.items()}
     gamma_avg = {gid: curves[gid].transfer(q) / q if q > 0.0 else gamma[gid]
                  for gid, q in bundle.items()}

@@ -145,9 +145,8 @@ def simulate(scenario: ScenarioConfig,
     records: list[PeriodRecord] = []
 
     for t in range(horizon + 1):
-        state = enter_period(scenario, state, t)
-
         try:
+            state = enter_period(scenario, state, t)
             energy = solve_energy_side(scenario, state)
             demand = demand_for_state(scenario, state, energy.usable_surplus,
                                       energy.employment)

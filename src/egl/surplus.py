@@ -429,28 +429,6 @@ class _Problem:
         return self.slack(outputs, costs, totals)
 
 
-def _null_solution(problem: _Problem, phi: float = 0.0,
-                   forced: bool = False) -> EnergySideSolution:
-    state = problem.state
-    outputs = {g.id: 0.0 for g in problem.goods}
-    alpha = {g.id: g.energy_content - problem.gamma0[g.id]
-             for g in problem.goods}
-    return EnergySideSolution(
-        outputs=outputs,
-        employment={g.id: {} for g in problem.goods},
-        phi=phi,
-        marginal_surplus=alpha,
-        mover_surplus=mover_surplus_rates(phi, state.movers),
-        gamma={g.id: problem.gamma0[g.id] for g in problem.goods},
-        usable_surplus=0.0, gross_income=0.0, gross_expenditure=0.0,
-        expenditure={g.id: 0.0 for g in problem.goods},
-        meroi={g.id: None for g in problem.goods},
-        foc_good_residuals={}, foc_mover_residuals={},
-        binding_constraints={},
-        usable_capacity=problem.capacity({}),
-        slack_residual=0.0, phi_forced=forced, null=True)
-
-
 def _solve_phi(problem: _Problem) -> tuple[float, bool]:
     """Useless-surplus share: the root of the usability residual E - U.
 
@@ -617,19 +595,25 @@ def _bracket_phi(problem: _Problem, rho0: float,
     return phi, True
 
 
+def _period_zero(scenario: ScenarioConfig) -> EconomyState:
+    """The period-0 economy after its events, the one ``egl equilibrium``
+    solves."""
+    from .growth import enter_period        # growth imports this module
+    return enter_period(scenario, initial_state(scenario), 0)
+
+
 def solve_energy_side(scenario: ScenarioConfig,
                       state: EconomyState | None = None) -> EnergySideSolution:
-    """Solve the energy side at the given state (period-0 state by default).
+    """Solve the energy side at the given state (by default the period-0
+    economy after its events).
 
     The scenario's ``solver.force_phi`` pins the useless-surplus share
     instead of solving the usability fixed point (diagnostic mode).
     """
     if state is None:
-        state = initial_state(scenario)
+        state = _period_zero(scenario)
     problem = _Problem(state)
-
-    force_phi = scenario.force_phi
-    forced = force_phi is not None
+    forced = scenario.force_phi is not None
 
     if not problem.candidates:
         # a good that would earn without a cap either ran its primary
@@ -639,15 +623,15 @@ def solve_energy_side(scenario: ScenarioConfig,
         # matter only when there is no candidate.
         profitable = [g for g in problem.goods
                       if problem.earns(g, math.inf)]
-        if all(g.id in problem.exhausted or problem.caps.get(g.id, 0.0) > 0.0
-               for g in profitable):
-            return _null_solution(problem, force_phi or 0.0, forced)
-        raise SolverError(
-            "infeasible",
-            "no producible energy good: endowments cannot produce output")
+        if not all(g.id in problem.exhausted
+                   or problem.caps.get(g.id, 0.0) > 0.0 for g in profitable):
+            raise SolverError(
+                "infeasible",
+                "no producible energy good: endowments cannot produce output")
 
-    if forced:
-        phi, balanced = force_phi, True
+    if forced or not problem.candidates:
+        # nothing produces without a candidate, at any share
+        phi, balanced = scenario.force_phi or 0.0, True
     else:
         phi, balanced = _solve_phi(problem)
 
@@ -701,14 +685,14 @@ def solve_energy_side(scenario: ScenarioConfig,
         expenditure=costs, meroi=meroi_map, foc_good_residuals=foc_goods,
         foc_mover_residuals=foc_movers, binding_constraints=bindings,
         usable_capacity=capacity, slack_residual=e_star - capacity,
-        phi_forced=forced, null=False)
+        phi_forced=forced, null=not problem.candidates)
 
 
 def figure1_report(scenario: ScenarioConfig, state: EconomyState | None,
                    good_id: str, solution: EnergySideSolution) -> Figure1Data:
     """Curve samples and markers for one good's equilibrium rendering."""
     if state is None:
-        state = initial_state(scenario)
+        state = _period_zero(scenario)
     good = state.energy_goods[good_id]
     m = effective_multiplier(good, state)
     q_star = solution.outputs.get(good_id, 0.0)
@@ -728,7 +712,7 @@ def figure1_report(scenario: ScenarioConfig, state: EconomyState | None,
     points = sample_curve(good.technology, state.movers, q_max,
                           samples=_FIGURE_SAMPLES, multiplier=m)
     markers: dict[str, float] = {}
-    if not solution.null and q_star > 0.0:
+    if q_star > 0.0:
         markers = {
             "Q_star": q_star,
             "gamma": solution.gamma[good_id],

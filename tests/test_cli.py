@@ -240,6 +240,26 @@ class TestSimulate:
         for name in ("trajectory.csv", "figure2.svg", "manifest.json"):
             assert read(out1 / name) == read(out2 / name)
 
+    def test_shock_that_empties_a_stock_ends_the_run(self, tmp_path, capsys):
+        # the document is valid; the shock fails its period like a solve
+        doc = json.loads((SCENARIOS / "scarce_growth.json").read_text())
+        doc["events"] = [{"period": 3, "kind": "endowment_shock",
+                          "mover": "workers", "delta": -50}]
+        path = write_scenario(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["validate", "--scenario", path]) == 0
+        capsys.readouterr()
+        assert main(["simulate", "--scenario", path, "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert [json.loads(line) for line in lines] == [{
+            "error": "solver",
+            "detail": "event.delta: shock drives stock of 'workers' "
+                      "below zero"}]
+        rows = (out / "trajectory.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows[1:4]] == ["0", "1", "2"]
+        assert rows[4] == "# aborted_period,3"
+        ET.parse(out / "figure2.svg")
+
 
 class TestArrivalEvents:
     def test_shock_in_the_arrival_period_runs(self, tmp_path, capsys):
@@ -341,6 +361,22 @@ class TestPeriodZeroEvents:
             row0["Q_grain"], row0["alpha_grain"], row0["meroi_grain"],
             row0["phi"])
         assert float(grain["Q_star"]) != 5.0    # the unshocked optimum
+
+    def test_library_default_is_the_period_0_economy(self):
+        # solve_energy_side and figure1_report without a state solve the
+        # economy after the period-0 events, as egl equilibrium does
+        doc = json.loads((SCENARIOS / "reference.json").read_text())
+        doc["events"] = [{"period": 0, "kind": "efficiency_shift",
+                          "good": "grain", "multiplier": 0.5}]
+        scenario = egl.load_scenario(json.dumps(doc))
+        state = egl.growth.enter_period(scenario,
+                                        egl.initial_state(scenario), 0)
+        solution = egl.solve_energy_side(scenario)
+        assert solution == egl.solve_energy_side(scenario, state)
+        assert solution.outputs["grain"] == pytest.approx(10.0)
+        assert solution.usable_surplus == pytest.approx(50.0)
+        assert egl.figure1_report(scenario, None, "grain", solution) \
+            == egl.figure1_report(scenario, state, "grain", solution)
 
 
 class TestStatics:

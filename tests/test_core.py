@@ -337,6 +337,12 @@ BOUNDARY = [
     ("arrivals", ("events", 1, "good"), None, "$.events[1].good"),
     ("arrivals", ("events", 1, "good", "technology", "exponents"),
      {"ghost": 0.5}, "$.events[1].good.technology"),
+    # a good uses no prime mover before the mover arrives
+    ("arrivals", ("prime_movers", 0, "intro_period"), 2,
+     "$.energy_goods[0].technology"),
+    ("arrivals", ("non_energy_goods", 0, "technology", "requirements"),
+     {"engines": 1.0}, "$.non_energy_goods[0].technology"),
+    ("arrivals", ("events", 1, "period"), 1, "$.events[1].good.technology"),
 ]
 
 
@@ -460,6 +466,53 @@ class TestEventTargets:
         with pytest.raises(ScenarioValidationError) as err:
             load_scenario(json.dumps(doc))
         assert err.value.field == "$.events[0].period"
+
+    @staticmethod
+    def oxen_doc(hay_intro):
+        """arrivals.json with a listed mover ``oxen`` arriving at period 4
+        and a listed energy good ``hay`` on it from ``hay_intro``."""
+        doc = json.loads((SCENARIOS / "arrivals.json").read_text())
+        doc["prime_movers"].append(
+            {"id": "oxen", "power_rate": 2.0, "depreciation": 0.2,
+             "avg_embodied": 1.0, "endowment": 0.5, "intro_period": 4})
+        doc["energy_goods"].append(
+            {"id": "hay", "energy_content": 6.0, "intro_period": hay_intro,
+             "technology": {"kind": "cobb_douglas", "scale": 1.0,
+                            "exponents": {"oxen": 0.3}}})
+        return doc
+
+    def test_good_before_its_mover_arrives_rejected(self):
+        with pytest.raises(ScenarioValidationError) as err:
+            load_scenario(json.dumps(self.oxen_doc(0)))
+        assert err.value.field == "$.energy_goods[1].technology"
+        assert str(err.value) == (
+            "$.energy_goods[1].technology: uses prime mover 'oxen' before "
+            "its arrival at period 4")
+
+    def test_good_from_its_movers_arrival_accepted(self, tmp_path):
+        # an arrival event is equivalent to a listed record, so a listed
+        # good may use a mover that an event brings in
+        sc = load_scenario(json.dumps(self.oxen_doc(4)))
+        assert sc.energy_goods[1].intro_period == 4
+        doc = json.loads((SCENARIOS / "arrivals.json").read_text())
+        doc["non_energy_goods"].append(
+            {"id": "rails", "utility_weight": 1.0, "intro_period": 2,
+             "technology": {"kind": "fixed_proportions",
+                            "requirements": {"engines": 1.0},
+                            "curvature": {"c0": 1.0}}})
+        load_scenario(json.dumps(doc))
+        path = tmp_path / "oxen.json"
+        path.write_text(json.dumps(self.oxen_doc(4)), encoding="utf-8")
+        assert main(["simulate", "--scenario", str(path), "--horizon", "6",
+                     "--out", str(tmp_path / "out")]) == 0
+
+    def test_good_on_an_undefined_mover_stays_unknown(self):
+        doc = self.oxen_doc(0)
+        del doc["prime_movers"][1]
+        with pytest.raises(ScenarioValidationError) as err:
+            load_scenario(json.dumps(doc))
+        assert str(err.value) == ("$.energy_goods[1].technology: references "
+                                  "unknown prime mover 'oxen'")
 
     def test_arrival_reusing_listed_good_id_rejected(self):
         doc = self.arrivals_doc(3)

@@ -359,6 +359,31 @@ class TestSolvePaths:
         assert tangency_residual(prefs, sol.bundle,
                                  sol.gamma_marginal) <= 1e-8
 
+    def test_each_multiplier_is_solved_once(self, monkeypatch, root_calls):
+        # the constant good's closed-form inner solve runs once per
+        # multiplier the outer solve evaluates, and so does the curved
+        # good's inner root: the bracket search, the bracket's ends in
+        # Brent and the bundle at the root share them
+        import egl.demand
+        from egl.core import NonEnergyGood
+        targets = []
+        solve_power = egl.demand.solve_power
+
+        def recorded(a, k, target):
+            targets.append(target)
+            return solve_power(a, k, target)
+
+        monkeypatch.setattr(egl.demand, "solve_power", recorded)
+        curved = NonEnergyGood(
+            id="n1", utility_weight=1.0,
+            technology=FixedProportions(requirements={"m": 1.0}, c0=1.0,
+                                        c1=2.0, tau=3.0))
+        solve_demands(cobb_prefs(n0=1.0, n1=1.0),
+                      [constant_good("n0", 1.0), curved], MOVERS, 20.0)
+        assert len(targets) == len(set(targets)) > 1
+        # one inner root per multiplier, and the outer root
+        assert root_calls["egl.demand"] == len(targets) + 1
+
     @pytest.mark.parametrize("gamma, energy, detail", [
         (1e-300, 1.0, "demand for 'n0'"),     # quantity above 1e180
         (1.0, 1e-200, "exceeds the budget"),   # multiplier above 1e180

@@ -183,6 +183,18 @@ class TestSimulate:
         assert trajectory_csv(scenario, traj).endswith(
             f"# aborted_period,3\n# error,{traj.error}\n")
 
+    def test_solution_identities_hold_on_every_period(self):
+        # E = I - G and E - U = slack, on the periods that produce nothing
+        # as on those that do
+        doc = json.loads((SCENARIOS / "shocks.json").read_text())
+        records = simulate(load_scenario(json.dumps(doc))).records
+        assert len(records) == 61
+        assert 0 < sum(r.energy.null for r in records) < 61
+        for r in records:
+            e = r.energy
+            assert e.slack_residual == e.usable_surplus - e.usable_capacity
+            assert e.usable_surplus == e.gross_income - e.gross_expenditure
+
     def test_horizon_zero_single_record(self, cd1_scarce):
         traj = simulate(cd1_scarce, horizon=0)
         assert len(traj.records) == 1
