@@ -26,7 +26,7 @@ from .errors import (EglError, ScenarioParseError, ScenarioValidationError,
 from .growth import enter_period, simulate
 from .reports import (demand_csv, equilibrium_csv, failures_csv,
                       meec_curve_csv, sign_table_csv, trajectory_csv)
-from .statics import proposition_suite
+from .statics import GENERATOR_NAME, proposition_suite
 from .surplus import figure1_report, solve_energy_side
 from .svgfig import figure1_svg, figure2_svg
 
@@ -155,7 +155,7 @@ def _cmd_statics(args) -> int:
     _write_outputs(args.out, files, "statics",
                    scenario_digest(family_text),
                    {"seed": args.seed, "trials": args.trials,
-                    "generator": "numpy-PCG64",
+                    "generator": GENERATOR_NAME,
                     "discarded": {key: t.discarded
                                   for key, t in tables.items()}})
     return EXIT_OK

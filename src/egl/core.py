@@ -19,7 +19,8 @@ import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 
-from .errors import ScenarioParseError, ScenarioValidationError
+from .errors import (ScenarioParseError, ScenarioValidationError,
+                     SolverError)
 from .numerics import bracketed_root, grow_bracket
 
 EVENT_KINDS = ("efficiency_shift", "meec_shift", "new_prime_mover",
@@ -102,13 +103,22 @@ class FixedProportions:
     def used_movers(self) -> list[str]:
         return [m for m, nu in self.requirements.items() if nu > 0.0]
 
+    def _power(self, q: float, exponent: float) -> float:
+        """(q / q_s) ** exponent; ``SolverError("degenerate")`` once it
+        leaves the float range."""
+        try:
+            return (q / self.q_s) ** exponent
+        except OverflowError:
+            raise SolverError("degenerate", "requirement profile overflows "
+                              f"at output {q:g}") from None
+
     def marginal_profile(self, q: float) -> float:
         """h'(q), strictly positive for q >= 0."""
         out = self.c0
         if self.c1 > 0.0:
             out += self.c1 * math.exp(-q / self.tau)
         if self.c2 > 0.0:
-            out += self.c2 * (q / self.q_s) ** self.rho
+            out += self.c2 * self._power(q, self.rho)
         return out
 
     def cumulative_profile(self, q: float) -> float:
@@ -118,7 +128,7 @@ class FixedProportions:
             out -= self.c1 * self.tau * math.expm1(-q / self.tau)
         if self.c2 > 0.0:
             out += self.c2 * self.q_s / (self.rho + 1.0) \
-                * (q / self.q_s) ** (self.rho + 1.0)
+                * self._power(q, self.rho + 1.0)
         return out
 
     # The profile's geometry depends on the curvature alone, so each
@@ -135,7 +145,7 @@ class FixedProportions:
         def curvature(q: float) -> float:
             return (-(self.c1 / self.tau) * math.exp(-q / self.tau)
                     + (self.c2 * self.rho / self.q_s)
-                    * (q / self.q_s) ** (self.rho - 1.0))
+                    * self._power(q, self.rho - 1.0))
 
         if curvature(0.0) >= 0.0:
             return 0.0

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 from .core import CobbDouglas, FixedProportions, PrimeMoverType, Technology
 from .errors import SolverError
-from .numerics import BRACKET_CEILING, bracketed_root, grow_bracket
+from .numerics import bracketed_root, grow_bracket
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,7 @@ class SmoothCurve(NamedTuple):
     k: float                        # K
     cost: float                     # m K
     coef: float                     # m (K/B)
-    prefix: float | None            # m (K/B) scale ** (-1/B); None: overflow
+    prefix: float | None            # m (K/B) scale ** (-1/B); None: not finite
 
     def marginal(self, q: float) -> float:
         """gamma(q): energy transferred to produce one more unit at q."""
@@ -208,12 +208,8 @@ class ProfileCurve(NamedTuple):
         def gap(q: float) -> float:
             return tech.cumulative_profile(q) - target
 
-        hi = grow_bracket(gap, max(target / tech.c0, 1.0), BRACKET_CEILING)
-        if hi is None:
-            raise SolverError(
-                "no_bracket",
-                f"requirement curve never absorbs the stock of "
-                f"{mover_id!r} below {BRACKET_CEILING:g}")
+        # h(q) >= c0 q, so the first probe closes the bracket up to rounding
+        hi = grow_bracket(gap, max(target / tech.c0, 1.0))
         return bracketed_root(gap, 0.0, hi, rtol=1e-14)
 
 
@@ -245,12 +241,13 @@ def curve(tech: Technology, movers: dict[str, PrimeMoverType],
     try:
         prefix = coef * tech.scale ** (-1.0 / b_total)
     except OverflowError:
-        prefix = None
+        prefix = math.inf
     return SmoothCurve(
         tech, multiplier, movers=tuple(omegas), omegas=omegas,
         ratios=tuple([tech.exponents[m] / omega
                       for m, omega in omegas.items()]),
-        b_total=b_total, k=k, cost=multiplier * k, coef=coef, prefix=prefix)
+        b_total=b_total, k=k, cost=multiplier * k, coef=coef,
+        prefix=prefix if prefix < math.inf else None)
 
 
 def solve_power(a: float, p: float, y: float) -> float:
@@ -294,7 +291,10 @@ def _point(kernel: Curve, q: float) -> MeecPoint:
     marg = kernel.marginal(q)
     avg = marg if q == 0.0 else g / q
     if q == 0.0:
-        eta = 0.0
+        # the limit of eta: 1/B - 1 at every q on the smooth curve, and 0
+        # where a profile's average meets its marginal
+        eta = 1.0 / kernel.b_total - 1.0 \
+            if isinstance(kernel, SmoothCurve) else 0.0
     elif avg == 0.0:
         eta = math.nan      # G(q) underflows, so eta is 0/0
     else:

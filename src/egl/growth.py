@@ -22,9 +22,9 @@ from dataclasses import dataclass, replace
 
 from .core import (SS_ACCUM_TOL, SS_ALPHA_TOL, EconomyState, EventSpec,
                    PrimeMoverType, ScenarioConfig, activate_due,
-                   initial_state)
+                   aggregate_power, initial_state)
 from .demand import DemandSolution, demand_for_state
-from .errors import EglError, ScenarioValidationError
+from .errors import EglError, ScenarioValidationError, SolverError
 from .surplus import EnergySideSolution, solve_energy_side
 
 log = logging.getLogger("egl.growth")
@@ -105,22 +105,27 @@ def enter_period(scenario: ScenarioConfig, state: EconomyState,
     The types introduced at ``t`` activate, then the shocks dated ``t``
     apply in the order of their kinds.  ``egl equilibrium`` solves
     ``enter_period(scenario, initial_state(scenario), 0)``, so it is row 0
-    of ``simulate`` by construction.
+    of ``simulate`` by construction.  Raises ``SolverError("degenerate")``
+    when the fleet's aggregate power leaves the float range, as an
+    arriving stock or one grown by accumulation can make it.
     """
     state = activate_due(scenario, state, t)
     for ev in sorted((e for e in scenario.events if e.period == t),
                      key=lambda e: e.kind):
         state = apply_event(state, ev)
+    if not math.isfinite(aggregate_power(state)):
+        raise SolverError("degenerate", "aggregate power of the fleet "
+                          f"overflows at period {t}")
     return state
 
 
 def _is_steady(state: EconomyState, energy: EnergySideSolution,
-               surplus_args: dict[str, float]) -> bool:
+               stocks: dict[str, float]) -> bool:
+    """Whether the period whose accumulation grows ``state.stocks`` to
+    ``stocks`` is the steady state."""
     max_stock = max(state.stocks.values(), default=0.0)
-    for mid, mover in state.movers.items():
-        x = state.stocks.get(mid, 0.0)
-        growth = mover.max_accum_rate * math.tanh(surplus_args[mid]) * x
-        if growth >= SS_ACCUM_TOL * max(max_stock, 1e-300):
+    for mid, x in state.stocks.items():
+        if stocks[mid] - x >= SS_ACCUM_TOL * max(max_stock, 1e-300):
             return False
     for gid, good in state.energy_goods.items():
         if good.pes_stock is not None:
@@ -155,14 +160,15 @@ def simulate(scenario: ScenarioConfig,
             log.info("period %d solve failed: %s", t, exc)
             return Trajectory(records=tuple(records), error=str(exc))
 
-        surplus_args = normalized_surplus_args(energy.mover_surplus,
-                                               state.movers)
         log.debug("t=%d phi=%.6g E*=%.6g", t, energy.phi,
                   energy.usable_surplus)
         records.append(PeriodRecord(state, energy, demand))
+        stocks = step_accumulation(
+            state.stocks,
+            normalized_surplus_args(energy.mover_surplus, state.movers),
+            state.movers)
 
-        if t >= last_change \
-                and _is_steady(state, energy, surplus_args):
+        if t >= last_change and _is_steady(state, energy, stocks):
             return Trajectory(records=tuple(records), steady=True)
 
         if t == horizon:
@@ -171,7 +177,6 @@ def simulate(scenario: ScenarioConfig,
         cum = dict(state.cum_extraction)
         for gid, q in energy.outputs.items():
             cum[gid] = cum.get(gid, 0.0) + q
-        stocks = step_accumulation(state.stocks, surplus_args, state.movers)
         state = replace(state, period=t + 1, stocks=stocks,
                         cum_extraction=cum)
 

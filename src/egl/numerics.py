@@ -20,10 +20,6 @@ from collections.abc import Callable
 
 from .errors import SolverError
 
-#: Hard ceiling for bracket expansion; beyond this the problem is treated as
-#: unbounded rather than silently returning astronomically large roots.
-BRACKET_CEILING = 1e30
-
 #: Smallest relative tolerance honoured: four machine epsilons, below which
 #: the stopping test could ask for a step shorter than one ulp of the root.
 RTOL_FLOOR = 8.9e-16

@@ -34,10 +34,9 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .core import (ScenarioConfig, _check_keys, _finite_number,
-                   effective_multiplier, initial_state, scenario_digest,
-                   scenario_from_dict, with_entry_value)
+                   initial_state, scenario_digest, scenario_from_dict,
+                   with_entry_value)
 from .demand import demand_for_state
-from .embodied import curve
 from .errors import EglError, ScenarioValidationError
 from .growth import enter_period
 from .surplus import solve_energy_side
@@ -437,43 +436,3 @@ def _record(res: dict, trial: int, doc: dict,
     else:
         res["failures"].append((trial, scenario_digest(doc), offender))
 
-
-# ---------------------------------------------------------------------------
-# tangency verification at solved optima
-# ---------------------------------------------------------------------------
-
-def tangency_residuals(scenario: ScenarioConfig) -> dict[str, float]:
-    """Worst relative residuals of the prime-mover tangency conditions.
-
-    Across movers within one smooth good, (omega_l + phi_l) divided by the
-    mover's marginal product must equal the good's energy content; across
-    goods sharing a mover, energy content times marginal product must agree.
-    """
-    state = enter_period(scenario, initial_state(scenario), 0)
-    solution = solve_energy_side(scenario, state)
-    worst_within = 0.0
-    worst_across = 0.0
-    by_mover: dict[str, list[float]] = {}
-    for gid, good in state.energy_goods.items():
-        q = solution.outputs.get(gid, 0.0)
-        if q <= 0.0 or good.technology.kind != "cobb_douglas" \
-                or gid in solution.binding_constraints:
-            continue
-        kernel = curve(good.technology, state.movers,
-                       effective_multiplier(good, state))
-        for mid, gprime in kernel.marginal_requirements(q).items():
-            mover = state.movers[mid]
-            effective_price = (mover.total_transfer
-                               + solution.mover_surplus[mid])
-            implied = effective_price * gprime   # should equal delta
-            worst_within = max(
-                worst_within,
-                abs(implied - good.energy_content) / good.energy_content)
-            by_mover.setdefault(mid, []).append(
-                good.energy_content / gprime)
-    for values in by_mover.values():
-        if len(values) > 1:
-            ref = values[0]
-            for v in values[1:]:
-                worst_across = max(worst_across, abs(v - ref) / abs(ref))
-    return {"within_good": worst_within, "across_goods": worst_across}

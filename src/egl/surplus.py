@@ -33,9 +33,10 @@ miss leaves that root short of the slack tolerance and is rescaled the
 same way.
 
 A solve compiles each good's curve once (``embodied.curve``), and every
-step that evaluates it (gamma(0), the caps, the power laws, the residuals,
-the rationing, the rescale and the first-order conditions) reads that
-kernel.
+step that evaluates it (the caps, the power laws, the residuals, the
+rationing, the rescale and the first-order conditions) reads that kernel.
+The usable capacity U is summed in one place, ``_Problem.capacity``, whose
+per-mover weights the Newton route reads too.
 A residual works on per-mover employment totals, and each share it
 evaluates keeps its allocation, so the accepted share is not solved again;
 per-good employment is built once, for the solution.
@@ -170,27 +171,25 @@ class _Problem:
         self.state = state
         self.goods = list(state.energy_goods.values())
         self.mult = {g.id: effective_multiplier(g, state) for g in self.goods}
-        self.curves = {}
-        self.gamma0 = {}
-        for g in self.goods:
-            kernel = curve(g.technology, state.movers, self.mult[g.id])
-            self.curves[g.id] = kernel
-            self.gamma0[g.id] = kernel.marginal(0.0)
-        self.producible = {}
+        self.curves = {g.id: curve(g.technology, state.movers, self.mult[g.id])
+                       for g in self.goods}
+        # the direct energy one leftover unit of each mover carries into
+        # non-energy work: the weights of the usable capacity U
+        self.unit_capacity = {mid: mover.direct_energy
+                              for mid, mover in state.movers.items()}
+        # a good has a cap exactly when every mover it uses holds stock
         self.caps = {}
         self.cap_tags = {}
         self.exhausted = set()
         for g in self.goods:
             used = g.technology.used_movers()
-            ok = all(state.stocks.get(m, 0.0) > 0.0 for m in used)
-            self.producible[g.id] = ok
             remaining = math.inf
             if g.pes_stock is not None:
                 remaining = max(
                     g.pes_stock - state.cum_extraction.get(g.id, 0.0), 0.0)
                 if remaining <= 0.0:
                     self.exhausted.add(g.id)
-            if not ok:
+            if not all(state.stocks.get(m, 0.0) > 0.0 for m in used):
                 continue
             cap, tag = math.inf, ""
             for mid in used:
@@ -203,7 +202,7 @@ class _Problem:
             self.cap_tags[g.id] = tag
         self.candidates = [
             g for g in self.goods
-            if self.producible[g.id] and self.caps[g.id] > 0.0
+            if self.caps.get(g.id, 0.0) > 0.0
             and self.earns(g, self.caps[g.id])]
         # the curve's power law and premium weight (smooth technology), or
         # the premium weight of the requirement profile, its peak and its
@@ -236,14 +235,15 @@ class _Problem:
     def earns(self, good: EnergyGood, cap: float) -> bool:
         """Whether the good earns a surplus on (0, cap] at phi = 0.
 
-        A smooth curve starts at gamma(0) = 0 below any content.  A
+        A smooth curve always earns: it starts at gamma(0) = 0, since its
+        exponent 1/B - 1 is positive, below any content.  A
         fixed-proportions good earns while its profile weight m * w stays
         below its shutdown threshold, which holds whenever its content
         exceeds gamma(0), and can hold below gamma(0) for a dipping
         profile.
         """
         if isinstance(good.technology, CobbDouglas):
-            return good.energy_content > self.gamma0[good.id]
+            return True
         return self.curves[good.id].mw < _shutdown_weight(
             good.technology, good.energy_content, cap)
 
@@ -413,10 +413,10 @@ class _Problem:
     def capacity(self, totals: dict[str, float]) -> float:
         """Direct-energy capacity of movers left over for non-energy work."""
         total = 0.0
-        for mid, mover in self.state.movers.items():
+        for mid, weight in self.unit_capacity.items():
             leftover = self.state.stocks.get(mid, 0.0) - totals.get(mid, 0.0)
             if leftover > 0.0:
-                total += mover.direct_energy * leftover
+                total += weight * leftover
         return total
 
     def slack(self, outputs, costs, totals) -> float:
@@ -477,8 +477,8 @@ def _newton_phi(problem: _Problem) -> float | None:
     of several can leave the residual negative below a second root, so an
     economy that rations at phi = 0 with several types returns None.
     """
-    movers, stocks = problem.state.movers, problem.state.stocks
-    fleet = [mid for mid in movers if stocks.get(mid, 0.0) > 0.0]
+    stocks, weights = problem.state.stocks, problem.unit_capacity
+    fleet = [mid for mid in weights if stocks.get(mid, 0.0) > 0.0]
     outputs, _, _, bindings = problem.allocation(0.0)
     # a bound output below its cap was rationed
     if len(fleet) > 1 and any(outputs[gid] < problem.caps[gid]
@@ -488,11 +488,11 @@ def _newton_phi(problem: _Problem) -> float | None:
     for g in problem.candidates:
         a, k, kappa = problem.smooth_terms[g.id]
         kernel = problem.curves[g.id]
-        leak = sum(movers[mid].direct_energy * r
+        leak = sum(weights[mid] * r
                    for mid, r in zip(kernel.movers, kernel.ratios))
         terms.append((g.energy_content, a, k, kappa, g.technology.scale,
                       1.0 / kernel.b_total, kernel.cost - kernel.coef * leak))
-    capacity = sum(movers[mid].direct_energy * stocks[mid] for mid in fleet)
+    capacity = problem.capacity({})     # the whole fleet is left over
 
     def rho(c: float) -> tuple[float, float]:
         value, slope = -capacity, 0.0

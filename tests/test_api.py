@@ -30,7 +30,6 @@ KEPT = {
     "reports.fmt": "the CSV number format, pinned by its own tests",
     "statics.draw_scenario": "the documented random family, which tests "
                              "stub to show the family is checked first",
-    "statics.tangency_residuals": "oracle: energy-side tangency conditions",
 }
 
 

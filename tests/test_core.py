@@ -345,6 +345,27 @@ BOUNDARY = [
     ("arrivals", ("events", 1, "period"), 1, "$.events[1].good.technology"),
 ]
 
+#: Edits that validate but carry the solve out of the float range; each
+#: fails its command with exit 2: (scenario, path, value, command, the
+#: detail of the one error line).
+_CURVATURE = ("energy_goods", 0, "technology", "curvature")
+SOLVER_BOUNDARY = [
+    # the profile's power term overflows: at the cap search's first probe
+    # target / c0, and past q_s on the tangency search
+    *[("shocks", (*_CURVATURE, key), value, command,
+       f"degenerate: requirement profile overflows at output {at}")
+      for key, value, at in (("c0", 1e-300, "1e+300"), ("rho", 1e300, "8"))
+      for command in ("equilibrium", "simulate")],
+    # 4 W x 1e308 arriving engines: the fleet's power is infinite
+    ("arrivals", ("events", 0, "mover", "endowment"), 1e308, "simulate",
+     "degenerate: aggregate power of the fleet overflows at period 2"),
+    # m (K/B) = 2 times scale ** -2 = 1e308: the curve's prefix overflows
+    # by the product, not the power
+    ("reference", ("energy_goods", 0, "technology", "scale"), 1e-154,
+     "equilibrium",
+     "degenerate: Cobb-Douglas curve overflows at returns to scale 0.5"),
+]
+
 
 def edited(name: str, where: tuple, value):
     """The shipped scenario ``name`` with ``value`` at the path ``where``;
@@ -377,6 +398,26 @@ class TestDocumentBoundary:
         lines = capsys.readouterr().err.splitlines()
         assert [json.loads(line) for line in lines] == [
             {"error": "validation", "detail": str(err.value)}]
+
+    @pytest.mark.parametrize("name, where, value, command, detail",
+                             SOLVER_BOUNDARY)
+    def test_solve_out_of_range_exits_2(self, tmp_path, capsys, name,
+                                        where, value, command, detail):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(edited(name, where, value)),
+                        encoding="utf-8")
+        out = tmp_path / "out"
+        assert main([command, "--scenario", str(path),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [json.loads(line) for line in err.splitlines()] == [
+            {"error": "solver", "detail": detail}]
+        # a simulation keeps the rows before the failed period, and
+        # nothing written holds an infinity
+        if command == "simulate":
+            assert "# aborted_period," in (out / "trajectory.csv").read_text()
+        assert not any("inf" in f.read_text() for f in out.glob("*.csv"))
 
     def test_family_that_is_not_json_exits_1(self, tmp_path, capsys):
         family = tmp_path / "family.json"

@@ -300,6 +300,16 @@ class TestRequirements:
         cap = curve(CONST_TECH, MOVER1).output_cap("m", 1e305)
         assert cap == pytest.approx(1e305, rel=1e-9)
 
+    def test_cap_past_a_rounded_first_probe(self):
+        # c0 * (1 / c0) rounds below 1, so the first probe q = 1 / c0,
+        # already past 5e29, falls one rounding short of the stock and the
+        # bracket doubles once
+        tech = FixedProportions(requirements={"m": 1.0},
+                                c0=1.0000000000000043e-30)
+        assert tech.cumulative_profile(1.0 / tech.c0) < 1.0
+        cap = curve(tech, MOVER1).output_cap("m", 1.0)
+        assert cap == pytest.approx(1.0 / tech.c0, rel=1e-14)
+
     def test_zero_stock_zero_cap(self):
         assert curve(SQRT_TECH, MOVER1).output_cap("m", 0.0) == 0.0
 
@@ -328,6 +338,16 @@ class TestSampling:
         for p in points[1:]:
             assert p.marginal == pytest.approx(
                 p.average * (1.0 + p.elasticity), rel=1e-10)
+
+    @pytest.mark.parametrize("tech, eta", [
+        (SQRT_TECH, 1.0), (CobbDouglas(scale=2.0, exponents={"m": 0.25}), 3.0),
+        (CONST_TECH, 0.0), (LINEAR_TECH, 0.0), (DECAY_TECH, 0.0)])
+    def test_elasticity_at_the_origin_is_its_limit(self, tech, eta):
+        # 1/B - 1 at every q on the smooth curve; 0 where a profile's
+        # average meets its marginal
+        first, second = sample_curve(tech, MOVER1, 1e-6, samples=2)
+        assert first.elasticity == eta
+        assert second.elasticity == pytest.approx(eta, abs=1e-5)
 
     def test_meec_point_against_quadrature(self):
         p = sample_curve(DECAY_TECH, MOVER1, 2.0, samples=2)[-1]

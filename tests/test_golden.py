@@ -37,7 +37,7 @@ DIGESTS = {
     "equilibrium-reference/figure1_grain.svg":
         "61aee6ef8e958967137a01f4046641484e7594fd1736784ad2e9c0cff1c85954",
     "equilibrium-reference/meec_grain.csv":
-        "c311fd605925934453cafac960030a5a579ab76db6f1695fb3ba6006a727b0bd",
+        "ca8d74df55f68a82de8615527099e573bba0b8c78270a7a866b2ce76664eb9d4",
     "equilibrium-scarce_growth/demand.csv":
         "bacb1880948e266bbf8c90b2e1c25992bbf3d494aeff378ca56bc337701432de",
     "equilibrium-scarce_growth/equilibrium.csv":
@@ -45,7 +45,7 @@ DIGESTS = {
     "equilibrium-scarce_growth/figure1_grain.svg":
         "7d79c2587b07e2f265f78a0b3324f7d385f2ad7ecefa372113afaa04eb721d1a",
     "equilibrium-scarce_growth/meec_grain.csv":
-        "01c614cd26ca3ce8e89804e1e5dac529bab3661b345c449bb2ec9f5230b7f7e1",
+        "98a4e4e83f3faa8642b7847b8bcc26011ed4ca65887adba7430673baaf4b06c6",
     "equilibrium-shocks/demand.csv":
         "f14aa4fcfaf3f335e54953fa891befff34fdf12c00ad205f40635394e3dfaa07",
     "equilibrium-shocks/equilibrium.csv":

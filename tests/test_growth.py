@@ -1,14 +1,15 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from egl import initial_state, load_scenario, solve_energy_side
 from egl.core import PrimeMoverType
-from egl.errors import ScenarioValidationError
-from egl.growth import (apply_event, normalized_surplus_args, simulate,
-                        step_accumulation)
+from egl.errors import ScenarioValidationError, SolverError
+from egl.growth import (apply_event, enter_period, normalized_surplus_args,
+                        simulate, step_accumulation)
 from egl.reports import trajectory_csv
 from egl.surplus import mover_surplus_rates
 
@@ -308,6 +309,14 @@ class TestSimulate:
             == pytest.approx(12.0, abs=1e-9)
         assert last.energy.outputs["e0"] == 0.0
         assert last.energy.usable_surplus == 0.0
+        # the steady test passes over a mined-out source's surplus gap
+        assert last.energy.marginal_surplus["e0"] == 10.0
+
+    def test_overflowing_stock_fails_its_period(self, cd1):
+        # a stock grown past the floats leaves the fleet's power infinite
+        state = replace(initial_state(cd1), stocks={"m0": math.inf})
+        with pytest.raises(SolverError, match="aggregate power"):
+            enter_period(cd1, state, 1)
 
     def test_hard_pes_cap_is_respected(self):
         doc = scarce_doc(endowment=100.0)

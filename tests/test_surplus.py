@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from egl import cumulative_transfer, initial_state, scenario_from_dict
 from egl.core import SLACK_TOL, effective_multiplier
+from egl.embodied import sample_curve
 from egl.errors import SolverError
 from egl.growth import simulate
 from egl.numerics import adaptive_simpson
@@ -1159,6 +1160,24 @@ class TestFigure1:
         data = figure1_report(scenario, None, "e0", sol)
         assert data.markers == {}
         assert len(data.quantities) == len(data.meec) > 0
+
+    def test_span_ends_where_the_curve_leaves_the_floats(self):
+        # 1/B = 1e9: the power overflows just past Q* = 0.99999998, so the
+        # bisection ends the span 2 Q* at the last quantity the curve
+        # evaluates at; below q = 1 the transfer underflows to 0, where the
+        # elasticity is 0/0 and reads nan
+        doc = json.loads((SCENARIOS / "reference.json").read_text())
+        doc["energy_goods"][0]["technology"]["exponents"]["workers"] = 1e-9
+        scenario, sol = solve_doc(doc)
+        data = figure1_report(scenario, None, "grain", sol)
+        assert sol.outputs["grain"] < data.quantities[-1] < 1.000001
+        assert data.saturation_quantity is None
+        state = initial_state(scenario)
+        points = sample_curve(state.energy_goods["grain"].technology,
+                              state.movers, data.quantities[-1])
+        assert points[0].elasticity == pytest.approx(1e9 - 1.0)
+        assert points[1].cumulative == 0.0
+        assert math.isnan(points[1].elasticity)
 
     def test_saturation_from_endowment(self):
         # direct energy of x(Q) = Q**2 exhausts eps * 9 at Q = 3
