@@ -9,6 +9,7 @@ variable (quiet | info | debug).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -165,7 +166,10 @@ class UsageError(Exception):
     pass
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first ``main`` call and kept
+    for the process: parsing reads it and leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="egl",
         description="Energy-surplus equilibria and growth simulation")

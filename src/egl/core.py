@@ -329,29 +329,30 @@ def initial_state(scenario: ScenarioConfig) -> EconomyState:
 
 def activate_due(scenario: ScenarioConfig, state: EconomyState,
                  t: int) -> EconomyState:
-    """Activate scenario types whose introduction period is ``t``."""
+    """Activate scenario types whose introduction period is ``t``; the
+    state itself when none arrives and it is already at period ``t``."""
+    new_movers = [m for m in scenario.prime_movers
+                  if m.intro_period == t and m.id not in state.movers]
+    new_e_goods = [g for g in scenario.energy_goods
+                   if g.intro_period == t and g.id not in state.energy_goods]
+    new_n_goods = [g for g in scenario.non_energy_goods
+                   if g.intro_period == t
+                   and g.id not in state.non_energy_goods]
+    if not (new_movers or new_e_goods or new_n_goods) and state.period == t:
+        return state
     movers = dict(state.movers)
     stocks = dict(state.stocks)
     e_goods = dict(state.energy_goods)
     n_goods = dict(state.non_energy_goods)
     cum = dict(state.cum_extraction)
-    changed = False
-    for m in scenario.prime_movers:
-        if m.intro_period == t and m.id not in movers:
-            movers[m.id] = m
-            stocks[m.id] = m.endowment
-            changed = True
-    for g in scenario.energy_goods:
-        if g.intro_period == t and g.id not in e_goods:
-            e_goods[g.id] = g
-            cum[g.id] = 0.0
-            changed = True
-    for g in scenario.non_energy_goods:
-        if g.intro_period == t and g.id not in n_goods:
-            n_goods[g.id] = g
-            changed = True
-    if not changed and state.period == t:
-        return state
+    for m in new_movers:
+        movers[m.id] = m
+        stocks[m.id] = m.endowment
+    for g in new_e_goods:
+        e_goods[g.id] = g
+        cum[g.id] = 0.0
+    for g in new_n_goods:
+        n_goods[g.id] = g
     return EconomyState(period=t, movers=movers, energy_goods=e_goods,
                         non_energy_goods=n_goods, stocks=stocks,
                         cum_extraction=cum,

@@ -15,9 +15,11 @@ multiplier.
 Internally the multiplier belongs to an additively separable transform of
 the utility (same level sets, hence same demands); the reported marginal
 utility of energy is evaluated on the stated utility form at the solution.
-Each good's curve is compiled once per solve (``embodied.curve``); the
-power laws, inner solves, spending, the curves at the bundle and the
-support fleet all read it.
+A solve takes each good's curve kernel once from its ``Kernels`` store,
+which ``simulate`` keeps across periods, so a kernel is built
+(``embodied.curve``) only when the good's technology or multiplier
+changes; the power laws, inner solves, spending, the curves at the bundle
+and the support fleet all read it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 
 from .core import (Q_RTOL, EconomyState, NonEnergyGood, Preferences,
                    PrimeMoverType, effective_multiplier, employment_totals)
-from .embodied import Curve, curve, solve_power
+from .embodied import Curve, Kernels, solve_power
 from .errors import SolverError
 from .numerics import bracketed_root, grow_bracket
 
@@ -99,13 +101,14 @@ def solve_demands(preferences: Preferences,
                   movers: dict[str, PrimeMoverType],
                   energy: float,
                   multipliers: dict[str, float] | None = None,
-                  remaining_endowment: dict[str, float] | None = None
-                  ) -> DemandSolution:
+                  remaining_endowment: dict[str, float] | None = None,
+                  kernels: Kernels | None = None) -> DemandSolution:
     """Optimal non-energy bundle for a usable surplus of ``energy`` joules.
 
     When ``remaining_endowment`` is given the support prime movers are
     allocated as well and per-type feasibility plus the usability gap are
-    reported on the solution.
+    reported on the solution.  The goods' curve kernels come from
+    ``kernels`` (by default a fresh store).
     """
     if not goods:
         raise ValueError("need at least one non-energy good")
@@ -118,10 +121,9 @@ def solve_demands(preferences: Preferences,
 
     r = _curvature(preferences)
     weights = {g.id: preferences.weights[g.id] for g in goods}
-    curves, laws = {}, {}
-    for g in goods:
-        kernel = curves[g.id] = curve(g.technology, movers, mult[g.id])
-        laws[g.id] = kernel.power_law()
+    kernels = Kernels() if kernels is None else kernels
+    curves = {g.id: kernels.of(g, movers, mult[g.id]) for g in goods}
+    laws = {gid: kernel.power_law() for gid, kernel in curves.items()}
 
     def quantity(good: NonEnergyGood, target: float) -> float:
         """Inner solve: q ** (1-r) * gamma(q) = target."""
@@ -268,8 +270,8 @@ def tangency_residual(preferences: Preferences, bundle: dict[str, float],
 
 
 def demand_for_state(scenario, state: EconomyState, energy: float,
-                     energy_employment: dict[str, dict[str, float]]
-                     ) -> DemandSolution:
+                     energy_employment: dict[str, dict[str, float]],
+                     kernels: Kernels | None = None) -> DemandSolution:
     """Demand solve wired to a dynamic state: multipliers and leftovers."""
     goods = list(state.non_energy_goods.values())
     mult = {g.id: effective_multiplier(g, state) for g in goods}
@@ -278,4 +280,5 @@ def demand_for_state(scenario, state: EconomyState, energy: float,
                           0.0)
                  for mid in state.movers}
     return solve_demands(scenario.preferences, goods, state.movers, energy,
-                         multipliers=mult, remaining_endowment=remaining)
+                         multipliers=mult, remaining_endowment=remaining,
+                         kernels=kernels)

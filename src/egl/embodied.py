@@ -15,11 +15,15 @@ gamma, gamma_avg and G linearly and leaves eta unchanged.
 multiplier: every constant that does not depend on the output q is
 computed once, and the kernel evaluates gamma, G, the employment x_l, the
 marginal requirements, the power law and the output caps from them.  The
-solvers build one kernel per good per solve and call it directly.  The
-module functions below it build one per call: the marginal, average and
-cumulative curves and the elasticity are the oracles the acceptance
-suite checks the model's identities on, and ``sample_curve`` samples a
-curve for export and plotting.
+solvers take their kernels from a ``Kernels`` store, which keeps the
+latest kernel of each good and rebuilds it only when the good's
+technology or multiplier changes: a solve given no store builds one
+kernel per good, and ``simulate`` keeps one store for the whole run, so
+a kernel serves every period until an arrival, an event or depletion
+changes it.  The module functions below build one per call: the
+marginal, average and cumulative curves and the elasticity are the
+oracles the acceptance suite checks the model's identities on, and
+``sample_curve`` samples a curve for export and plotting.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import CobbDouglas, FixedProportions, PrimeMoverType, Technology
+from .core import (CobbDouglas, EnergyGood, FixedProportions, NonEnergyGood,
+                   PrimeMoverType, Technology)
 from .errors import SolverError
 from .numerics import bracketed_root, grow_bracket
 
@@ -96,6 +101,7 @@ class SmoothCurve(NamedTuple):
     cost: float                     # m K
     coef: float                     # m (K/B)
     prefix: float | None            # m (K/B) scale ** (-1/B); None: not finite
+    exponent: float                 # 1/B - 1
 
     def marginal(self, q: float) -> float:
         """gamma(q): energy transferred to produce one more unit at q."""
@@ -103,7 +109,7 @@ class SmoothCurve(NamedTuple):
         if self.prefix is None:
             raise _overflow(self.b_total)
         try:
-            return self.prefix * q ** (1.0 / self.b_total - 1.0)
+            return self.prefix * q ** self.exponent
         except OverflowError:
             raise _overflow(self.b_total) from None
 
@@ -139,7 +145,7 @@ class SmoothCurve(NamedTuple):
 
     def power_law(self) -> tuple[float, float]:
         """(A, k) with gamma(q) = A * q ** k: k = 1/B - 1, A = gamma(1)."""
-        return self.marginal(1.0), 1.0 / self.b_total - 1.0
+        return self.marginal(1.0), self.exponent
 
     def output_cap(self, mover_id: str, stock: float) -> float:
         """Largest output whose employment of mover_id stays within stock."""
@@ -210,6 +216,9 @@ class ProfileCurve(NamedTuple):
 
         # h(q) >= c0 q, so the first probe closes the bracket up to rounding
         hi = grow_bracket(gap, max(target / tech.c0, 1.0))
+        if math.isinf(hi):
+            raise SolverError("degenerate", f"output cap of {mover_id!r} "
+                              f"stock {stock:g} overflows")
         return bracketed_root(gap, 0.0, hi, rtol=1e-14)
 
 
@@ -247,7 +256,32 @@ def curve(tech: Technology, movers: dict[str, PrimeMoverType],
         ratios=tuple([tech.exponents[m] / omega
                       for m, omega in omegas.items()]),
         b_total=b_total, k=k, cost=multiplier * k, coef=coef,
-        prefix=prefix if prefix < math.inf else None)
+        prefix=prefix if prefix < math.inf else None,
+        exponent=1.0 / b_total - 1.0)
+
+
+class Kernels(dict):
+    """The latest curve kernel of each good, by good id.
+
+    A good's kernel reads the movers only through the omega_l of the
+    movers its technology uses, which no period changes, and no good
+    uses a mover before it arrives.  So within one scenario's run a kernel
+    stays valid while its good's technology object and effective
+    multiplier stay the same.  ``simulate`` keeps one store for the run; a
+    solve given none fills a fresh one.
+    """
+
+    def of(self, good: EnergyGood | NonEnergyGood,
+           movers: dict[str, PrimeMoverType], multiplier: float) -> Curve:
+        """The good's kernel at this multiplier: the stored one when it was
+        built for the good's technology and this multiplier, else a new
+        one, which replaces it."""
+        kernel = self.get(good.id)
+        if kernel is None or kernel.tech is not good.technology \
+                or kernel.multiplier != multiplier:
+            kernel = self[good.id] = curve(good.technology, movers,
+                                           multiplier)
+        return kernel
 
 
 def solve_power(a: float, p: float, y: float) -> float:
@@ -293,8 +327,7 @@ def _point(kernel: Curve, q: float) -> MeecPoint:
     if q == 0.0:
         # the limit of eta: 1/B - 1 at every q on the smooth curve, and 0
         # where a profile's average meets its marginal
-        eta = 1.0 / kernel.b_total - 1.0 \
-            if isinstance(kernel, SmoothCurve) else 0.0
+        eta = kernel.exponent if isinstance(kernel, SmoothCurve) else 0.0
     elif avg == 0.0:
         eta = math.nan      # G(q) underflows, so eta is 0/0
     else:

@@ -24,6 +24,7 @@ from .core import (SS_ACCUM_TOL, SS_ALPHA_TOL, EconomyState, EventSpec,
                    PrimeMoverType, ScenarioConfig, activate_due,
                    aggregate_power, initial_state)
 from .demand import DemandSolution, demand_for_state
+from .embodied import Kernels
 from .errors import EglError, ScenarioValidationError, SolverError
 from .surplus import EnergySideSolution, solve_energy_side
 
@@ -140,7 +141,12 @@ def _is_steady(state: EconomyState, energy: EnergySideSolution,
 
 def simulate(scenario: ScenarioConfig,
              horizon: int | None = None) -> Trajectory:
-    """Run the period loop until the horizon or a detected steady state."""
+    """Run the period loop until the horizon or a detected steady state.
+
+    The goods' curve kernels live in one ``Kernels`` store for the run, so
+    a good's kernel is rebuilt only when an arrival, an event or depletion
+    changes its technology or multiplier; the store ends with the call.
+    """
     horizon = scenario.horizon if horizon is None else horizon
     state = initial_state(scenario)
     # no steady state is declared before the last arrival or shock
@@ -148,13 +154,14 @@ def simulate(scenario: ScenarioConfig,
                       + [x.intro_period for x in scenario.prime_movers
                          + scenario.energy_goods + scenario.non_energy_goods])
     records: list[PeriodRecord] = []
+    kernels = Kernels()
 
     for t in range(horizon + 1):
         try:
             state = enter_period(scenario, state, t)
-            energy = solve_energy_side(scenario, state)
+            energy = solve_energy_side(scenario, state, kernels)
             demand = demand_for_state(scenario, state, energy.usable_surplus,
-                                      energy.employment)
+                                      energy.employment, kernels)
         except EglError as exc:
             # the failure travels on the trajectory; the CLI reports it
             log.info("period %d solve failed: %s", t, exc)

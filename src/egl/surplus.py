@@ -32,8 +32,10 @@ piece where one bracketed root finds the fixed point.  A jump the shares
 miss leaves that root short of the slack tolerance and is rescaled the
 same way.
 
-A solve compiles each good's curve once (``embodied.curve``), and every
-step that evaluates it (the caps, the power laws, the residuals, the
+A solve takes each good's curve kernel once from its ``Kernels`` store,
+which builds it (``embodied.curve``) unless an earlier period of the same
+simulation left one for the same technology and multiplier; every step
+that evaluates the curve (the caps, the power laws, the residuals, the
 rationing, the rescale and the first-order conditions) reads that kernel.
 The usable capacity U is summed in one place, ``_Problem.capacity``, whose
 per-mover weights the Newton route reads too.
@@ -51,8 +53,8 @@ from dataclasses import dataclass, field
 from .core import (PHI_TOL, Q_RTOL, SLACK_TOL, CobbDouglas, EconomyState,
                    EnergyGood, ScenarioConfig, effective_multiplier,
                    initial_state)
-from .embodied import (Curve, curve, marginal_embodied, sample_curve,
-                       solve_power)
+from .embodied import (Curve, Kernels, curve, marginal_embodied,
+                       sample_curve, solve_power)
 from .errors import SolverError
 from .numerics import MAX_ITER, bracketed_root, grow_bracket
 
@@ -167,11 +169,12 @@ class _Problem:
     """Per-good curves and constants for one energy-side solve, and the
     allocation at every share phi evaluated so far."""
 
-    def __init__(self, state: EconomyState):
+    def __init__(self, state: EconomyState, kernels: Kernels | None = None):
+        kernels = Kernels() if kernels is None else kernels
         self.state = state
         self.goods = list(state.energy_goods.values())
         self.mult = {g.id: effective_multiplier(g, state) for g in self.goods}
-        self.curves = {g.id: curve(g.technology, state.movers, self.mult[g.id])
+        self.curves = {g.id: kernels.of(g, state.movers, self.mult[g.id])
                        for g in self.goods}
         # the direct energy one leftover unit of each mover carries into
         # non-energy work: the weights of the usable capacity U
@@ -200,36 +203,40 @@ class _Problem:
                 cap, tag = remaining, "pes"
             self.caps[g.id] = cap
             self.cap_tags[g.id] = tag
-        self.candidates = [
-            g for g in self.goods
-            if self.caps.get(g.id, 0.0) > 0.0
-            and self.earns(g, self.caps[g.id])]
-        # the curve's power law and premium weight (smooth technology), or
-        # the premium weight of the requirement profile, its peak and its
-        # shutdown threshold (fixed proportions), are computed once per
-        # solve
-        self.smooth_terms = {}
+        # the candidates are the capped goods that earn at phi = 0 (see
+        # ``earns``).  A fixed-proportions candidate's terms are the premium
+        # weight of its requirement profile, its peak and its shutdown
+        # threshold a* at the cap, each computed once per solve
+        self.candidates = []
         self.fixed_terms = {}
-        for g in self.candidates:
+        for g in self.goods:
+            cap = self.caps.get(g.id, 0.0)
+            if cap <= 0.0:
+                continue
             tech = g.technology
-            if isinstance(tech, CobbDouglas):
-                # g'_l(q) = gamma(q) / omega_l, so the premium factor is
-                # gamma(q) * kappa with kappa the mean of eps_l / omega_l
-                used = tech.used_movers()
+            if not isinstance(tech, CobbDouglas):
+                a_star = _shutdown_weight(tech, g.energy_content, cap)
+                if self.curves[g.id].mw >= a_star:
+                    continue
+                used = [(mid, nu) for mid, nu in tech.requirements.items()
+                        if nu > 0.0]
+                eps_mean = sum(state.movers[mid].direct_energy * nu
+                               for mid, nu in used) / len(used)
+                self.fixed_terms[g.id] = (self.curves[g.id].w, eps_mean,
+                                          min(tech.dip, cap), a_star)
+            self.candidates.append(g)
+        # a smooth candidate's power law and premium weight: g'_l(q) =
+        # gamma(q) / omega_l, so the premium factor is gamma(q) * kappa with
+        # kappa the mean of eps_l / omega_l
+        self.smooth_terms = {}
+        for g in self.candidates:
+            if g.id not in self.fixed_terms:
+                used = g.technology.used_movers()
                 kappa = sum(state.movers[mid].direct_energy
                             / state.movers[mid].total_transfer
                             for mid in used) / len(used)
-                a, k = self.curves[g.id].power_law()
-                self.smooth_terms[g.id] = (a, k, kappa)
-                continue
-            used = [(mid, nu) for mid, nu in tech.requirements.items()
-                    if nu > 0.0]
-            eps_mean = sum(state.movers[mid].direct_energy * nu
-                           for mid, nu in used) / len(used)
-            cap = self.caps[g.id]
-            self.fixed_terms[g.id] = (
-                self.curves[g.id].w, eps_mean, min(tech.dip, cap),
-                _shutdown_weight(tech, g.energy_content, cap))
+                self.smooth_terms[g.id] = (*self.curves[g.id].power_law(),
+                                           kappa)
         self.allocations = {}
 
     def earns(self, good: EnergyGood, cap: float) -> bool:
@@ -603,16 +610,18 @@ def _period_zero(scenario: ScenarioConfig) -> EconomyState:
 
 
 def solve_energy_side(scenario: ScenarioConfig,
-                      state: EconomyState | None = None) -> EnergySideSolution:
+                      state: EconomyState | None = None,
+                      kernels: Kernels | None = None) -> EnergySideSolution:
     """Solve the energy side at the given state (by default the period-0
-    economy after its events).
+    economy after its events), with the goods' curve kernels taken from
+    ``kernels`` (by default a fresh store).
 
     The scenario's ``solver.force_phi`` pins the useless-surplus share
     instead of solving the usability fixed point (diagnostic mode).
     """
     if state is None:
         state = _period_zero(scenario)
-    problem = _Problem(state)
+    problem = _Problem(state, kernels)
     forced = scenario.force_phi is not None
 
     if not problem.candidates:

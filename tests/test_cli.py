@@ -524,6 +524,18 @@ class TestUsage:
     def test_missing_subcommand(self, capsys):
         assert main([]) == 1
 
+    def test_parser_is_built_once_per_process(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, cd1_doc())
+        egl.cli._build_parser.cache_clear()
+        runs = []
+        for _ in range(2):
+            code = main(["validate", "--scenario", path])
+            runs.append((code, capsys.readouterr()))
+        assert egl.cli._build_parser.cache_info().misses == 1
+        assert runs[0] == runs[1] == (0, ("ok\n", ""))
+        assert main(["simulate", "--bogus"]) == 1
+        assert egl.cli._build_parser.cache_info().misses == 1
+
     def test_unknown_argument(self, capsys):
         assert main(["simulate", "--bogus"]) == 1
 

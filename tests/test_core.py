@@ -356,6 +356,13 @@ SOLVER_BOUNDARY = [
        f"degenerate: requirement profile overflows at output {at}")
       for key, value, at in (("c0", 1e-300, "1e+300"), ("rho", 1e300, "8"))
       for command in ("equilibrium", "simulate")],
+    # the output cap h(q) = stock / nu lies past the floats: target / c0 =
+    # 1e10 / 1e-300 overflows before the cap's root is sought
+    *[("shocks", ("energy_goods", 0, "technology"),
+       {"kind": "fixed_proportions", "requirements": {"workers": 1e-10},
+        "curvature": {"c0": 1e-300}}, command,
+       "degenerate: output cap of 'workers' stock 1 overflows")
+      for command in ("equilibrium", "simulate")],
     # 4 W x 1e308 arriving engines: the fleet's power is infinite
     ("arrivals", ("events", 0, "mover", "endowment"), 1e308, "simulate",
      "degenerate: aggregate power of the fleet overflows at period 2"),

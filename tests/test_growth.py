@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 from egl import initial_state, load_scenario, solve_energy_side
-from egl.core import PrimeMoverType
+from egl.core import PrimeMoverType, activate_due, effective_multiplier
+from egl.demand import demand_for_state
 from egl.errors import ScenarioValidationError, SolverError
 from egl.growth import (apply_event, enter_period, normalized_surplus_args,
                         simulate, step_accumulation)
@@ -327,3 +328,86 @@ class TestSimulate:
         assert cum[-1] <= 7.0 + 1e-9
         total = cum[-1] + traj.records[-1].energy.outputs["e0"]
         assert total <= 7.0 + 1e-9
+
+
+def shipped(name: str):
+    return load_scenario((SCENARIOS / f"{name}.json").read_text())
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """(good technology, multiplier) of every curve kernel built."""
+    import egl.embodied
+    real = egl.embodied.curve
+    log = []
+
+    def counted(tech, movers, multiplier=1.0):
+        log.append((tech, multiplier))
+        return real(tech, movers, multiplier)
+
+    monkeypatch.setattr(egl.embodied, "curve", counted)
+    return log
+
+
+class TestKernelReuse:
+    """A simulation builds a good's kernel once per technology and
+    multiplier, and the kernels it reuses change no number."""
+
+    @pytest.mark.parametrize("name", ["reference", "scarce_growth", "shocks",
+                                      "arrivals"])
+    def test_fresh_kernels_give_the_same_solutions(self, name):
+        scenario = shipped(name)
+        traj = simulate(scenario)
+        assert traj.error is None and len(traj.records) > 0
+        for record in traj.records:
+            energy = solve_energy_side(scenario, record.state)
+            assert energy == record.energy
+            assert demand_for_state(
+                scenario, record.state, energy.usable_surplus,
+                energy.employment) == record.demand
+
+    def test_one_build_per_good_without_changes(self, builds):
+        scenario = shipped("scarce_growth")
+        traj = simulate(scenario)
+        assert len(traj.records) > 50
+        goods = scenario.energy_goods + scenario.non_energy_goods
+        assert [tech for tech, _ in builds] == [g.technology for g in goods]
+        # a second run starts from an empty store
+        builds.clear()
+        simulate(scenario)
+        assert len(builds) == 3
+
+    def test_a_changed_multiplier_rebuilds(self, builds):
+        # wood depletes its primary source, and an efficiency shift at
+        # period 30 scales its curve: one build per run of equal
+        # multipliers; cloth keeps its first kernel
+        scenario = shipped("shocks")
+        traj = simulate(scenario)
+        wood, cloth = scenario.energy_goods[0], scenario.non_energy_goods[0]
+        runs = []
+        for record in traj.records:
+            m = effective_multiplier(record.state.energy_goods["wood"],
+                                     record.state)
+            if not runs or runs[-1] != m:
+                runs.append(m)
+        assert 1 < len(runs) < len(traj.records)
+        assert [m for tech, m in builds if tech is wood.technology] == runs
+        assert [m for tech, m in builds if tech is cloth.technology] == [1.0]
+
+    def test_an_event_rebuilds_its_good_once(self, builds):
+        doc = json.loads((SCENARIOS / "scarce_growth.json").read_text())
+        doc["events"] = [{"period": 5, "kind": "efficiency_shift",
+                          "good": "pots", "multiplier": 0.5}]
+        scenario = load_scenario(json.dumps(doc))
+        traj = simulate(scenario)
+        assert len(traj.records) > 6
+        assert [(tech, m) for tech, m in builds[3:]] == [
+            (scenario.non_energy_goods[1].technology, 0.5)]
+
+    def test_no_arrival_returns_the_state_itself(self):
+        scenario = shipped("arrivals")
+        state = enter_period(scenario, initial_state(scenario), 0)
+        later = replace(state, period=1)
+        assert activate_due(scenario, later, 1) is later
+        arrived = activate_due(scenario, replace(state, period=2), 2)
+        assert set(arrived.movers) > set(state.movers)

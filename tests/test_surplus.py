@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from egl import cumulative_transfer, initial_state, scenario_from_dict
+from egl import (cumulative_transfer, initial_state, load_scenario,
+                 scenario_from_dict)
 from egl.core import SLACK_TOL, effective_multiplier
 from egl.embodied import sample_curve
 from egl.errors import SolverError
@@ -171,6 +172,24 @@ class TestReferenceSolve:
         assert q0 > 15.0
         assert marginal_surplus_at(good, q0, state) == pytest.approx(
             0.0, abs=1e-7)
+
+    def test_shutdown_weight_once_per_fixed_good_per_solve(self,
+                                                           monkeypatch):
+        # picking the candidates and the bracket route's shutdown shares
+        # read one threshold per capped fixed-proportions good
+        import egl.surplus
+        calls = []
+        real = egl.surplus._shutdown_weight
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(egl.surplus, "_shutdown_weight", counted)
+        scenario = load_scenario((SCENARIOS / "shocks.json").read_text())
+        solution = solve_energy_side(scenario)
+        assert solution.phi > 0.0 and solution.outputs["wood"] > 0.0
+        assert len(calls) == 1
 
     def test_meroi_values(self, cd1):
         sol = solve_energy_side(cd1)
