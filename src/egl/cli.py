@@ -127,6 +127,8 @@ def _cmd_equilibrium(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.horizon is not None and args.horizon < 0:
+        raise UsageError("--horizon must be >= 0")
     text, scenario = _read_scenario(args.scenario)
     trajectory = simulate(scenario, horizon=args.horizon)
     files = {

@@ -12,6 +12,11 @@ At the start of each period, before the solve, the types introduced at
 that period activate (new movers and energy sources) and then the
 scheduled shocks (efficiency gains, curve deterioration, endowment shocks)
 apply.
+
+The consumer spends the usable surplus and feeds nothing back: the next
+state reads only the energy-side solution.  So ``simulate`` runs in two
+passes, the dynamics on the energy side first and then every period's
+demand solve, in period order.
 """
 
 from __future__ import annotations
@@ -139,44 +144,36 @@ def _is_steady(state: EconomyState, energy: EnergySideSolution,
     return True
 
 
-def simulate(scenario: ScenarioConfig,
-             horizon: int | None = None) -> Trajectory:
-    """Run the period loop until the horizon or a detected steady state.
-
-    The goods' curve kernels live in one ``Kernels`` store for the run, so
-    a good's kernel is rebuilt only when an arrival, an event or depletion
-    changes its technology or multiplier; the store ends with the call.
-    """
-    horizon = scenario.horizon if horizon is None else horizon
+def _energy_pass(scenario: ScenarioConfig, horizon: int, kernels: Kernels
+                 ) -> tuple[list[tuple[EconomyState, EnergySideSolution]],
+                            bool, EglError | None]:
+    """Run the dynamics: each period's state and energy-side solution, in
+    period order, whether the last one is the steady state, and the error
+    that stopped the run early, if any."""
     state = initial_state(scenario)
     # no steady state is declared before the last arrival or shock
     last_change = max([ev.period for ev in scenario.events]
                       + [x.intro_period for x in scenario.prime_movers
                          + scenario.energy_goods + scenario.non_energy_goods])
-    records: list[PeriodRecord] = []
-    kernels = Kernels()
+    periods: list[tuple[EconomyState, EnergySideSolution]] = []
 
     for t in range(horizon + 1):
         try:
             state = enter_period(scenario, state, t)
             energy = solve_energy_side(scenario, state, kernels)
-            demand = demand_for_state(scenario, state, energy.usable_surplus,
-                                      energy.employment, kernels)
         except EglError as exc:
-            # the failure travels on the trajectory; the CLI reports it
-            log.info("period %d solve failed: %s", t, exc)
-            return Trajectory(records=tuple(records), error=str(exc))
+            return periods, False, exc
 
         log.debug("t=%d phi=%.6g E*=%.6g", t, energy.phi,
                   energy.usable_surplus)
-        records.append(PeriodRecord(state, energy, demand))
+        periods.append((state, energy))
         stocks = step_accumulation(
             state.stocks,
             normalized_surplus_args(energy.mover_surplus, state.movers),
             state.movers)
 
         if t >= last_change and _is_steady(state, energy, stocks):
-            return Trajectory(records=tuple(records), steady=True)
+            return periods, True, None
 
         if t == horizon:
             break
@@ -184,7 +181,45 @@ def simulate(scenario: ScenarioConfig,
         cum = dict(state.cum_extraction)
         for gid, q in energy.outputs.items():
             cum[gid] = cum.get(gid, 0.0) + q
-        state = replace(state, period=t + 1, stocks=stocks,
-                        cum_extraction=cum)
+        state = EconomyState(
+            period=t + 1, movers=state.movers,
+            energy_goods=state.energy_goods,
+            non_energy_goods=state.non_energy_goods, stocks=stocks,
+            cum_extraction=cum, multipliers=state.multipliers)
 
-    return Trajectory(records=tuple(records))
+    return periods, False, None
+
+
+def simulate(scenario: ScenarioConfig,
+             horizon: int | None = None) -> Trajectory:
+    """Run the period loop until the horizon or a detected steady state.
+
+    Two passes: the energy pass runs the dynamics (period entry, the
+    energy-side solve, accumulation and the steady test), then the
+    consumer pass solves each collected period's demand in period order.
+    The consumer side feeds nothing back into the next state, so the
+    trajectory is the one an interleaved loop builds: the first period
+    whose entry or either solve fails ends it, with the earlier records.
+
+    The goods' curve kernels live in one ``Kernels`` store for the run, so
+    a good's kernel is rebuilt only when an arrival, an event or depletion
+    changes its technology or multiplier; the store ends with the call.
+    """
+    horizon = scenario.horizon if horizon is None else horizon
+    kernels = Kernels()
+    periods, steady, error = _energy_pass(scenario, horizon, kernels)
+    records: list[PeriodRecord] = []
+    for state, energy in periods:
+        try:
+            demand = demand_for_state(scenario, state, energy.usable_surplus,
+                                      energy.employment, kernels)
+        except EglError as exc:
+            error = exc
+            break
+        records.append(PeriodRecord(state, energy, demand))
+
+    if error is not None:
+        # the failure travels on the trajectory; the CLI reports it
+        log.info("period %d solve failed: %s", len(records), error)
+        return Trajectory(records=tuple(records), error=str(error))
+    return Trajectory(records=tuple(records), steady=steady)

@@ -180,7 +180,8 @@ class _Problem:
         # non-energy work: the weights of the usable capacity U
         self.unit_capacity = {mid: mover.direct_energy
                               for mid, mover in state.movers.items()}
-        # a good has a cap exactly when every mover it uses holds stock
+        # a good has a cap exactly when every mover it uses holds stock; an
+        # exhausted source's cap is 0, with no root for its movers' caps
         self.caps = {}
         self.cap_tags = {}
         self.exhausted = set()
@@ -193,6 +194,9 @@ class _Problem:
                 if remaining <= 0.0:
                     self.exhausted.add(g.id)
             if not all(state.stocks.get(m, 0.0) > 0.0 for m in used):
+                continue
+            if g.id in self.exhausted:
+                self.caps[g.id], self.cap_tags[g.id] = 0.0, "pes"
                 continue
             cap, tag = math.inf, ""
             for mid in used:

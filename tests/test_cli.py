@@ -539,6 +539,21 @@ class TestUsage:
     def test_unknown_argument(self, capsys):
         assert main(["simulate", "--bogus"]) == 1
 
+    @pytest.mark.parametrize("horizon", ["-1", "-3"])
+    def test_negative_horizon_usage_error(self, tmp_path, capsys, horizon):
+        # a document's horizon must be >= 0, and so must the flag's
+        path = write_scenario(tmp_path, cd1_doc())
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario", path, "--out", str(out),
+                     "--horizon", horizon]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "usage",
+                                        "detail": "--horizon must be >= 0"}
+        assert not out.exists()
+
 
 class TestSolverFailureReport:
     def test_bare_egl_error_exits_2_with_one_json_line(self, tmp_path,

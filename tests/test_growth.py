@@ -411,3 +411,77 @@ class TestKernelReuse:
         assert activate_due(scenario, later, 1) is later
         arrived = activate_due(scenario, replace(state, period=2), 2)
         assert set(arrived.movers) > set(state.movers)
+
+
+class TestConsumerPass:
+    """``simulate`` solves every period's demand after the energy-side
+    dynamics, and a failed run ends as a period-by-period loop ends it:
+    at the first period, in period order, whose entry or solve fails."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """Logs (side, period) of every solve; ``fail[side]`` is the period
+        whose solve on that side raises."""
+        import egl.growth
+        log, fail = [], {}
+
+        def logged(side, solve):
+            def run(scenario, state, *args):
+                log.append((side, state.period))
+                if fail.get(side) == state.period:
+                    raise SolverError("degenerate",
+                                      f"{side} fails at {state.period}")
+                return solve(scenario, state, *args)
+            return run
+
+        monkeypatch.setattr(egl.growth, "solve_energy_side", logged(
+            "energy", egl.growth.solve_energy_side))
+        monkeypatch.setattr(egl.growth, "demand_for_state", logged(
+            "demand", egl.growth.demand_for_state))
+        return log, fail
+
+    def test_energy_pass_runs_first(self, solves):
+        log, _ = solves
+        traj = simulate(shipped("scarce_growth"))
+        assert traj.steady and len(traj.records) > 50
+        periods = list(range(len(traj.records)))
+        sides = [side for side, _ in log]
+        first_demand = sides.index("demand")
+        assert sides == ["energy"] * first_demand \
+            + ["demand"] * (len(log) - first_demand)
+        assert [t for _, t in log[:first_demand]] == periods
+        assert [t for _, t in log[first_demand:]] == periods
+
+    @pytest.mark.parametrize("fail, reported", [
+        ({"demand": 3}, "demand"),
+        ({"energy": 5, "demand": 3}, "demand"),
+        ({"energy": 3, "demand": 5}, "energy")])
+    def test_first_failing_period_ends_the_run(self, solves, fail,
+                                               reported):
+        solves[1].update(fail)
+        scenario = shipped("scarce_growth")
+        traj = simulate(scenario)
+        assert [r.state.period for r in traj.records] == [0, 1, 2]
+        assert not traj.steady
+        assert traj.error == f"degenerate: {reported} fails at 3"
+        for record in traj.records:
+            assert record.demand == demand_for_state(
+                scenario, record.state, record.energy.usable_surplus,
+                record.energy.employment)
+
+    def test_demand_failure_through_the_cli(self, solves, tmp_path,
+                                            capsys):
+        import egl.cli
+        solves[1]["demand"] = 3
+        out = tmp_path / "out"
+        assert egl.cli.main(["simulate", "--scenario",
+                             str(SCENARIOS / "scarce_growth.json"),
+                             "--out", str(out)]) == 2
+        assert [json.loads(line)
+                for line in capsys.readouterr().err.splitlines()] == [{
+                    "error": "solver",
+                    "detail": "degenerate: demand fails at 3"}]
+        rows = (out / "trajectory.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows[1:4]] == ["0", "1", "2"]
+        assert rows[4:] == ["# aborted_period,3",
+                            "# error,degenerate: demand fails at 3"]

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -957,8 +958,66 @@ class TestOneAllocationPerShare:
         assert len(solved) == 46
         assert all(mark["extra"] == (0 if mark["balanced"] else 1)
                    for mark in solved)
-        assert dict(root_calls) == {"egl.embodied": 61, "egl.core": 2,
+        # one cap root per period the wood source is not yet exhausted
+        assert dict(root_calls) == {"egl.embodied": 46, "egl.core": 2,
                                     "egl.surplus": 130}
+
+
+class TestExhaustedSourceCap:
+    """A mined-out source's cap is 0, tagged ``pes``, with no root for its
+    movers' caps."""
+
+    @pytest.fixture
+    def cap_calls(self, monkeypatch):
+        from egl.embodied import ProfileCurve
+        calls = []
+        output_cap = ProfileCurve.output_cap
+
+        def spied(kernel, mover_id, stock):
+            calls.append(mover_id)
+            return output_cap(kernel, mover_id, stock)
+
+        monkeypatch.setattr(ProfileCurve, "output_cap", spied)
+        return calls
+
+    @staticmethod
+    def problem(doc, drawn):
+        from egl.surplus import _Problem
+        doc["energy_goods"][0]["pes_stock"] = 3.0
+        state = initial_state(scenario_from_dict(doc))
+        return _Problem(replace(state, cum_extraction={"e0": drawn}))
+
+    @pytest.mark.parametrize("drawn", [3.0, 5.0])
+    def test_exhausted_good_takes_no_root(self, cap_calls, drawn):
+        problem = self.problem(dip_doc(), drawn)
+        assert problem.exhausted == {"e0"}
+        assert problem.caps == {"e0": 0.0}
+        assert problem.cap_tags == {"e0": "pes"}
+        assert cap_calls == []
+        assert problem.candidates == []
+
+    def test_source_left_takes_its_root(self, cap_calls):
+        problem = self.problem(dip_doc(), 2.0)
+        assert problem.exhausted == set()
+        assert cap_calls == ["m0"]
+        assert problem.caps["e0"] <= 1.0
+
+    def test_exhausted_good_without_stock_has_no_cap(self, cap_calls):
+        problem = self.problem(dip_doc(endowment=0.0), 3.0)
+        assert problem.exhausted == {"e0"}
+        assert problem.caps == {} and cap_calls == []
+
+    def test_exhausted_good_whose_cap_overflows_solves(self):
+        # the cap root of stock 1e10 at c0 = 1e-300 overflows; a mined-out
+        # source never asks for it, so the solve ends null
+        doc = dip_doc(endowment=1e10)
+        doc["energy_goods"][0]["technology"]["curvature"]["c0"] = 1e-300
+        with pytest.raises(SolverError, match="overflows"):
+            self.problem(doc, 2.0)
+        problem = self.problem(doc, 3.0)
+        assert problem.caps == {"e0": 0.0}
+        sol = solve_energy_side(scenario_from_dict(doc), problem.state)
+        assert sol.null and sol.outputs == {"e0": 0.0}
 
 
 class TestOneCurvePerGood:
