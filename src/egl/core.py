@@ -104,13 +104,15 @@ class FixedProportions:
         return [m for m, nu in self.requirements.items() if nu > 0.0]
 
     def _power(self, q: float, exponent: float) -> float:
-        """(q / q_s) ** exponent; ``SolverError("degenerate")`` once it
-        leaves the float range."""
+        """(q / q_s) ** exponent, inf at q = 0 for a negative exponent;
+        ``SolverError("degenerate")`` once it leaves the float range."""
         try:
             return (q / self.q_s) ** exponent
         except OverflowError:
             raise SolverError("degenerate", "requirement profile overflows "
                               f"at output {q:g}") from None
+        except ZeroDivisionError:
+            return math.inf
 
     def marginal_profile(self, q: float) -> float:
         """h'(q), strictly positive for q >= 0."""
@@ -131,6 +133,16 @@ class FixedProportions:
                 * self._power(q, self.rho + 1.0)
         return out
 
+    def curvature_profile(self, q: float) -> float:
+        """h''(q), the slope of h'."""
+        out = 0.0
+        if self.c1 > 0.0:
+            out -= (self.c1 / self.tau) * math.exp(-q / self.tau)
+        if self.c2 > 0.0:
+            out += (self.c2 * self.rho / self.q_s) \
+                * self._power(q, self.rho - 1.0)
+        return out
+
     # The profile's geometry depends on the curvature alone, so each
     # technology finds it once, whatever multiplier a period applies.
 
@@ -141,12 +153,7 @@ class FixedProportions:
             return 0.0                      # h' non-decreasing
         if self.c2 <= 0.0:
             return math.inf                 # h' non-increasing
-
-        def curvature(q: float) -> float:
-            return (-(self.c1 / self.tau) * math.exp(-q / self.tau)
-                    + (self.c2 * self.rho / self.q_s)
-                    * self._power(q, self.rho - 1.0))
-
+        curvature = self.curvature_profile
         if curvature(0.0) >= 0.0:
             return 0.0
         hi = grow_bracket(curvature, max(self.tau, self.q_s))

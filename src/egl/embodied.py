@@ -13,8 +13,11 @@ gamma, gamma_avg and G linearly and leaves eta unchanged.
 
 ``curve(tech, movers, m)`` compiles one good's curve for fixed movers and
 multiplier: every constant that does not depend on the output q is
-computed once, and the kernel evaluates gamma, G, the employment x_l, the
-marginal requirements, the power law and the output caps from them.  The
+computed once, and the kernel evaluates gamma, G, the employment x_l and
+its slope, the marginal requirements, the power law and the output caps
+from them.  A smooth cap is closed form; a fixed-proportions cap solves
+h(q) = stock / (m nu_l) by Newton with the slope h', from the closed-form
+bound the profile's linear or power term gives.  The
 solvers take their kernels from a ``Kernels`` store, which keeps the
 latest kernel of each good and rebuilds it only when the good's
 technology or multiplier changes: a solve given no store builds one
@@ -29,13 +32,14 @@ oracles the acceptance suite checks the model's identities on, and
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import (CobbDouglas, EnergyGood, FixedProportions, NonEnergyGood,
                    PrimeMoverType, Technology)
 from .errors import SolverError
-from .numerics import bracketed_root, grow_bracket
+from .numerics import XTOL, newton_root
 
 
 @dataclass(frozen=True)
@@ -133,6 +137,11 @@ class SmoothCurve(NamedTuple):
         """Units x_l(q) of each used mover, q >= 0."""
         return dict(zip(self.movers, self.load(q)[1]))
 
+    def units(self, q: float, i: int) -> tuple[float, float]:
+        """x_l(q) of the mover in slot ``i`` and its slope x_l / (B q)."""
+        x = self.load(q)[1][i]
+        return x, x / (self.b_total * q) if x > 0.0 else 0.0
+
     def marginal_requirements(self, q: float) -> dict[str, float]:
         """x_l(q) / (beta_l q): the reciprocal of the marginal products."""
         if q == 0.0:
@@ -193,6 +202,11 @@ class ProfileCurve(NamedTuple):
         """Units x_l(q) of each used mover, q >= 0."""
         return dict(zip(self.movers, self.load(q)[1]))
 
+    def units(self, q: float, i: int) -> tuple[float, float]:
+        """x_l(q) of the mover in slot ``i`` and its slope m nu_l h'(q)."""
+        return self.load(q)[1][i], \
+            self.weights[i] * self.tech.marginal_profile(q)
+
     def marginal_requirements(self, q: float) -> dict[str, float]:
         """m nu_l h'(q) per used mover."""
         hp = self.tech.marginal_profile(q)
@@ -211,15 +225,25 @@ class ProfileCurve(NamedTuple):
         tech = self.tech
         target = stock / (self.multiplier * tech.requirements[mover_id])
 
-        def gap(q: float) -> float:
-            return tech.cumulative_profile(q) - target
+        def gap(q: float) -> tuple[float, float]:
+            return tech.cumulative_profile(q) - target, \
+                tech.marginal_profile(q)
 
-        # h(q) >= c0 q, so the first probe closes the bracket up to rounding
-        hi = grow_bracket(gap, max(target / tech.c0, 1.0))
-        if math.isinf(hi):
+        # h(q) >= c0 q and h(q) >= c2 q_s (q / q_s) ** (rho + 1) / (rho + 1),
+        # so the cap lies below the root of either bound; Newton starts at
+        # the lower one, and twice it closes the bracket whatever the
+        # rounding
+        start = target / tech.c0
+        if tech.c2 > 0.0:
+            bound = tech.q_s * solve_power(
+                tech.c2, tech.rho + 1.0, (tech.rho + 1.0) * target / tech.q_s)
+            if bound > 0.0:         # else it underflowed
+                start = min(start, bound)
+        if math.isinf(start):
             raise SolverError("degenerate", f"output cap of {mover_id!r} "
                               f"stock {stock:g} overflows")
-        return bracketed_root(gap, 0.0, hi, rtol=1e-14)
+        hi = min(max(2.0 * start, XTOL), sys.float_info.max)
+        return newton_root(gap, 0.0, hi, start, rtol=1e-14)
 
 
 Curve = SmoothCurve | ProfileCurve

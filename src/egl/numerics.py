@@ -1,13 +1,20 @@
-"""Shared scalar numerics: bracket search, bracketed root finding and
-adaptive Simpson quadrature.
+"""Shared scalar numerics: bracket search, two root finders and adaptive
+Simpson quadrature.
 
-Roots come from Brent's method (R. P. Brent, *Algorithms for Minimization
-without Derivatives*, Prentice-Hall 1973, ch. 4): inverse quadratic or
-secant steps inside a bracket that always keeps a sign change, with a
-bisection whenever the interpolated step does not shrink the bracket fast
-enough.  The step sequence is the one of the widely used C ``brentq``
-(the version SciPy ships), so roots and evaluation counts match it to the
-bit.
+``bracketed_root`` is Brent's method (R. P. Brent, *Algorithms for
+Minimization without Derivatives*, Prentice-Hall 1973, ch. 4): inverse
+quadratic or secant steps inside a bracket that always keeps a sign
+change, with a bisection whenever the interpolated step does not shrink
+the bracket fast enough.  The step sequence is the one of the widely used
+C ``brentq`` (the version SciPy ships), so roots and evaluation counts
+match it to the bit.  It serves every residual without a closed-form
+slope: the phi bracket route, the usability rescale, the demand roots and
+the profile geometry.
+
+``newton_root`` is a safeguarded Newton for residuals whose slope is
+closed form: the fixed-proportions output caps and outputs, and the
+rationing scale.  It keeps the sign bracket its iterates build and
+bisects any step that would leave it.
 
 Everything here is deterministic: the same inputs always produce the same
 floats, which the solvers rely on for reproducible CSV/SVG output.
@@ -120,6 +127,73 @@ def bracketed_root(f: Callable[[float], float], lo: float, hi: float,
         "degenerate",
         f"root finder did not converge in {MAX_ITER} iterations "
         f"on [{lo:.17g}, {hi:.17g}]")
+
+
+def newton_root(f: Callable[[float], tuple[float, float]], lo: float,
+                hi: float, x0: float, rtol: float = 1e-10) -> float:
+    """Root of ``f`` on ``[lo, hi]`` by Newton from ``x0``, where ``f(x)``
+    returns the residual and its slope and changes sign once on the
+    interval.
+
+    The slope at the first iterate tells on which side of the root each
+    iterate lies, so every iterate closes one end of a sign bracket.  A
+    step that would leave the bracket lands on an end no iterate has
+    reached yet, to test it, and otherwise bisects the bracket.  The
+    iteration stops once a step is within ``XTOL + rtol * |x|``, with
+    ``rtol`` raised to ``RTOL_FLOOR``, and returns the stepped iterate, or
+    once the bracket or the step reaches float resolution.  Raises
+    ``SolverError("no_bracket")`` when an end of ``[lo, hi]`` lies on the
+    root's side of the bracket, and ``SolverError("degenerate")`` when
+    ``f`` returns NaN or ``MAX_ITER`` steps do not converge.
+    """
+    rtol = max(rtol, RTOL_FLOOR)
+    start_lo, start_hi = lo, hi = float(lo), float(hi)
+    x = min(max(float(x0), lo), hi)
+    rising = None               # whether f rises through the root
+    lo_seen = hi_seen = False   # whether an iterate closed that end
+    for _ in range(MAX_ITER):
+        fx, slope = f(x)
+        if fx != fx or slope != slope:
+            raise SolverError("degenerate",
+                              f"residual or slope is NaN at x = {x:.17g}")
+        if fx == 0.0:
+            return x
+        if rising is None and slope != 0.0:
+            rising = slope > 0.0
+        if rising is not None:
+            if (fx < 0.0) == rising:
+                if x == hi and not hi_seen:
+                    raise _no_bracket(x, fx)
+                lo, lo_seen = x, True
+            else:
+                if x == lo and not lo_seen:
+                    raise _no_bracket(x, fx)
+                hi, hi_seen = x, True
+        step = -fx / slope if slope != 0.0 else math.inf
+        tol = XTOL + rtol * abs(x)
+        if abs(step) <= tol:
+            return min(max(x + step, lo), hi)
+        nxt = x + step
+        if not lo < nxt < hi:
+            if nxt <= lo and not lo_seen:
+                nxt = lo
+            elif nxt >= hi and not hi_seen:
+                nxt = hi
+            else:
+                nxt = 0.5 * lo + 0.5 * hi
+        if nxt == x or (lo_seen and hi_seen and hi - lo <= tol):
+            return x
+        x = nxt
+    raise SolverError(
+        "degenerate",
+        f"Newton did not converge in {MAX_ITER} iterations "
+        f"on [{start_lo:.17g}, {start_hi:.17g}]")
+
+
+def _no_bracket(x: float, fx: float) -> SolverError:
+    return SolverError(
+        "no_bracket",
+        f"f({x:.17g}) = {fx:.6g} at an end leaves the root outside")
 
 
 def _value(f: Callable[[float], float], x: float) -> float:

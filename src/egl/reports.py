@@ -18,15 +18,17 @@ from .surplus import EnergySideSolution
 
 def fmt(value) -> str:
     """Canonical numeric formatting for every emitted number."""
-    if value is None:
-        return "nan"
-    if isinstance(value, str):
-        return value
-    return format(float(value), ".12g")
+    if value.__class__ is not float:        # most values are floats
+        if value is None:
+            return "nan"
+        if isinstance(value, str):
+            return value
+        value = float(value)
+    return format(value, ".12g")
 
 
 def _lines(rows: list[list]) -> str:
-    return "".join(",".join(fmt(v) for v in row) + "\n" for row in rows)
+    return "".join([",".join([fmt(v) for v in row]) + "\n" for row in rows])
 
 
 def equilibrium_csv(state: EconomyState, solution: EnergySideSolution) -> str:

@@ -11,9 +11,13 @@ direct-energy capacity.
 
 Each good's optimum at a given phi is closed form for the smooth
 (Cobb-Douglas) technology, whose marginal curve is a power law; curved
-fixed-proportions profiles take a bracketed root, and shut down in one
-step once the premium lifts their profile weight past a closed-form
-threshold.
+fixed-proportions profiles take a Newton root (``numerics.newton_root``)
+with the closed-form slope h'', and shut down in one step once the
+premium lifts their profile weight past a closed-form threshold.  The
+rationing scale is a Newton root too, with the slope of each good's
+employment; Brent (``numerics.bracketed_root``) solves the residuals
+without a closed-form slope: the phi bracket route and the usability
+rescale.
 
 When every good that can produce is Cobb-Douglas, the usability residual
 E - U is a sum of powers of 1 + c * kappa_g in c = phi / (1 - phi), and
@@ -56,7 +60,7 @@ from .core import (PHI_TOL, Q_RTOL, SLACK_TOL, CobbDouglas, EconomyState,
 from .embodied import (Curve, Kernels, curve, marginal_embodied,
                        sample_curve, solve_power)
 from .errors import SolverError
-from .numerics import MAX_ITER, bracketed_root, grow_bracket
+from .numerics import MAX_ITER, bracketed_root, grow_bracket, newton_root
 
 log = logging.getLogger("egl.surplus")
 
@@ -269,7 +273,8 @@ class _Problem:
         requirement profile h', so F = content - a * h'(q) with a rising
         in c.  The good produces while a stays below its shutdown threshold
         (``_shutdown_weight``), and then the optimum is the last downward
-        crossing of F, found by a bracketed root past the dip.
+        crossing of F, found past the dip by Newton with the slope
+        -a * h''(q).
         """
         cap = self.caps[good.id]
         tag = self.cap_tags[good.id]
@@ -294,12 +299,20 @@ class _Problem:
         if a >= a_star:
             return 0.0, None
 
-        def gain(q: float) -> float:
-            return delta - a * tech.marginal_profile(q)
+        def gain(q: float) -> tuple[float, float]:
+            return delta - a * tech.marginal_profile(q), \
+                -a * tech.curvature_profile(q)
 
-        if gain(cap) >= 0.0:
-            return cap, tag
-        return bracketed_root(gain, q_peak, cap, rtol=Q_RTOL), None
+        # h' >= c0 + c2 (q / q_s) ** rho, so F < 0 past the root q0 of that
+        # bound, which is the optimum when c1 = 0: below the cap, F(cap) < 0
+        # needs no test
+        q0 = math.inf if tech.c2 <= 0.0 else tech.q_s * solve_power(
+            tech.c2, tech.rho, max(delta / a - tech.c0, 0.0))
+        if q0 >= cap:
+            if gain(cap)[0] >= 0.0:
+                return cap, tag
+            q0 = cap
+        return newton_root(gain, q_peak, cap, q0, rtol=Q_RTOL), None
 
     def shutdown_shares(self) -> list[float]:
         """Shares phi at which a fixed-proportions good stops producing,
@@ -372,11 +385,13 @@ class _Problem:
         """Scale back goods sharing an over-committed mover type.
 
         Proportional rationing: all goods employing the worst-violated mover
-        shrink by a common factor until its total employment meets the stock.
-        Loops at most once per mover type.  Scales ``outputs`` in place,
-        tags the rationed goods in ``bindings``, and returns the expenditure
-        and mover totals of the final outputs.  Only candidate goods
-        produce, so every mover in the totals has a positive stock.
+        shrink by a common factor until its total employment meets the stock,
+        found by Newton from the full outputs with the slope
+        sum_g q_g * x'_g(scale * q_g).  Loops at most once per mover type.
+        Scales ``outputs`` in place, tags the rationed goods in
+        ``bindings``, and returns the expenditure and mover totals of the
+        final outputs.  Only candidate goods produce, so every mover in the
+        totals has a positive stock.
         """
         stocks = self.state.stocks
         costs, totals = self.load(outputs)
@@ -398,14 +413,18 @@ class _Problem:
                     if kernel.load(q)[1][i] > 0.0:
                         users.append((g.id, kernel, i))
 
-            def over(scale: float) -> float:
-                tot = 0.0
+            def over(scale: float) -> tuple[float, float]:
+                tot = slope = 0.0
                 for gid, kernel, i in users:
-                    tot += kernel.load(outputs[gid] * scale)[1][i]
-                return tot - stock
+                    q = outputs[gid]
+                    x, dx = kernel.units(q * scale, i)
+                    tot += x
+                    slope += q * dx
+                return tot - stock, slope
 
-            s = bracketed_root(over, 0.0, 1.0, rtol=1e-13) \
-                if over(0.0) < 0.0 else 0.0
+            # zero outputs employ none of the stock and the full outputs
+            # over-commit it, so the scale lies in (0, 1)
+            s = newton_root(over, 0.0, 1.0, 1.0, rtol=1e-13)
             for gid, _, _ in users:
                 outputs[gid] = outputs[gid] * s
                 bindings[gid] = f"endowment:{worst}"

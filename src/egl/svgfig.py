@@ -37,13 +37,13 @@ class _Canvas:
             f' stroke="{stroke}" stroke-width="{_f(width)}"{d}/>\n')
 
     def polyline(self, pts, stroke="black", width=1.5):
-        coords = " ".join(f"{_f(x)},{_f(y)}" for x, y in pts)
+        coords = " ".join([f"{_f(x)},{_f(y)}" for x, y in pts])
         self.parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{stroke}"'
             f' stroke-width="{_f(width)}"/>\n')
 
     def polygon(self, pts, fill, opacity=0.25):
-        coords = " ".join(f"{_f(x)},{_f(y)}" for x, y in pts)
+        coords = " ".join([f"{_f(x)},{_f(y)}" for x, y in pts])
         self.parts.append(
             f'<polygon points="{coords}" fill="{fill}"'
             f' fill-opacity="{_f(opacity)}" stroke="none"/>\n')

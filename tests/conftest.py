@@ -71,24 +71,34 @@ def cd1_scarce():
     return scarce_scenario()
 
 
+#: key suffix of each root finder in ``root_calls``
+ROOT_FINDERS = {"bracketed_root": "", "newton_root": ":newton"}
+
+
 @pytest.fixture
 def root_calls(monkeypatch):
-    """Counts ``bracketed_root`` calls, keyed by the egl module making them.
+    """Counts root-finder calls, keyed by the egl module making them: a
+    ``bracketed_root`` call under the module name (``"egl.surplus"``), a
+    ``newton_root`` call under the module name plus ``":newton"``.
 
-    Every module that binds the root finder is patched, so a solve that
-    falls back to a root shows up in the counts, not only in its time.
+    Every module that binds a root finder is patched, so a solve that
+    falls back to a root shows up in the counts, not only in its time, and
+    the sum of the counts is every iterative solve.
     """
     calls = collections.Counter()
     for name, module in list(sys.modules.items()):
-        if not name.startswith("egl.") or name == "egl.numerics" \
-                or not hasattr(module, "bracketed_root"):
+        if not name.startswith("egl.") or name == "egl.numerics":
             continue
+        for finder, suffix in ROOT_FINDERS.items():
+            if not hasattr(module, finder):
+                continue
 
-        def counted(*args, _name=name, _root=module.bracketed_root, **kw):
-            calls[_name] += 1
-            return _root(*args, **kw)
+            def counted(*args, _key=name + suffix,
+                        _root=getattr(module, finder), **kw):
+                calls[_key] += 1
+                return _root(*args, **kw)
 
-        monkeypatch.setattr(module, "bracketed_root", counted)
+            monkeypatch.setattr(module, finder, counted)
     return calls
 
 

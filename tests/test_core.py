@@ -350,11 +350,9 @@ BOUNDARY = [
 #: detail of the one error line).
 _CURVATURE = ("energy_goods", 0, "technology", "curvature")
 SOLVER_BOUNDARY = [
-    # the profile's power term overflows: at the cap search's first probe
-    # target / c0, and past q_s on the tangency search
-    *[("shocks", (*_CURVATURE, key), value, command,
-       f"degenerate: requirement profile overflows at output {at}")
-      for key, value, at in (("c0", 1e-300, "1e+300"), ("rho", 1e300, "8"))
+    # the profile's power term overflows past q_s on the tangency search
+    *[("shocks", (*_CURVATURE, "rho"), 1e300, command,
+       "degenerate: requirement profile overflows at output 8")
       for command in ("equilibrium", "simulate")],
     # the output cap h(q) = stock / nu lies past the floats: target / c0 =
     # 1e10 / 1e-300 overflows before the cap's root is sought
@@ -424,6 +422,26 @@ class TestDocumentBoundary:
         # nothing written holds an infinity
         if command == "simulate":
             assert "# aborted_period," in (out / "trajectory.csv").read_text()
+        assert not any("inf" in f.read_text() for f in out.glob("*.csv"))
+
+    # curvatures that put the cap far from 1 and still solve: at
+    # c0 = 1e-300 the power term sets the cap, c2 = 1e300 puts it near
+    # 1e-100, which a bracket search from [0, 2] did not reach in its
+    # iteration cap, and c0 or c1 = 1e300 put it near 1e-300, where the
+    # root finder must stop at float resolution
+    @pytest.mark.parametrize("key, value", [
+        ("c0", 1e-300), ("c0", 1e300), ("c1", 1e300), ("c2", 1e300)])
+    @pytest.mark.parametrize("command", ["equilibrium", "simulate"])
+    def test_extreme_curvature_solves(self, tmp_path, capsys, key, value,
+                                      command):
+        doc = edited("shocks", (*_CURVATURE, key), value)
+        doc["horizon"] = 40
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main([command, "--scenario", str(path),
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
         assert not any("inf" in f.read_text() for f in out.glob("*.csv"))
 
     def test_family_that_is_not_json_exits_1(self, tmp_path, capsys):

@@ -69,7 +69,7 @@ DIGESTS = {
     "simulate-shocks/figure2.svg":
         "3959035f2a76fef1217ddb55026501059d4f19ec7b60a73f79be354b6a84a9d2",
     "simulate-shocks/trajectory.csv":
-        "55d531d13d9e6c7826d9d11d47decca2cccd91ed1bf9f947b267faad18f8c060",
+        "313e84de0e09721ab7a65a776d3485c9650edc0dc6beed1f9bc765b7c4e04ab9",
     "statics-sweep_family/failures.csv":
         "91847c345f0676a57ef880eaeec73cd1853c021a796de7d7155258032eff8472",
     "statics-sweep_family/sign_table.csv":

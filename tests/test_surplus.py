@@ -365,7 +365,7 @@ class TestNewtonPhi:
         # residuals, and phi* = 1 - 2 * endowment / delta**2
         _, sol = solve_doc(scarce_doc(endowment))
         assert residual_calls == [0.0, sol.phi]
-        assert root_calls["egl.surplus"] == 0
+        assert sum(root_calls.values()) == 0
         assert sol.binding_constraints == {}
         assert sol.phi == pytest.approx(1.0 - endowment / 50.0, rel=1e-15)
 
@@ -926,27 +926,28 @@ class TestOneAllocationPerShare:
 
     def test_accepted_share_is_not_solved_again(self, monkeypatch,
                                                 root_calls):
-        # the shocks run: wood's interior optimum is a bracketed root, which
+        # the shocks run: wood's interior optimum is a Newton root, which
         # the residual at the accepted share already took; after the phi
-        # solve only the usability rescale may call the root finder
+        # solve only the usability rescale may call a root finder
         import egl.growth
         import egl.surplus
         marks = []                  # one per solve; phi-solved ones filled
         solve_phi = egl.surplus._solve_phi
         solve = egl.growth.solve_energy_side
 
+        def surplus_roots():
+            return root_calls["egl.surplus"] + root_calls["egl.surplus:newton"]
+
         def marked_phi(problem):
             phi, balanced = solve_phi(problem)
-            marks[-1].update(at_phi=root_calls["egl.surplus"],
-                             balanced=balanced)
+            marks[-1].update(at_phi=surplus_roots(), balanced=balanced)
             return phi, balanced
 
         def marked_solve(*args, **kw):
             marks.append({})
             sol = solve(*args, **kw)
             if marks[-1]:
-                marks[-1]["extra"] = root_calls["egl.surplus"] \
-                    - marks[-1]["at_phi"]
+                marks[-1]["extra"] = surplus_roots() - marks[-1]["at_phi"]
             return sol
 
         monkeypatch.setattr(egl.surplus, "_solve_phi", marked_phi)
@@ -958,9 +959,11 @@ class TestOneAllocationPerShare:
         assert len(solved) == 46
         assert all(mark["extra"] == (0 if mark["balanced"] else 1)
                    for mark in solved)
-        # one cap root per period the wood source is not yet exhausted
-        assert dict(root_calls) == {"egl.embodied": 46, "egl.core": 2,
-                                    "egl.surplus": 130}
+        # one cap root per period the wood source is not yet exhausted;
+        # Brent takes the phi roots and the rescales, Newton the outputs
+        assert dict(root_calls) == {"egl.embodied:newton": 46, "egl.core": 2,
+                                    "egl.surplus": 35,
+                                    "egl.surplus:newton": 95}
 
 
 class TestExhaustedSourceCap:
@@ -1008,10 +1011,12 @@ class TestExhaustedSourceCap:
         assert problem.caps == {} and cap_calls == []
 
     def test_exhausted_good_whose_cap_overflows_solves(self):
-        # the cap root of stock 1e10 at c0 = 1e-300 overflows; a mined-out
-        # source never asks for it, so the solve ends null
+        # without the power term, h(q) = 1e10 needs q near 1e310 at
+        # c0 = 1e-300: the cap overflows; a mined-out source never asks for
+        # it, so the solve ends null
         doc = dip_doc(endowment=1e10)
-        doc["energy_goods"][0]["technology"]["curvature"]["c0"] = 1e-300
+        doc["energy_goods"][0]["technology"]["curvature"].update(
+            c0=1e-300, c2=0.0)
         with pytest.raises(SolverError, match="overflows"):
             self.problem(doc, 2.0)
         problem = self.problem(doc, 3.0)
