@@ -18,13 +18,13 @@ from pathlib import Path
 
 from . import __version__
 from .core import (PHI_TOL, Q_RTOL, SLACK_TOL, SS_ACCUM_TOL, SS_ALPHA_TOL,
-                   ScenarioConfig, effective_multiplier, initial_state,
-                   load_scenario, scenario_digest)
+                   ScenarioConfig, effective_multiplier, load_scenario,
+                   scenario_digest)
 from .demand import demand_for_state
 from .embodied import sample_curve
 from .errors import (EglError, ScenarioParseError, ScenarioValidationError,
                      SolverError)
-from .growth import enter_period, simulate
+from .growth import period_zero, simulate
 from .reports import (demand_csv, equilibrium_csv, failures_csv,
                       meec_curve_csv, sign_table_csv, trajectory_csv)
 from .statics import GENERATOR_NAME, proposition_suite
@@ -106,7 +106,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_equilibrium(args) -> int:
     text, scenario = _read_scenario(args.scenario)
-    state = enter_period(scenario, initial_state(scenario), 0)
+    state = period_zero(scenario)
     solution = solve_energy_side(scenario, state)
     demand = demand_for_state(scenario, state, solution.usable_surplus,
                               solution.employment)

@@ -12,6 +12,7 @@ constructed; construction and validation are single-threaded per scenario.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -156,7 +157,14 @@ class FixedProportions:
         curvature = self.curvature_profile
         if curvature(0.0) >= 0.0:
             return 0.0
-        hi = grow_bracket(curvature, max(self.tau, self.q_s))
+        hi = max(self.tau, self.q_s)
+        if self.rho > 1.0:
+            # h'' >= 0 at q0, where its power term reaches c1 / tau; for rho
+            # just above 1, q0 (0 if it underflows) is tiny
+            base = self.c1 * self.q_s / (self.tau * self.c2 * self.rho)
+            with contextlib.suppress(OverflowError):    # q0 = inf
+                hi = min(hi, self.q_s * base ** (1 / (self.rho - 1))) or hi
+        hi = grow_bracket(curvature, hi)
         return bracketed_root(curvature, 0.0, hi, rtol=1e-12)
 
     @cached_property

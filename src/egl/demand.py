@@ -33,8 +33,8 @@ from .embodied import Curve, Kernels, solve_power
 from .errors import SolverError
 from .numerics import bracketed_root, grow_bracket
 
-#: Range of quantities and budget multipliers a demand solve accepts;
-#: beyond it the budget is treated as unreachable.
+#: Range of quantities a demand solve accepts, and of the multipliers its
+#: bracket search tries; beyond it the budget is treated as unreachable.
 _Q_MAX = 1e180
 _LAM_MIN, _LAM_MAX = 1e-180, 1e180
 
@@ -82,18 +82,20 @@ def marginal_utility(preferences: Preferences, bundle: dict[str, float],
                           f"{good_id!r} overflows") from None
 
 
-def _check_multiplier(lam_sep: float, energy: float) -> None:
-    """Raise once the budget multiplier leaves [_LAM_MIN, _LAM_MAX]."""
-    if lam_sep > _LAM_MAX:
+def _check_multiplier(lam_sep: float, energy: float,
+                      lam_min: float = _LAM_MIN,
+                      lam_max: float = _LAM_MAX) -> None:
+    """Raise once the budget multiplier leaves [lam_min, lam_max]."""
+    if lam_sep > lam_max:
         raise SolverError(
             "no_bracket",
             f"spending exceeds the budget {energy:.6g} J at every "
-            f"multiplier up to {_LAM_MAX:g}")
-    if lam_sep < _LAM_MIN:
+            f"multiplier up to {lam_max:g}")
+    if lam_sep < lam_min:
         raise SolverError(
             "no_bracket",
             f"spending stays below the budget {energy:.6g} J at every "
-            f"multiplier down to {_LAM_MIN:g}")
+            f"multiplier down to {lam_min:g}")
 
 
 def solve_demands(preferences: Preferences,
@@ -178,7 +180,8 @@ def solve_demands(preferences: Preferences,
                 "every good's demand condition is constant in its quantity")
         lam_sep = solve_power(energy, (k + 1.0) / (1.0 - r + k),
                               spending(1.0))
-        _check_multiplier(lam_sep, energy)
+        # ``quantity`` bounds the bundle: any positive multiplier will do
+        _check_multiplier(lam_sep, energy, math.ulp(0.0), math.inf)
     else:
         # spending falls in lam: the bracket grows up in lam from 1 when
         # spending(1) exceeds the budget, and down in 1/lam otherwise; a

@@ -109,9 +109,7 @@ def enter_period(scenario: ScenarioConfig, state: EconomyState,
     """State at the start of period ``t``, before that period's solve.
 
     The types introduced at ``t`` activate, then the shocks dated ``t``
-    apply in the order of their kinds.  ``egl equilibrium`` solves
-    ``enter_period(scenario, initial_state(scenario), 0)``, so it is row 0
-    of ``simulate`` by construction.  Raises ``SolverError("degenerate")``
+    apply in the order of their kinds.  Raises ``SolverError("degenerate")``
     when the fleet's aggregate power leaves the float range, as an
     arriving stock or one grown by accumulation can make it.
     """
@@ -123,6 +121,12 @@ def enter_period(scenario: ScenarioConfig, state: EconomyState,
         raise SolverError("degenerate", "aggregate power of the fleet "
                           f"overflows at period {t}")
     return state
+
+
+def period_zero(scenario: ScenarioConfig) -> EconomyState:
+    """The period-0 economy that ``egl equilibrium`` solves: row 0 of
+    ``simulate`` by construction."""
+    return enter_period(scenario, initial_state(scenario), 0)
 
 
 def _is_steady(state: EconomyState, energy: EnergySideSolution,

@@ -12,9 +12,9 @@ slope: the phi bracket route, the usability rescale, the demand roots and
 the profile geometry.
 
 ``newton_root`` is a safeguarded Newton for residuals whose slope is
-closed form: the fixed-proportions output caps and outputs, and the
-rationing scale.  It keeps the sign bracket its iterates build and
-bisects any step that would leave it.
+closed form: the fixed-proportions output caps and outputs, the
+rationing scale and the power-law form of the phi residual.  It keeps the
+sign bracket its iterates build and bisects any step that would leave it.
 
 Everything here is deterministic: the same inputs always produce the same
 floats, which the solvers rely on for reproducible CSV/SVG output.

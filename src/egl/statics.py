@@ -38,7 +38,7 @@ from .core import (ScenarioConfig, _check_keys, _finite_number,
                    with_entry_value)
 from .demand import demand_for_state
 from .errors import EglError, ScenarioValidationError
-from .growth import enter_period
+from .growth import period_zero
 from .surplus import solve_energy_side
 
 if TYPE_CHECKING:
@@ -198,7 +198,7 @@ def _perturb(doc: dict, target: str, responses: Sequence[str], step: float,
     for sign in (+1.0, -1.0):
         probe = with_entry_value(scenario, doc, section, index, key,
                                  base * (1.0 + sign * step))
-        state = enter_period(probe, initial_state(probe), 0)
+        state = period_zero(probe)
         if energy is None or section != "non_energy_goods":
             energy = solve_energy_side(probe, state)
         if needs_demand:

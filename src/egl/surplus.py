@@ -20,8 +20,8 @@ without a closed-form slope: the phi bracket route and the usability
 rescale.
 
 When every good that can produce is Cobb-Douglas, the usability residual
-E - U is a sum of powers of 1 + c * kappa_g in c = phi / (1 - phi), and
-Newton with its exact derivative solves it without a bracket.  One full
+E - U is a sum of powers of 1 + c * kappa_g in c = phi / (1 - phi), which
+``numerics.newton_root`` solves with its exact derivative.  One full
 residual at that share, through the caps and the rationing, certifies it
 against the slack tolerance.  The share fails the certificate where a cap
 or the rationing binds at it, and is not tried where several mover types
@@ -44,8 +44,8 @@ rationing, the rescale and the first-order conditions) reads that kernel.
 The usable capacity U is summed in one place, ``_Problem.capacity``, whose
 per-mover weights the Newton route reads too.
 A residual works on per-mover employment totals, and each share it
-evaluates keeps its allocation, so the accepted share is not solved again;
-per-good employment is built once, for the solution.
+evaluates keeps its allocation, which both phi routes read, so no share
+is solved twice; per-good employment is built once, for the solution.
 """
 
 from __future__ import annotations
@@ -55,12 +55,11 @@ import math
 from dataclasses import dataclass, field
 
 from .core import (PHI_TOL, Q_RTOL, SLACK_TOL, CobbDouglas, EconomyState,
-                   EnergyGood, ScenarioConfig, effective_multiplier,
-                   initial_state)
+                   EnergyGood, ScenarioConfig, effective_multiplier)
 from .embodied import (Curve, Kernels, curve, marginal_embodied,
                        sample_curve, solve_power)
 from .errors import SolverError
-from .numerics import MAX_ITER, bracketed_root, grow_bracket, newton_root
+from .numerics import bracketed_root, grow_bracket, newton_root
 
 log = logging.getLogger("egl.surplus")
 
@@ -479,7 +478,7 @@ def _solve_phi(problem: _Problem) -> tuple[float, bool]:
         phi = _newton_phi(problem)
         if phi is not None and abs(problem.residual(phi)) <= ftol:
             return phi, True
-    return _bracket_phi(problem, rho0, ftol)
+    return _bracket_phi(problem, ftol)
 
 
 def _newton_phi(problem: _Problem) -> float | None:
@@ -492,11 +491,11 @@ def _newton_phi(problem: _Problem) -> float | None:
     rho(c) = sum_g (delta_g Q_g - w_g p_g) - sum_l eps_l s_l, with
     w_g = m K - m (K/B) sum_l eps_l beta_l / omega_l >= 0.  Both Q_g and p_g
     are powers of 1 + c kappa_g, so the derivative is exact, and rho falls
-    in c.  With omega = eps, w_g = 0 and rho is convex, so Newton from
-    c = 0 rises to the root; otherwise each step stays inside the sign
-    bracket the iterates have built, and bisects it when it would leave.
-    The iteration stops once a step is below ``PHI_TOL * c`` plus the
-    resolution that 1 + c kappa_g gives c.
+    in c.  ``numerics.newton_root`` solves it from c = 0 on [0, c_max],
+    with c_max the weight of ``_PHI_MAX``, to ``PHI_TOL * c`` or float
+    resolution, bisecting a step that would leave its sign bracket.  A NaN
+    or a non-negative slope in the form, or a form still positive at
+    c_max, returns None.
 
     Caps and rationing are not part of this form: the full residual at the
     share certifies it.  Outputs fall as c rises, so whatever binds
@@ -535,36 +534,21 @@ def _newton_phi(problem: _Problem) -> float | None:
                 return math.nan, math.nan
             value += delta * q - w * p
             slope -= kappa / (k * shift) * (delta * q - w * p * inv_b)
+        if not (math.isfinite(value) and slope < 0.0):
+            return math.nan, math.nan       # newton_root gives up on it
         return value, slope
 
-    kappa_max = max(kappa for _, _, _, kappa, _, _, _ in terms)
-    lo, hi, c = 0.0, math.inf, 0.0
-    for _ in range(MAX_ITER):
-        value, slope = rho(c)
-        if not (math.isfinite(value) and slope < 0.0):
-            return None
-        if value == 0.0:
-            break
-        if value > 0.0:
-            lo = c
-        else:
-            hi = c
-        step = -value / slope
-        if abs(step) <= PHI_TOL * c \
-                + math.ulp(1.0 + c * kappa_max) / kappa_max:
-            c += step
-            break
-        c = c + step if lo < c + step < hi else 0.5 * (lo + hi)
-    else:
+    try:
+        c = newton_root(rho, 0.0, _PHI_MAX / (1 - _PHI_MAX), 0.0, rtol=PHI_TOL)
+    except SolverError:
         return None
     phi = c / (1.0 + c)
     return phi if 0.0 < phi < _PHI_MAX else None
 
 
-def _bracket_phi(problem: _Problem, rho0: float,
-                 ftol: float) -> tuple[float, bool]:
-    """Root of the usability residual E - U by bracket and Brent, given its
-    value ``rho0 > 0`` at phi = 0 and the slack tolerance ``ftol``.
+def _bracket_phi(problem: _Problem, ftol: float) -> tuple[float, bool]:
+    """Root of the usability residual E - U by bracket and Brent, given a
+    positive residual at phi = 0 and the slack tolerance ``ftol``.
 
     The bracket [lo, hi] grows toward phi = 1 until the residual at hi
     turns negative; its last upper end is ``_PHI_MAX``, the largest share
@@ -580,14 +564,10 @@ def _bracket_phi(problem: _Problem, rho0: float,
     root: phi is then a share with a positive residual within ``PHI_TOL``
     of one with a negative residual, and the caller imposes the usability
     constraint directly.  A jump the shares miss is still caught, as a
-    root that misses the slack tolerance.
+    root that misses the slack tolerance, and rescues the largest share
+    evaluated with a positive residual.
     """
-    residuals: dict[float, float] = {0.0: rho0}
-
-    def rho(phi: float) -> float:
-        if phi not in residuals:
-            residuals[phi] = problem.residual(phi)
-        return residuals[phi]
+    rho = problem.residual      # a share's allocation is kept once taken
 
     def jump(phi: float) -> tuple[float, bool]:
         log.info("usability residual jumps at phi=%.6g; "
@@ -621,15 +601,8 @@ def _bracket_phi(problem: _Problem, rho0: float,
     # once, and Brent returns one of those roots.
     phi = bracketed_root(rho, lo, hi, rtol=PHI_TOL)
     if abs(rho(phi)) > ftol:
-        return jump(max(x for x, value in residuals.items() if value > 0.0))
+        return jump(max(x for x in problem.allocations if rho(x) > 0.0))
     return phi, True
-
-
-def _period_zero(scenario: ScenarioConfig) -> EconomyState:
-    """The period-0 economy after its events, the one ``egl equilibrium``
-    solves."""
-    from .growth import enter_period        # growth imports this module
-    return enter_period(scenario, initial_state(scenario), 0)
 
 
 def solve_energy_side(scenario: ScenarioConfig,
@@ -643,7 +616,8 @@ def solve_energy_side(scenario: ScenarioConfig,
     instead of solving the usability fixed point (diagnostic mode).
     """
     if state is None:
-        state = _period_zero(scenario)
+        from .growth import period_zero     # growth imports this module
+        state = period_zero(scenario)
     problem = _Problem(state, kernels)
     forced = scenario.force_phi is not None
 
@@ -724,7 +698,8 @@ def figure1_report(scenario: ScenarioConfig, state: EconomyState | None,
                    good_id: str, solution: EnergySideSolution) -> Figure1Data:
     """Curve samples and markers for one good's equilibrium rendering."""
     if state is None:
-        state = _period_zero(scenario)
+        from .growth import period_zero     # growth imports this module
+        state = period_zero(scenario)
     good = state.energy_goods[good_id]
     m = effective_multiplier(good, state)
     q_star = solution.outputs.get(good_id, 0.0)

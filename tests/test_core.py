@@ -444,6 +444,26 @@ class TestDocumentBoundary:
         assert capsys.readouterr().err == ""
         assert not any("inf" in f.read_text() for f in out.glob("*.csv"))
 
+    # tiny scales that still solve: rho just above 1 puts the profile's
+    # dip near 1e-130, far below tau and q_s, where the dip's bracket
+    # used to start, and q_s = 1e-300 leaves wood an output of 3.7e-300
+    # and a budget of 1.4e-299 J, bought at a multiplier of 1.8e199
+    @pytest.mark.parametrize("where, value", [
+        (_CURVATURE, {"c0": 1, "c1": 1, "tau": 1, "c2": 1, "q_s": 0.1,
+                      "rho": 1.0078125}),
+        ((*_CURVATURE, "q_s"), 1e-300)], ids=["dip", "budget"])
+    @pytest.mark.parametrize("command", ["equilibrium", "simulate"])
+    def test_tiny_scale_solves(self, tmp_path, capsys, where, value,
+                               command):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(edited("shocks", where, value)),
+                        encoding="utf-8")
+        out = tmp_path / "out"
+        assert main([command, "--scenario", str(path),
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert not any("inf" in f.read_text() for f in out.glob("*.csv"))
+
     def test_family_that_is_not_json_exits_1(self, tmp_path, capsys):
         family = tmp_path / "family.json"
         family.write_text("{ not json", encoding="utf-8")

@@ -384,18 +384,29 @@ class TestSolvePaths:
         # one inner root per multiplier, and the outer root
         assert root_calls["egl.demand"] == len(targets) + 1
 
-    @pytest.mark.parametrize("gamma, energy, detail", [
-        (1e-300, 1.0, "demand for 'n0'"),     # quantity above 1e180
-        (1.0, 1e-200, "exceeds the budget"),   # multiplier above 1e180
-        (1.0, 1e200, "stays below the budget"),  # multiplier below 1e-180
+    @pytest.mark.parametrize("gamma, energy, weight, detail", [
+        # quantity above 1e180
+        (1e-300, 1.0, 1.0, "demand for 'n0'"),
+        # multiplier 1e-200: the quantity 1e200 lies above 1e180
+        (1.0, 1e200, 1.0, "lies outside (0, 1e+180]"),
+        # multiplier 1e-300 / 1e30 underflows to 0
+        (1.0, 1e30, 1e-300, "stays below the budget"),
     ])
     def test_closed_form_out_of_range_is_no_bracket(self, gamma, energy,
-                                                    detail):
+                                                    weight, detail):
         with pytest.raises(SolverError) as err:
-            solve_demands(cobb_prefs(n0=1.0), [constant_good("n0", gamma)],
+            solve_demands(cobb_prefs(n0=weight), [constant_good("n0", gamma)],
                           MOVERS, energy)
         assert err.value.kind == "no_bracket"
         assert detail in str(err.value)
+
+    def test_tiny_budget_buys_a_tiny_bundle(self):
+        # the multiplier 1e200 lies past the bracket search's range, which
+        # the closed form does not need
+        sol = solve_demands(cobb_prefs(n0=1.0), [constant_good("n0", 1.0)],
+                            MOVERS, 1e-200)
+        assert sol.bundle["n0"] == pytest.approx(1e-200, rel=1e-15)
+        assert sol.budget_residual == pytest.approx(0.0, abs=1e-214)
 
     def test_overflowing_marginal_utility_is_degenerate(self):
         prefs = cobb_prefs(n0=50.0, n1=50.0)

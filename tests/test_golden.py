@@ -65,7 +65,7 @@ DIGESTS = {
     "simulate-scarce_growth/figure2.svg":
         "181b153906e14ee93233e832a3fb9e65f174595a1452ac56b55581947e5350fe",
     "simulate-scarce_growth/trajectory.csv":
-        "e4539f8bceea8c7340d30711287299b9009271422db10488916c0baefad6bbdc",
+        "1dbaa4c2dc63812d44fee3ca60f9432ea4b5721182507988ebfd67be0dcb9d92",
     "simulate-shocks/figure2.svg":
         "3959035f2a76fef1217ddb55026501059d4f19ec7b60a73f79be354b6a84a9d2",
     "simulate-shocks/trajectory.csv":

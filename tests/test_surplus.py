@@ -356,16 +356,17 @@ class TestNewtonPhi:
         converged) and the slack tolerance, on one problem."""
         rho0 = problem.residual(0.0)
         ftol = SLACK_TOL * max(1.0, abs(rho0))
-        return _newton_phi(problem), _bracket_phi(problem, rho0, ftol), ftol
+        return _newton_phi(problem), _bracket_phi(problem, ftol), ftol
 
     @pytest.mark.parametrize("endowment", [1.0, 10.0])
-    def test_scarce_solve_takes_two_residuals_and_no_root(
+    def test_scarce_solve_takes_two_residuals_and_one_newton_root(
             self, endowment, residual_calls, root_calls):
         # one mover, no rationing: rho(0) and the certificate are the only
-        # residuals, and phi* = 1 - 2 * endowment / delta**2
+        # residuals, the power-law form's Newton root is the only root, and
+        # phi* = 1 - 2 * endowment / delta**2
         _, sol = solve_doc(scarce_doc(endowment))
         assert residual_calls == [0.0, sol.phi]
-        assert sum(root_calls.values()) == 0
+        assert root_calls == {"egl.surplus:newton": 1}
         assert sol.binding_constraints == {}
         assert sol.phi == pytest.approx(1.0 - endowment / 50.0, rel=1e-15)
 
@@ -470,7 +471,7 @@ class TestNewtonPhi:
         # phi, and the power-law form is exact
         assert certified or problem.allocation(0.0)[3]
         try:
-            phi, _ = _bracket_phi(problem, rho0, ftol)
+            phi, _ = _bracket_phi(problem, ftol)
         except SolverError:
             # the residual is still positive, within the slack tolerance,
             # at the bracket's last upper end _PHI_MAX
