@@ -22,7 +22,7 @@ from functools import cached_property, partial
 
 from .errors import (ScenarioParseError, ScenarioValidationError,
                      SolverError)
-from .numerics import bracketed_root, grow_bracket
+from .numerics import grow_bracket, newton_root
 
 EVENT_KINDS = ("efficiency_shift", "meec_shift", "new_prime_mover",
                "new_energy_good", "endowment_shock")
@@ -160,12 +160,15 @@ class FixedProportions:
         hi = max(self.tau, self.q_s)
         if self.rho > 1.0:
             # h'' >= 0 at q0, where its power term reaches c1 / tau; for rho
-            # just above 1, q0 (0 if it underflows) is tiny
+            # just above 1, q0 is tiny, and the dip below it can underflow
             base = self.c1 * self.q_s / (self.tau * self.c2 * self.rho)
             with contextlib.suppress(OverflowError):    # q0 = inf
-                hi = min(hi, self.q_s * base ** (1 / (self.rho - 1))) or hi
+                hi = min(hi, self.q_s * base ** (1 / (self.rho - 1)))
+            if hi == 0.0:
+                return 0.0
         hi = grow_bracket(curvature, hi)
-        return bracketed_root(curvature, 0.0, hi, rtol=1e-12)
+        return newton_root(lambda q: (curvature(q), None), 0.0, hi, 0.0,
+                           rtol=1e-12)
 
     @cached_property
     def tangency(self) -> float:
@@ -185,7 +188,8 @@ class FixedProportions:
         if excess(dip) >= 0.0:
             return dip
         hi = grow_bracket(excess, 2.0 * dip)
-        return bracketed_root(excess, dip, hi, rtol=1e-12)
+        return newton_root(lambda q: (excess(q), None), dip, hi, dip,
+                           rtol=1e-12)
 
 
 Technology = CobbDouglas | FixedProportions
@@ -325,7 +329,11 @@ def effective_multiplier(good: EnergyGood | NonEnergyGood,
     if isinstance(good, EnergyGood) and good.pes_stock is not None \
             and good.depletion_exponent != 0.0:
         drawn = state.cum_extraction.get(good.id, 0.0) / good.pes_stock
-        m *= (1.0 + drawn) ** good.depletion_exponent
+        try:
+            m *= (1.0 + drawn) ** good.depletion_exponent
+        except OverflowError:
+            raise SolverError("degenerate", f"depletion multiplier of "
+                              f"{good.id!r} overflows") from None
     return m
 
 

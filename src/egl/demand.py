@@ -8,10 +8,10 @@ An inner solve gives each good's quantity at a trial multiplier and an
 outer solve drives the budget residual to zero.  Where a good's marginal
 curve is a power law A * q^k (smooth technology, or a constant
 fixed-proportions profile) its inner solve is closed form; a curved profile
-takes a bracketed root.  When every good shares one power k, spending
-scales as a power of the multiplier, so the outer solve is closed form too;
-otherwise a bracket search (``grow_bracket``) and a bracketed root find the
-multiplier.
+takes the secant steps of ``numerics.newton_root``.  When every good shares
+one power k, spending scales as a power of the multiplier, so the outer
+solve is closed form too; otherwise a bracket search (``grow_bracket``) and
+secant steps find the multiplier.
 Internally the multiplier belongs to an additively separable transform of
 the utility (same level sets, hence same demands); the reported marginal
 utility of energy is evaluated on the stated utility form at the solution.
@@ -31,7 +31,7 @@ from .core import (Q_RTOL, EconomyState, NonEnergyGood, Preferences,
                    PrimeMoverType, effective_multiplier, employment_totals)
 from .embodied import Curve, Kernels, solve_power
 from .errors import SolverError
-from .numerics import bracketed_root, grow_bracket
+from .numerics import grow_bracket, newton_root
 
 #: Range of quantities a demand solve accepts, and of the multipliers its
 #: bracket search tries; beyond it the budget is treated as unreachable.
@@ -150,7 +150,8 @@ def solve_demands(preferences: Preferences,
                 "no_bracket",
                 f"demand for {good.id!r} stays below its target "
                 f"{target:.6g} up to q = {_Q_MAX:g}")
-        return bracketed_root(gap, 0.0, hi, rtol=Q_RTOL)
+        return newton_root(lambda q: (gap(q), None), 0.0, hi, 0.0,
+                           rtol=Q_RTOL)
 
     bundles: dict[float, dict[str, float]] = {}
 
@@ -195,8 +196,8 @@ def solve_demands(preferences: Preferences,
                                1.0 / _LAM_MIN)
             _check_multiplier(1.0 / inv if inv else 0.0, energy)
             lo, hi = 1.0 / inv, 1.0
-        lam_sep = bracketed_root(lambda lam: spending(lam) - energy,
-                                 lo, hi, rtol=Q_RTOL)
+        lam_sep = newton_root(lambda lam: (spending(lam) - energy, None),
+                              lo, hi, lo, rtol=Q_RTOL)
 
     bundle = bundle_at(lam_sep)
     gamma = {gid: curves[gid].marginal(q) for gid, q in bundle.items()}

@@ -1,20 +1,11 @@
-"""Shared scalar numerics: bracket search, two root finders and adaptive
+"""Shared scalar numerics: bracket search, the one root finder and adaptive
 Simpson quadrature.
 
-``bracketed_root`` is Brent's method (R. P. Brent, *Algorithms for
-Minimization without Derivatives*, Prentice-Hall 1973, ch. 4): inverse
-quadratic or secant steps inside a bracket that always keeps a sign
-change, with a bisection whenever the interpolated step does not shrink
-the bracket fast enough.  The step sequence is the one of the widely used
-C ``brentq`` (the version SciPy ships), so roots and evaluation counts
-match it to the bit.  It serves every residual without a closed-form
-slope: the phi bracket route, the usability rescale, the demand roots and
-the profile geometry.
-
-``newton_root`` is a safeguarded Newton for residuals whose slope is
-closed form: the fixed-proportions output caps and outputs, the
-rationing scale and the power-law form of the phi residual.  It keeps the
-sign bracket its iterates build and bisects any step that would leave it.
+``newton_root`` serves every scalar root egl solves, by Newton steps where
+the residual has a closed-form slope and by secant steps where it has
+none.  The secant steps replaced Brent's method (R. P. Brent 1973), so
+those roots agree with the C ``brentq`` to the rtol they ask for, not to
+the bit.
 
 Everything here is deterministic: the same inputs always produce the same
 floats, which the solvers rely on for reproducible CSV/SVG output.
@@ -46,8 +37,8 @@ def grow_bracket(f: Callable[[float], float], hi: float,
     None once the next value would pass ``ceiling``.
 
     With ``f`` negative at the lower end, the value returned closes a
-    bracket for ``bracketed_root``.  A NaN counts as not negative, so that
-    ``bracketed_root`` reports it.
+    bracket for ``newton_root``.  A NaN counts as not negative, so that
+    ``newton_root`` reports it.
     """
     while f(hi) < 0.0:
         hi *= 2.0
@@ -56,101 +47,36 @@ def grow_bracket(f: Callable[[float], float], hi: float,
     return hi
 
 
-def bracketed_root(f: Callable[[float], float], lo: float, hi: float,
-                   rtol: float = 1e-10) -> float:
-    """Root of ``f`` on ``[lo, hi]`` given a sign change at the endpoints.
+def newton_root(f: Callable[[float], tuple[float, float | None]],
+                lo: float, hi: float, x0: float,
+                rtol: float = 1e-10) -> float:
+    """Root of ``f`` on ``[lo, hi]`` from ``x0``, where ``f(x)`` returns
+    the residual and its slope, or None in place of a slope that has no
+    closed form, and changes sign once on the interval.
 
-    The iterate stops once the bracket around it is narrower than
-    ``XTOL + rtol * |x|``, with ``rtol`` raised to ``RTOL_FLOOR``.  Raises
-    ``SolverError("no_bracket")`` when ``f(lo)`` and ``f(hi)`` share a
-    sign, and ``SolverError("degenerate")`` when ``f`` returns NaN or
-    ``MAX_ITER`` steps do not converge.
-    """
-    rtol = max(rtol, RTOL_FLOOR)
-    xpre, xcur = float(lo), float(hi)
-    fpre = _value(f, xpre)
-    fcur = _value(f, xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise SolverError(
-            "no_bracket",
-            f"f({xpre:.17g}) = {fpre:.6g} and f({xcur:.17g}) = {fcur:.6g} "
-            "have the same sign")
-
-    # xcur is the best estimate, xblk the contrapoint (f changes sign
-    # between them), xpre the previous estimate; scur/spre are the last
-    # two step lengths.
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(MAX_ITER):
-        if (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (XTOL + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-
-        bisect = True
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # secant through the estimate and the contrapoint
-                num, den = -fcur * (xcur - xpre), fcur - fpre
-            else:
-                # inverse quadratic through all three points
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                num = -fcur * (fblk * dblk - fpre * dpre)
-                den = dblk * dpre * (fblk - fpre)
-            # a zero denominator means an infinite step: bisect
-            if den != 0.0:
-                stry = num / den
-                if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                    spre, scur = scur, stry
-                    bisect = False
-        if bisect:
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = _value(f, xcur)
-    raise SolverError(
-        "degenerate",
-        f"root finder did not converge in {MAX_ITER} iterations "
-        f"on [{lo:.17g}, {hi:.17g}]")
-
-
-def newton_root(f: Callable[[float], tuple[float, float]], lo: float,
-                hi: float, x0: float, rtol: float = 1e-10) -> float:
-    """Root of ``f`` on ``[lo, hi]`` by Newton from ``x0``, where ``f(x)``
-    returns the residual and its slope and changes sign once on the
-    interval.
-
-    The slope at the first iterate tells on which side of the root each
-    iterate lies, so every iterate closes one end of a sign bracket.  A
-    step that would leave the bracket lands on an end no iterate has
-    reached yet, to test it, and otherwise bisects the bracket.  The
-    iteration stops once a step is within ``XTOL + rtol * |x|``, with
-    ``rtol`` raised to ``RTOL_FLOOR``, and returns the stepped iterate, or
-    once the bracket or the step reaches float resolution.  Raises
+    A slope at the first iterate tells on which side of the root each
+    iterate lies; without one, the far end of ``[lo, hi]`` is tested
+    next, and each later step follows the secant through the last two
+    iterates.  Every iterate closes one end of a sign bracket.  A step
+    that would leave it tests an end no iterate has reached yet, or
+    bisects it; so does a secant step longer than half the one before
+    last.  The iteration stops once a step is within ``XTOL + rtol * |x|``
+    (``rtol`` raised to ``RTOL_FLOOR``) and returns the stepped iterate, or
+    for a secant step the last evaluated one; it also stops once the
+    bracket or the step reaches float resolution.  A short secant step
+    from a bisection or the far-end test can come from a large residual
+    at the far iterate, so the iterate moves half the tolerance instead,
+    which closes the bracket or makes the next secant local.  Raises
     ``SolverError("no_bracket")`` when an end of ``[lo, hi]`` lies on the
-    root's side of the bracket, and ``SolverError("degenerate")`` when
-    ``f`` returns NaN or ``MAX_ITER`` steps do not converge.
+    root's side, and ``SolverError("degenerate")`` when ``f`` returns NaN
+    or ``MAX_ITER`` steps do not converge.
     """
     rtol = max(rtol, RTOL_FLOOR)
     start_lo, start_hi = lo, hi = float(lo), float(hi)
     x = min(max(float(x0), lo), hi)
     rising = None               # whether f rises through the root
     lo_seen = hi_seen = False   # whether an iterate closed that end
+    xp = fp = None              # the iterate before x, for the secant
     for _ in range(MAX_ITER):
         fx, slope = f(x)
         if fx != fx or slope != slope:
@@ -158,6 +84,28 @@ def newton_root(f: Callable[[float], tuple[float, float]], lo: float,
                               f"residual or slope is NaN at x = {x:.17g}")
         if fx == 0.0:
             return x
+        if slope is None:
+            if xp is None:
+                # ``last`` is the step into x, ``local`` whether that step
+                # was a secant step
+                xp, fp, last, local = x, fx, math.inf, False
+                x = hi if x - lo < hi - x else lo
+                continue
+            if rising is None:
+                if (fx < 0.0) == (fp < 0.0):
+                    raise _no_bracket(x, fx)
+                rising = (fp < 0.0) == (xp < x)
+                lo, hi = min(x, xp), max(x, xp)
+                lo_seen = hi_seen = True
+            slope = (fx - fp) / (x - xp)
+            before, last = last, abs(x - xp)
+            xp, fp = x, fx
+            trusted, local = local, True
+            # a flat secant, an infinite residual, or a step longer than
+            # half the one before last gives no step: the iterate bisects
+            if not 0.0 < abs(slope) < math.inf \
+                    or abs(fx / slope) > 0.5 * before:
+                slope = 0.0
         if rising is None and slope != 0.0:
             rising = slope > 0.0
         if rising is not None:
@@ -172,9 +120,14 @@ def newton_root(f: Callable[[float], tuple[float, float]], lo: float,
         step = -fx / slope if slope != 0.0 else math.inf
         tol = XTOL + rtol * abs(x)
         if abs(step) <= tol:
-            return min(max(x + step, lo), hi)
+            if xp is None:
+                return min(max(x + step, lo), hi)
+            if trusted:
+                return x
+            step = math.copysign(0.5 * tol, step)
         nxt = x + step
         if not lo < nxt < hi:
+            local = False
             if nxt <= lo and not lo_seen:
                 nxt = lo
             elif nxt >= hi and not hi_seen:
@@ -186,7 +139,7 @@ def newton_root(f: Callable[[float], tuple[float, float]], lo: float,
         x = nxt
     raise SolverError(
         "degenerate",
-        f"Newton did not converge in {MAX_ITER} iterations "
+        f"root finder did not converge in {MAX_ITER} iterations "
         f"on [{start_lo:.17g}, {start_hi:.17g}]")
 
 
@@ -194,13 +147,6 @@ def _no_bracket(x: float, fx: float) -> SolverError:
     return SolverError(
         "no_bracket",
         f"f({x:.17g}) = {fx:.6g} at an end leaves the root outside")
-
-
-def _value(f: Callable[[float], float], x: float) -> float:
-    fx = f(x)
-    if fx != fx:
-        raise SolverError("degenerate", f"residual is NaN at x = {x:.17g}")
-    return fx
 
 
 def adaptive_simpson(f: Callable[[float], float], a: float, b: float,

@@ -15,9 +15,8 @@ fixed-proportions profiles take a Newton root (``numerics.newton_root``)
 with the closed-form slope h'', and shut down in one step once the
 premium lifts their profile weight past a closed-form threshold.  The
 rationing scale is a Newton root too, with the slope of each good's
-employment; Brent (``numerics.bracketed_root``) solves the residuals
-without a closed-form slope: the phi bracket route and the usability
-rescale.
+employment; the phi bracket route and the usability rescale, which have
+no closed-form slope, take its secant steps.
 
 When every good that can produce is Cobb-Douglas, the usability residual
 E - U is a sum of powers of 1 + c * kappa_g in c = phi / (1 - phi), which
@@ -33,8 +32,8 @@ residuals either side of each shutdown share either certify that the
 residual jumps across zero there, and the usability constraint is then
 imposed by rescaling the outputs, or narrow the bracket to the continuous
 piece where one bracketed root finds the fixed point.  A jump the shares
-miss leaves that root short of the slack tolerance and is rescaled the
-same way.
+miss leaves that root short of the slack tolerance, even at float
+resolution, and is rescaled the same way.
 
 A solve takes each good's curve kernel once from its ``Kernels`` store,
 which builds it (``embodied.curve``) unless an earlier period of the same
@@ -59,7 +58,7 @@ from .core import (PHI_TOL, Q_RTOL, SLACK_TOL, CobbDouglas, EconomyState,
 from .embodied import (Curve, Kernels, curve, marginal_embodied,
                        sample_curve, solve_power)
 from .errors import SolverError
-from .numerics import bracketed_root, grow_bracket, newton_root
+from .numerics import grow_bracket, newton_root
 
 log = logging.getLogger("egl.surplus")
 
@@ -352,11 +351,11 @@ class _Problem:
         outputs are the allocation of a share whose residual is positive,
         so the common scale lies in [0, 1).
         """
-        def excess(scale: float) -> float:
+        def excess(scale: float) -> tuple[float, None]:
             scaled = {gid: q * scale for gid, q in outputs.items()}
-            return self.slack(scaled, *self.load(scaled))
+            return self.slack(scaled, *self.load(scaled)), None
 
-        scale = bracketed_root(excess, 0.0, 1.0, rtol=1e-13)
+        scale = newton_root(excess, 0.0, 1.0, 0.0, rtol=1e-13)
         return {gid: q * scale for gid, q in outputs.items()}
 
     def load(self, outputs: dict[str, float]):
@@ -547,7 +546,7 @@ def _newton_phi(problem: _Problem) -> float | None:
 
 
 def _bracket_phi(problem: _Problem, ftol: float) -> tuple[float, bool]:
-    """Root of the usability residual E - U by bracket and Brent, given a
+    """Root of the usability residual E - U by bracket and secant, given a
     positive residual at phi = 0 and the slack tolerance ``ftol``.
 
     The bracket [lo, hi] grows toward phi = 1 until the residual at hi
@@ -558,14 +557,15 @@ def _bracket_phi(problem: _Problem, ftol: float) -> tuple[float, bool]:
     apart around each shutdown share inside the bracket either certify
     such a jump or narrow the bracket to the continuous piece that holds
     the sign change; one bracketed root then solves that piece to
-    ``PHI_TOL`` relative.
+    ``PHI_TOL`` relative, or, retracing those steps on their kept shares,
+    to float resolution where that misses the slack tolerance.
     Returns (phi, converged).
     ``converged`` is False when the residual jumps across zero without a
     root: phi is then a share with a positive residual within ``PHI_TOL``
     of one with a negative residual, and the caller imposes the usability
     constraint directly.  A jump the shares miss is still caught, as a
-    root that misses the slack tolerance, and rescues the largest share
-    evaluated with a positive residual.
+    root that misses the slack tolerance at float resolution, and rescues
+    the largest share evaluated with a positive residual.
     """
     rho = problem.residual      # a share's allocation is kept once taken
 
@@ -598,11 +598,12 @@ def _bracket_phi(problem: _Problem, ftol: float) -> tuple[float, bool]:
     # The residual can rise with phi only while rationing binds.  With one
     # mover type that employs the whole fleet, U = 0 < E, and the residual
     # crosses zero once on [lo, hi]; with several it can cross more than
-    # once, and Brent returns one of those roots.
-    phi = bracketed_root(rho, lo, hi, rtol=PHI_TOL)
-    if abs(rho(phi)) > ftol:
-        return jump(max(x for x in problem.allocations if rho(x) > 0.0))
-    return phi, True
+    # once, and the secant steps return one of those roots.
+    for rtol in (PHI_TOL, 0.0):
+        phi = newton_root(lambda x: (rho(x), None), lo, hi, lo, rtol=rtol)
+        if abs(rho(phi)) <= ftol:
+            return phi, True
+    return jump(max(x for x in problem.allocations if rho(x) > 0.0))
 
 
 def solve_energy_side(scenario: ScenarioConfig,
@@ -664,6 +665,9 @@ def solve_energy_side(scenario: ScenarioConfig,
         q = outputs[g.id]
         kernel = problem.curves[g.id]
         gam = kernel.marginal(q)
+        if gam == math.inf:
+            raise SolverError("degenerate", f"marginal embodied energy of "
+                              f"{g.id!r} overflows at output {q:.6g}")
         gamma[g.id] = gam
         alpha[g.id] = g.energy_content - gam
         meroi_map[g.id] = g.energy_content / gam if q > 0.0 else None
@@ -781,4 +785,5 @@ def _saturation_quantity(good: EnergyGood, state: EconomyState,
     hi = grow_bracket(excess, 1.0, 1e12)
     if hi is None:
         return None
-    return bracketed_root(excess, 0.0, hi, rtol=1e-12)
+    return newton_root(lambda q: (excess(q), None), 0.0, hi, 0.0,
+                       rtol=1e-12)

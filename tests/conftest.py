@@ -71,34 +71,27 @@ def cd1_scarce():
     return scarce_scenario()
 
 
-#: key suffix of each root finder in ``root_calls``
-ROOT_FINDERS = {"bracketed_root": "", "newton_root": ":newton"}
-
-
 @pytest.fixture
 def root_calls(monkeypatch):
-    """Counts root-finder calls, keyed by the egl module making them: a
-    ``bracketed_root`` call under the module name (``"egl.surplus"``), a
-    ``newton_root`` call under the module name plus ``":newton"``.
+    """Counts ``newton_root`` calls, keyed by the egl module making them
+    plus ``":newton"`` (``"egl.surplus:newton"``).
 
-    Every module that binds a root finder is patched, so a solve that
+    Every module that binds the root finder is patched, so a solve that
     falls back to a root shows up in the counts, not only in its time, and
     the sum of the counts is every iterative solve.
     """
     calls = collections.Counter()
     for name, module in list(sys.modules.items()):
-        if not name.startswith("egl.") or name == "egl.numerics":
+        if not name.startswith("egl.") or name == "egl.numerics" \
+                or not hasattr(module, "newton_root"):
             continue
-        for finder, suffix in ROOT_FINDERS.items():
-            if not hasattr(module, finder):
-                continue
 
-            def counted(*args, _key=name + suffix,
-                        _root=getattr(module, finder), **kw):
-                calls[_key] += 1
-                return _root(*args, **kw)
+        def counted(*args, _key=name + ":newton",
+                    _root=module.newton_root, **kw):
+            calls[_key] += 1
+            return _root(*args, **kw)
 
-            monkeypatch.setattr(module, finder, counted)
+        monkeypatch.setattr(module, "newton_root", counted)
     return calls
 
 
@@ -157,8 +150,7 @@ def random_energy_doc(rng: np.random.Generator, scarce: bool) -> dict:
 
     # size endowments from the interior optimum of each good
     from egl.core import PrimeMoverType
-    from egl.embodied import curve
-    from egl.numerics import bracketed_root, grow_bracket
+    from egl.embodied import curve, solve_power
     mover_objs = {m["id"]: PrimeMoverType(
         id=m["id"], power_rate=m["power_rate"], period_length=1.0,
         depreciation=0.5, avg_embodied=0.0, endowment=0.0,
@@ -171,12 +163,7 @@ def random_energy_doc(rng: np.random.Generator, scarce: bool) -> dict:
         delta = g["energy_content"]
 
         kernel = curve(tech, mover_objs)
-
-        def excess(q):
-            return kernel.marginal(q) - delta
-
-        q_star = bracketed_root(excess, 0.0, grow_bracket(excess, 1.0),
-                                rtol=1e-12)
+        q_star = solve_power(*kernel.power_law(), delta)
         for mid, x in kernel.requirements(q_star).items():
             need[mid] += x
 

@@ -109,7 +109,8 @@ def test_every_import_across_modules_is_read():
 
 def test_root_iterations_live_in_numerics():
     # a module that reads the iteration cap runs a root loop of its own;
-    # its residual belongs in one of the two root finders of ``numerics``
+    # its residual belongs in ``numerics.newton_root``, with or without a
+    # closed-form slope
     readers = []
     for path in SRC.glob("*.py"):
         if path.stem == "numerics":

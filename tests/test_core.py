@@ -372,19 +372,42 @@ SOLVER_BOUNDARY = [
 ]
 
 
-def edited(name: str, where: tuple, value):
-    """The shipped scenario ``name`` with ``value`` at the path ``where``;
-    the empty path replaces the whole document."""
+#: Documents a fuzz of the shipped scenarios found, which validate but
+#: overflow a transfer; each fails its command with exit 2 and writes no
+#: infinity: (scenario, edits as (path, value), command, detail).
+OVERFLOW_REPROS = [
+    # (1 + drawn) ** 1e300 for the arriving coal
+    ("arrivals", [(("events", 1, "good", "pes_stock"), 0.999999999999),
+                  (("events", 1, "good", "depletion_exponent"), 1e300)],
+     "simulate",
+     "degenerate: depletion multiplier of 'coal' overflows"),
+    # omega = 5e307 J, so gamma(0) = m * omega * h'(0) overflows
+    ("shocks", [(("prime_movers", 0, "avg_embodied"), 1e308)], "simulate",
+     "degenerate: marginal embodied energy of 'wood' overflows at output 0"),
+    # a workers' unit transfers 3 W over 1e308 s
+    ("shocks", [(("period_length",), 1e308),
+                (("prime_movers", 0, "power_rate"), 3),
+                (("events", 1, "mover", "power_rate"), 1e-300)],
+     "equilibrium",
+     "degenerate: marginal embodied energy of 'wood' overflows at output 0"),
+]
+
+
+def edited(name: str, where: tuple, value, *more):
+    """The shipped scenario ``name`` with ``value`` at the path ``where``,
+    and each further (path, value) pair in ``more``; the empty path
+    replaces the whole document."""
     doc = json.loads((SCENARIOS / f"{name}.json").read_text())
     if not where:
         return value
-    target = doc
-    for step in where[:-1]:
-        target = target[step]
-    if value is _DROP:
-        del target[where[-1]]
-    else:
-        target[where[-1]] = value
+    for path, new in [(where, value), *more]:
+        target = doc
+        for step in path[:-1]:
+            target = target[step]
+        if new is _DROP:
+            del target[path[-1]]
+        else:
+            target[path[-1]] = new
     return doc
 
 
@@ -408,9 +431,20 @@ class TestDocumentBoundary:
                              SOLVER_BOUNDARY)
     def test_solve_out_of_range_exits_2(self, tmp_path, capsys, name,
                                         where, value, command, detail):
+        self.exits_2(tmp_path, capsys, edited(name, where, value), command,
+                     detail)
+
+    @pytest.mark.parametrize("name, edits, command, detail",
+                             OVERFLOW_REPROS)
+    def test_overflowing_transfer_exits_2(self, tmp_path, capsys, name,
+                                          edits, command, detail):
+        self.exits_2(tmp_path, capsys, edited(name, *edits[0], *edits[1:]),
+                     command, detail)
+
+    @staticmethod
+    def exits_2(tmp_path, capsys, doc, command, detail):
         path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(edited(name, where, value)),
-                        encoding="utf-8")
+        path.write_text(json.dumps(doc), encoding="utf-8")
         out = tmp_path / "out"
         assert main([command, "--scenario", str(path),
                      "--out", str(out)]) == 2

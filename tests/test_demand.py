@@ -319,14 +319,14 @@ class TestSolvePaths:
     @pytest.mark.parametrize("energy", [0.05, 1.5, 20.0])
     def test_mixed_powers_take_one_outer_root(self, root_calls, energy):
         # constant curve (k = 0) next to a square-cost curve (k = 1): the
-        # inner solves stay closed form, the multiplier needs Brent.
+        # inner solves stay closed form, the multiplier needs a root.
         # Spending at multiplier 1 is 1 + 0.5, so the bracket search goes
         # up in the multiplier for 0.05 and down for 20, and 1.5 is met
         # at 1 itself, a root at the bracket's end
         prefs = cobb_prefs(n0=1.0, n1=1.0)
         goods = [constant_good("n0", 1.0), smooth_good("n1", 0.5)]
         sol = solve_demands(prefs, goods, MOVERS, energy)
-        assert root_calls == {"egl.demand": 1}
+        assert root_calls == {"egl.demand:newton": 1}
         assert abs(sol.budget_residual) <= 1e-9 * energy
         if energy == 1.5:
             assert sol.bundle["n0"] == 1.0
@@ -354,7 +354,7 @@ class TestSolvePaths:
         prefs = cobb_prefs(n0=1.0, n1=1.0)
         sol = solve_demands(prefs, [constant_good("n0", 1.0), curved],
                             MOVERS, 20.0)
-        assert root_calls["egl.demand"] > 1
+        assert root_calls["egl.demand:newton"] > 1
         assert abs(sol.budget_residual) <= 1e-9 * 20.0
         assert tangency_residual(prefs, sol.bundle,
                                  sol.gamma_marginal) <= 1e-8
@@ -363,7 +363,7 @@ class TestSolvePaths:
         # the constant good's closed-form inner solve runs once per
         # multiplier the outer solve evaluates, and so does the curved
         # good's inner root: the bracket search, the bracket's ends in
-        # Brent and the bundle at the root share them
+        # the secant steps and the bundle at the root share them
         import egl.demand
         from egl.core import NonEnergyGood
         targets = []
@@ -382,7 +382,7 @@ class TestSolvePaths:
                       [constant_good("n0", 1.0), curved], MOVERS, 20.0)
         assert len(targets) == len(set(targets)) > 1
         # one inner root per multiplier, and the outer root
-        assert root_calls["egl.demand"] == len(targets) + 1
+        assert root_calls["egl.demand:newton"] == len(targets) + 1
 
     @pytest.mark.parametrize("gamma, energy, weight, detail", [
         # quantity above 1e180

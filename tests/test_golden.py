@@ -35,9 +35,9 @@ DIGESTS = {
     "equilibrium-reference/equilibrium.csv":
         "36c536f2919759bbb40f19ff2ff09114375ca39172b5f9f912d7e7ee6d9d5c92",
     "equilibrium-reference/figure1_grain.svg":
-        "61aee6ef8e958967137a01f4046641484e7594fd1736784ad2e9c0cff1c85954",
+        "1fd46d0dea9df15aaba96119ddca7e8a2279eb39b7a44105be8483de1288b1e7",
     "equilibrium-reference/meec_grain.csv":
-        "ca8d74df55f68a82de8615527099e573bba0b8c78270a7a866b2ce76664eb9d4",
+        "b716e885266787ec6a4a2cf73107080ab13a087e6c459951626059493c0f12ae",
     "equilibrium-scarce_growth/demand.csv":
         "bacb1880948e266bbf8c90b2e1c25992bbf3d494aeff378ca56bc337701432de",
     "equilibrium-scarce_growth/equilibrium.csv":
@@ -57,7 +57,7 @@ DIGESTS = {
     "simulate-arrivals/figure2.svg":
         "2f4e31d06276361227f1f7e7607b4621e8912fbbe7667f04bc24b79cb756007c",
     "simulate-arrivals/trajectory.csv":
-        "0d8f3276179077ef53d6bcef7eab3d4c454135e86573c4e23771a4972fc9e2e0",
+        "76a2c6e744438f7cfa1acf7fd733a468b3db7f74ab53c9884aa0a83a7279f9ee",
     "simulate-reference/figure2.svg":
         "6761254593bdd5eca955872bb467fea0bee8bdd7d0a319e0238dc272bb1461e8",
     "simulate-reference/trajectory.csv":
@@ -69,7 +69,7 @@ DIGESTS = {
     "simulate-shocks/figure2.svg":
         "3959035f2a76fef1217ddb55026501059d4f19ec7b60a73f79be354b6a84a9d2",
     "simulate-shocks/trajectory.csv":
-        "313e84de0e09721ab7a65a776d3485c9650edc0dc6beed1f9bc765b7c4e04ab9",
+        "ced20d4d09e45fcfe64e58d7ad895be5880271a6e3dc08c03cdeed7a9db5d458",
     "statics-sweep_family/failures.csv":
         "91847c345f0676a57ef880eaeec73cd1853c021a796de7d7155258032eff8472",
     "statics-sweep_family/sign_table.csv":

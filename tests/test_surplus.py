@@ -431,21 +431,37 @@ class TestNewtonPhi:
 
     def test_slack_met_near_one_without_rescue(self):
         # phi* = 1 - 6.1e-6 with embodied energy (omega = 2.5, eps = 1.5):
-        # the bracket route's phi tolerance leaves E - U at 1.1e-6, above
-        # the slack tolerance 9e-7, and it rescues; the Newton share, 1e-11
-        # away, meets the slack to 6e-12 and needs no rescue
+        # there a share within the phi tolerance of the root can leave E - U
+        # above the slack tolerance 9e-7; the Newton share meets the slack
+        # to 6e-12 and needs no rescue, and the bracket route meets it too
         doc = two_good_doc({"power_rate": 1.5, "avg_embodied": 1.0,
                             "endowment": 1.0}, [("e0", 46.0, 2.0, 0.3125)])
         scenario = scenario_from_dict(doc)
         state = initial_state(scenario)
         problem = _Problem(state)
         newton, (phi, converged), ftol = self.routes(problem)
-        assert not converged and abs(problem.residual(phi)) > ftol
+        assert converged and abs(problem.residual(phi)) <= ftol
         assert abs(newton - phi) <= self.PHI_TOL * phi
         sol = solve_energy_side(scenario, state)
         assert sol.phi == newton
         assert abs(sol.slack_residual) <= 1e-11
         assert sol.binding_constraints == {}
+
+    def test_slack_miss_goes_on_to_float_resolution(self, root_calls):
+        # phi* = 1 - 5.8e-7: the secant stops within the phi tolerance at a
+        # share where E - U = -6.4e-8, short of the slack tolerance 1e-8, so
+        # the same steps go on, through the shares already kept, and meet
+        # the slack at the Newton share instead of rescuing a share 2.8e-9
+        # below the root
+        doc = two_good_doc({"power_rate": 1.0, "avg_embodied": 1.0,
+                            "endowment": 0.0012409377607517195},
+                           [("e0", 2.0, 0.5, 0.30078125)])
+        problem = _Problem(initial_state(scenario_from_dict(doc)))
+        newton, (phi, converged), ftol = self.routes(problem)
+        assert root_calls["egl.surplus:newton"] == 3
+        assert abs(problem.residual(0.9999994170786562)) > ftol
+        assert converged and abs(problem.residual(phi)) <= ftol
+        assert phi == newton
 
     @settings(max_examples=150, deadline=None)
     @given(power_law_economies())
@@ -797,7 +813,7 @@ class TestShutdownShares:
         doc = json.loads(SCENARIOS.joinpath("shocks.json").read_text())
         trajectory = simulate(scenario_from_dict(doc))
         assert len(trajectory.records) == 61
-        assert root_calls["egl.core"] == 2
+        assert root_calls["egl.core:newton"] == 2
 
 
 class TestShutdownThresholdOracle:
@@ -937,7 +953,7 @@ class TestOneAllocationPerShare:
         solve = egl.growth.solve_energy_side
 
         def surplus_roots():
-            return root_calls["egl.surplus"] + root_calls["egl.surplus:newton"]
+            return root_calls["egl.surplus:newton"]
 
         def marked_phi(problem):
             phi, balanced = solve_phi(problem)
@@ -961,10 +977,10 @@ class TestOneAllocationPerShare:
         assert all(mark["extra"] == (0 if mark["balanced"] else 1)
                    for mark in solved)
         # one cap root per period the wood source is not yet exhausted;
-        # Brent takes the phi roots and the rescales, Newton the outputs
-        assert dict(root_calls) == {"egl.embodied:newton": 46, "egl.core": 2,
-                                    "egl.surplus": 35,
-                                    "egl.surplus:newton": 95}
+        # in surplus, 96 outputs, 10 phi roots and 25 rescales
+        assert dict(root_calls) == {"egl.embodied:newton": 46,
+                                    "egl.core:newton": 2,
+                                    "egl.surplus:newton": 131}
 
 
 class TestExhaustedSourceCap:
