@@ -19,13 +19,17 @@ A solve takes each good's curve kernel once from its ``Kernels`` store,
 which ``simulate`` keeps across periods, so a kernel is built
 (``embodied.curve``) only when the good's technology or multiplier
 changes; the power laws, inner solves, spending, the curves at the bundle
-and the support fleet all read it.
+and the support fleet all read it.  The store's plan keeps what the goods'
+kernels fix (``_plan``: the power laws, and with one power the common
+power and spending at multiplier 1), so a run derives them again only
+when a good's kernel is rebuilt or a type arrives, and the closed-form
+bundle is a power of the budget.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .core import (Q_RTOL, EconomyState, NonEnergyGood, Preferences,
                    PrimeMoverType, effective_multiplier, employment_totals)
@@ -39,9 +43,9 @@ _Q_MAX = 1e180
 _LAM_MIN, _LAM_MAX = 1e-180, 1e180
 
 
-@dataclass(frozen=True)
-class DemandSolution:
-    """Solved consumer side: bundle, shadow value of energy, support fleet."""
+class DemandSolution(NamedTuple):
+    """Solved consumer side: bundle, shadow value of energy, support fleet
+    (an immutable record)."""
 
     bundle: dict[str, float]                       # Q per non-energy good
     lam: float | None                              # utils per joule
@@ -49,10 +53,10 @@ class DemandSolution:
     usability_slack: float                         # joules, < 0 flags Eq-7 gap
     budget_residual: float                         # joules
     feasible: bool
-    violations: tuple[str, ...] = ()
-    energy_budget: float = 0.0
-    gamma_marginal: dict[str, float] = field(default_factory=dict)
-    gamma_average: dict[str, float] = field(default_factory=dict)
+    violations: tuple[str, ...]
+    energy_budget: float
+    gamma_marginal: dict[str, float]
+    gamma_average: dict[str, float]
 
 
 def _curvature(preferences: Preferences) -> float:
@@ -119,87 +123,27 @@ def solve_demands(preferences: Preferences,
     if energy <= 0.0:
         return _solution({g.id: 0.0 for g in goods}, {}, movers,
                          remaining_endowment, max(energy, 0.0), lam=None,
-                         budget_residual=0.0)
+                         budget_residual=0.0, gamma_marginal={},
+                         gamma_average={})
 
     r = _curvature(preferences)
-    weights = {g.id: preferences.weights[g.id] for g in goods}
     kernels = Kernels() if kernels is None else kernels
     curves = {g.id: kernels.of(g, movers, mult[g.id]) for g in goods}
-    laws = {gid: kernel.power_law() for gid, kernel in curves.items()}
-
-    def quantity(good: NonEnergyGood, target: float) -> float:
-        """Inner solve: q ** (1-r) * gamma(q) = target."""
-        law = laws[good.id]
-        if law is not None:
-            a, k = law
-            q = solve_power(a, 1.0 - r + k, target)
-            if not 0.0 < q <= _Q_MAX:
-                raise SolverError(
-                    "no_bracket",
-                    f"demand for {good.id!r} at its target {target:.6g} "
-                    f"lies outside (0, {_Q_MAX:g}]")
-            return q
-        marginal = curves[good.id].marginal
-
-        def gap(q: float) -> float:
-            return q ** (1.0 - r) * marginal(q) - target
-
-        hi = grow_bracket(gap, 1.0, _Q_MAX)
-        if hi is None:
-            raise SolverError(
-                "no_bracket",
-                f"demand for {good.id!r} stays below its target "
-                f"{target:.6g} up to q = {_Q_MAX:g}")
-        return newton_root(lambda q: (gap(q), None), 0.0, hi, 0.0,
-                           rtol=Q_RTOL)
-
-    bundles: dict[float, dict[str, float]] = {}
-
-    def bundle_at(lam_sep: float) -> dict[str, float]:
-        """The inner solves at one multiplier, run once per multiplier."""
-        if lam_sep not in bundles:
-            bundles[lam_sep] = {g.id: quantity(g, weights[g.id] / lam_sep)
-                                for g in goods}
-        return bundles[lam_sep]
-
-    def spending(lam_sep: float) -> float:
-        return sum(curves[gid].transfer(q)
-                   for gid, q in bundle_at(lam_sep).items())
-
-    powers = {law[1] if law is not None else None for law in laws.values()}
-    if len(powers) == 1 and None not in powers:
-        # one power k for every good: spending(lam) is
-        # spending(1) * lam ** -p with p = (k+1)/(1-r+k), so the budget
-        # holds where energy * lam ** p = spending(1)
-        k = powers.pop()
-        if 1.0 - r + k == 0.0:
-            # q ** (1-r) * gamma(q) is the constant a: no quantity meets
-            # a target, e.g. CES with 1 - 1/sigma rounded to 1 and flat
-            # curves (perfect substitutes at constant cost)
-            raise SolverError(
-                "degenerate",
-                "every good's demand condition is constant in its quantity")
-        lam_sep = solve_power(energy, (k + 1.0) / (1.0 - r + k),
-                              spending(1.0))
-        # ``quantity`` bounds the bundle: any positive multiplier will do
-        _check_multiplier(lam_sep, energy, math.ulp(0.0), math.inf)
+    laws, closed = kernels.derived(movers, _plan,
+                                   (preferences, *curves.values()),
+                                   _plan, preferences, r, curves)
+    if closed is None:
+        bundle = _searched_bundle(preferences.weights, r, curves, laws, energy)
     else:
-        # spending falls in lam: the bracket grows up in lam from 1 when
-        # spending(1) exceeds the budget, and down in 1/lam otherwise; a
-        # search that passes the range reads as infinite
-        if spending(1.0) > energy:
-            lo, hi = 1.0, grow_bracket(lambda lam: energy - spending(lam),
-                                       1.0, _LAM_MAX)
-            _check_multiplier(hi or math.inf, energy)
-        else:
-            inv = grow_bracket(lambda inv: spending(1.0 / inv) - energy, 1.0,
-                               1.0 / _LAM_MIN)
-            _check_multiplier(1.0 / inv if inv else 0.0, energy)
-            lo, hi = 1.0 / inv, 1.0
-        lam_sep = newton_root(lambda lam: (spending(lam) - energy, None),
-                              lo, hi, lo, rtol=Q_RTOL)
-
-    bundle = bundle_at(lam_sep)
+        # one power for every good: the budget holds where
+        # energy * lam ** exponent = spending(1)
+        p, exponent, spent_at_1 = closed
+        lam_sep = solve_power(energy, exponent, spent_at_1)
+        # ``_power_demand`` bounds the bundle: any positive multiplier will do
+        _check_multiplier(lam_sep, energy, math.ulp(0.0), math.inf)
+        bundle = {gid: _power_demand(gid, laws[gid][0], p,
+                                     preferences.weights[gid] / lam_sep)
+                  for gid in curves}
     gamma = {gid: curves[gid].marginal(q) for gid, q in bundle.items()}
     gamma_avg = {gid: curves[gid].transfer(q) / q if q > 0.0 else gamma[gid]
                  for gid, q in bundle.items()}
@@ -209,6 +153,94 @@ def solve_demands(preferences: Preferences,
     return _solution(bundle, curves, movers, remaining_endowment, energy,
                      lam=lam, budget_residual=spent - energy,
                      gamma_marginal=gamma, gamma_average=gamma_avg)
+
+
+def _plan(preferences: Preferences, r: float, curves: dict[str, Curve]):
+    """What a demand solve derives from its kernels alone: each good's
+    power law (A, k) or None, and, when all share one k, the closed form
+    (p, exponent, spending(1)): q_g(lam) = (w_g / (lam A_g)) ** (1/p) with
+    p = 1 - r + k, so spending(lam) = spending(1) * lam ** -(k+1)/p."""
+    laws = {gid: kernel.power_law() for gid, kernel in curves.items()}
+    powers = {law[1] if law is not None else None for law in laws.values()}
+    if len(powers) != 1 or None in powers:
+        return laws, None
+    k = powers.pop()
+    p = 1.0 - r + k
+    if p == 0.0:
+        # q ** (1-r) * gamma(q) is the constant a: no quantity meets a
+        # target, e.g. CES with 1 - 1/sigma rounded to 1 and flat curves
+        # (perfect substitutes at constant cost)
+        raise SolverError(
+            "degenerate",
+            "every good's demand condition is constant in its quantity")
+    bundle = {gid: _power_demand(gid, a, p, preferences.weights[gid])
+              for gid, (a, _) in laws.items()}
+    spent = sum(curves[gid].transfer(q) for gid, q in bundle.items())
+    return laws, (p, (k + 1.0) / p, spent)
+
+
+def _power_demand(good_id: str, a: float, p: float, target: float) -> float:
+    """Inner solve on a power law: a * q ** p = target, within _Q_MAX."""
+    q = solve_power(a, p, target)
+    if not 0.0 < q <= _Q_MAX:
+        raise SolverError(
+            "no_bracket", f"demand for {good_id!r} at its target "
+            f"{target:.6g} lies outside (0, {_Q_MAX:g}]")
+    return q
+
+
+def _searched_bundle(weights: dict, r: float, curves: dict[str, Curve],
+                     laws: dict, energy: float) -> dict[str, float]:
+    """The bundle whose spending meets the budget, where the goods' powers
+    differ or a curve is not a power law: the multiplier is bracketed and
+    solved by secant steps, and so is a curved good's quantity."""
+
+    def quantity(gid: str, target: float) -> float:
+        """Inner solve: q ** (1-r) * gamma(q) = target."""
+        law = laws[gid]
+        if law is not None:
+            return _power_demand(gid, law[0], 1.0 - r + law[1], target)
+        marginal = curves[gid].marginal
+
+        def gap(q: float) -> float:
+            return q ** (1.0 - r) * marginal(q) - target
+
+        hi = grow_bracket(gap, 1.0, _Q_MAX)
+        if hi is None:
+            raise SolverError(
+                "no_bracket",
+                f"demand for {gid!r} stays below its target "
+                f"{target:.6g} up to q = {_Q_MAX:g}")
+        return newton_root(lambda q: (gap(q), None), 0.0, hi, 0.0,
+                           rtol=Q_RTOL)
+
+    bundles: dict[float, dict[str, float]] = {}
+
+    def bundle_at(lam_sep: float) -> dict[str, float]:
+        """The inner solves at one multiplier, run once per multiplier."""
+        if lam_sep not in bundles:
+            bundles[lam_sep] = {gid: quantity(gid, weights[gid] / lam_sep)
+                                for gid in curves}
+        return bundles[lam_sep]
+
+    def spending(lam_sep: float) -> float:
+        return sum(curves[gid].transfer(q)
+                   for gid, q in bundle_at(lam_sep).items())
+
+    # spending falls in lam: the bracket grows up in lam from 1 when
+    # spending(1) exceeds the budget, and down in 1/lam otherwise; a
+    # search that passes the range reads as infinite
+    if spending(1.0) > energy:
+        lo, hi = 1.0, grow_bracket(lambda lam: energy - spending(lam),
+                                   1.0, _LAM_MAX)
+        _check_multiplier(hi or math.inf, energy)
+    else:
+        inv = grow_bracket(lambda inv: spending(1.0 / inv) - energy, 1.0,
+                           1.0 / _LAM_MIN)
+        _check_multiplier(1.0 / inv if inv else 0.0, energy)
+        lo, hi = 1.0 / inv, 1.0
+    return bundle_at(newton_root(lambda lam: (spending(lam) - energy, None),
+                                 lo, hi, lo, rtol=Q_RTOL))
 
 
 def _solution(bundle: dict[str, float], curves: dict[str, Curve],
@@ -257,20 +289,6 @@ def usability_slack(employment: dict[str, dict[str, float]],
         for mid, x in reqs.items():
             direct += movers[mid].direct_energy * x
     return direct - energy
-
-
-def tangency_residual(preferences: Preferences, bundle: dict[str, float],
-                      gamma: dict[str, float]) -> float:
-    """Worst relative gap of MU_n / MU_m against gamma_n / gamma_m."""
-    ids = [gid for gid, q in bundle.items() if q > 0.0]
-    worst = 0.0
-    for i, n in enumerate(ids):
-        for m in ids[i + 1:]:
-            lhs = (marginal_utility(preferences, bundle, n)
-                   / marginal_utility(preferences, bundle, m))
-            rhs = gamma[n] / gamma[m]
-            worst = max(worst, abs(lhs - rhs) / abs(rhs))
-    return worst
 
 
 def demand_for_state(scenario, state: EconomyState, energy: float,

@@ -23,10 +23,13 @@ latest kernel of each good and rebuilds it only when the good's
 technology or multiplier changes: a solve given no store builds one
 kernel per good, and ``simulate`` keeps one store for the whole run, so
 a kernel serves every period until an arrival, an event or depletion
-changes it.  The module functions below build one per call: the
-marginal, average and cumulative curves and the elasticity are the
-oracles the acceptance suite checks the model's identities on, and
-``sample_curve`` samples a curve for export and plotting.
+changes it.  The store also holds the run's plan: what the solvers
+derive from kernels and movers alone, kept until a kernel it read is
+rebuilt or an arrival brings new movers.  The module functions below
+build one per call: the marginal, average and cumulative curves and the
+elasticity are the oracles the acceptance suite checks the model's
+identities on, and ``sample_curve`` samples a curve for export and
+plotting.
 """
 
 from __future__ import annotations
@@ -292,8 +295,23 @@ class Kernels(dict):
     uses a mover before it arrives.  So within one scenario's run a kernel
     stays valid while its good's technology object and effective
     multiplier stay the same.  ``simulate`` keeps one store for the run; a
-    solve given none fills a fresh one.
+    solve given none fills a fresh one, and a one-use plan.
     """
+
+    movers = None       # the movers dict the plan was derived for
+
+    def derived(self, movers: dict[str, PrimeMoverType], key, basis: tuple,
+                derive, *args):
+        """``derive(*args)``, kept in the run's plan under ``key`` (a
+        good's id for its terms, else ``derive``) while ``basis`` holds
+        the objects it was derived from, or equal ones; new ``movers``
+        (an arrival) empty the plan."""
+        if movers is not self.movers:
+            self.movers, self.plan = movers, {}
+        kept = self.plan.get(key)
+        if kept is None or kept[0] != basis:
+            kept = self.plan[key] = basis, derive(*args)
+        return kept[1]
 
     def of(self, good: EnergyGood | NonEnergyGood,
            movers: dict[str, PrimeMoverType], multiplier: float) -> Curve:

@@ -11,7 +11,8 @@ accumulation on every mover.
 At the start of each period, before the solve, the types introduced at
 that period activate (new movers and energy sources) and then the
 scheduled shocks (efficiency gains, curve deterioration, endowment shocks)
-apply.
+apply; ``simulate`` reads both from a schedule by period that it derives
+once per run.
 
 The consumer spends the usable surplus and feeds nothing back: the next
 state reads only the energy-side solution.  So ``simulate`` runs in two
@@ -24,6 +25,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .core import (SS_ACCUM_TOL, SS_ALPHA_TOL, EconomyState, EventSpec,
                    PrimeMoverType, ScenarioConfig, activate_due,
@@ -36,10 +38,10 @@ from .surplus import EnergySideSolution, solve_energy_side
 log = logging.getLogger("egl.growth")
 
 
-@dataclass(frozen=True)
-class PeriodRecord:
+class PeriodRecord(NamedTuple):
     """One simulated period: the state it solved (pre-accumulation stocks)
-    and its two solutions.  Nothing changes them after their period."""
+    and its two solutions, in an immutable record.  Nothing changes them
+    after their period."""
 
     state: EconomyState
     energy: EnergySideSolution
@@ -104,18 +106,32 @@ def apply_event(state: EconomyState, event: EventSpec) -> EconomyState:
                                   f"unknown event kind {event.kind!r}")
 
 
-def enter_period(scenario: ScenarioConfig, state: EconomyState,
-                 t: int) -> EconomyState:
+def _schedule(scenario: ScenarioConfig) -> dict[int, tuple]:
+    """What each period that changes the economy brings: whether a type
+    arrives, and its shocks in the order of their kinds."""
+    schedule = {x.intro_period: (True, []) for x in scenario.prime_movers
+                + scenario.energy_goods + scenario.non_energy_goods}
+    for ev in sorted(scenario.events, key=lambda e: e.kind):
+        schedule.setdefault(ev.period, (False, []))[1].append(ev)
+    return schedule
+
+
+def enter_period(scenario: ScenarioConfig, state: EconomyState, t: int,
+                 schedule: dict | None = None) -> EconomyState:
     """State at the start of period ``t``, before that period's solve.
 
     The types introduced at ``t`` activate, then the shocks dated ``t``
-    apply in the order of their kinds.  Raises ``SolverError("degenerate")``
-    when the fleet's aggregate power leaves the float range, as an
-    arriving stock or one grown by accumulation can make it.
+    apply in the order of their kinds, as ``schedule`` (by default the
+    scenario's) says.  Raises ``SolverError("degenerate")`` when the
+    fleet's aggregate power leaves the float range, as an arriving stock
+    or one grown by accumulation can make it.
     """
-    state = activate_due(scenario, state, t)
-    for ev in sorted((e for e in scenario.events if e.period == t),
-                     key=lambda e: e.kind):
+    if schedule is None:
+        schedule = _schedule(scenario)
+    arrives, shocks = schedule.get(t, (False, ()))
+    if arrives or state.period != t:
+        state = activate_due(scenario, state, t)
+    for ev in shocks:
         state = apply_event(state, ev)
     if not math.isfinite(aggregate_power(state)):
         raise SolverError("degenerate", "aggregate power of the fleet "
@@ -155,15 +171,14 @@ def _energy_pass(scenario: ScenarioConfig, horizon: int, kernels: Kernels
     period order, whether the last one is the steady state, and the error
     that stopped the run early, if any."""
     state = initial_state(scenario)
+    schedule = _schedule(scenario)
     # no steady state is declared before the last arrival or shock
-    last_change = max([ev.period for ev in scenario.events]
-                      + [x.intro_period for x in scenario.prime_movers
-                         + scenario.energy_goods + scenario.non_energy_goods])
+    last_change = max(schedule)
     periods: list[tuple[EconomyState, EnergySideSolution]] = []
 
     for t in range(horizon + 1):
         try:
-            state = enter_period(scenario, state, t)
+            state = enter_period(scenario, state, t, schedule)
             energy = solve_energy_side(scenario, state, kernels)
         except EglError as exc:
             return periods, False, exc
@@ -207,7 +222,8 @@ def simulate(scenario: ScenarioConfig,
 
     The goods' curve kernels live in one ``Kernels`` store for the run, so
     a good's kernel is rebuilt only when an arrival, an event or depletion
-    changes its technology or multiplier; the store ends with the call.
+    changes its technology or multiplier, and its plan is derived again
+    then or after an arrival; the store and the run's schedule end with it.
     """
     horizon = scenario.horizon if horizon is None else horizon
     kernels = Kernels()

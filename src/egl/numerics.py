@@ -1,5 +1,5 @@
-"""Shared scalar numerics: bracket search, the one root finder and adaptive
-Simpson quadrature.
+"""Shared scalar numerics: bracket search, the one root finder and the one
+predicate bisection.
 
 ``newton_root`` serves every scalar root egl solves, by Newton steps where
 the residual has a closed-form slope and by secant steps where it has
@@ -149,38 +149,15 @@ def _no_bracket(x: float, fx: float) -> SolverError:
         f"f({x:.17g}) = {fx:.6g} at an end leaves the root outside")
 
 
-def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
-                     tol: float = 1e-9, max_depth: int = 48) -> float:
-    """Integral of ``f`` over ``[a, b]`` by recursive adaptive Simpson.
-
-    ``tol`` is an absolute tolerance; subintervals split it in half, and the
-    accepted panel gets a Richardson correction.
-    """
-    if a == b:
-        return 0.0
-    if a > b:
-        return -adaptive_simpson(f, b, a, tol, max_depth)
-
-    def panel(fa: float, fm: float, fb: float, h: float) -> float:
-        return h / 6.0 * (fa + 4.0 * fm + fb)
-
-    def recurse(x0: float, x2: float, f0: float, f1: float, f2: float,
-                whole: float, eps: float, depth: int) -> float:
-        x1 = 0.5 * (x0 + x2)
-        lm = f(0.5 * (x0 + x1))
-        rm = f(0.5 * (x1 + x2))
-        left = panel(f0, lm, f1, x1 - x0)
-        right = panel(f1, rm, f2, x2 - x1)
-        err = (left + right - whole) / 15.0
-        if depth >= max_depth or abs(err) <= eps:
-            return left + right + err
-        # an absolute tolerance below the panel's float resolution is
-        # unreachable; flooring it keeps the subdivision tree finite
-        child_eps = max(eps / 2.0,
-                        4e-16 * (abs(left) + abs(right)))
-        return (recurse(x0, x1, f0, lm, f1, left, child_eps, depth + 1)
-                + recurse(x1, x2, f1, rm, f2, right, child_eps, depth + 1))
-
-    mid = 0.5 * (a + b)
-    fa, fm, fb = f(a), f(mid), f(b)
-    return recurse(a, b, fa, fm, fb, panel(fa, fm, fb, b - a), tol, 0)
+def bisect_predicate(holds: Callable[[float], bool], lo: float, hi: float,
+                     steps: int) -> float:
+    """``lo`` after ``steps`` bisections of ``[lo, hi]`` that keep
+    ``holds`` true at ``lo`` and false at ``hi``, as it is at the start:
+    within ``(hi - lo) / 2 ** steps`` of where ``holds`` turns false."""
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo

@@ -75,20 +75,24 @@ def trajectory_csv(scenario: ScenarioConfig, trajectory: Trajectory) -> str:
     for mid in mover_ids:
         header += [f"x_{mid}", f"phi_l_{mid}"]
 
-    rows: list[list] = [header]
+    # every field is a number, formatted as ``fmt`` does, None as nan
+    template = ",".join(["%.12g"] * len(header)) + "\n"
+    lines = [",".join(header) + "\n"]
     for r in trajectory.records:
-        energy, stocks = r.energy, r.state.stocks
+        energy, stocks, lam = r.energy, r.state.stocks, r.demand.lam
         row: list = [r.state.period, energy.phi, energy.usable_surplus,
-                     aggregate_power(r.state), r.demand.lam]
+                     aggregate_power(r.state),
+                     math.nan if lam is None else lam]
         for gid in good_ids:
+            meroi = energy.meroi.get(gid)
             row += [energy.outputs.get(gid, math.nan),
                     energy.marginal_surplus.get(gid, math.nan),
-                    energy.meroi.get(gid)]
+                    math.nan if meroi is None else meroi]
         for mid in mover_ids:
             row += [stocks.get(mid, math.nan),
                     energy.mover_surplus.get(mid, math.nan)]
-        rows.append(row)
-    text = _lines(rows)
+        lines.append(template % tuple(row))
+    text = "".join(lines)
 
     if trajectory.steady:
         last = trajectory.records[-1]

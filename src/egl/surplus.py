@@ -40,8 +40,11 @@ which builds it (``embodied.curve``) unless an earlier period of the same
 simulation left one for the same technology and multiplier; every step
 that evaluates the curve (the caps, the power laws, the residuals, the
 rationing, the rescale and the first-order conditions) reads that kernel.
-The usable capacity U is summed in one place, ``_Problem.capacity``, whose
-per-mover weights the Newton route reads too.
+The store's plan keeps what a kernel and the movers alone fix, once per
+run: each candidate's premium weight, a smooth one's power law and
+power-law residual term, and the usable-capacity weights.  The usable
+capacity U is summed in one place, ``_Problem.capacity``, whose per-mover
+weights the Newton route reads too.
 A residual works on per-mover employment totals, and each share it
 evaluates keeps its allocation, which both phi routes read, so no share
 is solved twice; per-good employment is built once, for the solution.
@@ -52,13 +55,14 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .core import (PHI_TOL, Q_RTOL, SLACK_TOL, CobbDouglas, EconomyState,
                    EnergyGood, ScenarioConfig, effective_multiplier)
 from .embodied import (Curve, Kernels, curve, marginal_embodied,
                        sample_curve, solve_power)
 from .errors import SolverError
-from .numerics import grow_bracket, newton_root
+from .numerics import bisect_predicate, grow_bracket, newton_root
 
 log = logging.getLogger("egl.surplus")
 
@@ -66,9 +70,8 @@ _PHI_MAX = 1.0 - 1e-12
 _FIGURE_SAMPLES = 400       # curve samples on each equilibrium chart
 
 
-@dataclass(frozen=True)
-class EnergySideSolution:
-    """Solved energy side of one period."""
+class EnergySideSolution(NamedTuple):
+    """Solved energy side of one period (an immutable record)."""
 
     outputs: dict[str, float]                    # Q per good
     employment: dict[str, dict[str, float]]      # good -> mover -> units
@@ -173,22 +176,23 @@ class _Problem:
 
     def __init__(self, state: EconomyState, kernels: Kernels | None = None):
         kernels = Kernels() if kernels is None else kernels
+        movers = state.movers
         self.state = state
         self.goods = list(state.energy_goods.values())
         self.mult = {g.id: effective_multiplier(g, state) for g in self.goods}
-        self.curves = {g.id: kernels.of(g, state.movers, self.mult[g.id])
+        self.curves = {g.id: kernels.of(g, movers, self.mult[g.id])
                        for g in self.goods}
         # the direct energy one leftover unit of each mover carries into
         # non-energy work: the weights of the usable capacity U
-        self.unit_capacity = {mid: mover.direct_energy
-                              for mid, mover in state.movers.items()}
+        self.unit_capacity = kernels.derived(movers, _unit_capacity, (),
+                                             _unit_capacity, movers)
         # a good has a cap exactly when every mover it uses holds stock; an
         # exhausted source's cap is 0, with no root for its movers' caps
         self.caps = {}
         self.cap_tags = {}
         self.exhausted = set()
         for g in self.goods:
-            used = g.technology.used_movers()
+            used = self.curves[g.id].movers
             remaining = math.inf
             if g.pes_stock is not None:
                 remaining = max(
@@ -211,8 +215,8 @@ class _Problem:
             self.cap_tags[g.id] = tag
         # the candidates are the capped goods that earn at phi = 0 (see
         # ``earns``).  A fixed-proportions candidate's terms are the premium
-        # weight of its requirement profile, its peak and its shutdown
-        # threshold a* at the cap, each computed once per solve
+        # weight of its requirement profile, kept by the plan, and its peak
+        # and shutdown threshold a* at the cap, computed once per solve
         self.candidates = []
         self.fixed_terms = {}
         for g in self.goods:
@@ -224,25 +228,19 @@ class _Problem:
                 a_star = _shutdown_weight(tech, g.energy_content, cap)
                 if self.curves[g.id].mw >= a_star:
                     continue
-                used = [(mid, nu) for mid, nu in tech.requirements.items()
-                        if nu > 0.0]
-                eps_mean = sum(state.movers[mid].direct_energy * nu
-                               for mid, nu in used) / len(used)
+                eps_mean = kernels.derived(movers, g.id, (tech,),
+                                           _eps_mean, tech, movers)
                 self.fixed_terms[g.id] = (self.curves[g.id].w, eps_mean,
                                           min(tech.dip, cap), a_star)
             self.candidates.append(g)
-        # a smooth candidate's power law and premium weight: g'_l(q) =
-        # gamma(q) / omega_l, so the premium factor is gamma(q) * kappa with
-        # kappa the mean of eps_l / omega_l
+        # a smooth candidate's terms (``_smooth_terms``), kept by the plan
         self.smooth_terms = {}
         for g in self.candidates:
             if g.id not in self.fixed_terms:
-                used = g.technology.used_movers()
-                kappa = sum(state.movers[mid].direct_energy
-                            / state.movers[mid].total_transfer
-                            for mid in used) / len(used)
-                self.smooth_terms[g.id] = (*self.curves[g.id].power_law(),
-                                           kappa)
+                kernel = self.curves[g.id]
+                self.smooth_terms[g.id] = kernels.derived(
+                    movers, g.id, (kernel,), _smooth_terms, kernel, movers,
+                    self.unit_capacity)
         self.allocations = {}
 
     def earns(self, good: EnergyGood, cap: float) -> bool:
@@ -281,7 +279,7 @@ class _Problem:
 
         if isinstance(tech, CobbDouglas):
             # F(q) = delta - (1 + c * kappa) * A * q ** k
-            a, k, kappa = self.smooth_terms[good.id]
+            a, k, kappa, _, _, _ = self.smooth_terms[good.id]
             q = solve_power((1.0 + c * kappa) * a, k, delta)
             if q >= cap:
                 return cap, tag
@@ -457,6 +455,28 @@ class _Problem:
         return self.slack(outputs, costs, totals)
 
 
+def _unit_capacity(movers: dict) -> dict[str, float]:
+    return {mid: mover.direct_energy for mid, mover in movers.items()}
+
+
+def _eps_mean(tech, movers: dict) -> float:
+    """A fixed-proportions good's premium weight: the mean of eps_l nu_l."""
+    used = [(mid, nu) for mid, nu in tech.requirements.items() if nu > 0.0]
+    return sum(movers[mid].direct_energy * nu for mid, nu in used) / len(used)
+
+
+def _smooth_terms(kernel: Curve, movers: dict, weights: dict[str, float]):
+    """A smooth good's power law (A, k), premium weight kappa (the mean of
+    eps_l / omega_l, as g'_l(q) = gamma(q) / omega_l) and the rest of its
+    term in ``_newton_phi``'s form: scale, 1/B and w, at weights eps_l."""
+    used = kernel.movers
+    kappa = sum(movers[mid].direct_energy / movers[mid].total_transfer
+                for mid in used) / len(used)
+    leak = sum(weights[mid] * r for mid, r in zip(used, kernel.ratios))
+    return (*kernel.power_law(), kappa, kernel.tech.scale,
+            1.0 / kernel.b_total, kernel.cost - kernel.coef * leak)
+
+
 def _solve_phi(problem: _Problem) -> tuple[float, bool]:
     """Useless-surplus share: the root of the usability residual E - U.
 
@@ -512,14 +532,8 @@ def _newton_phi(problem: _Problem) -> float | None:
     if len(fleet) > 1 and any(outputs[gid] < problem.caps[gid]
                               for gid in bindings):
         return None
-    terms = []
-    for g in problem.candidates:
-        a, k, kappa = problem.smooth_terms[g.id]
-        kernel = problem.curves[g.id]
-        leak = sum(weights[mid] * r
-                   for mid, r in zip(kernel.movers, kernel.ratios))
-        terms.append((g.energy_content, a, k, kappa, g.technology.scale,
-                      1.0 / kernel.b_total, kernel.cost - kernel.coef * leak))
+    terms = [(g.energy_content, *problem.smooth_terms[g.id])
+             for g in problem.candidates]
     capacity = problem.capacity({})     # the whole fleet is left over
 
     def rho(c: float) -> tuple[float, float]:
@@ -754,14 +768,7 @@ def _evaluable_range(kernel: Curve, q_max: float) -> float:
 
     if evaluates(q_max):
         return q_max
-    lo, hi = 0.0, q_max
-    for _ in range(60):         # bisection to 2**-60 of q_max
-        mid = 0.5 * (lo + hi)
-        if evaluates(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return bisect_predicate(evaluates, 0.0, q_max, 60)   # to 2**-60 of q_max
 
 
 def _saturation_quantity(good: EnergyGood, state: EconomyState,

@@ -37,7 +37,7 @@ class _Canvas:
             f' stroke="{stroke}" stroke-width="{_f(width)}"{d}/>\n')
 
     def polyline(self, pts, stroke="black", width=1.5):
-        coords = " ".join([f"{_f(x)},{_f(y)}" for x, y in pts])
+        coords = " ".join([f"{x:.3f},{y:.3f}" for x, y in pts])
         self.parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{stroke}"'
             f' stroke-width="{_f(width)}"/>\n')

@@ -1,12 +1,21 @@
 import collections
 import copy
 import json
+import os
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from egl import load_scenario
+
+# Hypothesis profiles; each test keeps its own ``max_examples``.  ``tier1``,
+# the default, draws the same examples on every run, so a failure it finds
+# repeats; ``wide`` (``HYPOTHESIS_PROFILE=wide``) draws fresh ones each run.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("wide", derandomize=False)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
 
 # Reference scenario: one energy good with energy content 10 and smooth
 # technology Q = x**0.5 on a single mover with per-unit transfer 1 (zero

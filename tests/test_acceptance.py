@@ -16,13 +16,13 @@ from egl.cli import main
 from egl.embodied import (average_embodied, cumulative_transfer, elasticity,
                           marginal_embodied)
 from egl.growth import normalized_surplus_args, simulate, step_accumulation
-from egl.numerics import adaptive_simpson
 from egl.statics import proposition_suite
 from egl.surplus import marginal_surplus_at, mover_surplus_rates, \
     scarcity_premium, solve_energy_side
 
 from conftest import (cd1_doc, cd1_scenario, random_energy_doc,
                       record_acceptance, scarce_doc, scarce_scenario)
+from oracles import adaptive_simpson
 from test_embodied import random_technology
 
 

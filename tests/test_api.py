@@ -21,14 +21,11 @@ SRC = Path(egl.__file__).resolve().parent
 KEPT = {
     "cli.main": "the `egl` console script",
     "demand.marginal_utility": "marginal utility on the stated form, "
-                               "which the tangency oracle reads",
-    "demand.tangency_residual": "oracle: consumer tangency conditions",
+                               "which the tests' tangency oracle reads",
     "growth.enter_period": "period entry at any period, which the tests "
                            "use to build shocked states",
     "growth.normalized_surplus_args": "oracle: accumulation drive that "
                                       "acceptance 09 checks at its ends",
-    "numerics.adaptive_simpson": "oracle: quadrature of the closed-form "
-                                 "transfers and surpluses",
     "reports.fmt": "the CSV number format, pinned by its own tests",
     "statics.draw_scenario": "the documented random family, which tests "
                              "stub to show the family is checked first",
@@ -107,10 +104,22 @@ def test_every_import_across_modules_is_read():
     assert unread == []
 
 
+def fixed_count_loop(node: ast.AST) -> bool:
+    """Whether ``node`` is a ``for _ in range(...)`` statement whose count
+    is a literal: an iteration that stops after a fixed number of steps,
+    whatever the data."""
+    return isinstance(node, ast.For) and isinstance(node.target, ast.Name) \
+        and node.target.id == "_" and isinstance(node.iter, ast.Call) \
+        and isinstance(node.iter.func, ast.Name) \
+        and node.iter.func.id == "range" \
+        and all(isinstance(arg, ast.Constant) for arg in node.iter.args)
+
+
 def test_root_iterations_live_in_numerics():
-    # a module that reads the iteration cap runs a root loop of its own;
-    # its residual belongs in ``numerics.newton_root``, with or without a
-    # closed-form slope
+    # a module that reads the iteration cap, or iterates a fixed number of
+    # steps, runs a root or bisection loop of its own; it belongs in
+    # ``numerics``: a residual in ``newton_root``, with or without a
+    # closed-form slope, and a predicate in ``bisect_predicate``
     readers = []
     for path in SRC.glob("*.py"):
         if path.stem == "numerics":
@@ -120,6 +129,17 @@ def test_root_iterations_live_in_numerics():
                 and any(alias.name == "MAX_ITER" for alias in node.names))
                or (isinstance(node, ast.Attribute)
                    and node.attr == "MAX_ITER")
+               or fixed_count_loop(node)
                for node in ast.walk(tree)):
             readers.append(path.stem)
     assert readers == []
+
+
+def test_a_fixed_count_loop_is_flagged():
+    # the loop ``_evaluable_range`` ran before its bisection moved into
+    # ``numerics``, and loops whose count the data sets
+    flagged = ast.parse("for _ in range(60):\n    pass\n").body[0]
+    assert fixed_count_loop(flagged)
+    for text in ("for _ in range(len(movers) + 1):\n    pass\n",
+                 "for t in range(60):\n    pass\n"):
+        assert not fixed_count_loop(ast.parse(text).body[0])

@@ -7,9 +7,11 @@ from egl import initial_state, scenario_from_dict
 from egl.core import (CobbDouglas, FixedProportions, Preferences,
                       PrimeMoverType)
 from egl.demand import (demand_for_state, marginal_utility, solve_demands,
-                        tangency_residual, usability_slack)
+                        usability_slack)
 from egl.errors import SolverError
 from egl.surplus import solve_energy_side
+
+from oracles import tangency_residual
 
 
 def support_movers(**omegas):
@@ -64,6 +66,11 @@ class TestSolveDemands:
         assert sol.bundle["n0"] == 0.0
         assert sol.lam is None
         assert sol.feasible
+        # each null solution holds dicts of its own
+        other = solve_demands(cobb_prefs(n0=1.0), goods, MOVERS, 0.0)
+        assert other == sol
+        assert other.gamma_marginal is not sol.gamma_marginal
+        assert other.gamma_average is not sol.gamma_average
 
     def test_budget_exhaustion(self):
         rng = np.random.default_rng(31)

@@ -9,7 +9,8 @@ from egl.core import CobbDouglas, FixedProportions, PrimeMoverType
 from egl.embodied import (average_embodied, cumulative_transfer, curve,
                           elasticity, marginal_embodied, sample_curve)
 from egl.errors import SolverError
-from egl.numerics import adaptive_simpson
+
+from oracles import adaptive_simpson
 
 
 def movers_with_omega(**omegas):

@@ -3,11 +3,13 @@ import math
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from egl import initial_state, load_scenario, solve_energy_side
 from egl.core import PrimeMoverType, activate_due, effective_multiplier
 from egl.demand import demand_for_state
+from egl.embodied import Kernels
 from egl.errors import ScenarioValidationError, SolverError
 from egl.growth import (apply_event, enter_period, normalized_surplus_args,
                         simulate, step_accumulation)
@@ -330,8 +332,27 @@ class TestSimulate:
         assert total <= 7.0 + 1e-9
 
 
-def shipped(name: str):
-    return load_scenario((SCENARIOS / f"{name}.json").read_text())
+def shipped(name: str, seed: int | None = None):
+    """A shipped scenario; with a ``seed``, a variant of ``scarce_growth``
+    or ``shocks`` whose endowment, accumulation rate and energy content
+    (and utility weights, or source stock and shock sizes) are scaled by
+    draws of that seed."""
+    doc = json.loads((SCENARIOS / f"{name}.json").read_text())
+    if seed is not None:
+        rng = np.random.default_rng(seed)
+        mover, good = doc["prime_movers"][0], doc["energy_goods"][0]
+        mover["endowment"] *= rng.uniform(0.8, 1.25)
+        mover["max_accum_rate"] *= rng.uniform(0.9, 1.1)
+        good["energy_content"] *= rng.uniform(0.9, 1.1)
+        if name == "shocks":
+            good["pes_stock"] *= rng.uniform(0.9, 1.1)
+            shift, arrival = doc["events"]
+            shift["multiplier"] *= rng.uniform(0.95, 1.05)
+            arrival["mover"]["endowment"] *= rng.uniform(0.8, 1.25)
+        else:
+            for other in doc["non_energy_goods"]:
+                other["utility_weight"] = rng.uniform(0.3, 0.7)
+    return load_scenario(json.dumps(doc))
 
 
 @pytest.fixture
@@ -349,14 +370,46 @@ def builds(monkeypatch):
     return log
 
 
+@pytest.fixture
+def plan_reads(monkeypatch):
+    """(key, whether the read derived the term, whether the term was
+    derived for the movers dict of the solve reading it) of every read of
+    a ``Kernels`` plan."""
+    real = Kernels.derived
+    stores, origin, log = [], {}, []
+
+    def derived(self, movers, key, basis, derive, *args):
+        fresh = []
+
+        def counted(*a):
+            fresh.append(True)
+            return derive(*a)
+
+        value = real(self, movers, key, basis, counted, *args)
+        stores.append(self)         # keeps ``id(self)`` unique
+        if fresh:
+            origin[id(self), key] = movers
+        log.append((key, bool(fresh), origin[id(self), key] is movers))
+        return value
+
+    monkeypatch.setattr(Kernels, "derived", derived)
+    return log
+
+
 class TestKernelReuse:
     """A simulation builds a good's kernel once per technology and
-    multiplier, and the kernels it reuses change no number."""
+    multiplier, derives its plan once per kernel and movers dict, and the
+    kernels and plan it reuses change no number."""
 
-    @pytest.mark.parametrize("name", ["reference", "scarce_growth", "shocks",
-                                      "arrivals"])
-    def test_fresh_kernels_give_the_same_solutions(self, name):
-        scenario = shipped(name)
+    @pytest.mark.parametrize("name, seed", [
+        ("reference", None), ("scarce_growth", None), ("shocks", None),
+        ("arrivals", None), ("scarce_growth", 1), ("scarce_growth", 2),
+        ("shocks", 1), ("shocks", 2)], ids=[
+        "reference", "scarce_growth", "shocks", "arrivals",
+        "scarce_growth-1", "scarce_growth-2", "shocks-1", "shocks-2"])
+    def test_fresh_kernels_give_the_same_solutions(self, name, seed):
+        # every solve without a store derives a one-use plan
+        scenario = shipped(name, seed)
         traj = simulate(scenario)
         assert traj.error is None and len(traj.records) > 0
         for record in traj.records:
@@ -403,6 +456,36 @@ class TestKernelReuse:
         assert len(traj.records) > 6
         assert [(tech, m) for tech, m in builds[3:]] == [
             (scenario.non_energy_goods[1].technology, 0.5)]
+
+    def test_a_second_run_derives_its_plan_afresh(self, plan_reads):
+        # scarce_growth: the capacity weights, grain's terms and the
+        # consumer bundle's closed form, each derived once per run
+        scenario = shipped("scarce_growth")
+        traj = simulate(scenario)
+        first = [key for key, fresh, _ in plan_reads if fresh]
+        assert len(first) == 3 and len(plan_reads) == 3 * len(traj.records)
+        plan_reads.clear()
+        simulate(scenario)
+        assert [key for key, fresh, _ in plan_reads if fresh] == first
+
+    @pytest.mark.parametrize("name, arrivals", [("arrivals", [2, 3]),
+                                                ("shocks", [60])])
+    def test_an_arrival_starts_a_new_plan(self, name, arrivals, plan_reads):
+        traj = simulate(shipped(name))
+        periods = [r.state.period for r in traj.records[1:]
+                   if r.state.movers is not traj.records[r.state.period - 1]
+                   .state.movers]
+        assert periods == arrivals
+        # no term derived for one movers dict is read with another
+        assert all(same for _, _, same in plan_reads)
+        assert sum(fresh for _, fresh, _ in plan_reads) > 3
+
+    def test_records_are_immutable(self):
+        record = simulate(shipped("scarce_growth"), horizon=0).records[0]
+        for obj, name in ((record, "state"), (record.energy, "phi"),
+                          (record.demand, "lam")):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, None)
 
     def test_no_arrival_returns_the_state_itself(self):
         scenario = shipped("arrivals")

@@ -1,7 +1,11 @@
+import math
+from dataclasses import replace
+
 from egl import initial_state, solve_energy_side
+from egl.core import aggregate_power
 from egl.demand import demand_for_state
 from egl.embodied import sample_curve
-from egl.growth import simulate
+from egl.growth import PeriodRecord, Trajectory, simulate
 from egl.reports import (demand_csv, equilibrium_csv, fmt, meec_curve_csv,
                          trajectory_csv)
 
@@ -53,3 +57,21 @@ class TestCsvShape:
         text = trajectory_csv(sc, simulate(sc))
         assert "# steady_state_period," in text
         assert "# steady_state_Q_e0," in text
+
+    def test_trajectory_rows_read_as_fmt(self):
+        # the row template formats every field as ``fmt`` does: None and
+        # NaN as nan, the infinities, and the integer period
+        sc = scarce_scenario()
+        record = simulate(sc, horizon=0).records[0]
+        state = replace(record.state, period=7)
+        energy = record.energy._replace(
+            phi=math.nan, usable_surplus=math.inf, meroi={"e0": None},
+            marginal_surplus={"e0": -math.inf})
+        demand = record.demand._replace(lam=None)
+        odd = Trajectory(records=(PeriodRecord(state, energy, demand),))
+        row = [7, math.nan, math.inf, aggregate_power(state), None,
+               energy.outputs["e0"], -math.inf, None, state.stocks["m0"],
+               energy.mover_surplus["m0"]]
+        lines = trajectory_csv(sc, odd).splitlines()
+        assert lines[1] == ",".join(fmt(v) for v in row)
+        assert lines[1].startswith("7,nan,inf,") and ",-inf,nan," in lines[1]

@@ -14,13 +14,13 @@ from egl.core import SLACK_TOL, effective_multiplier
 from egl.embodied import sample_curve
 from egl.errors import SolverError
 from egl.growth import simulate
-from egl.numerics import adaptive_simpson
 from egl.surplus import (_PHI_MAX, _bracket_phi, _newton_phi, _Problem,
                          figure1_report, marginal_surplus_at,
                          scarcity_premium, solve_energy_side)
 
 from conftest import (cd1_doc, cd1_scenario, random_energy_doc,
                       scarce_doc, scarce_scenario)
+from oracles import adaptive_simpson
 
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
