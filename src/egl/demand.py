@@ -19,11 +19,11 @@ A solve takes each good's curve kernel once from its ``Kernels`` store,
 which ``simulate`` keeps across periods, so a kernel is built
 (``embodied.curve``) only when the good's technology or multiplier
 changes; the power laws, inner solves, spending, the curves at the bundle
-and the support fleet all read it.  The store's plan keeps what the goods'
-kernels fix (``_plan``: the power laws, and with one power the common
-power and spending at multiplier 1), so a run derives them again only
-when a good's kernel is rebuilt or a type arrives, and the closed-form
-bundle is a power of the budget.
+and the support fleet all read it.  The store's memo keeps what the
+goods' kernels fix (``_plan``: the power laws, and with one power the
+common power and spending at multiplier 1), so a run derives them again
+only when a good's kernel is rebuilt, and the closed-form bundle is a
+power of the budget.
 """
 
 from __future__ import annotations
@@ -129,8 +129,7 @@ def solve_demands(preferences: Preferences,
     r = _curvature(preferences)
     kernels = Kernels() if kernels is None else kernels
     curves = {g.id: kernels.of(g, movers, mult[g.id]) for g in goods}
-    laws, closed = kernels.derived(movers, _plan,
-                                   (preferences, *curves.values()),
+    laws, closed = kernels.derived((preferences, *curves.values()),
                                    _plan, preferences, r, curves)
     if closed is None:
         bundle = _searched_bundle(preferences.weights, r, curves, laws, energy)

@@ -17,19 +17,21 @@ computed once, and the kernel evaluates gamma, G, the employment x_l and
 its slope, the marginal requirements, the power law and the output caps
 from them.  A smooth cap is closed form; a fixed-proportions cap solves
 h(q) = stock / (m nu_l) by Newton with the slope h', from the closed-form
-bound the profile's linear or power term gives.  The
-solvers take their kernels from a ``Kernels`` store, which keeps the
-latest kernel of each good and rebuilds it only when the good's
-technology or multiplier changes: a solve given no store builds one
-kernel per good, and ``simulate`` keeps one store for the whole run, so
-a kernel serves every period until an arrival, an event or depletion
-changes it.  The store also holds the run's plan: what the solvers
-derive from kernels and movers alone, kept until a kernel it read is
-rebuilt or an arrival brings new movers.  The module functions below
-build one per call: the marginal, average and cumulative curves and the
-elasticity are the oracles the acceptance suite checks the model's
-identities on, and ``sample_curve`` samples a curve for export and
-plotting.
+bound the profile's linear or power term gives.  A kernel also carries
+the good's premium weight, which its technology and movers alone fix:
+kappa, the mean of eps_l / omega_l, for the smooth technology and
+eps_mean, the mean of eps_l nu_l, for fixed proportions.  The solvers
+take their kernels from a ``Kernels`` store, which keeps the latest
+kernel of each good and rebuilds it only when the good's technology or
+multiplier changes: a solve given no store builds one kernel per good,
+and ``simulate`` keeps one store for the whole run, so a kernel serves
+every period until an arrival, an event or depletion changes it.  The
+store also keeps one memo, what the consumer solve derives from its
+goods' kernels, until one of them is rebuilt.  The module functions
+below build one per call: the marginal, average and cumulative curves
+and the elasticity are the oracles the acceptance suite checks the
+model's identities on, and ``sample_curve`` samples a curve for export
+and plotting.
 """
 
 from __future__ import annotations
@@ -109,6 +111,7 @@ class SmoothCurve(NamedTuple):
     coef: float                     # m (K/B)
     prefix: float | None            # m (K/B) scale ** (-1/B); None: not finite
     exponent: float                 # 1/B - 1
+    kappa: float                    # mean of eps_l / omega_l: premium weight
 
     def marginal(self, q: float) -> float:
         """gamma(q): energy transferred to produce one more unit at q."""
@@ -183,6 +186,7 @@ class ProfileCurve(NamedTuple):
     weights: tuple[float, ...]      # m nu_l
     w: float                        # sum of omega_l nu_l
     mw: float                       # m w
+    eps_mean: float                 # mean of eps_l nu_l: premium weight
 
     def marginal(self, q: float) -> float:
         """gamma(q): energy transferred to produce one more unit at q."""
@@ -269,7 +273,9 @@ def curve(tech: Technology, movers: dict[str, PrimeMoverType],
         return ProfileCurve(
             tech, multiplier, movers=tuple([m for m, _ in used]),
             weights=tuple([multiplier * nu for _, nu in used]),
-            w=w, mw=multiplier * w)
+            w=w, mw=multiplier * w,
+            eps_mean=sum(movers[m].direct_energy * nu
+                         for m, nu in used) / len(used))
     b_total, k = _cd_constants(tech, movers)
     omegas = {m: _omega(movers, m)
               for m, beta in tech.exponents.items() if beta > 0.0}
@@ -284,34 +290,30 @@ def curve(tech: Technology, movers: dict[str, PrimeMoverType],
                       for m, omega in omegas.items()]),
         b_total=b_total, k=k, cost=multiplier * k, coef=coef,
         prefix=prefix if prefix < math.inf else None,
-        exponent=1.0 / b_total - 1.0)
+        exponent=1.0 / b_total - 1.0,
+        kappa=sum(movers[m].direct_energy / omega
+                  for m, omega in omegas.items()) / len(omegas))
 
 
 class Kernels(dict):
-    """The latest curve kernel of each good, by good id.
+    """The latest curve kernel of each good, by good id, and one memo.
 
-    A good's kernel reads the movers only through the omega_l of the
-    movers its technology uses, which no period changes, and no good
-    uses a mover before it arrives.  So within one scenario's run a kernel
-    stays valid while its good's technology object and effective
+    A good's kernel reads the movers only through the omega_l and eps_l
+    of the movers its technology uses, which no period changes, and no
+    good uses a mover before it arrives.  So within one scenario's run a
+    kernel stays valid while its good's technology object and effective
     multiplier stay the same.  ``simulate`` keeps one store for the run; a
-    solve given none fills a fresh one, and a one-use plan.
+    solve given none fills a fresh one.
     """
 
-    movers = None       # the movers dict the plan was derived for
+    memo = None         # (basis, value) of the last ``derived`` call
 
-    def derived(self, movers: dict[str, PrimeMoverType], key, basis: tuple,
-                derive, *args):
-        """``derive(*args)``, kept in the run's plan under ``key`` (a
-        good's id for its terms, else ``derive``) while ``basis`` holds
-        the objects it was derived from, or equal ones; new ``movers``
-        (an arrival) empty the plan."""
-        if movers is not self.movers:
-            self.movers, self.plan = movers, {}
-        kept = self.plan.get(key)
-        if kept is None or kept[0] != basis:
-            kept = self.plan[key] = basis, derive(*args)
-        return kept[1]
+    def derived(self, basis: tuple, derive, *args):
+        """``derive(*args)``, kept while ``basis`` holds the objects it was
+        derived from, or equal ones."""
+        if self.memo is None or self.memo[0] != basis:
+            self.memo = basis, derive(*args)
+        return self.memo[1]
 
     def of(self, good: EnergyGood | NonEnergyGood,
            movers: dict[str, PrimeMoverType], multiplier: float) -> Curve:

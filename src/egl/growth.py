@@ -222,8 +222,8 @@ def simulate(scenario: ScenarioConfig,
 
     The goods' curve kernels live in one ``Kernels`` store for the run, so
     a good's kernel is rebuilt only when an arrival, an event or depletion
-    changes its technology or multiplier, and its plan is derived again
-    then or after an arrival; the store and the run's schedule end with it.
+    changes its technology or multiplier, and the consumer's closed form
+    only then; the store and the run's schedule end with the run.
     """
     horizon = scenario.horizon if horizon is None else horizon
     kernels = Kernels()

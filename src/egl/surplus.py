@@ -39,12 +39,10 @@ A solve takes each good's curve kernel once from its ``Kernels`` store,
 which builds it (``embodied.curve``) unless an earlier period of the same
 simulation left one for the same technology and multiplier; every step
 that evaluates the curve (the caps, the power laws, the residuals, the
-rationing, the rescale and the first-order conditions) reads that kernel.
-The store's plan keeps what a kernel and the movers alone fix, once per
-run: each candidate's premium weight, a smooth one's power law and
-power-law residual term, and the usable-capacity weights.  The usable
-capacity U is summed in one place, ``_Problem.capacity``, whose per-mover
-weights the Newton route reads too.
+rationing, the rescale and the first-order conditions) reads that kernel,
+and so does the premium weight of each candidate (kappa or eps_mean),
+which the kernel carries.  The usable capacity U is summed in one place,
+``_Problem.capacity``, whose per-mover weights the Newton route reads too.
 A residual works on per-mover employment totals, and each share it
 evaluates keeps its allocation, which both phi routes read, so no share
 is solved twice; per-good employment is built once, for the solution.
@@ -184,8 +182,8 @@ class _Problem:
                        for g in self.goods}
         # the direct energy one leftover unit of each mover carries into
         # non-energy work: the weights of the usable capacity U
-        self.unit_capacity = kernels.derived(movers, _unit_capacity, (),
-                                             _unit_capacity, movers)
+        self.unit_capacity = {mid: mover.direct_energy
+                              for mid, mover in movers.items()}
         # a good has a cap exactly when every mover it uses holds stock; an
         # exhausted source's cap is 0, with no root for its movers' caps
         self.caps = {}
@@ -214,9 +212,8 @@ class _Problem:
             self.caps[g.id] = cap
             self.cap_tags[g.id] = tag
         # the candidates are the capped goods that earn at phi = 0 (see
-        # ``earns``).  A fixed-proportions candidate's terms are the premium
-        # weight of its requirement profile, kept by the plan, and its peak
-        # and shutdown threshold a* at the cap, computed once per solve
+        # ``earns``).  A fixed-proportions candidate's terms are its peak
+        # and shutdown threshold a* at the cap
         self.candidates = []
         self.fixed_terms = {}
         for g in self.goods:
@@ -228,19 +225,13 @@ class _Problem:
                 a_star = _shutdown_weight(tech, g.energy_content, cap)
                 if self.curves[g.id].mw >= a_star:
                     continue
-                eps_mean = kernels.derived(movers, g.id, (tech,),
-                                           _eps_mean, tech, movers)
-                self.fixed_terms[g.id] = (self.curves[g.id].w, eps_mean,
-                                          min(tech.dip, cap), a_star)
+                self.fixed_terms[g.id] = (min(tech.dip, cap), a_star)
             self.candidates.append(g)
-        # a smooth candidate's terms (``_smooth_terms``), kept by the plan
-        self.smooth_terms = {}
-        for g in self.candidates:
-            if g.id not in self.fixed_terms:
-                kernel = self.curves[g.id]
-                self.smooth_terms[g.id] = kernels.derived(
-                    movers, g.id, (kernel,), _smooth_terms, kernel, movers,
-                    self.unit_capacity)
+        # a smooth candidate's power law (A, k); an overflowing curve
+        # raises here
+        self.power_laws = {g.id: self.curves[g.id].power_law()
+                           for g in self.candidates
+                           if g.id not in self.fixed_terms}
         self.allocations = {}
 
     def earns(self, good: EnergyGood, cap: float) -> bool:
@@ -279,8 +270,9 @@ class _Problem:
 
         if isinstance(tech, CobbDouglas):
             # F(q) = delta - (1 + c * kappa) * A * q ** k
-            a, k, kappa, _, _, _ = self.smooth_terms[good.id]
-            q = solve_power((1.0 + c * kappa) * a, k, delta)
+            a, k = self.power_laws[good.id]
+            q = solve_power((1.0 + c * self.curves[good.id].kappa) * a, k,
+                            delta)
             if q >= cap:
                 return cap, tag
             if q <= 0.0:
@@ -290,8 +282,9 @@ class _Problem:
             return q, None
 
         # fixed proportions: F(q) = delta - a * h'(q) with a > 0
-        w_total, eps_mean, q_peak, a_star = self.fixed_terms[good.id]
-        a = self.mult[good.id] * (w_total + c * eps_mean)
+        kernel = self.curves[good.id]
+        q_peak, a_star = self.fixed_terms[good.id]
+        a = self.mult[good.id] * (kernel.w + c * kernel.eps_mean)
         if a >= a_star:
             return 0.0, None
 
@@ -312,12 +305,13 @@ class _Problem:
 
     def shutdown_shares(self) -> list[float]:
         """Shares phi at which a fixed-proportions good stops producing,
-        ascending: where a = m * (w_total + c * eps_mean) reaches the good's
+        ascending: where a = m * (w + c * eps_mean) reaches the good's
         shutdown threshold.  The usability residual is continuous between
         them and can jump across them."""
         shares = []
-        for gid, (w_total, eps_mean, _, a_star) in self.fixed_terms.items():
-            c_star = (a_star / self.mult[gid] - w_total) / eps_mean
+        for gid, (_, a_star) in self.fixed_terms.items():
+            kernel = self.curves[gid]
+            c_star = (a_star / self.mult[gid] - kernel.w) / kernel.eps_mean
             if c_star > 0.0:
                 shares.append(c_star / (1.0 + c_star))
         return sorted(shares)
@@ -455,28 +449,6 @@ class _Problem:
         return self.slack(outputs, costs, totals)
 
 
-def _unit_capacity(movers: dict) -> dict[str, float]:
-    return {mid: mover.direct_energy for mid, mover in movers.items()}
-
-
-def _eps_mean(tech, movers: dict) -> float:
-    """A fixed-proportions good's premium weight: the mean of eps_l nu_l."""
-    used = [(mid, nu) for mid, nu in tech.requirements.items() if nu > 0.0]
-    return sum(movers[mid].direct_energy * nu for mid, nu in used) / len(used)
-
-
-def _smooth_terms(kernel: Curve, movers: dict, weights: dict[str, float]):
-    """A smooth good's power law (A, k), premium weight kappa (the mean of
-    eps_l / omega_l, as g'_l(q) = gamma(q) / omega_l) and the rest of its
-    term in ``_newton_phi``'s form: scale, 1/B and w, at weights eps_l."""
-    used = kernel.movers
-    kappa = sum(movers[mid].direct_energy / movers[mid].total_transfer
-                for mid in used) / len(used)
-    leak = sum(weights[mid] * r for mid, r in zip(used, kernel.ratios))
-    return (*kernel.power_law(), kappa, kernel.tech.scale,
-            1.0 / kernel.b_total, kernel.cost - kernel.coef * leak)
-
-
 def _solve_phi(problem: _Problem) -> tuple[float, bool]:
     """Useless-surplus share: the root of the usability residual E - U.
 
@@ -532,8 +504,15 @@ def _newton_phi(problem: _Problem) -> float | None:
     if len(fleet) > 1 and any(outputs[gid] < problem.caps[gid]
                               for gid in bindings):
         return None
-    terms = [(g.energy_content, *problem.smooth_terms[g.id])
-             for g in problem.candidates]
+    terms = []
+    for g in problem.candidates:
+        kernel = problem.curves[g.id]
+        leak = 0.0
+        for mid, r in zip(kernel.movers, kernel.ratios):
+            leak += weights[mid] * r
+        terms.append((g.energy_content, *problem.power_laws[g.id],
+                      kernel.kappa, kernel.tech.scale, 1.0 / kernel.b_total,
+                      kernel.cost - kernel.coef * leak))
     capacity = problem.capacity({})     # the whole fleet is left over
 
     def rho(c: float) -> tuple[float, float]:

@@ -1,14 +1,18 @@
 import decimal
 import math
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from egl.core import CobbDouglas, FixedProportions, PrimeMoverType
+from egl import load_scenario, simulate
+from egl.core import (CobbDouglas, FixedProportions, PrimeMoverType,
+                      effective_multiplier)
 from egl.embodied import (average_embodied, cumulative_transfer, curve,
                           elasticity, marginal_embodied, sample_curve)
 from egl.errors import SolverError
+from egl.surplus import scarcity_premium
 
 from oracles import adaptive_simpson
 
@@ -21,6 +25,7 @@ def movers_with_omega(**omegas):
             for mid, w in omegas.items()}
 
 
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 MOVER1 = movers_with_omega(m=1.0)
 SQRT_TECH = CobbDouglas(scale=1.0, exponents={"m": 0.5})   # C(Q) = Q**2
 CONST_TECH = FixedProportions(requirements={"m": 1.0}, c0=1.0)
@@ -357,3 +362,48 @@ class TestSampling:
             lambda q: marginal_embodied(DECAY_TECH, MOVER1, q), 0.0, 2.0,
             tol=1e-12)
         assert p.cumulative == pytest.approx(quad, rel=1e-9)
+
+
+class TestPremiumWeights:
+    """A kernel carries its good's premium weight: kappa, the mean of
+    eps_l / omega_l, on a smooth curve, and eps_mean, the mean of
+    eps_l nu_l, on a fixed-proportions one."""
+
+    @pytest.mark.parametrize("name", ["reference", "scarce_growth", "shocks",
+                                      "arrivals"])
+    def test_weights_match_the_movers(self, name):
+        # the last period of a run has every good and mover arrived
+        scenario = load_scenario((SCENARIOS / f"{name}.json").read_text())
+        state = simulate(scenario).records[-1].state
+        movers = state.movers
+        goods = [*state.energy_goods.values(),
+                 *state.non_energy_goods.values()]
+        assert len(goods) == len(scenario.energy_goods) \
+            + len(scenario.non_energy_goods)
+        for good in goods:
+            tech, m = good.technology, effective_multiplier(good, state)
+            kernel = curve(tech, movers, m)
+            used = tech.used_movers()
+            if isinstance(tech, CobbDouglas):
+                kappa = sum(movers[mid].direct_energy
+                            / movers[mid].total_transfer
+                            for mid in used) / len(used)
+                assert kernel.kappa == kappa
+            else:
+                eps_mean = sum(movers[mid].direct_energy
+                               * tech.requirements[mid]
+                               for mid in used) / len(used)
+                assert kernel.eps_mean == eps_mean
+            if good.id not in state.energy_goods:
+                continue
+            # the public premium sums eps_l g'_l(q) over the movers itself
+            for q in (0.3, 1.0, 7.0):
+                for phi in (0.1, 0.5, 0.9):
+                    c = phi / (1.0 - phi)
+                    if isinstance(tech, CobbDouglas):
+                        expected = c * kernel.kappa * kernel.marginal(q)
+                    else:
+                        expected = c * m * kernel.eps_mean \
+                            * tech.marginal_profile(q)
+                    got = scarcity_premium(good, q, phi, state)
+                    assert got == pytest.approx(expected, rel=1e-15, abs=0)

@@ -9,7 +9,6 @@ import pytest
 from egl import initial_state, load_scenario, solve_energy_side
 from egl.core import PrimeMoverType, activate_due, effective_multiplier
 from egl.demand import demand_for_state
-from egl.embodied import Kernels
 from egl.errors import ScenarioValidationError, SolverError
 from egl.growth import (apply_event, enter_period, normalized_surplus_args,
                         simulate, step_accumulation)
@@ -371,35 +370,24 @@ def builds(monkeypatch):
 
 
 @pytest.fixture
-def plan_reads(monkeypatch):
-    """(key, whether the read derived the term, whether the term was
-    derived for the movers dict of the solve reading it) of every read of
-    a ``Kernels`` plan."""
-    real = Kernels.derived
-    stores, origin, log = [], {}, []
+def plans(monkeypatch):
+    """Counts the consumer solve's ``_plan`` derivations."""
+    import egl.demand
+    real = egl.demand._plan
+    count = [0]
 
-    def derived(self, movers, key, basis, derive, *args):
-        fresh = []
+    def counted(*args):
+        count[0] += 1
+        return real(*args)
 
-        def counted(*a):
-            fresh.append(True)
-            return derive(*a)
-
-        value = real(self, movers, key, basis, counted, *args)
-        stores.append(self)         # keeps ``id(self)`` unique
-        if fresh:
-            origin[id(self), key] = movers
-        log.append((key, bool(fresh), origin[id(self), key] is movers))
-        return value
-
-    monkeypatch.setattr(Kernels, "derived", derived)
-    return log
+    monkeypatch.setattr(egl.demand, "_plan", counted)
+    return count
 
 
 class TestKernelReuse:
     """A simulation builds a good's kernel once per technology and
-    multiplier, derives its plan once per kernel and movers dict, and the
-    kernels and plan it reuses change no number."""
+    multiplier, derives the consumer's closed form once per set of kernels,
+    and the kernels and memo it reuses change no number."""
 
     @pytest.mark.parametrize("name, seed", [
         ("reference", None), ("scarce_growth", None), ("shocks", None),
@@ -408,7 +396,7 @@ class TestKernelReuse:
         "reference", "scarce_growth", "shocks", "arrivals",
         "scarce_growth-1", "scarce_growth-2", "shocks-1", "shocks-2"])
     def test_fresh_kernels_give_the_same_solutions(self, name, seed):
-        # every solve without a store derives a one-use plan
+        # every solve without a store builds its own kernels
         scenario = shipped(name, seed)
         traj = simulate(scenario)
         assert traj.error is None and len(traj.records) > 0
@@ -447,7 +435,7 @@ class TestKernelReuse:
         assert [m for tech, m in builds if tech is wood.technology] == runs
         assert [m for tech, m in builds if tech is cloth.technology] == [1.0]
 
-    def test_an_event_rebuilds_its_good_once(self, builds):
+    def test_an_event_rebuilds_its_good_once(self, builds, plans):
         doc = json.loads((SCENARIOS / "scarce_growth.json").read_text())
         doc["events"] = [{"period": 5, "kind": "efficiency_shift",
                           "good": "pots", "multiplier": 0.5}]
@@ -456,29 +444,17 @@ class TestKernelReuse:
         assert len(traj.records) > 6
         assert [(tech, m) for tech, m in builds[3:]] == [
             (scenario.non_energy_goods[1].technology, 0.5)]
+        # the rebuilt kernel needs a new consumer plan
+        assert plans[0] == 2
 
-    def test_a_second_run_derives_its_plan_afresh(self, plan_reads):
-        # scarce_growth: the capacity weights, grain's terms and the
-        # consumer bundle's closed form, each derived once per run
-        scenario = shipped("scarce_growth")
-        traj = simulate(scenario)
-        first = [key for key, fresh, _ in plan_reads if fresh]
-        assert len(first) == 3 and len(plan_reads) == 3 * len(traj.records)
-        plan_reads.clear()
-        simulate(scenario)
-        assert [key for key, fresh, _ in plan_reads if fresh] == first
-
-    @pytest.mark.parametrize("name, arrivals", [("arrivals", [2, 3]),
-                                                ("shocks", [60])])
-    def test_an_arrival_starts_a_new_plan(self, name, arrivals, plan_reads):
-        traj = simulate(shipped(name))
-        periods = [r.state.period for r in traj.records[1:]
-                   if r.state.movers is not traj.records[r.state.period - 1]
-                   .state.movers]
-        assert periods == arrivals
-        # no term derived for one movers dict is read with another
-        assert all(same for _, _, same in plan_reads)
-        assert sum(fresh for _, fresh, _ in plan_reads) > 3
+    def test_the_consumer_plan_is_derived_once_per_kernel_set(self, plans):
+        # no arrival brings a non-energy good, so ``arrivals`` keeps its
+        # first plan; no plan outlives its run
+        for name, count in (("scarce_growth", 1), ("scarce_growth", 1),
+                            ("arrivals", 1)):
+            plans[0] = 0
+            simulate(shipped(name))
+            assert plans[0] == count, name
 
     def test_records_are_immutable(self):
         record = simulate(shipped("scarce_growth"), horizon=0).records[0]

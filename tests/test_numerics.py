@@ -308,7 +308,7 @@ class TestNewtonSites:
             tech, delta, room * tech.cumulative_profile(q_star))
         assume("e0" in problem.fixed_terms)
         a = 1.0 + c
-        q_peak = problem.fixed_terms["e0"][2]
+        q_peak = problem.fixed_terms["e0"][0]
         cap = problem.caps["e0"]
 
         def gain(q):
