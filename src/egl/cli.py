@@ -4,6 +4,10 @@ Exit codes: 0 success, 1 parse/validation/usage, 2 solver infeasibility
 or any other egl error, 3 I/O failure.  Errors print one machine-readable
 JSON line on stderr.  Verbosity is controlled by the EGL_LOG environment
 variable (quiet | info | debug).
+
+Each command imports the modules it runs inside its own function, so a
+process loads only what its command needs: ``validate`` no solver,
+``simulate`` no ``statics`` and ``statics`` no ``svgfig``.
 """
 
 from __future__ import annotations
@@ -15,21 +19,16 @@ import logging
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .core import (PHI_TOL, Q_RTOL, SLACK_TOL, SS_ACCUM_TOL, SS_ALPHA_TOL,
-                   ScenarioConfig, effective_multiplier, load_scenario,
-                   scenario_digest)
-from .demand import demand_for_state
-from .embodied import sample_curve
+                   effective_multiplier, load_scenario, scenario_digest)
 from .errors import (EglError, ScenarioParseError, ScenarioValidationError,
                      SolverError)
-from .growth import period_zero, simulate
-from .reports import (demand_csv, equilibrium_csv, failures_csv,
-                      meec_curve_csv, sign_table_csv, trajectory_csv)
-from .statics import GENERATOR_NAME, proposition_suite
-from .surplus import figure1_report, solve_energy_side
-from .svgfig import figure1_svg, figure2_svg
+
+if TYPE_CHECKING:
+    from .core import ScenarioConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -105,6 +104,13 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_equilibrium(args) -> int:
+    from .demand import demand_for_state
+    from .embodied import sample_curve
+    from .growth import period_zero
+    from .reports import demand_csv, equilibrium_csv, meec_curve_csv
+    from .surplus import figure1_report, solve_energy_side
+    from .svgfig import figure1_svg
+
     text, scenario = _read_scenario(args.scenario)
     state = period_zero(scenario)
     solution = solve_energy_side(scenario, state)
@@ -127,6 +133,10 @@ def _cmd_equilibrium(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .growth import simulate
+    from .reports import trajectory_csv
+    from .svgfig import figure2_svg
+
     if args.horizon is not None and args.horizon < 0:
         raise UsageError("--horizon must be >= 0")
     text, scenario = _read_scenario(args.scenario)
@@ -143,6 +153,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_statics(args) -> int:
+    from .reports import failures_csv, sign_table_csv
+    from .statics import GENERATOR_NAME, proposition_suite
+
     if args.trials < 1:
         raise UsageError("--trials must be >= 1")
     family_text = Path(args.family).read_text(encoding="utf-8")

@@ -6,19 +6,17 @@ Energy goods carry usable energy content per unit; non-energy goods yield
 utility.  Everything downstream (surplus maximization, consumer demands,
 accumulation dynamics) operates on the immutable value objects defined here.
 
-All types are frozen dataclasses and safe to share across threads once
+All types are ``Immutable`` records and safe to share across threads once
 constructed; construction and validation are single-threaded per scenario.
 """
 
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import partial
 
 from .errors import (ScenarioParseError, ScenarioValidationError,
                      SolverError)
@@ -33,8 +31,55 @@ ARRIVAL_KINDS = ("new_prime_mover", "new_energy_good")
 # value objects
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PrimeMoverType:
+#: Sets a slot of an ``Immutable``, which only its ``__init__`` does.
+_set = object.__setattr__
+
+
+class Immutable:
+    """Base of the model types: a slotted record no one can assign to.
+
+    ``_fields`` names the constructor's parameters in order.  Two records
+    are equal when they are of one type with equal fields, so a model
+    type never equals another type's record or a plain tuple, and
+    ``_replace(**changes)`` builds a copy with those fields changed.  A
+    field read is a plain slot read, which the solvers' inner loops need.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def _replace(self, **changes):
+        return self.__class__(**dict(zip(self._fields, self._values()),
+                                     **changes))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}"
+                          for name in self.__slots__
+                          if not name.startswith("_"))
+        return f"{self.__class__.__name__}({shown})"
+
+
+class PrimeMoverType(Immutable):
     """A class of energy-transferring device or worker.
 
     ``direct_energy`` is the energy one unit transfers per period at its
@@ -43,33 +88,35 @@ class PrimeMoverType:
     from the source fields.
     """
 
-    id: str
-    power_rate: float            # watts
-    period_length: float         # seconds, scenario-global
-    depreciation: float          # in (0, 1)
-    avg_embodied: float          # joules per unit
-    endowment: float             # units available at the start
-    max_accum_rate: float        # per period
-    intro_period: int = 0
-    direct_energy: float = field(init=False)    # joules / unit / period
-    total_transfer: float = field(init=False)   # joules / unit / period
+    _fields = ("id", "power_rate", "period_length", "depreciation",
+               "avg_embodied", "endowment", "max_accum_rate", "intro_period")
+    __slots__ = _fields + ("direct_energy", "total_transfer")
 
-    def __post_init__(self):
-        object.__setattr__(self, "direct_energy",
-                           direct_energy(self.power_rate, self.period_length))
-        object.__setattr__(self, "total_transfer",
-                           self.direct_energy
-                           + self.depreciation * self.avg_embodied)
+    def __init__(self, id: str, power_rate: float, period_length: float,
+                 depreciation: float, avg_embodied: float, endowment: float,
+                 max_accum_rate: float, intro_period: int = 0) -> None:
+        _set(self, "id", id)
+        _set(self, "power_rate", power_rate)            # watts
+        _set(self, "period_length", period_length)      # seconds, global
+        _set(self, "depreciation", depreciation)        # in (0, 1)
+        _set(self, "avg_embodied", avg_embodied)        # joules per unit
+        _set(self, "endowment", endowment)              # units at the start
+        _set(self, "max_accum_rate", max_accum_rate)    # per period
+        _set(self, "intro_period", intro_period)
+        energy = direct_energy(power_rate, period_length)
+        _set(self, "direct_energy", energy)             # J / unit / period
+        _set(self, "total_transfer", energy + depreciation * avg_embodied)
 
 
-@dataclass(frozen=True)
-class CobbDouglas:
+class CobbDouglas(Immutable):
     """Smooth technology Q = scale * prod(x_l ** beta_l), sum(beta) in (0,1)."""
 
-    scale: float
-    exponents: dict[str, float]
-
+    _fields = __slots__ = ("scale", "exponents")
     kind = "cobb_douglas"
+
+    def __init__(self, scale: float, exponents: dict[str, float]) -> None:
+        _set(self, "scale", scale)
+        _set(self, "exponents", exponents)
 
     @property
     def returns_to_scale(self) -> float:
@@ -79,8 +126,7 @@ class CobbDouglas:
         return [m for m, b in self.exponents.items() if b > 0.0]
 
 
-@dataclass(frozen=True)
-class FixedProportions:
+class FixedProportions(Immutable):
     """Fixed-proportions technology with a curved marginal requirement.
 
     Producing the Q-th unit takes ``nu_l * h'(Q)`` units of each mover, with
@@ -91,15 +137,22 @@ class FixedProportions:
     the power term forces the curve eventually upward (inconvenient sources).
     """
 
-    requirements: dict[str, float]
-    c0: float
-    c1: float = 0.0
-    tau: float = 1.0
-    c2: float = 0.0
-    q_s: float = 1.0
-    rho: float = 1.0
-
+    _fields = ("requirements", "c0", "c1", "tau", "c2", "q_s", "rho")
+    __slots__ = _fields + ("_dip", "_tangency")
     kind = "fixed_proportions"
+
+    def __init__(self, requirements: dict[str, float], c0: float,
+                 c1: float = 0.0, tau: float = 1.0, c2: float = 0.0,
+                 q_s: float = 1.0, rho: float = 1.0) -> None:
+        _set(self, "requirements", requirements)
+        _set(self, "c0", c0)
+        _set(self, "c1", c1)
+        _set(self, "tau", tau)
+        _set(self, "c2", c2)
+        _set(self, "q_s", q_s)
+        _set(self, "rho", rho)
+        _set(self, "_dip", None)            # found on the first read
+        _set(self, "_tangency", None)
 
     def used_movers(self) -> list[str]:
         return [m for m, nu in self.requirements.items() if nu > 0.0]
@@ -147,9 +200,22 @@ class FixedProportions:
     # The profile's geometry depends on the curvature alone, so each
     # technology finds it once, whatever multiplier a period applies.
 
-    @cached_property
+    @property
     def dip(self) -> float:
         """Location of the minimum of h' (h'' = 0); inf if h' only falls."""
+        if self._dip is None:
+            _set(self, "_dip", self._find_dip())
+        return self._dip
+
+    @property
+    def tangency(self) -> float:
+        """q_T >= dip with h(q_T) = q_T * h'(q_T), where the average h(q)/q
+        is least; 0 without a dip and inf when h' only falls."""
+        if self._tangency is None:
+            _set(self, "_tangency", self._find_tangency())
+        return self._tangency
+
+    def _find_dip(self) -> float:
         if self.c1 <= 0.0:
             return 0.0                      # h' non-decreasing
         if self.c2 <= 0.0:
@@ -160,9 +226,11 @@ class FixedProportions:
         hi = max(self.tau, self.q_s)
         if self.rho > 1.0:
             # h'' >= 0 at q0, where its power term reaches c1 / tau; for rho
-            # just above 1, q0 is tiny, and the dip below it can underflow
-            base = self.c1 * self.q_s / (self.tau * self.c2 * self.rho)
-            with contextlib.suppress(OverflowError):    # q0 = inf
+            # just above 1, q0 is tiny, and the dip below it can underflow;
+            # q0 = inf when the base overflows or its denominator
+            # underflows to 0 (a subnormal tau), and hi stays
+            with contextlib.suppress(OverflowError, ZeroDivisionError):
+                base = self.c1 * self.q_s / (self.tau * self.c2 * self.rho)
                 hi = min(hi, self.q_s * base ** (1 / (self.rho - 1)))
             if hi == 0.0:
                 return 0.0
@@ -170,14 +238,9 @@ class FixedProportions:
         return newton_root(lambda q: (curvature(q), None), 0.0, hi, 0.0,
                            rtol=1e-12)
 
-    @cached_property
-    def tangency(self) -> float:
-        """q_T >= dip with h(q_T) = q_T * h'(q_T), where the average h(q)/q
-        is least; 0 without a dip and inf when h' only falls.
-
-        q * h' - h has derivative q * h'', so it falls from 0 until the dip
-        and rises after it: one root past the dip.
-        """
+    def _find_tangency(self) -> float:
+        # q * h' - h has derivative q * h'', so it falls from 0 until the
+        # dip and rises after it: one root past the dip
         dip = self.dip
         if dip == 0.0 or math.isinf(dip):
             return dip
@@ -195,41 +258,56 @@ class FixedProportions:
 Technology = CobbDouglas | FixedProportions
 
 
-@dataclass(frozen=True)
-class EnergyGood:
+class EnergyGood(Immutable):
     """A good consumed for its energy content (joules per unit)."""
 
-    id: str
-    energy_content: float
-    technology: Technology
-    pes_stock: float | None = None       # None means unbounded (renewable)
-    depletion_exponent: float = 0.0
-    requirement_multiplier: float = 1.0
-    intro_period: int = 0
+    _fields = __slots__ = ("id", "energy_content", "technology", "pes_stock",
+                           "depletion_exponent", "requirement_multiplier",
+                           "intro_period")
+
+    def __init__(self, id: str, energy_content: float,
+                 technology: Technology, pes_stock: float | None = None,
+                 depletion_exponent: float = 0.0,
+                 requirement_multiplier: float = 1.0,
+                 intro_period: int = 0) -> None:
+        _set(self, "id", id)
+        _set(self, "energy_content", energy_content)
+        _set(self, "technology", technology)
+        _set(self, "pes_stock", pes_stock)      # None: unbounded (renewable)
+        _set(self, "depletion_exponent", depletion_exponent)
+        _set(self, "requirement_multiplier", requirement_multiplier)
+        _set(self, "intro_period", intro_period)
 
 
-@dataclass(frozen=True)
-class NonEnergyGood:
+class NonEnergyGood(Immutable):
     """A utility-yielding good; its energy role is purely as a cost."""
 
-    id: str
-    technology: Technology
-    utility_weight: float
-    requirement_multiplier: float = 1.0
-    intro_period: int = 0
+    _fields = __slots__ = ("id", "technology", "utility_weight",
+                           "requirement_multiplier", "intro_period")
+
+    def __init__(self, id: str, technology: Technology,
+                 utility_weight: float, requirement_multiplier: float = 1.0,
+                 intro_period: int = 0) -> None:
+        _set(self, "id", id)
+        _set(self, "technology", technology)
+        _set(self, "utility_weight", utility_weight)
+        _set(self, "requirement_multiplier", requirement_multiplier)
+        _set(self, "intro_period", intro_period)
 
 
-@dataclass(frozen=True)
-class Preferences:
+class Preferences(Immutable):
     """Cobb-Douglas or CES utility over non-energy goods."""
 
-    form: str                       # "cobb_douglas" | "ces"
-    weights: dict[str, float]
-    elasticity: float | None = None  # sigma for CES, > 0 and != 1
+    _fields = __slots__ = ("form", "weights", "elasticity")
+
+    def __init__(self, form: str, weights: dict[str, float],
+                 elasticity: float | None = None) -> None:
+        _set(self, "form", form)                # "cobb_douglas" | "ces"
+        _set(self, "weights", weights)
+        _set(self, "elasticity", elasticity)    # CES sigma, > 0 and != 1
 
 
-@dataclass(frozen=True)
-class EventSpec:
+class EventSpec(Immutable):
     """A scheduled shock; exactly the payload fields for its kind are set.
 
     ``efficiency_shift`` and ``meec_shift`` set ``good`` and ``multiplier``;
@@ -239,12 +317,18 @@ class EventSpec:
     the event period.
     """
 
-    period: int
-    kind: str
-    good: str | None = None
-    mover: str | None = None
-    multiplier: float | None = None
-    delta: float | None = None
+    _fields = __slots__ = ("period", "kind", "good", "mover", "multiplier",
+                           "delta")
+
+    def __init__(self, period: int, kind: str, good: str | None = None,
+                 mover: str | None = None, multiplier: float | None = None,
+                 delta: float | None = None) -> None:
+        _set(self, "period", period)
+        _set(self, "kind", kind)
+        _set(self, "good", good)
+        _set(self, "mover", mover)
+        _set(self, "multiplier", multiplier)
+        _set(self, "delta", delta)
 
 
 #: Solver tolerances, written to each run's manifest.
@@ -255,8 +339,7 @@ SS_ACCUM_TOL = 1e-8     # steady state: accumulation, relative to stock
 SS_ALPHA_TOL = 1e-6     # steady state: marginal surplus, relative to delta
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(Immutable):
     """Validated scenario: types, preferences, events, forced share.
 
     Types brought in by arrival events are in the type tuples, after the
@@ -265,18 +348,27 @@ class ScenarioConfig:
     useless-surplus share instead of solving for it, a diagnostic.
     """
 
-    period_length: float
-    prime_movers: tuple[PrimeMoverType, ...]
-    energy_goods: tuple[EnergyGood, ...]
-    non_energy_goods: tuple[NonEnergyGood, ...]
-    preferences: Preferences
-    events: tuple[EventSpec, ...] = ()
-    force_phi: float | None = None
-    horizon: int = 500
+    _fields = __slots__ = ("period_length", "prime_movers", "energy_goods",
+                           "non_energy_goods", "preferences", "events",
+                           "force_phi", "horizon")
+
+    def __init__(self, period_length: float,
+                 prime_movers: tuple[PrimeMoverType, ...],
+                 energy_goods: tuple[EnergyGood, ...],
+                 non_energy_goods: tuple[NonEnergyGood, ...],
+                 preferences: Preferences, events: tuple[EventSpec, ...] = (),
+                 force_phi: float | None = None, horizon: int = 500) -> None:
+        _set(self, "period_length", period_length)
+        _set(self, "prime_movers", prime_movers)
+        _set(self, "energy_goods", energy_goods)
+        _set(self, "non_energy_goods", non_energy_goods)
+        _set(self, "preferences", preferences)
+        _set(self, "events", events)
+        _set(self, "force_phi", force_phi)
+        _set(self, "horizon", horizon)
 
 
-@dataclass(frozen=True)
-class EconomyState:
+class EconomyState(Immutable):
     """Dynamic view of the economy at one period.
 
     Holds the active type sets (per introduction period and events), current
@@ -284,13 +376,22 @@ class EconomyState:
     event-composed requirement multipliers keyed by good id.
     """
 
-    period: int
-    movers: dict[str, PrimeMoverType]
-    energy_goods: dict[str, EnergyGood]
-    non_energy_goods: dict[str, NonEnergyGood]
-    stocks: dict[str, float]
-    cum_extraction: dict[str, float]
-    multipliers: dict[str, float]
+    _fields = __slots__ = ("period", "movers", "energy_goods",
+                           "non_energy_goods", "stocks", "cum_extraction",
+                           "multipliers")
+
+    def __init__(self, period: int, movers: dict[str, PrimeMoverType],
+                 energy_goods: dict[str, EnergyGood],
+                 non_energy_goods: dict[str, NonEnergyGood],
+                 stocks: dict[str, float], cum_extraction: dict[str, float],
+                 multipliers: dict[str, float]) -> None:
+        _set(self, "period", period)
+        _set(self, "movers", movers)
+        _set(self, "energy_goods", energy_goods)
+        _set(self, "non_energy_goods", non_energy_goods)
+        _set(self, "stocks", stocks)
+        _set(self, "cum_extraction", cum_extraction)
+        _set(self, "multipliers", multipliers)
 
 
 # ---------------------------------------------------------------------------
@@ -619,14 +720,14 @@ def _parse_event(doc, path: str, period_length: float,
         if new.id in known_movers:
             _fail(f"{path}.mover.id", f"duplicate prime mover id {new.id!r}")
         known_movers.add(new.id)
-        return replace(new, intro_period=period)
+        return new._replace(intro_period=period)
     # new_energy_good
     _check_keys(doc, {"kind", "period", "good"}, path)
     new = _parse_energy_good(doc.get("good"), f"{path}.good")
     if new.id in known_goods:
         _fail(f"{path}.good.id", f"duplicate good id {new.id!r}")
     known_goods.add(new.id)
-    return replace(new, intro_period=period)
+    return new._replace(intro_period=period)
 
 
 def _parse_force_phi(doc, path: str) -> float | None:
@@ -729,9 +830,9 @@ def with_entry_value(scenario: ScenarioConfig, doc: dict, section: str,
     set to ``value``, given ``scenario = scenario_from_dict(doc)``.
 
     Only the edited entry is parsed again, with the same checks and field
-    paths; the rest of the scenario is reused through
-    ``dataclasses.replace``.  A utility weight also moves the preference
-    weight it sets, unless ``preferences.weights`` overrides it.
+    paths; the rest of the scenario is reused through ``_replace``.  A
+    utility weight also moves the preference weight it sets, unless
+    ``preferences.weights`` overrides it.
     """
     raw = dict(doc[section][index], **{key: value})
     path = f"$.{section}[{index}]"
@@ -747,9 +848,9 @@ def with_entry_value(scenario: ScenarioConfig, doc: dict, section: str,
     if key == "utility_weight" and section == "non_energy_goods" \
             and entry.id not in doc.get("preferences", {}).get("weights", {}):
         prefs = scenario.preferences
-        changes["preferences"] = replace(
-            prefs, weights={**prefs.weights, entry.id: entry.utility_weight})
-    return replace(scenario, **changes)
+        changes["preferences"] = prefs._replace(
+            weights={**prefs.weights, entry.id: entry.utility_weight})
+    return scenario._replace(**changes)
 
 
 def load_scenario(text: str) -> ScenarioConfig:
@@ -763,6 +864,8 @@ def load_scenario(text: str) -> ScenarioConfig:
 
 def scenario_digest(doc: dict | str) -> str:
     """Content hash of a scenario document, stable under key reordering."""
+    import hashlib      # here: ``egl validate`` digests nothing
+
     if isinstance(doc, str):
         doc = json.loads(doc)
     canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))

@@ -29,13 +29,17 @@ power of the budget.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .core import (Q_RTOL, EconomyState, NonEnergyGood, Preferences,
-                   PrimeMoverType, effective_multiplier, employment_totals)
-from .embodied import Curve, Kernels, solve_power
+from .core import Q_RTOL, effective_multiplier, employment_totals
+from .embodied import Kernels, solve_power
 from .errors import SolverError
 from .numerics import grow_bracket, newton_root
+
+if TYPE_CHECKING:
+    from .core import (EconomyState, NonEnergyGood, Preferences,
+                       PrimeMoverType)
+    from .embodied import Curve
 
 #: Range of quantities a demand solve accepts, and of the multipliers its
 #: bracket search tries; beyond it the budget is treated as unreachable.

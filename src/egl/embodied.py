@@ -38,24 +38,30 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .core import (CobbDouglas, EnergyGood, FixedProportions, NonEnergyGood,
-                   PrimeMoverType, Technology)
+from .core import FixedProportions, Immutable, _set
 from .errors import SolverError
 from .numerics import XTOL, newton_root
 
+if TYPE_CHECKING:
+    from .core import (CobbDouglas, EnergyGood, NonEnergyGood,
+                       PrimeMoverType, Technology)
 
-@dataclass(frozen=True)
-class MeecPoint:
+
+class MeecPoint(Immutable):
     """One sample of a good's embodied-energy curves."""
 
-    quantity: float
-    marginal: float       # joules per unit
-    average: float        # joules per unit
-    cumulative: float     # joules
-    elasticity: float     # dimensionless
+    _fields = __slots__ = ("quantity", "marginal", "average", "cumulative",
+                           "elasticity")
+
+    def __init__(self, quantity: float, marginal: float, average: float,
+                 cumulative: float, elasticity: float) -> None:
+        _set(self, "quantity", quantity)
+        _set(self, "marginal", marginal)        # joules per unit
+        _set(self, "average", average)          # joules per unit
+        _set(self, "cumulative", cumulative)    # joules
+        _set(self, "elasticity", elasticity)    # dimensionless
 
 
 def _omega(movers: dict[str, PrimeMoverType], mover_id: str) -> float:
@@ -155,8 +161,12 @@ class SmoothCurve(NamedTuple):
             return {m: 0.0 for m in self.movers}
         _check_quantity(q)
         exponents = self.tech.exponents
-        return {m: x / (exponents[m] * q)
-                for m, x in zip(self.movers, self.load(q)[1])}
+        try:
+            return {m: x / (exponents[m] * q)
+                    for m, x in zip(self.movers, self.load(q)[1])}
+        except ZeroDivisionError:       # beta_l q underflows
+            raise SolverError("degenerate", "marginal requirements "
+                              f"underflow at output {q:g}") from None
 
     def power_law(self) -> tuple[float, float]:
         """(A, k) with gamma(q) = A * q ** k: k = 1/B - 1, A = gamma(1)."""

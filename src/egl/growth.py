@@ -24,16 +24,19 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .core import (SS_ACCUM_TOL, SS_ALPHA_TOL, EconomyState, EventSpec,
-                   PrimeMoverType, ScenarioConfig, activate_due,
-                   aggregate_power, initial_state)
-from .demand import DemandSolution, demand_for_state
+from .core import (SS_ACCUM_TOL, SS_ALPHA_TOL, EconomyState, Immutable,
+                   _set, activate_due, aggregate_power, initial_state)
+from .demand import demand_for_state
 from .embodied import Kernels
 from .errors import EglError, ScenarioValidationError, SolverError
-from .surplus import EnergySideSolution, solve_energy_side
+from .surplus import solve_energy_side
+
+if TYPE_CHECKING:
+    from .core import EventSpec, PrimeMoverType, ScenarioConfig
+    from .demand import DemandSolution
+    from .surplus import EnergySideSolution
 
 log = logging.getLogger("egl.growth")
 
@@ -48,14 +51,17 @@ class PeriodRecord(NamedTuple):
     demand: DemandSolution
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(Immutable):
     """Per-period records; ``steady`` when the last record is the steady
     state, ``error`` when period ``len(records)`` failed to solve."""
 
-    records: tuple[PeriodRecord, ...]
-    steady: bool = False
-    error: str | None = None
+    _fields = __slots__ = ("records", "steady", "error")
+
+    def __init__(self, records: tuple[PeriodRecord, ...],
+                 steady: bool = False, error: str | None = None) -> None:
+        _set(self, "records", records)
+        _set(self, "steady", steady)
+        _set(self, "error", error)
 
 
 def step_accumulation(stocks: dict[str, float],
@@ -89,7 +95,7 @@ def apply_event(state: EconomyState, event: EventSpec) -> EconomyState:
                 "event.good", f"unknown or inactive good {event.good!r}")
         mult = dict(state.multipliers)
         mult[event.good] = mult.get(event.good, 1.0) * event.multiplier
-        return replace(state, multipliers=mult)
+        return state._replace(multipliers=mult)
     if event.kind == "endowment_shock":
         if event.mover not in state.movers:
             raise ScenarioValidationError(
@@ -101,7 +107,7 @@ def apply_event(state: EconomyState, event: EventSpec) -> EconomyState:
                 "event.delta",
                 f"shock drives stock of {event.mover!r} below zero")
         stocks[event.mover] = new
-        return replace(state, stocks=stocks)
+        return state._replace(stocks=stocks)
     raise ScenarioValidationError("event.kind",
                                   f"unknown event kind {event.kind!r}")
 

@@ -8,12 +8,16 @@ LF, so repeated runs on the same inputs are byte-identical.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
-from .core import EconomyState, ScenarioConfig, aggregate_power
-from .demand import DemandSolution
-from .growth import Trajectory
-from .statics import SignTable
-from .surplus import EnergySideSolution
+from .core import aggregate_power
+
+if TYPE_CHECKING:
+    from .core import EconomyState, ScenarioConfig
+    from .demand import DemandSolution
+    from .growth import Trajectory
+    from .statics import SignTable
+    from .surplus import EnergySideSolution
 
 
 def fmt(value) -> str:

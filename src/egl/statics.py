@@ -30,10 +30,9 @@ reproducible from (seed, trial index) and identified by its scenario digest.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .core import (ScenarioConfig, _check_keys, _finite_number,
+from .core import (Immutable, _check_keys, _finite_number, _set,
                    initial_state, scenario_digest, scenario_from_dict,
                    with_entry_value)
 from .demand import demand_for_state
@@ -45,6 +44,8 @@ if TYPE_CHECKING:
     from collections.abc import Sequence
 
     import numpy as np
+
+    from .core import ScenarioConfig
 
 GENERATOR_NAME = "numpy-PCG64"
 
@@ -62,20 +63,29 @@ DEFAULT_FAMILY = {
 }
 
 
-@dataclass(frozen=True)
-class SignTable:
+class SignTable(Immutable):
     """Outcome of one proposition's sweep."""
 
-    proposition: str
-    trials: int
-    confirmations: int
-    failures: tuple[tuple[int, str, float], ...]  # (trial, digest, derivative)
-    step: float
-    discarded: int = 0
-    applicable: bool = True
-    min_derivative: float = field(default=float("nan"))
-    max_derivative: float = field(default=float("nan"))
-    generator: str = GENERATOR_NAME
+    _fields = __slots__ = ("proposition", "trials", "confirmations",
+                           "failures", "step", "discarded", "applicable",
+                           "min_derivative", "max_derivative", "generator")
+
+    def __init__(self, proposition: str, trials: int, confirmations: int,
+                 failures: tuple[tuple[int, str, float], ...], step: float,
+                 discarded: int = 0, applicable: bool = True,
+                 min_derivative: float = math.nan,
+                 max_derivative: float = math.nan,
+                 generator: str = GENERATOR_NAME) -> None:
+        _set(self, "proposition", proposition)
+        _set(self, "trials", trials)
+        _set(self, "confirmations", confirmations)
+        _set(self, "failures", failures)    # (trial, digest, derivative)
+        _set(self, "step", step)
+        _set(self, "discarded", discarded)
+        _set(self, "applicable", applicable)
+        _set(self, "min_derivative", min_derivative)
+        _set(self, "max_derivative", max_derivative)
+        _set(self, "generator", generator)
 
 
 # ---------------------------------------------------------------------------

@@ -52,15 +52,18 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .core import (PHI_TOL, Q_RTOL, SLACK_TOL, CobbDouglas, EconomyState,
-                   EnergyGood, ScenarioConfig, effective_multiplier)
-from .embodied import (Curve, Kernels, curve, marginal_embodied,
-                       sample_curve, solve_power)
+from .core import (PHI_TOL, Q_RTOL, SLACK_TOL, CobbDouglas, Immutable, _set,
+                   effective_multiplier)
+from .embodied import (Kernels, curve, marginal_embodied, sample_curve,
+                       solve_power)
 from .errors import SolverError
 from .numerics import bisect_predicate, grow_bracket, newton_root
+
+if TYPE_CHECKING:
+    from .core import EconomyState, EnergyGood, ScenarioConfig
+    from .embodied import Curve
 
 log = logging.getLogger("egl.surplus")
 
@@ -91,16 +94,21 @@ class EnergySideSolution(NamedTuple):
     null: bool = False
 
 
-@dataclass(frozen=True)
-class Figure1Data:
+class Figure1Data(Immutable):
     """Sampled curves and markers for one good's equilibrium chart."""
 
-    good: str
-    quantities: list[float]
-    meec: list[float]
-    energy_content: float
-    saturation_quantity: float | None
-    markers: dict[str, float] = field(default_factory=dict)
+    _fields = __slots__ = ("good", "quantities", "meec", "energy_content",
+                           "saturation_quantity", "markers")
+
+    def __init__(self, good: str, quantities: list[float], meec: list[float],
+                 energy_content: float, saturation_quantity: float | None,
+                 markers: dict[str, float] | None = None) -> None:
+        _set(self, "good", good)
+        _set(self, "quantities", quantities)
+        _set(self, "meec", meec)
+        _set(self, "energy_content", energy_content)
+        _set(self, "saturation_quantity", saturation_quantity)
+        _set(self, "markers", {} if markers is None else markers)
 
 
 def marginal_surplus_at(good: EnergyGood, q: float,
@@ -150,6 +158,9 @@ def _shutdown_weight(tech, delta: float, cap: float) -> float:
         least_average = tech.marginal_profile(q)    # its limit at 0 or inf
     else:
         least_average = tech.cumulative_profile(q) / q
+        if least_average == 0.0:    # h(q) underflows at a subnormal cap
+            raise SolverError("degenerate", "average requirement profile "
+                              f"underflows at output {q:g}")
     return min(delta / tech.marginal_profile(min(tech.dip, cap)),
                max(delta / tech.marginal_profile(0.0),
                    delta / least_average))

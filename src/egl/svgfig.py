@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import math
 from html import escape
+from typing import TYPE_CHECKING
 
-from .growth import Trajectory
-from .surplus import Figure1Data
+if TYPE_CHECKING:
+    from .growth import Trajectory
+    from .surplus import Figure1Data
 
 _W, _H = 840, 520
 _ML, _MR, _MT, _MB = 70, 30, 40, 50

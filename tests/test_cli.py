@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import egl
 import egl.cli
+import egl.statics
 from egl.cli import main
 
 from conftest import cd1_doc, scarce_doc
@@ -561,7 +562,7 @@ class TestSolverFailureReport:
         def failing(*args, **kw):
             raise egl.EglError("no subclass")
 
-        monkeypatch.setattr(egl.cli, "proposition_suite", failing)
+        monkeypatch.setattr(egl.statics, "proposition_suite", failing)
         path = write_scenario(tmp_path, {}, "family.json")
         assert main(["statics", "--family", path, "--seed", "1",
                      "--trials", "1", "--out", str(tmp_path / "o")]) == 2

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from egl import (aggregate_power, direct_energy, initial_state,
                  load_scenario, scenario_digest)
 from egl.cli import main
-from egl.core import PrimeMoverType, activate_due
+from egl.core import EventSpec, PrimeMoverType, activate_due
 from egl.errors import ScenarioParseError, ScenarioValidationError
 
 from conftest import cd1_doc, cd1_scenario
@@ -369,6 +369,21 @@ SOLVER_BOUNDARY = [
     ("reference", ("energy_goods", 0, "technology", "scale"), 1e-154,
      "equilibrium",
      "degenerate: Cobb-Douglas curve overflows at returns to scale 0.5"),
+    # a subnormal stock caps wood at 5e-324, where h(q) / q underflows to 0
+    # in its shutdown threshold
+    *[("shocks", ("energy_goods", 0, "pes_stock"), 5e-324, command,
+       "degenerate: average requirement profile underflows at output "
+       "4.94066e-324")
+      for command in ("equilibrium", "simulate")],
+    # the arriving coal's output is a subnormal, so beta * q underflows in
+    # its marginal requirements
+    ("arrivals", ("events", 1, "good", "pes_stock"), 5e-324, "simulate",
+     "degenerate: marginal requirements underflow at output 4.94066e-324"),
+    # tau * c2 * rho underflows in the dip's bracket, which then keeps
+    # max(tau, q_s); past q = 0 the decay term's slope is inf * 0
+    *[("shocks", (*_CURVATURE, "tau"), 5e-324, command,
+       "degenerate: residual or slope is NaN at x = 4")
+      for command in ("equilibrium", "simulate")],
 ]
 
 
@@ -654,3 +669,112 @@ class TestActivation:
         assert "late" not in state.movers
         state = activate_due(sc, state, 2)
         assert state.stocks["late"] == 3.0
+
+
+def model_types() -> dict[type, object]:
+    """One instance of each model type, taken from real solves."""
+    from egl.core import CobbDouglas, FixedProportions
+    from egl.embodied import MeecPoint, sample_curve
+    from egl.growth import Trajectory, simulate
+    from egl.statics import SignTable
+    from egl.surplus import Figure1Data, figure1_report, solve_energy_side
+
+    scenario = load_scenario((SCENARIOS / "shocks.json").read_text())
+    state = initial_state(scenario)
+    wood = scenario.energy_goods[0]
+    instances = [
+        scenario, state, scenario.prime_movers[0], wood, wood.technology,
+        scenario.non_energy_goods[0], scenario.preferences,
+        scenario.events[0],
+        sample_curve(wood.technology, state.movers, 1.0, samples=2)[1],
+        simulate(scenario, horizon=0),
+        SignTable(proposition="a", trials=1, confirmations=1, failures=(),
+                  step=1e-3),
+        figure1_report(scenario, state, wood.id,
+                       solve_energy_side(scenario, state)),
+        cd1_scenario().energy_goods[0].technology,
+    ]
+    found = {type(obj): obj for obj in instances}
+    assert {CobbDouglas, FixedProportions, MeecPoint, Trajectory, SignTable,
+            Figure1Data} <= set(found)
+    assert len(found) == 13
+    return found
+
+
+class TestModelTypes:
+    """The model types are immutable records with typed equality."""
+
+    def test_no_field_can_be_assigned_or_deleted(self):
+        for obj in model_types().values():
+            for name in (*obj._fields, "unknown"):
+                with pytest.raises(AttributeError):
+                    setattr(obj, name, None)
+                with pytest.raises(AttributeError):
+                    delattr(obj, name)
+
+    def test_types_with_equal_field_values_differ(self):
+        # a NamedTuple would equal any tuple, or record of another type,
+        # holding the same values; ``Kernels.derived`` compares by ``==``
+        types = list(model_types())
+        for a in types:
+            values = tuple(float(i + 1) for i in range(len(a._fields)))
+            assert a(*values) == a(*values)
+            assert hash(a(*values)) == hash(a(*values))
+            assert a(*values) != values
+            for b in types:
+                if b is not a and len(b._fields) == len(a._fields):
+                    assert a(*values) != b(*values), (a, b)
+
+    def test_replace_keeps_every_other_field(self):
+        for obj in model_types().values():
+            name = obj._fields[0]
+            new = obj._replace(**{name: "changed"})
+            assert type(new) is type(obj)
+            assert getattr(new, name) == "changed"
+            assert all(getattr(new, f) is getattr(obj, f)
+                       for f in obj._fields[1:])
+            assert obj._replace() == obj
+            with pytest.raises(TypeError):
+                obj._replace(unknown=1)
+
+    @pytest.mark.parametrize("event, changed", [
+        (EventSpec(period=0, kind="efficiency_shift", good="wood",
+                   multiplier=0.5), "multipliers"),
+        (EventSpec(period=0, kind="meec_shift", good="wood", multiplier=2.0),
+         "multipliers"),
+        (EventSpec(period=0, kind="endowment_shock", mover="workers",
+                   delta=1.0), "stocks")])
+    def test_an_event_changes_one_field_of_the_state(self, event, changed):
+        from egl.growth import apply_event
+
+        scenario = load_scenario((SCENARIOS / "shocks.json").read_text())
+        state = initial_state(scenario)
+        new = apply_event(state, event)
+        assert type(new) is type(state)
+        for name in state._fields:
+            if name == changed:
+                assert getattr(new, name) != getattr(state, name)
+            else:
+                assert getattr(new, name) is getattr(state, name)
+
+    def test_an_arrival_derives_its_transfers_again(self):
+        scenario = load_scenario((SCENARIOS / "arrivals.json").read_text())
+        late = [m for m in scenario.prime_movers if m.intro_period > 0]
+        assert late
+        for m in late:
+            fresh = PrimeMoverType(**{f: getattr(m, f) for f in m._fields})
+            assert fresh == m
+            assert (fresh.direct_energy, fresh.total_transfer) == \
+                (m.direct_energy, m.total_transfer)
+
+    def test_copies_and_repr_keep_the_fields(self):
+        import copy
+        import pickle
+
+        # by repr, which shows every field: NaN fields never compare equal
+        for obj in model_types().values():
+            assert repr(obj).startswith(f"{type(obj).__name__}(")
+            for copied in (copy.deepcopy(obj),
+                           pickle.loads(pickle.dumps(obj))):
+                assert type(copied) is type(obj)
+                assert repr(copied) == repr(obj)

@@ -1,6 +1,5 @@
 import json
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -316,7 +315,7 @@ class TestSimulate:
 
     def test_overflowing_stock_fails_its_period(self, cd1):
         # a stock grown past the floats leaves the fleet's power infinite
-        state = replace(initial_state(cd1), stocks={"m0": math.inf})
+        state = initial_state(cd1)._replace(stocks={"m0": math.inf})
         with pytest.raises(SolverError, match="aggregate power"):
             enter_period(cd1, state, 1)
 
@@ -466,9 +465,9 @@ class TestKernelReuse:
     def test_no_arrival_returns_the_state_itself(self):
         scenario = shipped("arrivals")
         state = enter_period(scenario, initial_state(scenario), 0)
-        later = replace(state, period=1)
+        later = state._replace(period=1)
         assert activate_due(scenario, later, 1) is later
-        arrived = activate_due(scenario, replace(state, period=2), 2)
+        arrived = activate_due(scenario, state._replace(period=2), 2)
         assert set(arrived.movers) > set(state.movers)
 
 

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -274,10 +273,9 @@ def one_good_problem(tech: FixedProportions, delta: float, stock: float):
     """The CD1 economy with energy good e0 on ``tech``, content ``delta``
     and mover stock ``stock``; omega = eps = 1, so a = 1 + c."""
     state = cd1_state()
-    good = replace(state.energy_goods["e0"], technology=tech,
-                   energy_content=delta)
-    state = replace(state, energy_goods={"e0": good},
-                    stocks={"m0": stock})
+    good = state.energy_goods["e0"]._replace(technology=tech,
+                                              energy_content=delta)
+    state = state._replace(energy_goods={"e0": good}, stocks={"m0": stock})
     return _Problem(state), good
 
 

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 from egl import initial_state, solve_energy_side
 from egl.core import aggregate_power
@@ -63,7 +62,7 @@ class TestCsvShape:
         # NaN as nan, the infinities, and the integer period
         sc = scarce_scenario()
         record = simulate(sc, horizon=0).records[0]
-        state = replace(record.state, period=7)
+        state = record.state._replace(period=7)
         energy = record.energy._replace(
             phi=math.nan, usable_surplus=math.inf, meroi={"e0": None},
             marginal_surplus={"e0": -math.inf})

@@ -1,6 +1,5 @@
 import json
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -1005,7 +1004,7 @@ class TestExhaustedSourceCap:
         from egl.surplus import _Problem
         doc["energy_goods"][0]["pes_stock"] = 3.0
         state = initial_state(scenario_from_dict(doc))
-        return _Problem(replace(state, cum_extraction={"e0": drawn}))
+        return _Problem(state._replace(cum_extraction={"e0": drawn}))
 
     @pytest.mark.parametrize("drawn", [3.0, 5.0])
     def test_exhausted_good_takes_no_root(self, cap_calls, drawn):
