@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 parse/validation/usage, 2 solver infeasibility
 or any other egl error, 3 I/O failure.  Errors print one machine-readable
 JSON line on stderr.  Verbosity is controlled by the EGL_LOG environment
-variable (quiet | info | debug).
+variable (quiet | info | debug); under the default, quiet, a process that
+has not loaded ``logging`` does not import it, since egl emits no record
+above INFO.
 
 Each command imports the modules it runs inside its own function, so a
 process loads only what its command needs: ``validate`` no solver,
@@ -15,7 +17,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import logging
 import os
 import sys
 from pathlib import Path
@@ -41,31 +42,44 @@ _TOLERANCES = {"tolerances": {
     "ss_accum": SS_ACCUM_TOL, "ss_alpha": SS_ALPHA_TOL}}
 
 
-class _StderrHandler(logging.StreamHandler):
-    """Writes each record to whatever ``sys.stderr`` is at that moment."""
+class _Stderr:
+    """A stream that writes to whatever ``sys.stderr`` is at that moment."""
 
-    def __init__(self):
-        # StreamHandler.__init__ would assign the read-only ``stream``
-        logging.Handler.__init__(self)
-        self.setFormatter(
-            logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    def write(self, text: str) -> None:
+        sys.stderr.write(text)
 
-    @property
-    def stream(self):
-        return sys.stderr
+    def flush(self) -> None:
+        sys.stderr.flush()
 
 
-_LOG_HANDLER = _StderrHandler()
+@functools.cache
+def _log_handler():
+    """The one handler of the ``egl`` logger: each record on one line of
+    the current ``sys.stderr``."""
+    import logging
+
+    handler = logging.StreamHandler(_Stderr())
+    handler.setFormatter(
+        logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    return handler
 
 
 def _setup_logging():
-    """Level the ``egl`` logger from EGL_LOG; the root logger is left alone."""
-    level = {"quiet": logging.WARNING, "info": logging.INFO,
-             "debug": logging.DEBUG}.get(os.environ.get("EGL_LOG", "quiet"),
-                                         logging.WARNING)
+    """Level the ``egl`` logger from EGL_LOG; the root logger is left alone.
+
+    Under EGL_LOG=quiet, in a process that has not loaded ``logging``,
+    nothing is set up: egl emits only INFO and DEBUG records, and
+    ``core.logger`` skips them while ``logging`` is not loaded.
+    """
+    name = os.environ.get("EGL_LOG", "quiet")
+    if name not in ("info", "debug") and "logging" not in sys.modules:
+        return
+    import logging
+
     logger = logging.getLogger("egl")
-    logger.setLevel(level)
-    logger.addHandler(_LOG_HANDLER)      # a no-op once attached
+    logger.setLevel({"info": logging.INFO, "debug": logging.DEBUG}.get(
+        name, logging.WARNING))
+    logger.addHandler(_log_handler())       # a no-op once attached
 
 
 def _error(kind: str, detail: str, code: int) -> int:
@@ -158,6 +172,8 @@ def _cmd_statics(args) -> int:
 
     if args.trials < 1:
         raise UsageError("--trials must be >= 1")
+    if args.seed < 0:
+        raise UsageError("--seed must be >= 0")
     family_text = Path(args.family).read_text(encoding="utf-8")
     try:
         family = json.loads(family_text)

@@ -17,14 +17,31 @@ import json
 import math
 import sys
 from functools import partial
+from typing import TYPE_CHECKING
 
 from .errors import (ScenarioParseError, ScenarioValidationError,
                      SolverError)
 from .numerics import grow_bracket, newton_root
 
+if TYPE_CHECKING:
+    from logging import Logger
+
 EVENT_KINDS = ("efficiency_shift", "meec_shift", "new_prime_mover",
                "new_energy_good", "endowment_shock")
 ARRIVAL_KINDS = ("new_prime_mover", "new_energy_good")
+
+
+def logger(name: str) -> Logger | None:
+    """The logger ``name`` if the process has loaded ``logging``, else None.
+
+    egl emits only INFO and DEBUG records.  Until something loads
+    ``logging`` (``egl.cli`` does when EGL_LOG is info or debug), no
+    handler exists and the root logger's WARNING level drops them, so
+    skipping them changes nothing a user can see, and no command imports
+    ``logging`` for records no one reads.
+    """
+    logging = sys.modules.get("logging")
+    return None if logging is None else logging.getLogger(name)
 
 
 # ---------------------------------------------------------------------------
@@ -612,13 +629,20 @@ def _parse_mover(doc, path: str, period_length: float) -> PrimeMoverType:
     d = _num(doc, "depreciation", path)
     if not 0.0 < d < 1.0:
         _fail(f"{path}.depreciation", f"must be in (0,1) (got {d:g})")
-    return PrimeMoverType(
+    mover = PrimeMoverType(
         id=mid, power_rate=p, period_length=period_length, depreciation=d,
         avg_embodied=_num(doc, "avg_embodied", path, least=0.0),
         endowment=_num(doc, "endowment", path, least=0.0),
         max_accum_rate=_num(doc, "max_accum_rate", path, default=0.0,
                             least=0.0),
         intro_period=_intval(doc, "intro_period", path))
+    # every curve divides by a unit's transfer, which a subnormal
+    # power_rate * period_length with no embodied energy rounds to 0
+    if mover.total_transfer == 0.0:
+        _fail(f"{path}.power_rate",
+              f"a unit transfers no energy: power_rate * period_length = "
+              f"{p:g} * {period_length:g} underflows to 0")
+    return mover
 
 
 def _parse_energy_good(doc, path: str) -> EnergyGood:

@@ -22,23 +22,23 @@ demand solve, in period order.
 
 from __future__ import annotations
 
-import logging
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
 from .core import (SS_ACCUM_TOL, SS_ALPHA_TOL, EconomyState, Immutable,
-                   _set, activate_due, aggregate_power, initial_state)
+                   _set, activate_due, aggregate_power, initial_state,
+                   logger)
 from .demand import demand_for_state
 from .embodied import Kernels
 from .errors import EglError, ScenarioValidationError, SolverError
 from .surplus import solve_energy_side
 
 if TYPE_CHECKING:
+    from logging import Logger
+
     from .core import EventSpec, PrimeMoverType, ScenarioConfig
     from .demand import DemandSolution
     from .surplus import EnergySideSolution
-
-log = logging.getLogger("egl.growth")
 
 
 class PeriodRecord(NamedTuple):
@@ -170,12 +170,14 @@ def _is_steady(state: EconomyState, energy: EnergySideSolution,
     return True
 
 
-def _energy_pass(scenario: ScenarioConfig, horizon: int, kernels: Kernels
+def _energy_pass(scenario: ScenarioConfig, horizon: int, kernels: Kernels,
+                 log: Logger | None
                  ) -> tuple[list[tuple[EconomyState, EnergySideSolution]],
                             bool, EglError | None]:
     """Run the dynamics: each period's state and energy-side solution, in
     period order, whether the last one is the steady state, and the error
-    that stopped the run early, if any."""
+    that stopped the run early, if any; each period is logged at DEBUG on
+    ``log`` unless it is None."""
     state = initial_state(scenario)
     schedule = _schedule(scenario)
     # no steady state is declared before the last arrival or shock
@@ -189,8 +191,9 @@ def _energy_pass(scenario: ScenarioConfig, horizon: int, kernels: Kernels
         except EglError as exc:
             return periods, False, exc
 
-        log.debug("t=%d phi=%.6g E*=%.6g", t, energy.phi,
-                  energy.usable_surplus)
+        if log is not None:
+            log.debug("t=%d phi=%.6g E*=%.6g", t, energy.phi,
+                      energy.usable_surplus)
         periods.append((state, energy))
         stocks = step_accumulation(
             state.stocks,
@@ -233,7 +236,8 @@ def simulate(scenario: ScenarioConfig,
     """
     horizon = scenario.horizon if horizon is None else horizon
     kernels = Kernels()
-    periods, steady, error = _energy_pass(scenario, horizon, kernels)
+    log = logger("egl.growth")
+    periods, steady, error = _energy_pass(scenario, horizon, kernels, log)
     records: list[PeriodRecord] = []
     for state, energy in periods:
         try:
@@ -246,6 +250,7 @@ def simulate(scenario: ScenarioConfig,
 
     if error is not None:
         # the failure travels on the trajectory; the CLI reports it
-        log.info("period %d solve failed: %s", len(records), error)
+        if log is not None:
+            log.info("period %d solve failed: %s", len(records), error)
         return Trajectory(records=tuple(records), error=str(error))
     return Trajectory(records=tuple(records), steady=steady)

@@ -23,8 +23,11 @@ because it reads no non-energy good, and claim (c) has its own pair, so a
 trial costs one parse, three energy solves and two demand solves whatever
 the number of goods.  A draw's digest is computed only for a failure.
 
-All draws come from a named 64-bit generator (numpy PCG64); every trial is
-reproducible from (seed, trial index) and identified by its scenario digest.
+All draws come from a named 64-bit generator, numpy's PCG64 stream: trial
+``t`` draws what ``numpy.random.default_rng([seed, t])`` would, from the
+pure-Python copy of that stream in ``egl._pcg64``, so egl needs no numpy to
+run.  Every trial is reproducible from (seed, trial index) and identified
+by its scenario digest.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
+from ._pcg64 import Generator
 from .core import (Immutable, _check_keys, _finite_number, _set,
                    initial_state, scenario_digest, scenario_from_dict,
                    with_entry_value)
@@ -42,8 +46,6 @@ from .surplus import solve_energy_side
 
 if TYPE_CHECKING:
     from collections.abc import Sequence
-
-    import numpy as np
 
     from .core import ScenarioConfig
 
@@ -223,12 +225,11 @@ def _perturb(doc: dict, target: str, responses: Sequence[str], step: float,
 # random scenario family
 # ---------------------------------------------------------------------------
 
-def _uniform(rng: np.random.Generator, bounds) -> float:
+def _uniform(rng: Generator, bounds) -> float:
     return float(rng.uniform(bounds[0], bounds[1]))
 
 
-def draw_scenario(rng: np.random.Generator,
-                  family: dict | None = None) -> dict:
+def draw_scenario(rng: Generator, family: dict | None = None) -> dict:
     """One random scenario document from the (documented) family ranges.
 
     Single smooth energy good, single mover with zero net depreciation
@@ -355,17 +356,14 @@ def proposition_suite(seed: int, trials: int, family: dict | None = None,
     """Randomized strict-sign checks of claims (a), (b), (c).
 
     ``family`` overrides entries of ``DEFAULT_FAMILY`` and is checked once,
-    before any draw.  Trial ``t`` draws from ``default_rng([seed, t])`` and
+    before any draw.  Trial ``t`` draws numpy's ``default_rng([seed, t])``
+    stream, which a negative ``seed`` cannot seed (ValueError), and
     parses the draw once; both of its perturbations run on that parse, as
     in ``perturb_and_sign``.  A draw that fails to parse is discarded from
     every claim, and a perturbation that fails to solve from the claims it
     serves.  A failure records the trial, the digest of its draw and the
     first derivative of the wrong sign.
     """
-    # numpy is imported here, the only place that draws, so that the other
-    # commands start without it
-    import numpy as np
-
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if family is not None:
@@ -376,8 +374,7 @@ def proposition_suite(seed: int, trials: int, family: dict | None = None,
                for key in ("a", "b", "c")}
 
     for trial in range(trials):
-        rng = np.random.default_rng([seed, trial])
-        doc = draw_scenario(rng, family)
+        doc = draw_scenario(Generator([seed, trial]), family)
         non_energy_ids = [g["id"] for g in doc["non_energy_goods"]]
         try:
             scenario = scenario_from_dict(doc)

@@ -50,12 +50,11 @@ is solved twice; per-good employment is built once, for the solution.
 
 from __future__ import annotations
 
-import logging
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
 from .core import (PHI_TOL, Q_RTOL, SLACK_TOL, CobbDouglas, Immutable, _set,
-                   effective_multiplier)
+                   effective_multiplier, logger)
 from .embodied import (Kernels, curve, marginal_embodied, sample_curve,
                        solve_power)
 from .errors import SolverError
@@ -64,8 +63,6 @@ from .numerics import bisect_predicate, grow_bracket, newton_root
 if TYPE_CHECKING:
     from .core import EconomyState, EnergyGood, ScenarioConfig
     from .embodied import Curve
-
-log = logging.getLogger("egl.surplus")
 
 _PHI_MAX = 1.0 - 1e-12
 _FIGURE_SAMPLES = 400       # curve samples on each equilibrium chart
@@ -574,8 +571,10 @@ def _bracket_phi(problem: _Problem, ftol: float) -> tuple[float, bool]:
     rho = problem.residual      # a share's allocation is kept once taken
 
     def jump(phi: float) -> tuple[float, bool]:
-        log.info("usability residual jumps at phi=%.6g; "
-                 "imposing the constraint directly", phi)
+        log = logger("egl.surplus")
+        if log is not None:
+            log.info("usability residual jumps at phi=%.6g; "
+                     "imposing the constraint directly", phi)
         return phi, False
 
     shares = problem.shutdown_shares()

@@ -1,5 +1,6 @@
-"""Every public function of ``src/egl`` has a use, and a process loads
-only the modules its command runs.
+"""Every public function of ``src/egl`` has a use, egl imports nothing
+outside the standard library, and a process loads only the modules its
+command runs.
 
 A public module-level function must be exported in ``egl.__all__``,
 imported by another egl module, or named in ``KEPT`` with the reason it
@@ -228,9 +229,11 @@ _SOLVERS = {"egl.demand", "egl.embodied", "egl.growth", "egl.statics",
 
 
 def loaded_by(args: list[str], out: Path) -> set[str]:
-    """The modules a fresh ``egl`` process loads to run ``args``."""
+    """The modules a fresh ``egl`` process loads to run ``args`` under the
+    default EGL_LOG."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
         str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    env.pop("EGL_LOG", None)
     args = [a.replace("OUT", str(out)) for a in args]
     done = subprocess.run([sys.executable, "-c", _LOAD_CHILD, *args],
                           cwd=Path(__file__).resolve().parents[1], env=env, capture_output=True, text=True,
@@ -258,7 +261,10 @@ def test_each_command_loads_only_what_it_runs(tmp_path, args, want, never):
         assert egl_modules == want
     assert _BASE <= egl_modules
     assert not egl_modules & never
-    assert "dataclasses" not in modules
+    # nor what no command needs: numpy (statics draws from ``_pcg64``),
+    # ``inspect``, which numpy loads, and ``logging``, which egl loads
+    # only when EGL_LOG asks for its INFO or DEBUG records
+    assert not modules & {"dataclasses", "numpy", "inspect", "logging"}
 
 
 def test_lazy_exports_list_and_bind_every_name():
@@ -269,3 +275,35 @@ def test_lazy_exports_list_and_bind_every_name():
     assert all(namespace[name] is getattr(egl, name) for name in egl.__all__)
     with pytest.raises(AttributeError):
         getattr(egl, "no_such_name")
+
+
+def outside_imports(tree: ast.AST) -> list[str]:
+    """Top-level names of the modules ``tree`` imports, anywhere in it and
+    ``TYPE_CHECKING`` blocks included, that are neither egl nor in the
+    standard library."""
+    names = [alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.Import) for alias in node.names]
+    names += [node.module for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.level == 0]
+    return [name for name in names
+            if name.split(".")[0] not in sys.stdlib_module_names | {"egl"}]
+
+
+def test_egl_imports_only_the_standard_library():
+    # egl has no runtime dependency: numpy, once loaded for the statics
+    # draws, is a test dependency only
+    found = [f"{path.stem}: {name}" for path in sorted(SRC.glob("*.py"))
+             for name in outside_imports(
+                 ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []
+
+
+def test_an_outside_import_is_flagged():
+    text = ("from typing import TYPE_CHECKING\n"
+            "import json, os.path\n"
+            "from . import core\n"
+            "if TYPE_CHECKING:\n"
+            "    import numpy as np\n"
+            "def f():\n"
+            "    from scipy.optimize import brentq\n")
+    assert outside_imports(ast.parse(text)) == ["numpy", "scipy.optimize"]

@@ -36,11 +36,14 @@ def read(path):
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
-def run_python(args, cwd):
-    """Run a fresh interpreter that imports egl from this checkout."""
+def run_python(args, cwd, egl_log=None):
+    """Run a fresh interpreter that imports egl from this checkout, with
+    EGL_LOG set to ``egl_log`` or, if None, unset."""
     env = dict(os.environ,
                PYTHONPATH=str(Path(egl.__file__).resolve().parents[1]))
     env.pop("EGL_LOG", None)
+    if egl_log is not None:
+        env["EGL_LOG"] = egl_log
     return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
 
@@ -209,6 +212,28 @@ class TestLogging:
         finally:
             logger.setLevel(saved[0])
             logger.handlers[:] = saved[1]
+
+    @pytest.mark.parametrize("egl_log, loads, err", [
+        (None, False, ""), ("quiet", False, ""),
+        ("debug", True, "DEBUG egl.growth: t=0 ")])
+    def test_a_fresh_process_loads_logging_only_to_emit(self, tmp_path,
+                                                        egl_log, loads, err):
+        # egl emits only INFO and DEBUG records, so under the default no
+        # command imports ``logging``; under debug a fresh ``egl`` still
+        # prints each period
+        script = ("import sys\n"
+                  "from egl.cli import main\n"
+                  "code = main(sys.argv[1:])\n"
+                  "print('logging' in sys.modules)\n"
+                  "sys.exit(code)\n")
+        proc = run_python(
+            ["-c", script, "simulate", "--scenario",
+             str(SCENARIOS / "scarce_growth.json"), "--out",
+             str(tmp_path / "out")], tmp_path, egl_log)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{loads}\n"
+        assert proc.stderr.startswith(err)
+        assert bool(proc.stderr) == loads
 
 
 class TestSimulate:
@@ -412,6 +437,17 @@ class TestStatics:
         assert rows[1:4] == [f"{key},0,0,0,2,nan,nan" for key in "abc"]
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["discarded"] == {"a": 2, "b": 2, "c": 2}
+
+    @pytest.mark.parametrize("seed", ["-1", str(-2**40)])
+    def test_negative_seed_usage_error(self, tmp_path, capsys, seed):
+        out = tmp_path / "o"
+        assert main(["statics", "--family",
+                     str(SCENARIOS / "sweep_family.json"), "--seed", seed,
+                     "--trials", "2", "--out", str(out)]) == 1
+        assert [json.loads(line)
+                for line in capsys.readouterr().err.splitlines()] == [
+            {"error": "usage", "detail": "--seed must be >= 0"}]
+        assert not out.exists()
 
     def test_zero_trials_usage_error(self, tmp_path, capsys):
         family = tmp_path / "family.json"

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from egl import (aggregate_power, direct_energy, initial_state,
-                 load_scenario, scenario_digest)
+                 load_scenario, scenario_digest, scenario_from_dict)
 from egl.cli import main
 from egl.core import EventSpec, PrimeMoverType, activate_due
 from egl.errors import ScenarioParseError, ScenarioValidationError
@@ -408,6 +408,23 @@ OVERFLOW_REPROS = [
 ]
 
 
+#: Documents whose edits leave a prime mover transferring no energy: a
+#: subnormal power_rate * period_length rounds to 0 J and the unit embodies
+#: none, so every curve on it would divide by zero; each is refused at the
+#: field: (scenario, edits as (path, value), field).
+TRANSFER_UNDERFLOWS = [
+    # 0.5 W over 5e-324 s
+    ("scarce_growth", [(("period_length",), 5e-324),
+                       (("prime_movers", 0, "power_rate"), 0.5)],
+     "$.prime_movers[0].power_rate"),
+    # engines arriving in period 2 at 5e-324 W over 0.25 s
+    ("arrivals", [(("period_length",), 0.25),
+                  (("events", 0, "mover", "power_rate"), 5e-324),
+                  (("events", 0, "mover", "avg_embodied"), 0.0)],
+     "$.events[0].mover.power_rate"),
+]
+
+
 def edited(name: str, where: tuple, value, *more):
     """The shipped scenario ``name`` with ``value`` at the path ``where``,
     and each further (path, value) pair in ``more``; the empty path
@@ -455,6 +472,21 @@ class TestDocumentBoundary:
                                           edits, command, detail):
         self.exits_2(tmp_path, capsys, edited(name, *edits[0], *edits[1:]),
                      command, detail)
+
+    @pytest.mark.parametrize("name, edits, field", TRANSFER_UNDERFLOWS)
+    def test_vanishing_transfer_names_its_field(self, tmp_path, capsys,
+                                                name, edits, field):
+        doc = edited(name, *edits[0], *edits[1:])
+        with pytest.raises(ScenarioValidationError) as err:
+            scenario_from_dict(doc)
+        assert err.value.field == field
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["simulate", "--scenario", str(path),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert [json.loads(line)
+                for line in capsys.readouterr().err.splitlines()] == [
+            {"error": "validation", "detail": str(err.value)}]
 
     @staticmethod
     def exits_2(tmp_path, capsys, doc, command, detail):

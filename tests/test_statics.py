@@ -405,6 +405,11 @@ class TestPropositionSuite:
         with pytest.raises(ValueError):
             proposition_suite(1, 0)
 
+    def test_negative_seed_refused(self):
+        # numpy's stream takes no negative seed word, so neither does egl's
+        with pytest.raises(ValueError, match="non-negative"):
+            proposition_suite(-1, 1)
+
 
 class TestTangency:
     def test_random_smooth_scenarios(self):
