@@ -48,22 +48,43 @@ def logger(name: str) -> Logger | None:
 # value objects
 # ---------------------------------------------------------------------------
 
-#: Sets a slot of an ``Immutable``, which only its ``__init__`` does.
+#: Sets a slot of an ``Immutable``, which only the type's own code does.
 _set = object.__setattr__
 
 
 class Immutable:
     """Base of the model types: a slotted record no one can assign to.
 
-    ``_fields`` names the constructor's parameters in order.  Two records
-    are equal when they are of one type with equal fields, so a model
-    type never equals another type's record or a plain tuple, and
-    ``_replace(**changes)`` builds a copy with those fields changed.  A
-    field read is a plain slot read, which the solvers' inner loops need.
+    A type declares its fields once: ``_fields`` names the constructor's
+    parameters in order, and ``_defaults`` maps the last of them, in order,
+    to their defaults.  The class compiles its ``__init__`` from the two,
+    as ``collections.namedtuple`` does, and that ``__init__`` ends by
+    calling ``self._derive()`` when the type defines it.  Records of one
+    type with equal fields are equal, and nothing else equals them;
+    ``_replace(**changes)`` builds a changed copy.  A field read is a plain
+    slot read, which the solvers' inner loops need.  The records a solve
+    builds on every call stay ``NamedTuple``s, which build faster.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+
+    def __init_subclass__(cls):
+        fields, defaults, name = cls._fields, cls._defaults, cls.__qualname__
+        tail = fields[-len(defaults):] if defaults else ()
+        if tuple(defaults) != tail:
+            raise TypeError(f"{name}._defaults names {tuple(defaults)}, not "
+                            f"the last fields in order, {tail}")
+        body = "".join(f" _set(self, {f!r}, {f})\n" for f in fields)
+        if hasattr(cls, "_derive"):
+            body += " self._derive()\n"
+        namespace = {"_set": _set, "__name__": cls.__module__}
+        exec(compile(f"def __init__(self, {', '.join(fields)}):\n{body}",
+                     f"<{name}.__init__>", "exec"), namespace)
+        cls.__init__ = init = namespace["__init__"]
+        init.__qualname__ = f"{name}.__init__"
+        init.__defaults__ = tuple(defaults.values())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -105,24 +126,21 @@ class PrimeMoverType(Immutable):
     from the source fields.
     """
 
-    _fields = ("id", "power_rate", "period_length", "depreciation",
-               "avg_embodied", "endowment", "max_accum_rate", "intro_period")
+    _fields = ("id", "power_rate",      # watts
+               "period_length",         # seconds, global
+               "depreciation",          # in (0, 1)
+               "avg_embodied",          # joules per unit
+               "endowment",             # units at the start
+               "max_accum_rate",        # per period
+               "intro_period")
+    _defaults = {"intro_period": 0}
     __slots__ = _fields + ("direct_energy", "total_transfer")
 
-    def __init__(self, id: str, power_rate: float, period_length: float,
-                 depreciation: float, avg_embodied: float, endowment: float,
-                 max_accum_rate: float, intro_period: int = 0) -> None:
-        _set(self, "id", id)
-        _set(self, "power_rate", power_rate)            # watts
-        _set(self, "period_length", period_length)      # seconds, global
-        _set(self, "depreciation", depreciation)        # in (0, 1)
-        _set(self, "avg_embodied", avg_embodied)        # joules per unit
-        _set(self, "endowment", endowment)              # units at the start
-        _set(self, "max_accum_rate", max_accum_rate)    # per period
-        _set(self, "intro_period", intro_period)
-        energy = direct_energy(power_rate, period_length)
+    def _derive(self) -> None:
+        energy = direct_energy(self.power_rate, self.period_length)
         _set(self, "direct_energy", energy)             # J / unit / period
-        _set(self, "total_transfer", energy + depreciation * avg_embodied)
+        _set(self, "total_transfer",
+             energy + self.depreciation * self.avg_embodied)
 
 
 class CobbDouglas(Immutable):
@@ -130,10 +148,6 @@ class CobbDouglas(Immutable):
 
     _fields = __slots__ = ("scale", "exponents")
     kind = "cobb_douglas"
-
-    def __init__(self, scale: float, exponents: dict[str, float]) -> None:
-        _set(self, "scale", scale)
-        _set(self, "exponents", exponents)
 
     @property
     def returns_to_scale(self) -> float:
@@ -155,19 +169,11 @@ class FixedProportions(Immutable):
     """
 
     _fields = ("requirements", "c0", "c1", "tau", "c2", "q_s", "rho")
+    _defaults = {"c1": 0.0, "tau": 1.0, "c2": 0.0, "q_s": 1.0, "rho": 1.0}
     __slots__ = _fields + ("_dip", "_tangency")
     kind = "fixed_proportions"
 
-    def __init__(self, requirements: dict[str, float], c0: float,
-                 c1: float = 0.0, tau: float = 1.0, c2: float = 0.0,
-                 q_s: float = 1.0, rho: float = 1.0) -> None:
-        _set(self, "requirements", requirements)
-        _set(self, "c0", c0)
-        _set(self, "c1", c1)
-        _set(self, "tau", tau)
-        _set(self, "c2", c2)
-        _set(self, "q_s", q_s)
-        _set(self, "rho", rho)
+    def _derive(self) -> None:
         _set(self, "_dip", None)            # found on the first read
         _set(self, "_tangency", None)
 
@@ -278,22 +284,12 @@ Technology = CobbDouglas | FixedProportions
 class EnergyGood(Immutable):
     """A good consumed for its energy content (joules per unit)."""
 
-    _fields = __slots__ = ("id", "energy_content", "technology", "pes_stock",
+    _fields = __slots__ = ("id", "energy_content", "technology",
+                           "pes_stock",     # None: unbounded (renewable)
                            "depletion_exponent", "requirement_multiplier",
                            "intro_period")
-
-    def __init__(self, id: str, energy_content: float,
-                 technology: Technology, pes_stock: float | None = None,
-                 depletion_exponent: float = 0.0,
-                 requirement_multiplier: float = 1.0,
-                 intro_period: int = 0) -> None:
-        _set(self, "id", id)
-        _set(self, "energy_content", energy_content)
-        _set(self, "technology", technology)
-        _set(self, "pes_stock", pes_stock)      # None: unbounded (renewable)
-        _set(self, "depletion_exponent", depletion_exponent)
-        _set(self, "requirement_multiplier", requirement_multiplier)
-        _set(self, "intro_period", intro_period)
+    _defaults = {"pes_stock": None, "depletion_exponent": 0.0,
+                 "requirement_multiplier": 1.0, "intro_period": 0}
 
 
 class NonEnergyGood(Immutable):
@@ -301,27 +297,16 @@ class NonEnergyGood(Immutable):
 
     _fields = __slots__ = ("id", "technology", "utility_weight",
                            "requirement_multiplier", "intro_period")
-
-    def __init__(self, id: str, technology: Technology,
-                 utility_weight: float, requirement_multiplier: float = 1.0,
-                 intro_period: int = 0) -> None:
-        _set(self, "id", id)
-        _set(self, "technology", technology)
-        _set(self, "utility_weight", utility_weight)
-        _set(self, "requirement_multiplier", requirement_multiplier)
-        _set(self, "intro_period", intro_period)
+    _defaults = {"requirement_multiplier": 1.0, "intro_period": 0}
 
 
 class Preferences(Immutable):
     """Cobb-Douglas or CES utility over non-energy goods."""
 
-    _fields = __slots__ = ("form", "weights", "elasticity")
-
-    def __init__(self, form: str, weights: dict[str, float],
-                 elasticity: float | None = None) -> None:
-        _set(self, "form", form)                # "cobb_douglas" | "ces"
-        _set(self, "weights", weights)
-        _set(self, "elasticity", elasticity)    # CES sigma, > 0 and != 1
+    _fields = __slots__ = ("form",          # "cobb_douglas" | "ces"
+                           "weights",
+                           "elasticity")    # CES sigma, > 0 and != 1
+    _defaults = {"elasticity": None}
 
 
 class EventSpec(Immutable):
@@ -336,16 +321,8 @@ class EventSpec(Immutable):
 
     _fields = __slots__ = ("period", "kind", "good", "mover", "multiplier",
                            "delta")
-
-    def __init__(self, period: int, kind: str, good: str | None = None,
-                 mover: str | None = None, multiplier: float | None = None,
-                 delta: float | None = None) -> None:
-        _set(self, "period", period)
-        _set(self, "kind", kind)
-        _set(self, "good", good)
-        _set(self, "mover", mover)
-        _set(self, "multiplier", multiplier)
-        _set(self, "delta", delta)
+    _defaults = {"good": None, "mover": None, "multiplier": None,
+                 "delta": None}
 
 
 #: Solver tolerances, written to each run's manifest.
@@ -368,21 +345,7 @@ class ScenarioConfig(Immutable):
     _fields = __slots__ = ("period_length", "prime_movers", "energy_goods",
                            "non_energy_goods", "preferences", "events",
                            "force_phi", "horizon")
-
-    def __init__(self, period_length: float,
-                 prime_movers: tuple[PrimeMoverType, ...],
-                 energy_goods: tuple[EnergyGood, ...],
-                 non_energy_goods: tuple[NonEnergyGood, ...],
-                 preferences: Preferences, events: tuple[EventSpec, ...] = (),
-                 force_phi: float | None = None, horizon: int = 500) -> None:
-        _set(self, "period_length", period_length)
-        _set(self, "prime_movers", prime_movers)
-        _set(self, "energy_goods", energy_goods)
-        _set(self, "non_energy_goods", non_energy_goods)
-        _set(self, "preferences", preferences)
-        _set(self, "events", events)
-        _set(self, "force_phi", force_phi)
-        _set(self, "horizon", horizon)
+    _defaults = {"events": (), "force_phi": None, "horizon": 500}
 
 
 class EconomyState(Immutable):
@@ -396,19 +359,6 @@ class EconomyState(Immutable):
     _fields = __slots__ = ("period", "movers", "energy_goods",
                            "non_energy_goods", "stocks", "cum_extraction",
                            "multipliers")
-
-    def __init__(self, period: int, movers: dict[str, PrimeMoverType],
-                 energy_goods: dict[str, EnergyGood],
-                 non_energy_goods: dict[str, NonEnergyGood],
-                 stocks: dict[str, float], cum_extraction: dict[str, float],
-                 multipliers: dict[str, float]) -> None:
-        _set(self, "period", period)
-        _set(self, "movers", movers)
-        _set(self, "energy_goods", energy_goods)
-        _set(self, "non_energy_goods", non_energy_goods)
-        _set(self, "stocks", stocks)
-        _set(self, "cum_extraction", cum_extraction)
-        _set(self, "multipliers", multipliers)
 
 
 # ---------------------------------------------------------------------------
@@ -610,13 +560,18 @@ def _parse_technology(doc, path: str) -> Technology:
         curv = doc.get("curvature", {})
         cpath = f"{path}.curvature"
         _check_keys(curv, {"c0", "c1", "tau", "c2", "q_s", "rho"}, cpath)
-        return FixedProportions(
+        tech = FixedProportions(
             requirements=out, c0=_num(curv, "c0", cpath, positive=True),
             c1=_num(curv, "c1", cpath, default=0.0, least=0.0),
             tau=_num(curv, "tau", cpath, default=1.0, positive=True),
             c2=_num(curv, "c2", cpath, default=0.0, least=0.0),
             q_s=_num(curv, "q_s", cpath, default=1.0, positive=True),
             rho=_num(curv, "rho", cpath, default=1.0, least=1.0))
+        # past an infinite slope c1 / tau, h'' is inf * 0 at every q > 0
+        if tech.c1 > 0.0 and math.isinf(tech.c1 / tech.tau):
+            _fail(f"{cpath}.tau", f"decay slope c1 / tau = {tech.c1:g} / "
+                  f"{tech.tau:g} overflows")
+        return tech
     _fail(f"{path}.kind",
           "must be 'cobb_douglas' or 'fixed_proportions'")
 

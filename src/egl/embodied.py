@@ -40,7 +40,7 @@ import math
 import sys
 from typing import TYPE_CHECKING, NamedTuple
 
-from .core import FixedProportions, Immutable, _set
+from .core import FixedProportions, Immutable
 from .errors import SolverError
 from .numerics import XTOL, newton_root
 
@@ -52,16 +52,10 @@ if TYPE_CHECKING:
 class MeecPoint(Immutable):
     """One sample of a good's embodied-energy curves."""
 
-    _fields = __slots__ = ("quantity", "marginal", "average", "cumulative",
-                           "elasticity")
-
-    def __init__(self, quantity: float, marginal: float, average: float,
-                 cumulative: float, elasticity: float) -> None:
-        _set(self, "quantity", quantity)
-        _set(self, "marginal", marginal)        # joules per unit
-        _set(self, "average", average)          # joules per unit
-        _set(self, "cumulative", cumulative)    # joules
-        _set(self, "elasticity", elasticity)    # dimensionless
+    _fields = __slots__ = ("quantity",
+                           "marginal", "average",   # joules per unit
+                           "cumulative",            # joules
+                           "elasticity")            # dimensionless
 
 
 def _omega(movers: dict[str, PrimeMoverType], mover_id: str) -> float:

@@ -26,8 +26,7 @@ import math
 from typing import TYPE_CHECKING, NamedTuple
 
 from .core import (SS_ACCUM_TOL, SS_ALPHA_TOL, EconomyState, Immutable,
-                   _set, activate_due, aggregate_power, initial_state,
-                   logger)
+                   activate_due, aggregate_power, initial_state, logger)
 from .demand import demand_for_state
 from .embodied import Kernels
 from .errors import EglError, ScenarioValidationError, SolverError
@@ -56,12 +55,7 @@ class Trajectory(Immutable):
     state, ``error`` when period ``len(records)`` failed to solve."""
 
     _fields = __slots__ = ("records", "steady", "error")
-
-    def __init__(self, records: tuple[PeriodRecord, ...],
-                 steady: bool = False, error: str | None = None) -> None:
-        _set(self, "records", records)
-        _set(self, "steady", steady)
-        _set(self, "error", error)
+    _defaults = {"steady": False, "error": None}
 
 
 def step_accumulation(stocks: dict[str, float],

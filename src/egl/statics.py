@@ -36,9 +36,8 @@ import math
 from typing import TYPE_CHECKING
 
 from ._pcg64 import Generator
-from .core import (Immutable, _check_keys, _finite_number, _set,
-                   initial_state, scenario_digest, scenario_from_dict,
-                   with_entry_value)
+from .core import (Immutable, _check_keys, _finite_number, initial_state,
+                   scenario_digest, scenario_from_dict, with_entry_value)
 from .demand import demand_for_state
 from .errors import EglError, ScenarioValidationError
 from .growth import period_zero
@@ -69,25 +68,12 @@ class SignTable(Immutable):
     """Outcome of one proposition's sweep."""
 
     _fields = __slots__ = ("proposition", "trials", "confirmations",
-                           "failures", "step", "discarded", "applicable",
+                           "failures",      # (trial, digest, derivative)
+                           "step", "discarded", "applicable",
                            "min_derivative", "max_derivative", "generator")
-
-    def __init__(self, proposition: str, trials: int, confirmations: int,
-                 failures: tuple[tuple[int, str, float], ...], step: float,
-                 discarded: int = 0, applicable: bool = True,
-                 min_derivative: float = math.nan,
-                 max_derivative: float = math.nan,
-                 generator: str = GENERATOR_NAME) -> None:
-        _set(self, "proposition", proposition)
-        _set(self, "trials", trials)
-        _set(self, "confirmations", confirmations)
-        _set(self, "failures", failures)    # (trial, digest, derivative)
-        _set(self, "step", step)
-        _set(self, "discarded", discarded)
-        _set(self, "applicable", applicable)
-        _set(self, "min_derivative", min_derivative)
-        _set(self, "max_derivative", max_derivative)
-        _set(self, "generator", generator)
+    _defaults = {"discarded": 0, "applicable": True,
+                 "min_derivative": math.nan, "max_derivative": math.nan,
+                 "generator": GENERATOR_NAME}
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .core import (PHI_TOL, Q_RTOL, SLACK_TOL, CobbDouglas, Immutable, _set,
+from .core import (PHI_TOL, Q_RTOL, SLACK_TOL, CobbDouglas, Immutable,
                    effective_multiplier, logger)
 from .embodied import (Kernels, curve, marginal_embodied, sample_curve,
                        solve_power)
@@ -96,16 +96,6 @@ class Figure1Data(Immutable):
 
     _fields = __slots__ = ("good", "quantities", "meec", "energy_content",
                            "saturation_quantity", "markers")
-
-    def __init__(self, good: str, quantities: list[float], meec: list[float],
-                 energy_content: float, saturation_quantity: float | None,
-                 markers: dict[str, float] | None = None) -> None:
-        _set(self, "good", good)
-        _set(self, "quantities", quantities)
-        _set(self, "meec", meec)
-        _set(self, "energy_content", energy_content)
-        _set(self, "saturation_quantity", saturation_quantity)
-        _set(self, "markers", {} if markers is None else markers)
 
 
 def marginal_surplus_at(good: EnergyGood, q: float,

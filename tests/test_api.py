@@ -307,3 +307,17 @@ def test_an_outside_import_is_flagged():
             "def f():\n"
             "    from scipy.optimize import brentq\n")
     assert outside_imports(ast.parse(text)) == ["numpy", "scipy.optimize"]
+
+
+def test_startup_pairs_times_both_kinds_on_the_standard_library():
+    script = SRC.parents[1] / "tools" / "startup_pairs.py"
+    assert outside_imports(ast.parse(script.read_text(encoding="utf-8"))) \
+        == []
+    root = str(SRC.parents[1])
+    done = subprocess.run([sys.executable, str(script), root, root,
+                           "--pairs", "2"], capture_output=True, text=True,
+                          check=True, timeout=120)
+    lines = done.stdout.splitlines()
+    assert [line.split(",")[0] for line in lines] == [
+        "no bytecode cache", "warm bytecode cache"]
+    assert all(line.endswith(" of 2") for line in lines)

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from egl import (aggregate_power, direct_energy, initial_state,
                  load_scenario, scenario_digest, scenario_from_dict)
 from egl.cli import main
-from egl.core import EventSpec, PrimeMoverType, activate_due
+from egl.core import (EventSpec, FixedProportions, Immutable, PrimeMoverType,
+                      activate_due)
 from egl.errors import ScenarioParseError, ScenarioValidationError
 
 from conftest import cd1_doc, cd1_scenario
@@ -343,6 +344,10 @@ BOUNDARY = [
     ("arrivals", ("non_energy_goods", 0, "technology", "requirements"),
      {"engines": 1.0}, "$.non_energy_goods[0].technology"),
     ("arrivals", ("events", 1, "period"), 1, "$.events[1].good.technology"),
+    # c1 / tau overflows, so the decay term's slope h'' is inf * 0 past 0
+    *[("shocks", ("energy_goods", 0, "technology", "curvature", "tau"), tau,
+       "$.energy_goods[0].technology.curvature.tau")
+      for tau in (5e-324, 1e-308)],
 ]
 
 #: Edits that validate but carry the solve out of the float range; each
@@ -379,11 +384,6 @@ SOLVER_BOUNDARY = [
     # its marginal requirements
     ("arrivals", ("events", 1, "good", "pes_stock"), 5e-324, "simulate",
      "degenerate: marginal requirements underflow at output 4.94066e-324"),
-    # tau * c2 * rho underflows in the dip's bracket, which then keeps
-    # max(tau, q_s); past q = 0 the decay term's slope is inf * 0
-    *[("shocks", (*_CURVATURE, "tau"), 5e-324, command,
-       "degenerate: residual or slope is NaN at x = 4")
-      for command in ("equilibrium", "simulate")],
 ]
 
 
@@ -768,6 +768,47 @@ class TestModelTypes:
             assert obj._replace() == obj
             with pytest.raises(TypeError):
                 obj._replace(unknown=1)
+
+    def test_replace_derives_again(self):
+        m = mover(power=3.0, dt=2.0, dep=0.5, gamma_a=4.0)
+        doubled = m._replace(power_rate=6.0)
+        assert doubled.direct_energy == 2 * m.direct_energy == 12.0
+        assert doubled.total_transfer == 14.0 != m.total_transfer
+        # a copy finds its own dip, not the one its source has cached
+        tech = FixedProportions(requirements={"m": 1.0}, c0=0.5, c1=4.0,
+                                tau=2.0, c2=0.4, q_s=4.0, rho=2.0)
+        dip, tangency = tech.dip, tech.tangency
+        steeper = tech._replace(c1=8.0)
+        fresh = FixedProportions(**dict(zip(tech._fields, tech._values()),
+                                        c1=8.0))
+        assert steeper._dip is None and steeper._tangency is None
+        assert steeper.dip == fresh.dip != dip
+        assert steeper.tangency == fresh.tangency != tangency
+
+    def test_init_is_built_from_fields_and_defaults(self):
+        import inspect
+
+        for t in model_types():
+            assert t.__init__.__code__.co_filename == \
+                f"<{t.__qualname__}.__init__>"
+            params = inspect.signature(t).parameters.values()
+            assert [p.name for p in params] == list(t._fields)
+            assert {p.name: p.default for p in params
+                    if p.default is not p.empty} == t._defaults
+        with pytest.raises(TypeError) as err:
+            FixedProportions(requirements={"m": 1.0})
+        assert str(err.value) == ("FixedProportions.__init__() missing 1 "
+                                  "required positional argument: 'c0'")
+
+    # a misspelt default, one before a field without a default, and
+    # defaults out of field order
+    @pytest.mark.parametrize("defaults", [
+        {"tua": 1.0}, {"a": 1.0}, {"b": 1.0, "a": 2.0}])
+    def test_a_wrong_declaration_fails_at_class_creation(self, defaults):
+        with pytest.raises(TypeError, match=r"Broken\._defaults names"):
+            class Broken(Immutable):
+                _fields = __slots__ = ("a", "b")
+                _defaults = defaults
 
     @pytest.mark.parametrize("event, changed", [
         (EventSpec(period=0, kind="efficiency_shift", good="wood",
