@@ -257,7 +257,10 @@ class FixedProportions(Immutable):
                 hi = min(hi, self.q_s * base ** (1 / (self.rho - 1)))
             if hi == 0.0:
                 return 0.0
-        hi = grow_bracket(curvature, hi)
+        # the bracket starts at tau at most, so a dip far below q_s (near
+        # 1e-297 at tau = 1e-300) is a few doublings away, not 1,000
+        # halvings past the root finder's iteration cap
+        hi = grow_bracket(curvature, min(hi, self.tau))
         return newton_root(lambda q: (curvature(q), None), 0.0, hi, 0.0,
                            rtol=1e-12)
 

@@ -133,8 +133,10 @@ def solve_demands(preferences: Preferences,
     r = _curvature(preferences)
     kernels = Kernels() if kernels is None else kernels
     curves = {g.id: kernels.of(g, movers, mult[g.id]) for g in goods}
-    laws, closed = kernels.derived((preferences, *curves.values()),
-                                   _plan, preferences, r, curves)
+    basis = (preferences, *curves.values())
+    if kernels.memo is None or kernels.memo[0] != basis:
+        kernels.memo = basis, _plan(preferences, r, curves)
+    laws, closed = kernels.memo[1]
     if closed is None:
         bundle = _searched_bundle(preferences.weights, r, curves, laws, energy)
     else:

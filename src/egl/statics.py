@@ -161,8 +161,8 @@ def perturb_and_sign(doc: dict, target: str, responses: Sequence[str],
     unchanged and both probes share one energy solve; any other target
     solves it once per probe.  The derivatives come back in the order of
     ``responses``.  ``step`` is relative to the target's base value, which
-    must be nonzero.  Every response path is checked against the parsed
-    period-0 economy before either probe is solved.
+    must be a finite nonzero number.  Every response path is checked
+    against the parsed period-0 economy before either probe is solved.
     """
     return _perturb(doc, target, responses, step)
 
@@ -181,6 +181,8 @@ def _perturb(doc: dict, target: str, responses: Sequence[str], step: float,
         key, 1.0 if key == "requirement_multiplier" else None)
     if base is None:
         raise ValueError(f"target {target!r} has no base value")
+    if not _finite_number(base):
+        raise ValueError(f"target {target!r} is not a finite number")
     if base == 0.0:
         raise ValueError(f"target {target!r} is zero; relative step degenerate")
 

@@ -658,9 +658,10 @@ def solve_energy_side(scenario: ScenarioConfig,
         q = outputs[g.id]
         kernel = problem.curves[g.id]
         gam = kernel.marginal(q)
-        if gam == math.inf:
+        if gam == math.inf or (gam == 0.0 and q > 0.0):
+            way = "overflows" if gam else "underflows"
             raise SolverError("degenerate", f"marginal embodied energy of "
-                              f"{g.id!r} overflows at output {q:.6g}")
+                              f"{g.id!r} {way} at output {q:.6g}")
         gamma[g.id] = gam
         alpha[g.id] = g.energy_content - gam
         meroi_map[g.id] = g.energy_content / gam if q > 0.0 else None
@@ -757,10 +758,8 @@ def _saturation_quantity(good: EnergyGood, state: EconomyState,
     The demand ceiling drops vertically here: past this quantity the good's
     energy cannot be transferred by the movers its technology employs.
     """
-    used = good.technology.used_movers()
     budget = sum(state.movers[mid].direct_energy
-                 * state.stocks.get(mid, 0.0)
-                 for mid in used if mid in state.movers)
+                 * state.stocks.get(mid, 0.0) for mid in kernel.movers)
     if budget <= 0.0:
         return 0.0
 

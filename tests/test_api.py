@@ -321,3 +321,19 @@ def test_startup_pairs_times_both_kinds_on_the_standard_library():
     assert [line.split(",")[0] for line in lines] == [
         "no bytecode cache", "warm bytecode cache"]
     assert all(line.endswith(" of 2") for line in lines)
+
+
+def test_boundary_fuzz_runs_clean_on_the_standard_library():
+    script = SRC.parents[1] / "tools" / "fuzz_boundary.py"
+    assert outside_imports(ast.parse(script.read_text(encoding="utf-8"))) \
+        == []
+    done = subprocess.run([sys.executable, str(script), "--runs", "40",
+                           "--seed", "1"], capture_output=True, text=True,
+                          timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    line, = done.stdout.splitlines()
+    label, _, counts = line.partition(": ")
+    assert label == "runs per exit code"
+    codes = dict(item.split(": ") for item in counts.split(", "))
+    assert set(codes) <= {"0", "1", "2"}
+    assert sum(map(int, codes.values())) == 40

@@ -388,8 +388,9 @@ SOLVER_BOUNDARY = [
 
 
 #: Documents a fuzz of the shipped scenarios found, which validate but
-#: overflow a transfer; each fails its command with exit 2 and writes no
-#: infinity: (scenario, edits as (path, value), command, detail).
+#: carry a transfer out of the float range; each fails its command with
+#: exit 2 and writes no infinity: (scenario, edits as (path, value),
+#: command, detail).
 OVERFLOW_REPROS = [
     # (1 + drawn) ** 1e300 for the arriving coal
     ("arrivals", [(("events", 1, "good", "pes_stock"), 0.999999999999),
@@ -405,6 +406,12 @@ OVERFLOW_REPROS = [
                 (("events", 1, "mover", "power_rate"), 1e-300)],
      "equilibrium",
      "degenerate: marginal embodied energy of 'wood' overflows at output 0"),
+    # scale ** -2 = 1e-600 underflows, so gamma is 0 at the capped output
+    # and its MEROI divided by zero
+    ("reference", [(("energy_goods", 0, "technology", "scale"), 1e300),
+                   (("prime_movers", 0, "power_rate"), 1e300)],
+     "equilibrium", "degenerate: marginal embodied energy of 'grain' "
+     "underflows at output 1e+301"),
 ]
 
 
@@ -527,12 +534,15 @@ class TestDocumentBoundary:
 
     # tiny scales that still solve: rho just above 1 puts the profile's
     # dip near 1e-130, far below tau and q_s, where the dip's bracket
-    # used to start, and q_s = 1e-300 leaves wood an output of 3.7e-300
-    # and a budget of 1.4e-299 J, bought at a multiplier of 1.8e199
+    # used to start, q_s = 1e-300 leaves wood an output of 3.7e-300
+    # and a budget of 1.4e-299 J, bought at a multiplier of 1.8e199, and
+    # tau = 1e-300 puts the dip near 1e-297, about 1,000 halvings below
+    # q_s = 4
     @pytest.mark.parametrize("where, value", [
         (_CURVATURE, {"c0": 1, "c1": 1, "tau": 1, "c2": 1, "q_s": 0.1,
                       "rho": 1.0078125}),
-        ((*_CURVATURE, "q_s"), 1e-300)], ids=["dip", "budget"])
+        ((*_CURVATURE, "q_s"), 1e-300),
+        ((*_CURVATURE, "tau"), 1e-300)], ids=["dip", "budget", "tau"])
     @pytest.mark.parametrize("command", ["equilibrium", "simulate"])
     def test_tiny_scale_solves(self, tmp_path, capsys, where, value,
                                command):
@@ -544,6 +554,17 @@ class TestDocumentBoundary:
                      "--out", str(out)]) == 0
         assert capsys.readouterr().err == ""
         assert not any("inf" in f.read_text() for f in out.glob("*.csv"))
+
+    def test_dip_far_below_its_bracket(self):
+        # the decay term's slope c1 / tau = 4e300 meets the power term's
+        # where exp(-q / tau) underflows, near q = 7e-298; the bracket
+        # grows from tau, not from q_s = 4
+        wood = scenario_from_dict(edited(
+            "shocks", (*_CURVATURE, "tau"), 1e-300)).energy_goods[0]
+        tech = wood.technology
+        assert 1e-300 < tech.dip < 1e-296
+        assert tech.curvature_profile(0.9 * tech.dip) < 0.0 \
+            <= tech.curvature_profile(1.1 * tech.dip)
 
     def test_family_that_is_not_json_exits_1(self, tmp_path, capsys):
         family = tmp_path / "family.json"
@@ -746,7 +767,8 @@ class TestModelTypes:
 
     def test_types_with_equal_field_values_differ(self):
         # a NamedTuple would equal any tuple, or record of another type,
-        # holding the same values; ``Kernels.derived`` compares by ``==``
+        # holding the same values; the consumer plan's memo compares its
+        # basis by ``==``
         types = list(model_types())
         for a in types:
             values = tuple(float(i + 1) for i in range(len(a._fields)))

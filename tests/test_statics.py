@@ -50,6 +50,10 @@ class TestPerturbAndSign:
         with pytest.raises(ValueError, match="bogus"):
             perturb_and_sign(cd1_doc(), "energy_goods.e0.energy_content",
                              ["Q_e.e0", "bogus.e0"])
+        # a target whose base value is not a number
+        for target in ("energy_goods.e0.id", "energy_goods.e0.technology"):
+            with pytest.raises(ValueError, match="not a finite number"):
+                perturb_and_sign(cd1_doc(), target, ["Q_e.e0"])
         # a key must name an active good of the head's kind, and a scalar
         # head takes none
         for bad in (["Q_n.nope"], ["phi.x"], ["Q_e.n0"], ["Q_n.e0"],

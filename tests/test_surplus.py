@@ -19,7 +19,7 @@ from egl.surplus import (_PHI_MAX, _bracket_phi, _newton_phi, _Problem,
 
 from conftest import (cd1_doc, cd1_scenario, random_energy_doc,
                       scarce_doc, scarce_scenario)
-from oracles import adaptive_simpson
+from oracles import adaptive_simpson, max_usable_surplus
 
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -315,11 +315,11 @@ def power_law_doc(movers: list, goods: list) -> dict:
 
 
 @st.composite
-def power_law_economies(draw) -> dict:
-    """1-3 movers, with or without embodied energy, and 1-3 Cobb-Douglas
-    goods, each on a subset of the movers; log-uniform endowments make
-    most draws scarce."""
-    n_movers = draw(st.integers(1, 3))
+def power_law_economies(draw, movers: int = 3, goods: int = 3) -> dict:
+    """1 to ``movers`` movers, with or without embodied energy, and 1 to
+    ``goods`` Cobb-Douglas goods, each on a subset of the movers;
+    log-uniform endowments make most draws scarce."""
+    n_movers = draw(st.integers(1, movers))
     embodied = draw(st.booleans())
     doc = two_good_doc({}, [])
     doc["prime_movers"] = [{
@@ -328,7 +328,7 @@ def power_law_economies(draw) -> dict:
         "avg_embodied": draw(st.floats(0.1, 3.0)) if embodied else 0.0,
         "endowment": 10.0 ** draw(st.floats(-3.0, 1.0)),
         "max_accum_rate": 0.1} for i in range(n_movers)]
-    for j in range(draw(st.integers(1, 3))):
+    for j in range(draw(st.integers(1, goods))):
         used = draw(st.lists(st.integers(0, n_movers - 1), min_size=1,
                              max_size=n_movers, unique=True))
         betas = [draw(st.floats(0.05, 1.0)) for _ in used]
@@ -340,6 +340,97 @@ def power_law_economies(draw) -> dict:
                 "exponents": {f"m{i}": b * returns / sum(betas)
                               for i, b in zip(used, betas)}}})
     return doc
+
+
+class TestReferenceOracle:
+    """egl's usable surplus E* is the most the energy side can earn under
+    usability: it matches ``oracles.max_usable_surplus``, which maximizes
+    E = I - G subject to E <= U and the stocks directly, to 1e-9 relative,
+    plus, at a scarce share, the slack residual E* - U it solved to.  The
+    slack certificate bounds that residual by SLACK_TOL * max(1, |E - U at
+    phi = 0|), an absolute amount, so where E* is small it can pass 1e-9
+    relative.  The rows that wait on a ROADMAP item are strict xfails, so
+    the fix that closes the gap flips them."""
+
+    @staticmethod
+    def gaps(rows) -> list[tuple]:
+        """(period, E*, oracle's E) of each (state, solution) row whose
+        E* misses the oracle's."""
+        missed = []
+        for state, sol in rows:
+            best = max_usable_surplus(_Problem(state))
+            slack = abs(sol.slack_residual) if sol.phi > 0.0 else 0.0
+            if abs(sol.usable_surplus - best) > 1e-9 * abs(best) + slack:
+                missed.append((state.period, sol.usable_surplus, best))
+        return missed
+
+    @pytest.mark.parametrize("endowment, content, slack", [
+        (0.001, 2.0, 1.6e-12), (0.01, 10.0, -2.7e-11)])
+    def test_the_slack_is_all_the_gap_allowed(self, endowment, content,
+                                              slack):
+        # E* near 1e-3 and 1e-2, at phi = 1 - 1e-8: E* - U is within the
+        # slack tolerance 1e-8 and more than 1e-9 of E*, and E* misses the
+        # oracle's E by exactly that much
+        doc = two_good_doc({"power_rate": 1.0, "endowment": endowment},
+                           [("e0", content, 2.0, 0.3125)])
+        scenario, sol = solve_doc(doc)
+        assert sol.slack_residual == pytest.approx(slack, rel=0.05)
+        best = max_usable_surplus(_Problem(initial_state(scenario)))
+        assert abs(sol.usable_surplus - best) > 1e-9 * best
+        assert sol.usable_surplus - best == pytest.approx(
+            sol.slack_residual, rel=1e-3)
+
+    @staticmethod
+    def scarce_periods(name: str):
+        traj = simulate(load_scenario(
+            (SCENARIOS / f"{name}.json").read_text(encoding="utf-8")))
+        return [(r.state, r.energy) for r in traj.records
+                if r.energy.phi > 0.0]
+
+    @settings(max_examples=100, deadline=None)
+    @given(power_law_economies(movers=1, goods=2))
+    def test_one_mover_type(self, doc):
+        scenario = scenario_from_dict(doc)
+        state = initial_state(scenario)
+        try:
+            sol = solve_energy_side(scenario, state)
+        except SolverError as err:
+            # phi* within 1e-12 of 1
+            assert err.kind == "degenerate"
+            return
+        assert self.gaps([(state, sol)]) == []
+
+    @pytest.mark.parametrize("name, count", [("scarce_growth", 92),
+                                             ("shocks", 35)])
+    def test_every_scarce_period(self, name, count):
+        rows = self.scarce_periods(name)
+        assert len(rows) == count
+        assert self.gaps(rows) == []
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: a Cobb-Douglas "
+                       "good's mover mix ignores the mover surplus")
+    def test_arrivals_coal_periods_item_3(self):
+        # workers and engines: egl's E* falls short by up to 4.5e-6
+        # relative, at period 19
+        rows = [(state, sol) for state, sol in self.scarce_periods("arrivals")
+                if "coal" in state.energy_goods]
+        assert len(rows) == 31
+        assert self.gaps(rows) == []
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 4: pick which "
+                       "usability fixed point is the equilibrium")
+    def test_three_crossing_economy_item_4(self):
+        # TestNewtonPhi's economy whose residual crosses zero three times:
+        # E* = 6.664 at phi = 0.4187 against the oracle's 7.114, the E of
+        # the power-law root at phi = 0.9955
+        doc = power_law_doc([("m0", 3.0, 2.371373705661655),
+                             ("m1", 1.0, 0.01)],
+                            [("e0", 2.0, 1.0, {"m1": 0.5}),
+                             ("e1", 15.0, 2.0, {"m1": 0.3125}),
+                             ("e2", 2.0, 2.0, {"m0": 0.5})])
+        scenario = scenario_from_dict(doc)
+        state = initial_state(scenario)
+        assert self.gaps([(state, solve_energy_side(scenario, state))]) == []
 
 
 class TestNewtonPhi:
@@ -1042,8 +1133,8 @@ class TestExhaustedSourceCap:
 
 
 class TestOneCurvePerGood:
-    """A solve builds each good's curve kernel once: the Cobb-Douglas
-    constants B and K are computed once per smooth good."""
+    """A solve builds each good's curve kernel once: ``curve`` runs once
+    per smooth good."""
 
     @staticmethod
     def draws():
@@ -1053,28 +1144,29 @@ class TestOneCurvePerGood:
                 for scarce in (True, False)]
 
     @pytest.fixture
-    def constants_calls(self, monkeypatch):
+    def smooth_builds(self, monkeypatch):
         import egl.embodied
         calls = []
-        constants = egl.embodied._cd_constants
+        build = egl.embodied.curve
 
-        def counted(tech, movers):
-            calls.append(tech)
-            return constants(tech, movers)
+        def counted(tech, movers, multiplier=1.0):
+            if tech.kind == "cobb_douglas":
+                calls.append(tech)
+            return build(tech, movers, multiplier)
 
-        monkeypatch.setattr(egl.embodied, "_cd_constants", counted)
+        monkeypatch.setattr(egl.embodied, "curve", counted)
         return calls
 
-    def test_energy_side(self, constants_calls):
+    def test_energy_side(self, smooth_builds):
         for doc, scarce in self.draws():
             scenario = scenario_from_dict(doc)
             state = initial_state(scenario)
-            constants_calls.clear()
+            smooth_builds.clear()
             sol = solve_energy_side(scenario, state)
-            assert len(constants_calls) == len(doc["energy_goods"])
+            assert len(smooth_builds) == len(doc["energy_goods"])
             assert (sol.phi > 0.0) == scarce
 
-    def test_demand(self, constants_calls):
+    def test_demand(self, smooth_builds):
         from egl.demand import demand_for_state
         for doc, _ in self.draws():
             # one smooth and one fixed-proportions non-energy good
@@ -1086,10 +1178,10 @@ class TestOneCurvePerGood:
             scenario = scenario_from_dict(doc)
             state = initial_state(scenario)
             sol = solve_energy_side(scenario, state)
-            constants_calls.clear()
+            smooth_builds.clear()
             demand = demand_for_state(scenario, state, sol.usable_surplus,
                                       sol.employment)
-            assert len(constants_calls) == 1
+            assert len(smooth_builds) == 1
             assert demand.bundle["n0"] > 0.0
 
 
