@@ -331,7 +331,8 @@ class EventSpec(Immutable):
 #: Solver tolerances, written to each run's manifest.
 PHI_TOL = 1e-10         # relative tolerance of the phi root
 Q_RTOL = 1e-10          # relative bracket width for output roots
-SLACK_TOL = 1e-8        # |E - U|, relative to max(1, E - U at phi = 0)
+SLACK_TOL = 1e-8        # |E - U|, relative to max(1, E - U at phi = 0),
+                        # and the budget residual, relative to max(1, E)
 SS_ACCUM_TOL = 1e-8     # steady state: accumulation, relative to stock
 SS_ALPHA_TOL = 1e-6     # steady state: marginal surplus, relative to delta
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .core import Q_RTOL, effective_multiplier, employment_totals
+from .core import Q_RTOL, SLACK_TOL, effective_multiplier, employment_totals
 from .embodied import Kernels, solve_power
 from .errors import SolverError
 from .numerics import grow_bracket, newton_root
@@ -118,7 +118,9 @@ def solve_demands(preferences: Preferences,
     When ``remaining_endowment`` is given the support prime movers are
     allocated as well and per-type feasibility plus the usability gap are
     reported on the solution.  The goods' curve kernels come from
-    ``kernels`` (by default a fresh store).
+    ``kernels`` (by default a fresh store).  A bundle that misses the
+    budget by more than ``SLACK_TOL`` (relative to max(1, energy)) raises
+    ``SolverError("inaccurate")`` instead of being returned.
     """
     if not goods:
         raise ValueError("need at least one non-energy good")
@@ -153,6 +155,9 @@ def solve_demands(preferences: Preferences,
     gamma_avg = {gid: curves[gid].transfer(q) / q if q > 0.0 else gamma[gid]
                  for gid, q in bundle.items()}
     spent = sum(gamma_avg[gid] * q for gid, q in bundle.items())
+    if abs(spent - energy) > SLACK_TOL * max(1.0, energy):
+        raise SolverError("inaccurate", f"the bundle spends {spent:.9g} J "
+                          f"of a budget of {energy:.9g} J")
     lam = sum(marginal_utility(preferences, bundle, gid) / gamma[gid]
               for gid in bundle) / len(goods)
     return _solution(bundle, curves, movers, remaining_endowment, energy,

@@ -31,7 +31,8 @@ class ScenarioValidationError(EglError):
 
 
 class SolverError(EglError):
-    """A solve failed; ``kind`` is one of infeasible / no_bracket / degenerate."""
+    """A solve failed; ``kind`` is one of infeasible / no_bracket /
+    degenerate / inaccurate (a solution that misses its own tolerance)."""
 
     def __init__(self, kind: str, message: str):
         self.kind = kind

@@ -172,56 +172,49 @@ class _Problem:
 
     def __init__(self, state: EconomyState, kernels: Kernels | None = None):
         kernels = Kernels() if kernels is None else kernels
-        movers = state.movers
+        movers, stocks = state.movers, state.stocks
         self.state = state
         self.goods = list(state.energy_goods.values())
-        self.mult = {g.id: effective_multiplier(g, state) for g in self.goods}
-        self.curves = {g.id: kernels.of(g, movers, self.mult[g.id])
+        self.curves = {g.id: kernels.of(g, movers,
+                                        effective_multiplier(g, state))
                        for g in self.goods}
         # the direct energy one leftover unit of each mover carries into
         # non-energy work: the weights of the usable capacity U
         self.unit_capacity = {mid: mover.direct_energy
                               for mid, mover in movers.items()}
-        # a good has a cap exactly when every mover it uses holds stock; an
-        # exhausted source's cap is 0, with no root for its movers' caps
-        self.caps = {}
-        self.cap_tags = {}
-        self.exhausted = set()
+        # one pass decides what each good can do at phi = 0.  A mined-out
+        # source does nothing.  A good with an unstocked mover, or whose
+        # cap underflows to 0, is uncapped.  Every other good has a cap,
+        # and is a candidate when it earns below it: a smooth curve always
+        # does (gamma(0) = 0), a fixed-proportions good while its profile
+        # weight m * w is below its shutdown threshold a* at the cap, and
+        # its terms are its peak and that a*
+        self.caps, self.cap_tags, self.uncapped = {}, {}, []
+        self.candidates, self.fixed_terms = [], {}
         for g in self.goods:
-            used = self.curves[g.id].movers
+            kernel = self.curves[g.id]
             remaining = math.inf
             if g.pes_stock is not None:
-                remaining = max(
-                    g.pes_stock - state.cum_extraction.get(g.id, 0.0), 0.0)
+                remaining = g.pes_stock - state.cum_extraction.get(g.id, 0.0)
                 if remaining <= 0.0:
-                    self.exhausted.add(g.id)
-            if not all(state.stocks.get(m, 0.0) > 0.0 for m in used):
-                continue
-            if g.id in self.exhausted:
-                self.caps[g.id], self.cap_tags[g.id] = 0.0, "pes"
-                continue
-            cap, tag = math.inf, ""
-            for mid in used:
-                c = self.curves[g.id].output_cap(mid, state.stocks[mid])
-                if c < cap:
-                    cap, tag = c, f"endowment:{mid}"
-            if remaining < cap:
-                cap, tag = remaining, "pes"
-            self.caps[g.id] = cap
-            self.cap_tags[g.id] = tag
-        # the candidates are the capped goods that earn at phi = 0 (see
-        # ``earns``).  A fixed-proportions candidate's terms are its peak
-        # and shutdown threshold a* at the cap
-        self.candidates = []
-        self.fixed_terms = {}
-        for g in self.goods:
-            cap = self.caps.get(g.id, 0.0)
+                    continue
+            cap, tag = 0.0, ""
+            if all(stocks.get(m, 0.0) > 0.0 for m in kernel.movers):
+                cap = math.inf
+                for mid in kernel.movers:
+                    c = kernel.output_cap(mid, stocks[mid])
+                    if c < cap:
+                        cap, tag = c, f"endowment:{mid}"
+                if remaining < cap:
+                    cap, tag = remaining, "pes"
             if cap <= 0.0:
+                self.uncapped.append(g)
                 continue
+            self.caps[g.id], self.cap_tags[g.id] = cap, tag
             tech = g.technology
             if not isinstance(tech, CobbDouglas):
                 a_star = _shutdown_weight(tech, g.energy_content, cap)
-                if self.curves[g.id].mw >= a_star:
+                if kernel.mw >= a_star:
                     continue
                 self.fixed_terms[g.id] = (min(tech.dip, cap), a_star)
             self.candidates.append(g)
@@ -231,21 +224,6 @@ class _Problem:
                            for g in self.candidates
                            if g.id not in self.fixed_terms}
         self.allocations = {}
-
-    def earns(self, good: EnergyGood, cap: float) -> bool:
-        """Whether the good earns a surplus on (0, cap] at phi = 0.
-
-        A smooth curve always earns: it starts at gamma(0) = 0, since its
-        exponent 1/B - 1 is positive, below any content.  A
-        fixed-proportions good earns while its profile weight m * w stays
-        below its shutdown threshold, which holds whenever its content
-        exceeds gamma(0), and can hold below gamma(0) for a dipping
-        profile.
-        """
-        if isinstance(good.technology, CobbDouglas):
-            return True
-        return self.curves[good.id].mw < _shutdown_weight(
-            good.technology, good.energy_content, cap)
 
     def good_output(self, good: EnergyGood, c: float):
         """Optimal output of one good at premium weight c = phi/(1-phi).
@@ -282,7 +260,7 @@ class _Problem:
         # fixed proportions: F(q) = delta - a * h'(q) with a > 0
         kernel = self.curves[good.id]
         q_peak, a_star = self.fixed_terms[good.id]
-        a = self.mult[good.id] * (kernel.w + c * kernel.eps_mean)
+        a = kernel.multiplier * (kernel.w + c * kernel.eps_mean)
         if a >= a_star:
             return 0.0, None
 
@@ -309,7 +287,8 @@ class _Problem:
         shares = []
         for gid, (_, a_star) in self.fixed_terms.items():
             kernel = self.curves[gid]
-            c_star = (a_star / self.mult[gid] - kernel.w) / kernel.eps_mean
+            c_star = (a_star / kernel.multiplier - kernel.w) \
+                / kernel.eps_mean
             if c_star > 0.0:
                 shares.append(c_star / (1.0 + c_star))
         return sorted(shares)
@@ -362,12 +341,6 @@ class _Problem:
             for mid, x in zip(kernel.movers, amounts):
                 totals[mid] = totals.get(mid, 0.0) + x
         return costs, totals
-
-    def employment(self, outputs: dict[str, float]):
-        """Mover units per good and mover at the outputs."""
-        return {g.id: {} if outputs[g.id] <= 0.0
-                else self.curves[g.id].requirements(outputs[g.id])
-                for g in self.goods}
 
     def _ration(self, outputs, bindings):
         """Scale back goods sharing an over-committed mover type.
@@ -615,19 +588,17 @@ def solve_energy_side(scenario: ScenarioConfig,
     problem = _Problem(state, kernels)
     forced = scenario.force_phi is not None
 
-    if not problem.candidates:
-        # a good that would earn without a cap either ran its primary
-        # source dry or earns nothing below its endowment cap; only one
-        # whose movers are missing leaves the economy unable to produce.
-        # A candidate earns at its cap, hence without one, so these goods
-        # matter only when there is no candidate.
-        profitable = [g for g in problem.goods
-                      if problem.earns(g, math.inf)]
-        if not all(g.id in problem.exhausted
-                   or problem.caps.get(g.id, 0.0) > 0.0 for g in profitable):
-            raise SolverError(
-                "infeasible",
-                "no producible energy good: endowments cannot produce output")
+    # with no candidate, an uncapped good that would earn without a cap
+    # leaves the economy unable to produce; a capped good that earns
+    # nothing below its cap, or a mined-out one, does not
+    if not problem.candidates and any(
+            isinstance(g.technology, CobbDouglas)
+            or problem.curves[g.id].mw < _shutdown_weight(
+                g.technology, g.energy_content, math.inf)
+            for g in problem.uncapped):
+        raise SolverError(
+            "infeasible",
+            "no producible energy good: endowments cannot produce output")
 
     if forced or not problem.candidates:
         # nothing produces without a candidate, at any share
@@ -652,6 +623,7 @@ def solve_energy_side(scenario: ScenarioConfig,
     meroi_map: dict[str, float | None] = {}
     foc_goods: dict[str, float] = {}
     foc_movers: dict[str, float] = {}
+    employment: dict[str, dict[str, float]] = {}
     phi_l = mover_surplus_rates(phi, state.movers)
 
     for g in problem.goods:
@@ -665,6 +637,7 @@ def solve_energy_side(scenario: ScenarioConfig,
         gamma[g.id] = gam
         alpha[g.id] = g.energy_content - gam
         meroi_map[g.id] = g.energy_content / gam if q > 0.0 else None
+        employment[g.id] = kernel.requirements(q) if q > 0.0 else {}
         if q <= 0.0:
             continue
         grads = kernel.marginal_requirements(q)
@@ -683,7 +656,7 @@ def solve_energy_side(scenario: ScenarioConfig,
                 foc_movers[f"{g.id}/{mid}"] = abs(resid) / g.energy_content
 
     return EnergySideSolution(
-        outputs=outputs, employment=problem.employment(outputs), phi=phi,
+        outputs=outputs, employment=employment, phi=phi,
         marginal_surplus=alpha, mover_surplus=phi_l, gamma=gamma,
         usable_surplus=e_star, gross_income=income, gross_expenditure=spent,
         expenditure=costs, meroi=meroi_map, foc_good_residuals=foc_goods,

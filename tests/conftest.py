@@ -1,13 +1,16 @@
 import collections
 import copy
+import importlib
 import json
 import os
+import pkgutil
 import sys
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+import egl
 from egl import load_scenario
 
 # Hypothesis profiles; each test keeps its own ``max_examples``.  ``tier1``,
@@ -16,6 +19,14 @@ from egl import load_scenario
 settings.register_profile("tier1", derandomize=True, database=None)
 settings.register_profile("wide", derandomize=False)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
+
+# Hypothesis draws some choices from a pool of the literals in the local
+# modules loaded when a property runs: egl's, since it leaves out files
+# under ``tests``.  Loading every egl module here, before any property
+# runs, makes that pool, and so each property's examples, the same
+# whichever test files run and whatever they loaded before.
+for _module in pkgutil.iter_modules(egl.__path__):
+    importlib.import_module(f"egl.{_module.name}")
 
 # Reference scenario: one energy good with energy content 10 and smooth
 # technology Q = x**0.5 on a single mover with per-unit transfer 1 (zero

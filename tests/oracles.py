@@ -1,11 +1,14 @@
-"""Test-only oracles: the quadrature, the consumer tangency check and the
-energy-side maximizer the suite verifies egl's closed forms and solutions
-against.  egl itself calls none of them."""
+"""Test-only oracles: the quadrature, the consumer tangency check, the
+consumer-side utility maximizer and the energy-side maximizer the suite
+verifies egl's closed forms and solutions against.  egl itself calls none
+of them."""
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
+
+import numpy as np
 
 from egl.core import Preferences
 from egl.demand import marginal_utility
@@ -60,6 +63,134 @@ def tangency_residual(preferences: Preferences, bundle: dict[str, float],
             rhs = gamma[n] / gamma[m]
             worst = max(worst, abs(lhs - rhs) / abs(rhs))
     return worst
+
+
+def log_utility(preferences: Preferences,
+                bundle: dict[str, float]) -> float:
+    """log U at the bundle: sum(w log q) under Cobb-Douglas, and
+    log(sum(w q ** r)) / r with r = 1 - 1/sigma under CES."""
+    return _log_utility(preferences, sum(
+        _term(preferences, preferences.weights[gid], q)
+        for gid, q in bundle.items()))
+
+
+def _exponent(preferences: Preferences) -> float:
+    return 0.0 if preferences.form == "cobb_douglas" \
+        else 1.0 - 1.0 / preferences.elasticity
+
+
+def _term(preferences: Preferences, weight: float, q: float) -> float:
+    """One good's term of a sum that rises with log U: w log q under
+    Cobb-Douglas, sign(r) w q ** r under CES; -inf where q = 0 leaves
+    U = 0."""
+    r = _exponent(preferences)
+    if r > 0.0:
+        return weight * q ** r
+    if q <= 0.0:
+        return -math.inf
+    return weight * math.log(q) if r == 0.0 else -weight * q ** r
+
+
+def _log_utility(preferences: Preferences, total: float) -> float:
+    """log U from the sum of the goods' ``_term``s."""
+    r = _exponent(preferences)
+    if total == -math.inf:
+        return -math.inf
+    if r == 0.0:
+        return total
+    return math.log(total if r > 0.0 else -total) / r
+
+
+def max_utility(preferences: Preferences, curves: dict,
+                energy: float) -> float:
+    """The most log utility a budget of ``energy`` joules buys: the maximum
+    of log U over the split of the budget among the goods, each good's
+    quantity the bisected inverse of its kernel's ``transfer`` G at its
+    share.  ``curves`` maps each good id to its curve kernel; nothing of
+    ``demand`` is used, its multiplier included.
+
+    log U rises with a sum of one term per good (``_term``), so the split
+    is searched on 4,000 even steps of the budget: for two goods over
+    the first good's share, for three nested, the first good's share
+    outside and the split of the rest inside, the goods' terms tabulated
+    once per step.  The best split is then refined by golden section
+    within three steps of the best share at each level, nested the same
+    way.
+    """
+    ids, grid = list(curves), 4000
+    step = energy / grid
+    tables = [_quantities(curves[gid].transfer, step, grid) for gid in ids]
+    terms = [np.array([_term(preferences, preferences.weights[gid], q)
+                       for q in table]) for gid, table in zip(ids, tables)]
+    # best[m]: the largest sum of the terms of goods k + 1.. over the
+    # splits of m steps; share[k, m]: the steps good k takes in the best
+    # split of m steps among goods k..
+    best, share = terms[-1], {}
+    for k in reversed(range(len(ids) - 1)):
+        below, best = best, np.full(grid + 1, -math.inf)
+        for m in range(grid + 1) if k else [grid]:
+            row = terms[k][:m + 1] + below[m::-1]
+            share[k, m] = j = int(np.argmax(row))
+            best[m] = row[j]
+
+    def term(k: int, e: float) -> float:
+        transfer = curves[ids[k]].transfer
+        return _term(preferences, preferences.weights[ids[k]],
+                     _inverse(transfer, e))
+
+    def refined(k: int, budget: float) -> float:
+        """The largest sum of the terms of goods k.. for ``budget``."""
+        if k == len(ids) - 1:
+            return term(k, budget)
+        j = share[k, min(round(budget / step), grid) if k else grid]
+        lo, hi = max(0.0, (j - 3) * step), min(budget, (j + 3) * step)
+        return _golden_max(lambda e: term(k, e) + refined(k + 1, budget - e),
+                           lo, hi, rtol=1e-6 if k == 0 else 1e-4)
+
+    return _log_utility(preferences, refined(0, energy))
+
+
+def _quantities(transfer: Callable[[float], float], step: float,
+                grid: int) -> list[float]:
+    """The inverse of a rising ``transfer`` at the energies 0, step, ...,
+    grid * step, each bisected to 1e-8 relative from a bracket around the
+    straight line through the two below, widened until it holds."""
+    quantities, rise = [0.0, _inverse(transfer, step)], 0.0
+    for i in range(2, grid + 1):
+        e, q = i * step, quantities[-1]
+        rise = q - quantities[-2]
+        width = 1e-3 * rise
+        lo, hi = q + rise - width, q + rise + width
+        while transfer(hi) <= e:
+            lo, hi = hi, hi + 2.0 * (hi - lo)
+        while lo > q and transfer(lo) > e:
+            lo, hi = max(q, lo - 2.0 * (hi - lo)), lo
+        quantities.append(_bisect(transfer, e, lo, hi, 1e-8))
+    return quantities
+
+
+def _inverse(transfer: Callable[[float], float], e: float) -> float:
+    """The q where a rising ``transfer`` reaches e, by bisection to 1e-14
+    relative."""
+    if e <= 0.0:
+        return 0.0
+    lo, hi = 0.0, 1.0
+    while transfer(hi) <= e:
+        lo, hi = hi, 2.0 * hi
+    return _bisect(transfer, e, lo, hi, 1e-14)
+
+
+def _bisect(transfer: Callable[[float], float], e: float, lo: float,
+            hi: float, rtol: float) -> float:
+    """The q in [lo, hi] where a rising ``transfer`` reaches e, by
+    bisection to ``rtol`` relative."""
+    while hi - lo > rtol * hi:
+        mid = 0.5 * (lo + hi)
+        if transfer(mid) <= e:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def max_usable_surplus(problem) -> float:
@@ -156,11 +287,11 @@ def _last_holding(holds: Callable[[float], bool], lo: float,
             hi = mid
 
 
-def _golden_max(f: Callable[[float], float], lo: float,
-                hi: float) -> float:
+def _golden_max(f: Callable[[float], float], lo: float, hi: float,
+                rtol: float = 1e-11) -> float:
     """The largest value of ``f`` on [lo, hi]: the best of 17 even
     samples, refined by golden section between its neighbours until the
-    bracket is 1e-11 of the interval wide."""
+    bracket is ``rtol`` of the interval wide."""
     grid = 16
     xs = [lo + (hi - lo) * i / grid for i in range(grid + 1)]
     values = [f(x) for x in xs]
@@ -172,7 +303,7 @@ def _golden_max(f: Callable[[float], float], lo: float,
     ratio = (math.sqrt(5.0) - 1.0) / 2.0
     c, d = b - ratio * (b - a), a + ratio * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > 1e-11 * (hi - lo):
+    while b - a > rtol * (hi - lo):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - ratio * (b - a)

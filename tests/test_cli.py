@@ -689,6 +689,55 @@ class TestSolverFailureReport:
                                           "overflows at returns to scale 0.5"}]
 
 
+def curved_consumer_doc(c1, tau, preferences):
+    """``reference.json`` with E* = 50, a large fleet and a steep curved
+    cloth profile: the ROADMAP item 13 repros, whose demand solve returns
+    a bundle that misses the budget."""
+    doc = json.loads((SCENARIOS / "reference.json").read_text())
+    doc["energy_goods"][0]["energy_content"] = 14.142135623730951
+    doc["prime_movers"][0]["endowment"] = 1e4
+    doc["non_energy_goods"][0]["technology"]["curvature"] = {
+        "c0": 1, "c1": c1, "tau": tau, "c2": 0.05, "q_s": 4, "rho": 2}
+    doc["preferences"] = preferences
+    return doc
+
+
+class TestBudgetCertificate:
+    """A bundle that misses its budget fails the solve as ``inaccurate``
+    instead of being written."""
+
+    @pytest.mark.parametrize("c1, tau, preferences, spent", [
+        (20, 2, {"form": "cobb_douglas"}, "69.508887"),
+        (100, 0.5, {"form": "cobb_douglas"}, "58.7709308"),
+        (100, 0.5, {"form": "ces", "elasticity": 0.5}, "48.0469738")])
+    def test_missed_budget_exits_2(self, tmp_path, capsys, c1, tau,
+                                   preferences, spent):
+        path = write_scenario(tmp_path,
+                              curved_consumer_doc(c1, tau, preferences))
+        assert main(["equilibrium", "--scenario", path,
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [json.loads(line) for line in err.splitlines()] == [{
+            "error": "solver",
+            "detail": f"inaccurate: the bundle spends {spent} J of a "
+                      "budget of 50 J"}]
+
+    def test_simulate_aborts_its_first_period(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, curved_consumer_doc(
+            20, 2, {"form": "cobb_douglas"}))
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario", path, "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and "inaccurate" in json.loads(lines[0])[
+            "detail"]
+        rows = (out / "trajectory.csv").read_text().splitlines()
+        assert rows[1:] == [
+            "# aborted_period,0",
+            "# error,inaccurate: the bundle spends 69.508887 J of a "
+            "budget of 50 J"]
+
+
 class TestColdStart:
     def test_cli_import_skips_heavy_modules(self, tmp_path):
         family = tmp_path / "family.json"

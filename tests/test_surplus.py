@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -399,6 +402,38 @@ class TestReferenceOracle:
             assert err.kind == "degenerate"
             return
         assert self.gaps([(state, sol)]) == []
+
+    @staticmethod
+    def drawn_examples(prior: str) -> list[str]:
+        """The examples ``test_one_mover_type`` draws in a fresh pytest
+        process that runs ``prior`` first: Hypothesis's verbose report,
+        less the lines that print an object's address and pytest's timed
+        summary line."""
+        root = SCENARIOS.parent
+        node = ("tests/test_surplus.py::TestReferenceOracle::"
+                "test_one_mover_type")
+        code = (f"{prior}\nimport sys, pytest\nsys.exit(pytest.main(["
+                f"'-q', '-s', '-p', 'no:cacheprovider', "
+                f"'--hypothesis-verbosity=verbose', {node!r}]))")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+            str(root / "src"), os.environ.get("PYTHONPATH")])))
+        env.pop("HYPOTHESIS_PROFILE", None)
+        done = subprocess.run([sys.executable, "-c", code], cwd=root,
+                              env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert done.returncode == 0, done.stdout + done.stderr
+        return [line for line in done.stdout.splitlines()[:-1]
+                if " object at 0x" not in line]
+
+    def test_draws_repeat_whatever_loaded_before(self):
+        # Hypothesis's constant pool holds the literals of the egl modules
+        # loaded when a property runs; with conftest loading them all, a
+        # process that loaded more of egl first draws the same examples
+        alone = self.drawn_examples("")
+        assert sum(line.startswith("Trying example") for line in alone) \
+            == 100
+        assert self.drawn_examples(
+            "import egl.cli, egl.reports, egl.statics, egl.svgfig") == alone
 
     @pytest.mark.parametrize("name, count", [("scarce_growth", 92),
                                              ("shocks", 35)])
@@ -1074,8 +1109,8 @@ class TestOneAllocationPerShare:
 
 
 class TestExhaustedSourceCap:
-    """A mined-out source's cap is 0, tagged ``pes``, with no root for its
-    movers' caps."""
+    """A mined-out source does nothing: no cap, no cap root for its
+    movers, no candidacy, and its solve ends null."""
 
     @pytest.fixture
     def cap_calls(self, monkeypatch):
@@ -1097,38 +1132,63 @@ class TestExhaustedSourceCap:
         state = initial_state(scenario_from_dict(doc))
         return _Problem(state._replace(cum_extraction={"e0": drawn}))
 
+    def assert_idle(self, doc, drawn):
+        problem = self.problem(doc, drawn)
+        assert problem.caps == problem.cap_tags == {}
+        assert problem.candidates == problem.uncapped == []
+        sol = solve_energy_side(scenario_from_dict(doc), problem.state)
+        assert sol.null and sol.outputs == {"e0": 0.0}
+        assert sol.employment == {"e0": {}}
+
     @pytest.mark.parametrize("drawn", [3.0, 5.0])
     def test_exhausted_good_takes_no_root(self, cap_calls, drawn):
-        problem = self.problem(dip_doc(), drawn)
-        assert problem.exhausted == {"e0"}
-        assert problem.caps == {"e0": 0.0}
-        assert problem.cap_tags == {"e0": "pes"}
+        self.assert_idle(dip_doc(), drawn)
         assert cap_calls == []
-        assert problem.candidates == []
 
     def test_source_left_takes_its_root(self, cap_calls):
         problem = self.problem(dip_doc(), 2.0)
-        assert problem.exhausted == set()
         assert cap_calls == ["m0"]
         assert problem.caps["e0"] <= 1.0
+        assert [g.id for g in problem.candidates] == ["e0"]
+        assert problem.uncapped == []
 
     def test_exhausted_good_without_stock_has_no_cap(self, cap_calls):
-        problem = self.problem(dip_doc(endowment=0.0), 3.0)
-        assert problem.exhausted == {"e0"}
-        assert problem.caps == {} and cap_calls == []
+        self.assert_idle(dip_doc(endowment=0.0), 3.0)
+        assert cap_calls == []
 
     def test_exhausted_good_whose_cap_overflows_solves(self):
         # without the power term, h(q) = 1e10 needs q near 1e310 at
-        # c0 = 1e-300: the cap overflows; a mined-out source never asks for
-        # it, so the solve ends null
+        # c0 = 1e-300: the cap overflows while the source is open; a
+        # mined-out source never asks for it, so the solve ends null
         doc = dip_doc(endowment=1e10)
         doc["energy_goods"][0]["technology"]["curvature"].update(
             c0=1e-300, c2=0.0)
         with pytest.raises(SolverError, match="overflows"):
             self.problem(doc, 2.0)
-        problem = self.problem(doc, 3.0)
-        assert problem.caps == {"e0": 0.0}
-        sol = solve_energy_side(scenario_from_dict(doc), problem.state)
+        self.assert_idle(doc, 3.0)
+
+
+class TestUncappedGoods:
+    """With no candidate, a good without a cap makes the economy
+    infeasible exactly when it would earn without one."""
+
+    def test_unstocked_smooth_good_is_infeasible(self):
+        problem = problem_of(scarce_doc(0.0))
+        assert [g.id for g in problem.uncapped] == ["e0"]
+        assert problem.candidates == []
+        with pytest.raises(SolverError) as err:
+            solve_doc(scarce_doc(0.0))
+        assert err.value.kind == "infeasible"
+
+    def test_unstocked_profile_good_below_its_curve_ends_null(self):
+        # gamma(0) = 12 exceeds the content 10, so the good would not earn
+        # even without a cap
+        doc = dip_doc(endowment=0.0)
+        doc["energy_goods"][0]["technology"]["curvature"] = {"c0": 12.0}
+        problem = problem_of(doc)
+        assert [g.id for g in problem.uncapped] == ["e0"]
+        assert problem.candidates == []
+        _, sol = solve_doc(doc)
         assert sol.null and sol.outputs == {"e0": 0.0}
 
 

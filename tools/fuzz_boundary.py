@@ -14,7 +14,9 @@ code and exits 1 if any run
 - raises an exception out of ``cli.main``;
 - writes a ``Traceback`` to stderr;
 - fails without writing exactly one JSON line to stderr;
-- exits 0 with an infinite number in a CSV it wrote.
+- exits 0 with an infinite number in a CSV it wrote;
+- exits 0 from ``equilibrium`` with a ``demand.csv`` whose
+  |``budget_residual``| exceeds ``SLACK_TOL`` * max(1, ``E``).
 
 Each such run is printed with its scenario, command and edits, so it can be
 repeated by hand.  The same seed draws the same runs.  The script uses only
@@ -77,6 +79,21 @@ def infinite_in_csv(out: Path) -> list[str]:
     return found
 
 
+def missed_budget(out: Path) -> str:
+    """The budget ``demand.csv`` misses by more than ``SLACK_TOL`` relative
+    to max(1, E), or an empty string."""
+    from egl.core import SLACK_TOL
+
+    text = (out / "demand.csv").read_text(encoding="utf-8")
+    summary = dict(line.split(",", 1) for line in
+                   text.partition("\n\n")[2].splitlines())
+    energy = float(summary["E"])
+    residual = float(summary["budget_residual"])
+    if abs(residual) > SLACK_TOL * max(1.0, energy):
+        return f"demand.csv misses its budget {energy!r} by {residual!r}"
+    return ""
+
+
 def one_run(main, doc: dict, command: list[str],
             tmp: Path) -> tuple[int | None, str]:
     """Exit code of one ``cli.main`` call on ``doc`` and what went wrong, or
@@ -105,7 +122,11 @@ def one_run(main, doc: dict, command: list[str],
             return code, "stderr is not one JSON line:\n" + stderr
         return code, ""
     infinite = infinite_in_csv(out) if out.exists() else []
-    return code, f"inf in {', '.join(infinite)}" if infinite else ""
+    if infinite:
+        return code, f"inf in {', '.join(infinite)}"
+    if command[0] == "equilibrium":
+        return code, missed_budget(out)
+    return code, ""
 
 
 def fuzz(runs: int, seed: int) -> int:
