@@ -20,16 +20,13 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from . import __version__
 from .core import (PHI_TOL, Q_RTOL, SLACK_TOL, SS_ACCUM_TOL, SS_ALPHA_TOL,
-                   effective_multiplier, load_scenario, scenario_digest)
+                   decode_document, effective_multiplier, scenario_digest,
+                   scenario_from_dict)
 from .errors import (EglError, ScenarioParseError, ScenarioValidationError,
                      SolverError)
-
-if TYPE_CHECKING:
-    from .core import ScenarioConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -88,9 +85,14 @@ def _error(kind: str, detail: str, code: int) -> int:
     return code
 
 
-def _read_scenario(path: str) -> tuple[str, ScenarioConfig]:
-    text = Path(path).read_text(encoding="utf-8")
-    return text, load_scenario(text)
+def _read_document(path: str):
+    """The JSON document in the file at ``path``, read as UTF-8 text."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioParseError(
+            f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    return decode_document(text)
 
 
 def _write_outputs(out_dir: str, files: dict[str, str], command: str,
@@ -112,7 +114,7 @@ def _write_outputs(out_dir: str, files: dict[str, str], command: str,
 
 
 def _cmd_validate(args) -> int:
-    _read_scenario(args.scenario)
+    scenario_from_dict(_read_document(args.scenario))
     print("ok")
     return EXIT_OK
 
@@ -125,7 +127,8 @@ def _cmd_equilibrium(args) -> int:
     from .surplus import figure1_report, solve_energy_side
     from .svgfig import figure1_svg
 
-    text, scenario = _read_scenario(args.scenario)
+    doc = _read_document(args.scenario)
+    scenario = scenario_from_dict(doc)
     state = period_zero(scenario)
     solution = solve_energy_side(scenario, state)
     demand = demand_for_state(scenario, state, solution.usable_surplus,
@@ -141,7 +144,7 @@ def _cmd_equilibrium(args) -> int:
                               data.quantities[-1], samples=200,
                               multiplier=effective_multiplier(good, state))
         files[f"meec_{gid}.csv"] = meec_curve_csv(points)
-    _write_outputs(args.out, files, "equilibrium", scenario_digest(text),
+    _write_outputs(args.out, files, "equilibrium", scenario_digest(doc),
                    _TOLERANCES)
     return EXIT_OK
 
@@ -153,13 +156,14 @@ def _cmd_simulate(args) -> int:
 
     if args.horizon is not None and args.horizon < 0:
         raise UsageError("--horizon must be >= 0")
-    text, scenario = _read_scenario(args.scenario)
+    doc = _read_document(args.scenario)
+    scenario = scenario_from_dict(doc)
     trajectory = simulate(scenario, horizon=args.horizon)
     files = {
         "trajectory.csv": trajectory_csv(scenario, trajectory),
         "figure2.svg": figure2_svg(trajectory),
     }
-    _write_outputs(args.out, files, "simulate", scenario_digest(text),
+    _write_outputs(args.out, files, "simulate", scenario_digest(doc),
                    _TOLERANCES)
     if trajectory.error is not None:
         return _error("solver", trajectory.error, EXIT_SOLVER)
@@ -174,18 +178,13 @@ def _cmd_statics(args) -> int:
         raise UsageError("--trials must be >= 1")
     if args.seed < 0:
         raise UsageError("--seed must be >= 0")
-    family_text = Path(args.family).read_text(encoding="utf-8")
-    try:
-        family = json.loads(family_text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioParseError(exc.msg, exc.lineno, exc.colno) from exc
+    family = _read_document(args.family)
     tables = proposition_suite(args.seed, args.trials, family)
     files = {
         "sign_table.csv": sign_table_csv(tables),
         "failures.csv": failures_csv(tables),
     }
-    _write_outputs(args.out, files, "statics",
-                   scenario_digest(family_text),
+    _write_outputs(args.out, files, "statics", scenario_digest(family),
                    {"seed": args.seed, "trials": args.trials,
                     "generator": GENERATOR_NAME,
                     "discarded": {key: t.discarded
@@ -197,11 +196,19 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, and the class of its sub-parsers, that raises
+    each usage error as ``UsageError`` instead of printing and exiting."""
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first ``main`` call and kept
     for the process: parsing reads it and leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="egl",
         description="Energy-surplus equilibria and growth simulation")
     parser.add_argument("--version", action="version", version=__version__)
@@ -233,14 +240,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage problems; fold into the usage code
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit:      # argparse's --help and --version, once printed
+        return EXIT_OK
     except UsageError as exc:
         return _error("usage", str(exc), EXIT_USAGE)
     except ScenarioParseError as exc:

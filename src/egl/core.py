@@ -516,6 +516,10 @@ def _entry_id(doc, allowed: set[str], path: str) -> str:
     ident = doc.get("id")
     if not isinstance(ident, str) or not ident:
         _fail(f"{path}.id", "must be a non-empty string")
+    try:        # an id names output files and columns, written as UTF-8
+        ident.encode("utf-8")
+    except UnicodeEncodeError:
+        _fail(f"{path}.id", "must not hold a lone surrogate")
     return ident
 
 
@@ -814,8 +818,8 @@ def with_entry_value(scenario: ScenarioConfig, doc: dict, section: str,
 
     Only the edited entry is parsed again, with the same checks and field
     paths; the rest of the scenario is reused through ``_replace``.  A
-    utility weight also moves the preference weight it sets, unless
-    ``preferences.weights`` overrides it.
+    utility weight also parses the preferences again, so it moves the
+    preference weight it sets unless ``preferences.weights`` overrides it.
     """
     raw = dict(doc[section][index], **{key: value})
     path = f"$.{section}[{index}]"
@@ -828,21 +832,31 @@ def with_entry_value(scenario: ScenarioConfig, doc: dict, section: str,
     entries = list(getattr(scenario, section))
     entries[index] = entry
     changes = {section: tuple(entries)}
-    if key == "utility_weight" and section == "non_energy_goods" \
-            and entry.id not in doc.get("preferences", {}).get("weights", {}):
-        prefs = scenario.preferences
-        changes["preferences"] = prefs._replace(
-            weights={**prefs.weights, entry.id: entry.utility_weight})
+    if key == "utility_weight" and section == "non_energy_goods":
+        changes["preferences"] = _parse_preferences(
+            doc.get("preferences", {}), "$.preferences", changes[section])
     return scenario._replace(**changes)
+
+
+def decode_document(text: str):
+    """The JSON value ``text`` holds, or ScenarioParseError: malformed
+    JSON, nesting past the recursion limit, or an integer past the
+    interpreter's digit limit."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ScenarioParseError(exc.msg, exc.lineno, exc.colno) from exc
+    except RecursionError:
+        raise ScenarioParseError("document nests too deeply") from None
+    except ValueError:      # int() refuses the digits
+        raise ScenarioParseError(
+            "an integer has more than "
+            f"{sys.get_int_max_str_digits()} digits") from None
 
 
 def load_scenario(text: str) -> ScenarioConfig:
     """Parse and validate a scenario JSON document."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioParseError(exc.msg, exc.lineno, exc.colno) from exc
-    return scenario_from_dict(doc)
+    return scenario_from_dict(decode_document(text))
 
 
 def scenario_digest(doc: dict | str) -> str:

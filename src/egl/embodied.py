@@ -78,6 +78,20 @@ def _check_quantity(q: float) -> None:
         raise ValueError("quantity must be >= 0")
 
 
+# the ``transfer`` and ``requirements`` methods of both kernel classes
+def _transfer(kernel: Curve, q: float) -> float:
+    """G(q): integral of the marginal curve from 0 to q."""
+    _check_quantity(q)
+    if q == 0.0:
+        return 0.0
+    return kernel.load(q)[0]
+
+
+def _requirements(kernel: Curve, q: float) -> dict[str, float]:
+    """Units x_l(q) of each used mover, q >= 0."""
+    return dict(zip(kernel.movers, kernel.load(q)[1]))
+
+
 class SmoothCurve(NamedTuple):
     """Compiled Cobb-Douglas curve.  With p = (q / scale) ** (1/B):
     G = m K p, x_l = (beta_l / omega_l) * m (K/B) p and
@@ -106,12 +120,7 @@ class SmoothCurve(NamedTuple):
         except OverflowError:
             raise _overflow(self.b_total) from None
 
-    def transfer(self, q: float) -> float:
-        """G(q): integral of the marginal curve from 0 to q."""
-        _check_quantity(q)
-        if q == 0.0:
-            return 0.0
-        return self.load(q)[0]
+    transfer = _transfer
 
     def load(self, q: float) -> tuple[float, list[float]]:
         """G(q) and the units x_l(q) of each mover in ``movers``, q >= 0."""
@@ -122,9 +131,7 @@ class SmoothCurve(NamedTuple):
         base = self.coef * p
         return self.cost * p, [r * base for r in self.ratios]
 
-    def requirements(self, q: float) -> dict[str, float]:
-        """Units x_l(q) of each used mover, q >= 0."""
-        return dict(zip(self.movers, self.load(q)[1]))
+    requirements = _requirements
 
     def units(self, q: float, i: int) -> tuple[float, float]:
         """x_l(q) of the mover in slot ``i`` and its slope x_l / (B q)."""
@@ -180,21 +187,14 @@ class ProfileCurve(NamedTuple):
         _check_quantity(q)
         return self.mw * self.tech.marginal_profile(q)
 
-    def transfer(self, q: float) -> float:
-        """G(q): integral of the marginal curve from 0 to q."""
-        _check_quantity(q)
-        if q == 0.0:
-            return 0.0
-        return self.load(q)[0]
+    transfer = _transfer
 
     def load(self, q: float) -> tuple[float, list[float]]:
         """G(q) and the units x_l(q) of each mover in ``movers``, q >= 0."""
         h = self.tech.cumulative_profile(q)
         return self.mw * h, [c * h for c in self.weights]
 
-    def requirements(self, q: float) -> dict[str, float]:
-        """Units x_l(q) of each used mover, q >= 0."""
-        return dict(zip(self.movers, self.load(q)[1]))
+    requirements = _requirements
 
     def units(self, q: float, i: int) -> tuple[float, float]:
         """x_l(q) of the mover in slot ``i`` and its slope m nu_l h'(q)."""

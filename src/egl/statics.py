@@ -98,14 +98,13 @@ def _locate(doc: dict, path: str) -> tuple[str, int, str]:
     raise ValueError(f"no {section} entry with id {ident!r}")
 
 
-#: Response heads and the goods their key names: the energy side's
-#: solution (``Q_e`` and ``alpha`` keyed by energy good id, scalars ``phi``
-#: and ``E_star``) or the consumer's (``Q_n`` keyed by non-energy good id,
-#: scalar ``lambda``).
-_RESPONSE_KEYS = {"Q_e": "energy_goods", "alpha": "energy_goods",
-                  "phi": None, "E_star": None,
-                  "Q_n": "non_energy_goods", "lambda": None}
-_DEMAND_HEADS = ("Q_n", "lambda")
+#: Each response head: the section whose good ids its keys name (None: a
+#: scalar) and whether it reads the consumer's solution rather than the
+#: energy side's.
+_RESPONSE_HEADS = {"Q_e": ("energy_goods", False),
+                   "alpha": ("energy_goods", False),
+                   "phi": (None, False), "E_star": (None, False),
+                   "Q_n": ("non_energy_goods", True), "lambda": (None, True)}
 
 
 def _check_responses(scenario: ScenarioConfig,
@@ -116,9 +115,9 @@ def _check_responses(scenario: ScenarioConfig,
     state = initial_state(scenario)
     for response in responses:
         head, dot, key = response.partition(".")
-        if head not in _RESPONSE_KEYS:
+        if head not in _RESPONSE_HEADS:
             raise ValueError(f"unsupported response path {response!r}")
-        section = _RESPONSE_KEYS[head]
+        section = _RESPONSE_HEADS[head][0]
         if section is None:
             if dot:
                 raise ValueError(
@@ -190,7 +189,7 @@ def _perturb(doc: dict, target: str, responses: Sequence[str], step: float,
         scenario = scenario_from_dict(doc)
     _check_responses(scenario, responses)
     paths = [response.partition(".") for response in responses]
-    needs_demand = any(head in _DEMAND_HEADS for head, _, _ in paths)
+    needs_demand = any(_RESPONSE_HEADS[head][1] for head, _, _ in paths)
     energy = demand = None
     probes = []
     # each probe's entry is parsed before any of that probe's solves, so a

@@ -318,9 +318,14 @@ def test_startup_pairs_times_both_kinds_on_the_standard_library():
                            "--pairs", "2"], capture_output=True, text=True,
                           check=True, timeout=120)
     lines = done.stdout.splitlines()
-    assert [line.split(",")[0] for line in lines] == [
-        "no bytecode cache", "warm bytecode cache"]
-    assert all(line.endswith(" of 2") for line in lines)
+    assert [line.split(", ")[:2] for line in lines] == [
+        [cache, part] for cache in ("no bytecode cache", "warm bytecode cache")
+        for part in ("2 pairs", "interpreter", "egl increment")]
+    assert all(line.endswith(" of 2") for line in lines[::3])
+    assert all("python -c median" in line and "python -S -c median" in line
+               for line in lines[1::3])
+    assert all("over python -c base" in line
+               and "over python -S -c base" in line for line in lines[2::3])
 
 
 def test_boundary_fuzz_runs_clean_on_the_standard_library():

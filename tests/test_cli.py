@@ -576,6 +576,34 @@ class TestUsage:
     def test_unknown_argument(self, capsys):
         assert main(["simulate", "--bogus"]) == 1
 
+    @pytest.mark.parametrize("argv, detail", [
+        (["bogus"], "argument command: invalid choice: 'bogus' (choose "
+                    "from 'validate', 'equilibrium', 'simulate', 'statics')"),
+        (["simulate", "--scenario", "x"],
+         "the following arguments are required: --out"),
+        (["statics", "--family", "f", "--seed", "abc", "--trials", "1",
+          "--out", "o"], "argument --seed: invalid int value: 'abc'"),
+        ([], "the following arguments are required: command"),
+    ])
+    def test_argparse_error_is_one_json_line(self, capsys, argv, detail):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [json.loads(line) for line in captured.err.splitlines()] \
+            == [{"error": "usage", "detail": detail}]
+
+    @pytest.mark.parametrize("argv, first", [
+        (["--help"], "usage: egl [-h] [--version]"),
+        (["simulate", "-h"],
+         "usage: egl simulate [-h] --scenario SCENARIO --out OUT"),
+        (["--version"], egl.__version__),
+    ])
+    def test_help_and_version_exit_0(self, capsys, argv, first):
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.startswith(first)
+
     @pytest.mark.parametrize("horizon", ["-1", "-3"])
     def test_negative_horizon_usage_error(self, tmp_path, capsys, horizon):
         # a document's horizon must be >= 0, and so must the flag's

@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -139,6 +140,12 @@ class TestLoadScenario:
         with pytest.raises(ScenarioValidationError) as err:
             load_scenario(json.dumps(doc))
         assert "returns to scale must be < 1" in str(err.value)
+
+    @pytest.mark.parametrize("name", ["reference", "scarce_growth", "shocks",
+                                      "arrivals", "sweep_family"])
+    def test_digest_of_the_document_is_the_digest_of_its_text(self, name):
+        text = (SCENARIOS / f"{name}.json").read_text(encoding="utf-8")
+        assert scenario_digest(json.loads(text)) == scenario_digest(text)
 
     def test_parse_error_carries_position(self):
         with pytest.raises(ScenarioParseError) as err:
@@ -450,6 +457,32 @@ def edited(name: str, where: tuple, value, *more):
     return doc
 
 
+def undecodable(kind: str) -> bytes:
+    """A file that holds no document ``json.loads`` returns: bytes that
+    are not UTF-8, 100,000 unclosed arrays or 3,000 unclosed objects
+    (nesting past the recursion limit), or ``reference.json`` with a
+    5,000-digit horizon (past the interpreter's integer digit limit)."""
+    if kind == "not_utf8":
+        return b"\xff\xfe\x00garbage"
+    if kind == "deep_arrays":
+        return b"[" * 100_000
+    if kind == "deep_objects":
+        return b'{"a": ' * 3000
+    text = (SCENARIOS / "reference.json").read_text(encoding="utf-8")
+    assert '"horizon": 500' in text
+    return text.replace('"horizon": 500',
+                        '"horizon": ' + "7" * 5000).encode("utf-8")
+
+
+UNDECODABLE = [
+    ("not_utf8", "not UTF-8 text: invalid start byte at byte 0"),
+    ("deep_arrays", "document nests too deeply"),
+    ("deep_objects", "document nests too deeply"),
+    ("long_integer",
+     f"an integer has more than {sys.get_int_max_str_digits()} digits"),
+]
+
+
 class TestDocumentBoundary:
     @pytest.mark.parametrize("name, where, value, field", BOUNDARY)
     def test_one_edit_names_one_field(self, tmp_path, capsys, name, where,
@@ -565,6 +598,52 @@ class TestDocumentBoundary:
         assert 1e-300 < tech.dip < 1e-296
         assert tech.curvature_profile(0.9 * tech.dip) < 0.0 \
             <= tech.curvature_profile(1.1 * tech.dip)
+
+    @pytest.mark.parametrize("kind, detail", UNDECODABLE[1:])
+    def test_nesting_and_long_integers_are_parse_errors(self, kind, detail):
+        with pytest.raises(ScenarioParseError) as err:
+            load_scenario(undecodable(kind).decode("utf-8"))
+        assert str(err.value) == detail
+        assert "set_int_max_str_digits" not in detail
+
+    @pytest.mark.parametrize("kind, detail", UNDECODABLE)
+    @pytest.mark.parametrize("command", ["validate", "equilibrium",
+                                         "simulate", "statics"])
+    def test_undecodable_file_exits_1(self, tmp_path, capsys, kind, detail,
+                                      command):
+        path = tmp_path / "doc.json"
+        path.write_bytes(undecodable(kind))
+        out = tmp_path / "out"
+        argv = ([command, "--scenario", str(path)] if command != "statics"
+                else ["statics", "--family", str(path), "--seed", "1",
+                      "--trials", "1"])
+        if command != "validate":
+            argv += ["--out", str(out)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert [json.loads(line) for line in captured.err.splitlines()] \
+            == [{"error": "parse", "detail": detail}]
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "equilibrium",
+                                         "simulate"])
+    def test_lone_surrogate_id_exits_1(self, tmp_path, capsys, command):
+        # "\ud800" decodes to a str that no UTF-8 output file can hold
+        text = (SCENARIOS / "reference.json").read_text(encoding="utf-8")
+        path = tmp_path / "scenario.json"
+        path.write_text(text.replace('"pots"', '"pots\\ud800"'),
+                        encoding="utf-8")
+        argv = [command, "--scenario", str(path)]
+        if command != "validate":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert [json.loads(line)
+                for line in capsys.readouterr().err.splitlines()] == [
+            {"error": "validation",
+             "detail": "$.non_energy_goods[1].id: must not hold a lone "
+                       "surrogate"}]
 
     def test_family_that_is_not_json_exits_1(self, tmp_path, capsys):
         family = tmp_path / "family.json"
