@@ -22,9 +22,9 @@ When every good that can produce is Cobb-Douglas, the usability residual
 E - U is a sum of powers of 1 + c * kappa_g in c = phi / (1 - phi), which
 ``numerics.newton_root`` solves with its exact derivative.  One full
 residual at that share, through the caps and the rationing, certifies it
-against the slack tolerance.  The share fails the certificate where a cap
-or the rationing binds at it, and is not tried where several mover types
-are rationed at phi = 0, since there the residual can cross zero twice.
+against the slack tolerance, and fails where a cap or the rationing binds
+there.  The full residual never exceeds the form, which falls in c, so a
+certified share is the largest root of E - U, the most the economy earns.
 
 Otherwise the bracket route solves phi.  The usability residual is
 continuous between the shutdown shares of fixed-proportions goods.  Two
@@ -459,22 +459,17 @@ def _newton_phi(problem: _Problem) -> float | None:
     or a non-negative slope in the form, or a form still positive at
     c_max, returns None.
 
-    Caps and rationing are not part of this form: the full residual at the
-    share certifies it.  Outputs fall as c rises, so whatever binds
-    anywhere binds at phi = 0, and where it binds the full residual lies
-    below this form.  A cap holds an output fixed, so the full residual
-    still falls, through one root.  Rationing one mover type of one
-    employs the whole fleet, and there U = 0 < E.  But rationing one type
-    of several can leave the residual negative below a second root, so an
-    economy that rations at phi = 0 with several types returns None.
+    Caps and rationing are not part of this form; the full residual at the
+    share certifies it, and that alone decides whether it is kept.  The
+    full residual never exceeds the form: caps and rationing only lower
+    outputs, each good's term delta_g Q - w_g p rises in Q below its
+    interior optimum, and a rationed fleet is never over-used.  The form
+    falls in c, so no root lies above its root, and a certified share is
+    the largest root of E - U.  There nothing binds and each good
+    maximizes its term of E + c (U - E), so E is the most the economy can
+    earn; the lower roots that rationing several mover types adds earn less.
     """
-    stocks, weights = problem.state.stocks, problem.unit_capacity
-    fleet = [mid for mid in weights if stocks.get(mid, 0.0) > 0.0]
-    outputs, _, _, bindings = problem.allocation(0.0)
-    # a bound output below its cap was rationed
-    if len(fleet) > 1 and any(outputs[gid] < problem.caps[gid]
-                              for gid in bindings):
-        return None
+    weights = problem.unit_capacity
     terms = []
     for g in problem.candidates:
         kernel = problem.curves[g.id]

@@ -1,4 +1,6 @@
 import contextlib
+import copy
+import importlib.util
 import io
 import itertools
 import json
@@ -555,6 +557,73 @@ class TestStaticsFamilyBoundary:
                 json.loads(lines[0])
             else:
                 assert (out / "sign_table.csv").exists()
+
+
+def _load_fuzz_tool():
+    """``tools/fuzz_boundary.py`` as a module kept out of ``sys.modules``,
+    so its literals stay out of Hypothesis's constant pool (see
+    conftest) and no property's draws depend on whether this file ran."""
+    path = SCENARIOS.parent / "tools" / "fuzz_boundary.py"
+    spec = importlib.util.spec_from_file_location("fuzz_boundary", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+fuzz_boundary = _load_fuzz_tool()
+_EDITS = ("extreme", "copy", "delete", "rekey", "node")
+
+
+@st.composite
+def edited_scenarios(draw):
+    """A shipped scenario after one or two structural edits: delete, copy
+    or re-key a node, set it to a mistyped value, or set a number to an
+    extreme one (the fuzz tool's ``NODES`` and ``VALUES``)."""
+    name = draw(st.sampled_from(fuzz_boundary.SCENARIOS))
+    doc = json.loads((SCENARIOS / f"{name}.json").read_text(encoding="utf-8"))
+    get = fuzz_boundary.get_path
+    for _ in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(_EDITS))
+        paths = [p for p in fuzz_boundary.node_paths(doc)
+                 if (kind != "rekey" or isinstance(get(doc, p[:-1]), dict))
+                 and (kind != "extreme" or type(get(doc, p)) in (int, float))]
+        if not paths:
+            continue
+        path = draw(st.sampled_from(paths))
+        parent, key = get(doc, path[:-1]), path[-1]
+        if kind == "delete":
+            del parent[key]
+        elif kind == "copy" and isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(parent[key]))
+        elif kind == "copy":
+            parent[draw(st.sampled_from(sorted(parent)))] = \
+                copy.deepcopy(parent[key])
+        elif kind == "rekey":
+            keys = {p[-1] for p in fuzz_boundary.node_paths(doc)
+                    if isinstance(p[-1], str)}
+            parent[draw(st.sampled_from(sorted(keys) + ["x"]))] = \
+                parent.pop(key)
+        elif kind == "node":
+            parent[key] = json.loads(draw(st.sampled_from(
+                fuzz_boundary.NODES)))
+        else:
+            parent[key] = draw(st.sampled_from(fuzz_boundary.VALUES))
+    return doc
+
+
+class TestScenarioDocumentBoundary:
+    """Every edited scenario exits 0, 1 or 2 with the fuzz tool's checks:
+    no exception or ``Traceback``, one JSON line on stderr on failure, and
+    on exit 0 no infinite CSV number and a demand that meets its
+    budget."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(edited_scenarios(), st.sampled_from(fuzz_boundary.COMMANDS))
+    def test_exits_cleanly(self, doc, command):
+        with tempfile.TemporaryDirectory() as tmp:
+            code, problem = fuzz_boundary.one_run(
+                main, json.dumps(doc).encode("utf-8"), command, Path(tmp))
+        assert code in (0, 1, 2) and problem == "", problem
 
 
 class TestUsage:

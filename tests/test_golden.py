@@ -57,7 +57,7 @@ DIGESTS = {
     "simulate-arrivals/figure2.svg":
         "2f4e31d06276361227f1f7e7607b4621e8912fbbe7667f04bc24b79cb756007c",
     "simulate-arrivals/trajectory.csv":
-        "76a2c6e744438f7cfa1acf7fd733a468b3db7f74ab53c9884aa0a83a7279f9ee",
+        "5e96da895ba71ed4a2afb9c21e80634af7189d6949301e1f37c461d11dd8aa57",
     "simulate-reference/figure2.svg":
         "6761254593bdd5eca955872bb467fea0bee8bdd7d0a319e0238dc272bb1461e8",
     "simulate-reference/trajectory.csv":

@@ -452,17 +452,49 @@ class TestReferenceOracle:
         assert len(rows) == 31
         assert self.gaps(rows) == []
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 4: pick which "
-                       "usability fixed point is the equilibrium")
     def test_three_crossing_economy_item_4(self):
         # TestNewtonPhi's economy whose residual crosses zero three times:
-        # E* = 6.664 at phi = 0.4187 against the oracle's 7.114, the E of
-        # the power-law root at phi = 0.9955
+        # the oracle's 7.114 is the E* of the largest root, the power-law
+        # root at phi = 0.9955, which the solve returns; the lowest root,
+        # at phi = 0.4187, earns 6.664
         doc = power_law_doc([("m0", 3.0, 2.371373705661655),
                              ("m1", 1.0, 0.01)],
                             [("e0", 2.0, 1.0, {"m1": 0.5}),
                              ("e1", 15.0, 2.0, {"m1": 0.3125}),
                              ("e2", 2.0, 2.0, {"m0": 0.5})])
+        scenario = scenario_from_dict(doc)
+        state = initial_state(scenario)
+        assert self.gaps([(state, solve_energy_side(scenario, state))]) == []
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 16: proportional "
+                       "rationing is not the surplus maximum")
+    def test_shared_scarce_mover_item_16(self):
+        # e0 runs on m0 alone and e1 on m0 and m1; both over-commit m0's
+        # stock at phi = 0, and rationing shrinks both by one factor while
+        # m1's leftover keeps U > E, so phi stays 0 at E* = 0.0937.  The
+        # oracle's 0.1319 gives m0 nearly all to e0
+        doc = {
+            "period_length": 1.0, "horizon": 1,
+            "prime_movers": [
+                {"id": "m0", "power_rate": 1.3938245620291578,
+                 "depreciation": 0.5, "avg_embodied": 2.7443463629411444,
+                 "endowment": 0.0019065906161307303, "max_accum_rate": 0.1},
+                {"id": "m1", "power_rate": 2.18108027459272,
+                 "depreciation": 0.5, "avg_embodied": 0.6972118042577992,
+                 "endowment": 2.53762884850706, "max_accum_rate": 0.1}],
+            "energy_goods": [
+                {"id": "e0", "energy_content": 30.62107308989605,
+                 "technology": {"kind": "cobb_douglas", "scale": 0.5,
+                                "exponents": {"m0": 0.7529157506110089}}},
+                {"id": "e1", "energy_content": 2.0,
+                 "technology": {"kind": "cobb_douglas", "scale": 0.5,
+                                "exponents": {"m0": 0.37676233253518243,
+                                              "m1": 0.3204494717226167}}}],
+            "non_energy_goods": [
+                {"id": "n0", "technology": {
+                    "kind": "fixed_proportions", "requirements": {"m0": 1.0},
+                    "curvature": {"c0": 1.0}}, "utility_weight": 1.0}],
+            "preferences": {"form": "cobb_douglas"}}
         scenario = scenario_from_dict(doc)
         state = initial_state(scenario)
         assert self.gaps([(state, solve_energy_side(scenario, state))]) == []
@@ -532,12 +564,13 @@ class TestNewtonPhi:
         assert bracket == pytest.approx(phi, rel=1e-9)
         assert sol.binding_constraints == {"e0": binding}
 
-    def test_several_movers_bound_at_zero_take_the_bracket_route(self):
+    def test_several_movers_bound_at_zero_take_the_largest_root(self):
         # m1 (stock 0.01) is rationed between e0 and e1 from phi = 0 to
         # about 0.97 while m0 keeps a leftover, so U > 0 there: the full
         # residual falls through zero at 0.4187, rises, and touches zero
-        # again at the power-law root 0.9955, where nothing binds; the
-        # solve keeps the bracket route's root
+        # again at the power-law root 0.9955, where nothing binds.  The
+        # solve keeps the certified power-law root, the largest, whose E*
+        # is the oracle's; the bracket route alone keeps the lowest
         doc = power_law_doc([("m0", 3.0, 2.371373705661655),
                              ("m1", 1.0, 0.01)],
                             [("e0", 2.0, 1.0, {"m1": 0.5}),
@@ -547,12 +580,17 @@ class TestNewtonPhi:
         state = initial_state(scenario)
         problem = _Problem(state)
         newton, (phi, converged), ftol = self.routes(problem)
-        assert newton is None
-        assert abs(problem.residual(0.9955170802068111)) <= ftol
-        assert problem.allocation(0.9955170802068111)[3] == {}
-        sol = solve_energy_side(scenario, state)
-        assert converged and sol.phi == phi
+        assert newton == pytest.approx(0.9955170802068111, rel=1e-12)
+        assert abs(problem.residual(newton)) <= ftol
+        assert converged and abs(problem.residual(phi)) <= ftol
         assert phi == pytest.approx(0.41872826188452267, rel=1e-9)
+        sol = solve_energy_side(scenario, state)
+        assert sol.phi == newton and sol.binding_constraints == {}
+        best = max_usable_surplus(_Problem(state))
+        assert abs(sol.usable_surplus - best) <= 1e-9 * best
+        assert sol.usable_surplus == pytest.approx(7.114, abs=5e-4)
+        income, spent = problem.surplus(*problem.allocation(phi)[:2])
+        assert income - spent == pytest.approx(6.664, abs=5e-4)
 
     def test_slack_met_near_one_without_rescue(self):
         # phi* = 1 - 6.1e-6 with embodied energy (omega = 2.5, eps = 1.5):
@@ -713,12 +751,12 @@ class TestNewtonPhi:
 
     @pytest.mark.parametrize("name, solves, newton", [
         ("reference", 0, 0), ("scarce_growth", 92, 92), ("shocks", 0, 0),
-        ("arrivals", 34, 18)])
+        ("arrivals", 34, 34)])
     def test_shipped_scenarios_per_solve(self, compared, name, solves,
                                          newton):
         # shocks has a fixed-proportions good in every period; arrivals
         # rations its workers between grain and coal at phi = 0 in 16
-        # periods
+        # periods, and the certified Newton share serves those too
         doc = json.loads(SCENARIOS.joinpath(f"{name}.json").read_text())
         simulate(scenario_from_dict(doc))
         assert len(compared) == solves
